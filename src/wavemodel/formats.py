@@ -1,11 +1,13 @@
 """Input parsing: point-cloud CSV, edge lists, distance-matrix CSV.
 
-Every parse error reports the row and column where it occurred.
+Every parse error reports the row and column where it occurred.  Non-finite
+values (nan, inf, floats that overflow) are parse errors.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from fractions import Fraction
 
 
@@ -19,14 +21,35 @@ class ParseError(ValueError):
 
 
 def _number(text: str, row: int, col: int):
-    """Parse a number, preferring exact rationals ('3/10', '2') over floats."""
+    """Parse a finite number, preferring exact rationals ('3/10', '2') over floats."""
     text = text.strip()
     try:
         if "/" in text or ("." not in text and "e" not in text.lower()):
             return Fraction(text)
-        return float(text)
+        value = float(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"not a number: {text!r}", row, col) from None
+    if not math.isfinite(value):
+        raise ParseError(f"not a finite number: {text!r}", row, col)
+    return value
+
+
+def _coordinate(text: str, row: int, col: int) -> float:
+    try:
+        return float(_number(text, row, col))
+    except OverflowError:
+        raise ParseError(f"not a finite float: {text!r}", row, col) from None
+
+
+def _is_label(text: str) -> bool:
+    """A field that does not parse as a number, not even as nan or inf."""
+    for parse in (float, Fraction):
+        try:
+            parse(text.strip())
+            return False
+        except (ValueError, ZeroDivisionError):
+            pass
+    return True
 
 
 def load_points_csv(path: str):
@@ -38,14 +61,12 @@ def load_points_csv(path: str):
                 continue
             fields = [f for f in rec]
             start = 0
-            try:
-                _number(fields[0], r, 1)
-            except ParseError:
+            if _is_label(fields[0]):
                 labels.append(fields[0].strip())
                 start = 1
                 if len(fields) == 1:
                     raise ParseError("label with no coordinates", r, 1)
-            row = [float(_number(f, r, c)) for c, f in
+            row = [_coordinate(f, r, c) for c, f in
                    enumerate(fields[start:], start=start + 1)]
             coords.append(row)
     if not coords:

@@ -22,8 +22,11 @@ from .metric import (
     closed_ball,
     condition2_report,
     check_condition1,
+    first_meeting,
+    isometry_fit,
     neighborhood,
-    open_ball,
+    open_ball,  # noqa: F401  (the scalar ball stays reachable as lattice.open_ball)
+    open_balls,
     wave_distance_matrix,
 )
 
@@ -246,7 +249,7 @@ def sandwich_check(space: FiniteMetricSpace, g: LatticeFunction) -> tuple:
 
 def b_star_lower(space: FiniteMetricSpace, x: int, grid: TimeGrid) -> LatticeFunction:
     """t -> open ball B_t(x)."""
-    return LatticeFunction(grid, tuple(open_ball(space, x, t) for t in grid))
+    return LatticeFunction(grid, open_balls(space, x, grid.values))
 
 
 def b_star_upper(space: FiniteMetricSpace, x: int, grid: TimeGrid) -> LatticeFunction:
@@ -345,35 +348,31 @@ def wave_model(space: FiniteMetricSpace, grid: TimeGrid,
 
     One atom per point, represented by the open-ball function; the grid is
     refused if it cannot isolate singleton nuclei.  tau comes from the
-    closed form 2 min_z max(d(x,z), d(y,z)); brackets, when requested, from
-    grid-level intersection of the representatives.
+    closed form 2 min_z max(d(x,z), d(y,z)); brackets, when requested, are
+    those of ``wave_distance_classes`` on the representatives, found by
+    locating the closed form in the grid: the open balls of radius t meet
+    iff min_z max(d(x,z), d(y,z)) lies inside t.
     """
     check_grid_admissible(space, grid)
     n = space.n
     warnings = []
     atoms = []
-    reps = []
     for x in space.points():
         rep = b_star_lower(space, x, grid)
         core = nucleus(rep)
         if core != frozenset({x}):
             warnings.append(f"nucleus of point {x} is {sorted(core)}, not a singleton")
         atoms.append(AtomClass(core, rep))
-        reps.append(rep)
     tau = wave_distance_matrix(space)
-    max_dev = max((abs(tau[i][j] - space.dist[i][j])
-                   for i in range(n) for j in range(i + 1, n)), default=0)
-    num = sum(tau[i][j] * space.dist[i][j] for i in range(n) for j in range(i + 1, n))
-    den = sum(space.dist[i][j] ** 2 for i in range(n) for j in range(i + 1, n))
-    c = num / den if den else None
+    max_dev, c = isometry_fit(space)
     brackets = None
     if include_brackets:
-        brackets = [[None] * n for _ in range(n)]
+        doubled = [2 * t for t in grid.values]
+        # the bracket for each index of the first grid value where the balls meet
+        bounds = [(0, doubled[0]), *zip(doubled, doubled[1:]), (doubled[-1], INFINITY)]
+        brackets = [[bounds[f] for f in row] for row in first_meeting(space, grid.values)]
         for i in range(n):
             brackets[i][i] = (0, 0)
-            for j in range(i + 1, n):
-                br = wave_distance_classes(reps[i], reps[j])
-                brackets[i][j] = brackets[j][i] = br
     cond2 = condition2_report(space) if include_defects else {}
     return WaveModelResult(
         atoms=tuple(atoms), tau=tau, max_abs_tau_minus_d=max_dev,

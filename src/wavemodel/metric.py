@@ -9,21 +9,38 @@ compares with a single global tolerance ``eta``.
 Open sets are plain ``frozenset`` objects of point indices: a finite
 metric space carries the discrete topology, so every subset is clopen and
 interior/closure are identity maps.
+
+Internally each space also holds one numpy matrix, built once at
+construction: exact spaces scale their distances by the LCM of the
+denominators into int64 (Python ints in an object array when four times
+the largest entry would overflow int64); spaces with ``eta > 0`` use
+float64.  Validation, the defect matrix, the wave distance, ball tables
+and grid brackets run on that matrix; values leave this module only as
+``Fraction``, ``int`` or ``float``.  The scalar functions
+(``condition2_defect``, ``wave_distance_points``, ``open_ball``) are the
+reference the matrix paths are tested against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
-import networkx as nx
+import numpy as np
 
 #: Sentinel for the distance to the empty set (inf over the empty family).
 INFINITY = math.inf
 
 PointSet = frozenset
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+#: Elements per temporary slab of the n^3 kernels.
+_SLAB = 1 << 16
 
 
 class MetricError(ValueError):
@@ -47,6 +64,62 @@ def _le(a, b, eta: float) -> bool:
     return a <= b if eta == 0 else a <= b + eta
 
 
+def _slabs(n: int):
+    """Row ranges whose (rows, n, n) temporaries stay within ``_SLAB``."""
+    step = max(1, _SLAB // max(1, n * n))
+    for lo in range(0, n, step):
+        yield lo, min(n, lo + step)
+
+
+def _int_dtype(bound: int):
+    """int64 when ``bound`` fits, else object (Python ints)."""
+    return np.int64 if bound <= _INT64_MAX else object
+
+
+def _exact_matrix(dist) -> tuple:
+    """(matrix, scale): the entries times the LCM of their denominators."""
+    flat = []
+    for i, row in enumerate(dist):
+        for j, v in enumerate(row):
+            if not isinstance(v, (int, Fraction)):
+                try:
+                    v = Fraction(v)
+                except (ValueError, OverflowError, TypeError):
+                    raise AxiomViolation(
+                        f"d({i},{j}) = {v} is not a finite number", (i, j)) from None
+            flat.append(v)
+    denominators = {v.denominator for v in flat}
+    scale = math.lcm(*denominators)
+    factor = {q: scale // q for q in denominators}
+    scaled = [v.numerator * factor[v.denominator] for v in flat]
+    n = len(dist)
+    m = np.array(scaled, dtype=_int_dtype(4 * max(map(abs, scaled))))
+    return m.reshape(n, n), scale
+
+
+def _float_matrix(dist) -> np.ndarray:
+    try:
+        m = np.array(dist, dtype=np.float64)
+    except (OverflowError, TypeError, ValueError):
+        m = np.array([[_as_float(v) for v in row] for row in dist])
+    bad = ~np.isfinite(m)
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), len(dist))
+        raise AxiomViolation(f"d({i},{j}) = {dist[i][j]} is not a finite number", (i, j))
+    return m
+
+
+def _as_float(v) -> float:
+    try:
+        return float(v)
+    except (OverflowError, TypeError, ValueError):
+        return math.nan
+
+
+def _is_finite_real(v) -> bool:
+    return isinstance(v, (int, Fraction)) or math.isfinite(_as_float(v))
+
+
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """n labeled points with a symmetric, triangle-valid distance matrix.
@@ -68,28 +141,46 @@ class FiniteMetricSpace:
         for i, row in enumerate(self.dist):
             if len(row) != n:
                 raise AxiomViolation(f"row {i} has length {len(row)}, expected {n}", (i,))
-        eta = self.eta
-        for i in range(n):
-            if abs(self.dist[i][i]) > eta:
-                raise AxiomViolation(f"d({i},{i}) = {self.dist[i][i]} != 0", (i,))
-            for j in range(i + 1, n):
-                if abs(self.dist[i][j] - self.dist[j][i]) > eta:
-                    raise AxiomViolation(
-                        f"asymmetric: d({i},{j}) != d({j},{i})", (i, j))
-                if self.dist[i][j] <= eta:
-                    raise AxiomViolation(
-                        f"d({i},{j}) = {self.dist[i][j]} <= 0 for distinct points", (i, j))
-        for i in range(n):
-            di = self.dist[i]
-            for j in range(n):
-                dij = di[j]
-                dj = self.dist[j]
-                for k in range(n):
-                    # subtract first so exact backends never touch the float eta
-                    if di[k] - dij - dj[k] > eta:
-                        raise AxiomViolation(
-                            f"triangle inequality fails on ({i},{j},{k}): "
-                            f"d({i},{k}) > d({i},{j}) + d({j},{k})", (i, j, k))
+        if self.exact:
+            m, scale = _exact_matrix(self.dist)
+            ints = scale == 1 and all(type(v) is int for row in self.dist for v in row)
+        else:
+            m, scale, ints = _float_matrix(self.dist), None, False
+        object.__setattr__(self, "_m", m)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_ints", ints)
+        self._validate()
+
+    def _validate(self):
+        """Raise on the first failure in the order of the scalar loops:
+        row by row the diagonal, then symmetry and positivity for j > i;
+        then the triangle inequality over (i, j, k) in lexicographic order."""
+        m, n = self._m, self.n
+        tol = 0 if self.exact else self.eta
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        asym = (np.abs(m - m.T) > tol) & upper
+        nonpos = (m <= tol) & upper
+        bad = asym | nonpos
+        np.fill_diagonal(bad, np.abs(np.diagonal(m)) > tol)
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), n)
+            dij = self.dist[i][j]
+            if i == j:
+                raise AxiomViolation(f"d({i},{i}) = {dij} != 0", (i,))
+            if asym[i, j]:
+                raise AxiomViolation(f"asymmetric: d({i},{j}) != d({j},{i})", (i, j))
+            raise AxiomViolation(f"d({i},{j}) = {dij} <= 0 for distinct points", (i, j))
+        for lo, hi in _slabs(n):
+            # (d(i,k) - d(i,j)) - d(j,k), evaluated in the scalar loop's order
+            excess = m[lo:hi, None, :] - m[lo:hi, :, None]
+            excess -= m
+            fails = excess > tol
+            if fails.any():
+                i, j, k = map(int, np.unravel_index(int(np.argmax(fails)), fails.shape))
+                i += lo
+                raise AxiomViolation(
+                    f"triangle inequality fails on ({i},{j},{k}): "
+                    f"d({i},{k}) > d({i},{j}) + d({j},{k})", (i, j, k))
 
     @property
     def n(self) -> int:
@@ -108,15 +199,95 @@ class FiniteMetricSpace:
     def universe(self) -> PointSet:
         return frozenset(range(self.n))
 
+    def _upper_entry(self, pick) -> object:
+        """The entry ``dist[i][j]``, i < j, at the first ``pick`` (argmin or
+        argmax) over the upper triangle in row-major order."""
+        rows, cols = np.triu_indices(self.n, 1)
+        k = int(pick(self._m[rows, cols]))
+        return self.dist[int(rows[k])][int(cols[k])]
+
     def min_positive_distance(self):
-        return min(self.dist[i][j]
-                   for i in range(self.n) for j in range(i + 1, self.n))
+        return self._upper_entry(np.argmin)
 
     def diameter(self):
         if self.n == 1:
             return 0
-        return max(self.dist[i][j]
-                   for i in range(self.n) for j in range(i + 1, self.n))
+        return self._upper_entry(np.argmax)
+
+    # -- matrix kernels (cached: the space is immutable) ---------------------
+
+    def _value(self, v):
+        """A kernel scalar as the API value: float, int or Fraction."""
+        if isinstance(v, np.generic):
+            v = v.item()
+        if self._scale is None or self._ints:
+            return v
+        return Fraction(v, self._scale)
+
+    def _to_lists(self, a: np.ndarray) -> list:
+        """Nested lists of API values with the int 0 on the diagonal."""
+        rows = a.tolist()
+        if self._scale is not None and not self._ints:
+            memo = {}
+            scale = self._scale
+            rows = [[memo[v] if v in memo else memo.setdefault(v, Fraction(v, scale))
+                     for v in row] for row in rows]
+        for i, row in enumerate(rows):
+            row[i] = 0
+        return rows
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        """Per row x, the points in stable order of d(x, .)."""
+        return np.argsort(self._m, axis=1, kind="stable")
+
+    @cached_property
+    def _meet(self) -> np.ndarray:
+        """min_z max(d(x,z), d(y,z)): the (min, max) product, half of tau."""
+        m = self._m
+        out = np.empty_like(m)
+        for lo, hi in _slabs(self.n):
+            out[lo:hi] = np.maximum(m[lo:hi, None, :], m[None, :, :]).min(axis=2)
+        return out
+
+    def _defects(self) -> np.ndarray:
+        """The defect sweep of ``condition2_defect`` for all pairs at once.
+
+        Per row x: the points sorted by d(x, .) give the radii r; a prefix
+        minimum over the sorted rows of d^T gives, for every y, the largest
+        admissible s = min d(y, z) over the points z inside B_r(x)."""
+        m = self._m
+        out = np.empty_like(m)
+        for lo, hi in _slabs(self.n):
+            order = self._order[lo:hi]
+            radii = np.take_along_axis(m[lo:hi], order, axis=1)  # sorted d(x, .)
+            # running[x, q, y]: min d(y, z) over the first q + 1 points z by d(x, .)
+            running = m.T[order]
+            np.minimum.accumulate(running, axis=1, out=running)
+            running = running[:, :-1, :]
+            # candidate r + s at every sorted position q >= 1 with y still
+            # outside; inside a group of equal r the running minimum only
+            # falls, so the group's start holds its largest candidate
+            cand = radii[:, 1:, None] + running
+            cand *= running > 0
+            out[lo:hi] = cand.max(axis=1, initial=0) - m[lo:hi]
+        np.fill_diagonal(out, 0)
+        return out
+
+    def _radius_keys(self, radii) -> list:
+        """Per radius r, the largest kernel value v counted inside B_r:
+        d < r on exact spaces, d <= r + eta otherwise."""
+        keys = []
+        scale, eta = self._scale, self.eta
+        for r in radii:
+            q = r if isinstance(r, (int, Fraction)) else Fraction(r)
+            if q.numerator <= 0:
+                raise MetricError(f"radius must be positive, got {r}")
+            if scale is None:
+                keys.append(float(r) + eta)  # what r + eta evaluates to
+            else:
+                keys.append((q.numerator * scale - 1) // q.denominator)
+        return keys
 
 
 # ---------------------------------------------------------------------------
@@ -151,32 +322,60 @@ def build_from_graph(edges: Iterable[tuple], n: int | None = None,
     """Geodesic backend: all-pairs shortest paths of a weighted graph.
 
     Rational/integer weights give an exact space; float weights fall back
-    to the default tolerance.
+    to the default tolerance.  A repeated edge keeps its last weight and a
+    self-loop adds only its node.  Distances come from Floyd-Warshall on the
+    scaled integer (or float64) weight matrix.
     """
-    g = nx.Graph()
+    weights = {}
+    nodes = set()
     exact = True
     for i, j, w in edges:
+        if not _is_finite_real(w):
+            raise AxiomViolation(f"non-finite weight {w} on edge ({i},{j})", (i, j))
         if w <= 0:
             raise MetricError(f"nonpositive weight on edge ({i},{j})")
         if isinstance(w, float):
             exact = False
-        g.add_edge(i, j, weight=w)
+        nodes.update((i, j))
+        if i != j:
+            weights[(i, j) if i < j else (j, i)] = w
     if n is not None:
-        g.add_nodes_from(range(n))
-    if g.number_of_nodes() == 0:
+        nodes.update(range(n))
+    if not nodes:
         raise MetricError("graph has no nodes")
-    nodes = sorted(g.nodes())
-    if nodes != list(range(len(nodes))):
-        raise MetricError("graph nodes must be 0-based consecutive indices")
-    if not nx.is_connected(g):
-        raise MetricError("graph is disconnected: no finite metric")
     m = len(nodes)
-    lengths = dict(nx.all_pairs_dijkstra_path_length(g, weight="weight"))
-    dist = [[lengths[i][j] for j in range(m)] for i in range(m)]
+    if sorted(nodes) != list(range(m)):
+        raise MetricError("graph nodes must be 0-based consecutive indices")
+    ij = list(weights)
+    if exact:
+        ws = [Fraction(w) for w in weights.values()]
+        scale = math.lcm(*{w.denominator for w in ws})
+        scaled = [w.numerator * (scale // w.denominator) for w in ws]
+        unreachable = sum(scaled) + 1  # longer than any path
+        g = np.full((m, m), unreachable, dtype=_int_dtype(4 * unreachable))
+    else:
+        scaled, unreachable = [float(w) for w in weights.values()], math.inf
+        g = np.full((m, m), math.inf)
+    for (i, j), w in zip(ij, scaled):
+        g[i, j] = g[j, i] = w
+    np.fill_diagonal(g, 0)
+    for k in range(m):
+        np.minimum(g, g[:, k, None] + g[None, k, :], out=g)
+    if (g == unreachable).any():
+        raise MetricError("graph is disconnected: no finite metric")
+    if not exact:
+        value = float
+    elif scale == 1 and all(type(w) is int for w in weights.values()):
+        value = int
+    else:
+        def value(v):
+            return Fraction(v, scale)
+    rows = g.tolist()
+    dist = tuple(tuple(0 if i == j else value(v) for j, v in enumerate(row))
+                 for i, row in enumerate(rows))
     if labels is None:
         labels = [str(i) for i in range(m)]
-    return FiniteMetricSpace(tuple(map(tuple, dist)), tuple(labels),
-                             eta=0.0 if exact else 1e-9)
+    return FiniteMetricSpace(dist, tuple(labels), eta=0.0 if exact else 1e-9)
 
 
 def build_discrete(n: int) -> FiniteMetricSpace:
@@ -244,6 +443,24 @@ def open_ball(space: FiniteMetricSpace, x: int, r) -> PointSet:
     row = space.dist[x]
     eta = space.eta
     return frozenset(y for y in range(space.n) if _lt(row[y], r, eta))
+
+
+def open_balls(space: FiniteMetricSpace, x: int, radii: Sequence) -> tuple:
+    """``tuple(open_ball(space, x, r) for r in radii)``, read off the row of
+    x sorted once; radii giving the same ball share one frozenset."""
+    keys = space._radius_keys(radii)
+    order = space._order[x]
+    row = space._m[x, order].tolist()
+    order = order.tolist()
+    balls = {}
+    out = []
+    for key in keys:
+        k = bisect_right(row, key)
+        ball = balls.get(k)
+        if ball is None:
+            ball = balls[k] = frozenset(order[:k])
+        out.append(ball)
+    return tuple(out)
 
 
 def closed_ball(space: FiniteMetricSpace, x: int, r) -> PointSet:
@@ -323,11 +540,17 @@ def condition2_defect(space: FiniteMetricSpace, x: int, y: int):
 
 
 def condition2_report(space: FiniteMetricSpace) -> dict:
-    """Full defect matrix plus the max defect and a verdict."""
-    n = space.n
-    defects = [[condition2_defect(space, i, j) for j in range(n)] for i in range(n)]
-    max_defect = max((defects[i][j] for i in range(n) for j in range(n)), default=0)
-    return {"defects": defects, "max_defect": max_defect,
+    """Full defect matrix plus the max defect and a verdict.
+
+    The matrix equals ``condition2_defect`` at every pair; it is computed by
+    one sweep per row: a stable argsort of d(x, .), a prefix minimum of
+    d(y, .) in that order, and candidates r + s at the starts of groups of
+    equal r.
+    """
+    defects = space._defects()
+    top = defects.max()
+    max_defect = space._value(top) if top > 0 else 0
+    return {"defects": space._to_lists(defects), "max_defect": max_defect,
             "holds": max_defect <= 0}
 
 
@@ -355,10 +578,37 @@ def wave_distance_points(space: FiniteMetricSpace, x: int, y: int):
 
 
 def wave_distance_matrix(space: FiniteMetricSpace) -> list:
-    n = space.n
-    tau = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            t = wave_distance_points(space, i, j)
-            tau[i][j] = tau[j][i] = t
-    return tau
+    """``wave_distance_points`` at every pair, from the (min, max) product."""
+    return space._to_lists(2 * space._meet)
+
+
+def isometry_fit(space: FiniteMetricSpace) -> tuple:
+    """(max |tau - d|, c) over the pairs i < j, with tau the closed form and
+    c = sum tau d / sum d^2 the least-squares homothety factor (None for one
+    point).  Sums run in row-major pair order, as a scalar loop would."""
+    if space.n == 1:
+        return 0, None
+    rows, cols = np.triu_indices(space.n, 1)
+    d = space._m[rows, cols]
+    tau = 2 * space._meet[rows, cols]
+    max_dev = space._value(np.abs(tau - d).max())
+    tau, d = tau.tolist(), d.tolist()
+    num = sum(map(operator.mul, tau, d))
+    den = sum(v ** 2 for v in d)
+    # exact spaces: the scale cancels; int spaces divide as ints do
+    c = num / den if space._scale is None or space._ints else Fraction(num, den)
+    return max_dev, c
+
+
+def first_meeting(space: FiniteMetricSpace, radii: Sequence) -> list:
+    """Per pair (x, y), the index of the first radius r at which the open
+    balls B_r(x) and B_r(y) intersect, or ``len(radii)`` if they never do.
+
+    The balls meet exactly when some z lies in both, i.e. when
+    min_z max(d(x,z), d(y,z)) lies inside radius r; ``radii`` must increase.
+    """
+    keys = space._radius_keys(radii)
+    meet = space._meet
+    if meet.dtype == np.int64:
+        keys = [min(k, _INT64_MAX) for k in keys]  # every meet value is below
+    return np.searchsorted(np.array(keys, dtype=meet.dtype), meet, side="left").tolist()

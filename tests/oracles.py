@@ -9,6 +9,7 @@ grid for the first ball intersection.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -18,6 +19,11 @@ from wavemodel import metric
 
 def random_graph_space(rng: random.Random, n: int) -> metric.FiniteMetricSpace:
     """Exact geodesic space: random connected graph with rational weights."""
+    return metric.build_from_graph(random_graph_edges(rng, n), n=n)
+
+
+def random_graph_edges(rng: random.Random, n: int) -> list:
+    """A random spanning tree plus random extra edges, rational weights."""
     edges = []
     for j in range(1, n):
         i = rng.randrange(j)
@@ -27,7 +33,7 @@ def random_graph_space(rng: random.Random, n: int) -> metric.FiniteMetricSpace:
         i, j = rng.randrange(n), rng.randrange(n)
         if i != j:
             edges.append((i, j, Fraction(rng.randint(1, 40), rng.choice([3, 7, 11, 13]))))
-    return metric.build_from_graph(edges, n=n)
+    return edges
 
 
 def random_point_space(rng: random.Random, n: int, dim: int = 2) -> metric.FiniteMetricSpace:
@@ -136,3 +142,64 @@ def random_decreasing_chain(rng: random.Random, n: int, keep_nonempty: bool = Fa
 def segment_sample_cached(samples: int) -> metric.FiniteMetricSpace:
     """Validation is O(n^3); share the big samples across tests."""
     return metric.build_segment_sample(samples)
+
+
+def first_axiom_failure(dist, eta):
+    """(message, witness) of the first failing axiom, or None.
+
+    The scalar loops the matrix validation replaced: row by row the
+    diagonal, then symmetry and positivity for j > i, then the triangle
+    inequality over every (i, j, k) in lexicographic order.
+    """
+    n = len(dist)
+    for i in range(n):
+        if abs(dist[i][i]) > eta:
+            return f"d({i},{i}) = {dist[i][i]} != 0", (i,)
+        for j in range(i + 1, n):
+            if abs(dist[i][j] - dist[j][i]) > eta:
+                return f"asymmetric: d({i},{j}) != d({j},{i})", (i, j)
+            if dist[i][j] <= eta:
+                return f"d({i},{j}) = {dist[i][j]} <= 0 for distinct points", (i, j)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if dist[i][k] - dist[i][j] - dist[j][k] > eta:
+                    return (f"triangle inequality fails on ({i},{j},{k}): "
+                            f"d({i},{k}) > d({i},{j}) + d({j},{k})", (i, j, k))
+    return None
+
+
+def dijkstra_distances(edges, n: int) -> list:
+    """All-pairs geodesics with path sums taken outward from each source,
+    the summation order of a textbook Dijkstra."""
+    adj = [dict() for _ in range(n)]
+    for i, j, w in edges:
+        if i != j:
+            adj[i][j] = adj[j][i] = w
+    rows = []
+    for s in range(n):
+        dist = {s: 0}
+        heap = [(0, s)]
+        done = set()
+        while heap:
+            d, u = heapq.heappop(heap)
+            if u in done:
+                continue
+            done.add(u)
+            for v, w in adj[u].items():
+                if v not in dist or d + w < dist[v]:
+                    dist[v] = d + w
+                    heapq.heappush(heap, (d + w, v))
+        rows.append([dist[v] for v in range(n)])
+    return rows
+
+
+def random_rational_metric(rng: random.Random, n: int, denominators=(3, 7, 11, 13)):
+    """Exact non-geodesic metric: d = 1 + (a rational in [0, 1)), so every
+    triangle holds (1 + a <= 2 <= 1 + b + 1 + c)."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q = rng.choice(denominators)
+            rows[i][j] = rows[j][i] = 1 + Fraction(rng.randrange(q), q)
+    return rows

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -97,6 +100,45 @@ def test_validate_unparsable_input_exit_2(tmp_path):
 def test_validate_missing_file_exit_2(tmp_path):
     assert main(["validate", "--backend", "matrix",
                  "--input", str(tmp_path / "absent.csv")]) == 2
+
+
+@pytest.mark.parametrize("token", ["1e400", "-1e999", "nan", "inf", "-inf", "NaN"])
+def test_non_finite_matrix_entry_is_a_parse_error(tmp_path, token):
+    m = tmp_path / "m.csv"
+    m.write_text(f"0,1\n{token},0\n")
+    with pytest.raises(ParseError) as ei:
+        load_matrix_csv(str(m))
+    assert (ei.value.row, ei.value.col) == (2, 1)
+    assert main(["validate", "--backend", "matrix", "--input", str(m)]) == 2
+
+
+def test_non_finite_point_coordinate_is_not_a_label(tmp_path):
+    p = tmp_path / "pts.csv"
+    p.write_text("0,0\n1e400,1\n")
+    with pytest.raises(ParseError) as ei:
+        load_points_csv(str(p))
+    assert (ei.value.row, ei.value.col) == (2, 1)
+    p.write_text("a,0,0\nb,1," + "9" * 400 + "\n")  # a rational beyond float range
+    with pytest.raises(ParseError) as ei:
+        load_points_csv(str(p))
+    assert (ei.value.row, ei.value.col) == (2, 3)
+
+
+def test_non_finite_edge_weight_is_a_parse_error(tmp_path):
+    g = tmp_path / "g.txt"
+    g.write_text("0 1 1\n1 2 1e999\n")
+    with pytest.raises(ParseError) as ei:
+        load_edges(str(g))
+    assert (ei.value.row, ei.value.col) == (2, 3)
+    assert main(["tau", "--backend", "graph", "--input", str(g)]) == 2
+
+
+def test_validate_exit_1_when_point_distances_overflow(tmp_path):
+    p = tmp_path / "pts.csv"
+    p.write_text("1e308,1e308\n-1e308,-1e308\n")
+    code, data = run(tmp_path, "validate", "--backend", "points", "--input", str(p))
+    assert code == 1
+    assert data["valid"] is False and data["witness"] == [0, 1]
 
 
 def test_missing_required_option_exit_3():
@@ -250,3 +292,11 @@ def test_nucleus_demo_shrinking_ball(tmp_path):
 def test_nucleus_demo_center_out_of_range(tmp_path):
     assert main(["nucleus-demo", "--net", "shrinking-ball", "--backend",
                  "segment", "--samples", "11", "--center", "99"]) == 3
+
+
+def test_cli_import_does_not_load_networkx():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = "import sys, wavemodel.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "False"

@@ -1,0 +1,95 @@
+"""Byte-identity of CLI reports against stored golden files.
+
+The golden reports under ``tests/golden/expected`` were written by the pure
+``Fraction`` implementation that preceded the numpy kernel.  Every case runs
+one CLI command on a small input and compares the written report byte for
+byte, together with the exit code.
+
+Regenerate (only from a commit whose reports are known good)::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import pathlib
+import sys
+
+import pytest
+
+from wavemodel.cli import main
+
+HERE = pathlib.Path(__file__).parent / "golden"
+INPUTS = HERE / "inputs"
+EXPECTED = HERE / "expected"
+
+# name -> (argv without --out, expected exit code); the report format follows --format
+CASES = {
+    "tau-segment": (["tau", "--backend", "segment", "--samples", "7",
+                     "--length", "3/2"], 0),
+    "tau-segment-csv": (["tau", "--backend", "segment", "--samples", "7",
+                         "--format", "csv"], 0),
+    "tau-segment-linear-grid": (["tau", "--backend", "segment", "--samples", "5",
+                                 "--grid", "1/16,2,32,linear"], 0),
+    "conditions-segment": (["conditions", "--backend", "segment", "--samples", "9"], 0),
+    "isometry-segment-csv": (["isometry", "--backend", "segment", "--samples", "6",
+                              "--length", "5", "--format", "csv"], 0),
+    "tau-points": (["tau", "--backend", "points", "--input", "points.csv"], 0),
+    "isometry-points": (["isometry", "--backend", "points", "--input", "points.csv"], 0),
+    "conditions-points-csv": (["conditions", "--backend", "points", "--input",
+                               "points.csv", "--format", "csv"], 0),
+    "tau-graph": (["tau", "--backend", "graph", "--input", "edges.txt"], 0),
+    "isometry-graph-csv": (["isometry", "--backend", "graph", "--input", "edges.txt",
+                            "--format", "csv"], 0),
+    "conditions-graph": (["conditions", "--backend", "graph", "--input", "edges.txt"], 0),
+    "conditions-graph-csv": (["conditions", "--backend", "graph", "--input",
+                              "edges.txt", "--format", "csv"], 0),
+    "tau-graph-binary": (["tau", "--backend", "graph", "--input", "edges_binary.txt"], 0),
+    "tau-discrete": (["tau", "--backend", "discrete", "--n", "5"], 0),
+    "isometry-discrete": (["isometry", "--backend", "discrete", "--n", "6"], 0),
+    "conditions-discrete-csv": (["conditions", "--backend", "discrete", "--n", "5",
+                                 "--format", "csv"], 0),
+    "tau-matrix": (["tau", "--backend", "matrix", "--input", "matrix.csv"], 0),
+    "conditions-matrix": (["conditions", "--backend", "matrix", "--input", "matrix.csv"], 0),
+    "isometry-matrix-float": (["isometry", "--backend", "matrix", "--input",
+                               "matrix_float.csv"], 0),
+    "conditions-matrix-float-csv": (["conditions", "--backend", "matrix", "--input",
+                                     "matrix_float.csv", "--format", "csv"], 0),
+    "validate-matrix": (["validate", "--backend", "matrix", "--input", "matrix.csv"], 0),
+    "validate-points": (["validate", "--backend", "points", "--input", "points.csv"], 0),
+    "validate-bad-triangle": (["validate", "--backend", "matrix", "--input",
+                               "bad_triangle.csv"], 1),
+    "nucleus-demo-segment": (["nucleus-demo", "--backend", "segment", "--samples", "7",
+                              "--center", "3"], 0),
+}
+
+
+def _argv(args, out):
+    return [str(INPUTS / a) if (INPUTS / a).is_file() else a for a in args] + [
+        "--out", str(out)]
+
+
+def _suffix(args):
+    return ".csv" if "csv" in args else ".json"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_report_matches_golden(name, tmp_path):
+    args, code = CASES[name]
+    out = tmp_path / f"{name}{_suffix(args)}"
+    assert main(_argv(args, out)) == code
+    assert out.read_bytes() == (EXPECTED / out.name).read_bytes()
+
+
+def regenerate() -> None:
+    EXPECTED.mkdir(parents=True, exist_ok=True)
+    for name, (args, code) in sorted(CASES.items()):
+        out = EXPECTED / f"{name}{_suffix(args)}"
+        got = main(_argv(args, out))
+        if got != code:
+            raise SystemExit(f"{name}: exit {got}, expected {code}")
+        print(f"wrote {out.relative_to(HERE)}")
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())

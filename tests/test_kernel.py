@@ -1,0 +1,294 @@
+"""Differential tests: the numpy matrix paths against the scalar reference.
+
+The reference is the pure-Python code kept public for this purpose:
+``condition2_defect``, ``wave_distance_points``, ``open_ball`` and
+``wave_distance_classes``, plus the brute-force oracles in ``oracles.py``.
+Every comparison is exact equality, on floats too: the matrix paths perform
+the same comparisons and the same single additions as the scalar code.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from wavemodel import (
+    AxiomViolation,
+    FiniteMetricSpace,
+    MetricError,
+    TimeGrid,
+    b_star_lower,
+    build_discrete,
+    build_from_graph,
+    build_from_matrix,
+    build_from_points,
+    build_segment_sample,
+    condition2_defect,
+    condition2_report,
+    default_grid,
+    open_ball,
+    wave_distance_classes,
+    wave_distance_matrix,
+    wave_distance_points,
+    wave_model,
+)
+
+import oracles
+
+F = Fraction
+#: Large primes: a metric with these denominators scales past int64.
+BIG_PRIMES = (2147483647, 2147483629, 2147483587)
+
+
+def random_float_graph(rng, n):
+    edges = [(rng.randrange(j), j, round(rng.uniform(0.1, 3.0), 2)) for j in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n), round(rng.uniform(0.1, 3.0), 2))
+              for _ in range(n)]
+    return build_from_graph(edges, n=n)
+
+
+def spaces():
+    """(id, space) pairs covering every kernel dtype and backend, n <= 40."""
+    rng = random.Random(20240517)
+    yield "one-point", build_from_matrix([[0]])
+    yield "one-point-float", build_from_matrix([[0.0]])
+    for n in (1, 2, 9):
+        yield f"discrete-{n}", build_discrete(n)
+    yield "segment-2", build_segment_sample(2)
+    yield "segment-17", build_segment_sample(17, F(7, 3))
+    for n in (2, 5, 12, 25, 40):
+        yield f"graph-{n}", oracles.random_graph_space(rng, n)
+    yield "graph-int", build_from_graph([(0, 1, 2), (1, 2, 3), (2, 3, 1), (3, 0, 4), (0, 2, 4)])
+    for n in (2, 7, 20, 40):
+        yield f"points-{n}", oracles.random_point_space(rng, n)
+    for n in (6, 30):
+        yield f"float-graph-{n}", random_float_graph(rng, n)
+    for n in (4, 6, 30):
+        yield f"rational-{n}", build_from_matrix(oracles.random_rational_metric(rng, n))
+    yield "python-int", build_from_matrix(
+        oracles.random_rational_metric(rng, 12, BIG_PRIMES))
+
+
+SPACES = dict(spaces())
+
+
+def by_pair(space, fn):
+    return [[fn(space, x, y) for y in range(space.n)] for x in range(space.n)]
+
+
+def test_python_int_fallback_is_used():
+    assert SPACES["python-int"]._m.dtype == object
+    assert SPACES["rational-30"]._m.dtype != object
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_defect_matrix_matches_scalar_sweep(name):
+    s = SPACES[name]
+    report = condition2_report(s)
+    want = by_pair(s, condition2_defect)
+    assert report["defects"] == want
+    flat = [v for row in want for v in row]
+    assert report["max_defect"] == max(flat)
+    assert report["holds"] == (max(flat) <= 0)
+
+
+@pytest.mark.parametrize("name", [k for k in sorted(SPACES) if SPACES[k].n <= 7])
+def test_defect_matrix_matches_radius_grid_oracle(name):
+    s = SPACES[name]
+    defects = condition2_report(s)["defects"]
+    tol = oracles.defect_oracle_resolution(s)
+    for x in range(s.n):
+        for y in range(s.n):
+            assert abs(defects[x][y] - oracles.brute_force_condition2_defect(s, x, y)) <= tol
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_tau_matrix_matches_closed_form_per_pair(name):
+    s = SPACES[name]
+    want = [[0 if x == y else wave_distance_points(s, x, y) for y in range(s.n)]
+            for x in range(s.n)]
+    assert wave_distance_matrix(s) == want
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_ball_table_and_brackets_match_scalar(name):
+    s = SPACES[name]
+    grid = default_grid(s)
+    reps = []
+    for x in range(s.n):
+        rep = b_star_lower(s, x, grid)
+        assert rep.sets == tuple(open_ball(s, x, t) for t in grid)
+        reps.append(rep)
+    result = wave_model(s, grid, include_brackets=True, include_defects=False)
+    for x in range(s.n):
+        for y in range(s.n):
+            want = (0, 0) if x == y else wave_distance_classes(reps[x], reps[y])
+            assert result.brackets[x][y] == want
+
+
+@pytest.mark.parametrize("name", ["segment-17", "discrete-9", "python-int"])
+def test_balls_and_brackets_on_a_grid_through_the_distances(name):
+    # grid values equal to distances test the open-ball boundary d < t
+    s = SPACES[name]
+    d = {F(v) for row in s.dist for v in row} - {0}
+    values = sorted(d | {v / 2 for v in d})
+    grid = TimeGrid((values[0] / 2, *values, 2 * values[-1]))
+    reps = [b_star_lower(s, x, grid) for x in range(s.n)]
+    for x in range(s.n):
+        assert reps[x].sets == tuple(open_ball(s, x, t) for t in grid)
+    brackets = wave_model(s, grid, include_brackets=True, include_defects=False).brackets
+    for x in range(s.n):
+        for y in range(x + 1, s.n):
+            assert brackets[x][y] == wave_distance_classes(reps[x], reps[y])
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_isometry_fit_matches_pairwise_sums(name):
+    s = SPACES[name]
+    n = s.n
+    tau = by_pair(s, wave_distance_points)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    result = wave_model(s, default_grid(s), include_defects=False)
+    assert result.max_abs_tau_minus_d == max(
+        (abs(tau[i][j] - s.d(i, j)) for i, j in pairs), default=0)
+    den = sum(s.d(i, j) ** 2 for i, j in pairs)
+    want = sum(tau[i][j] * s.d(i, j) for i, j in pairs) / den if den else None
+    assert result.homothety_c == want
+
+
+@pytest.mark.parametrize("name", [k for k in sorted(SPACES) if SPACES[k].n > 1])
+def test_extreme_distances_are_the_matrix_entries(name):
+    s = SPACES[name]
+    upper = [s.d(i, j) for i in range(s.n) for j in range(i + 1, s.n)]
+    assert s.min_positive_distance() is min(upper)
+    assert s.diameter() is max(upper)
+
+
+def test_discrete_metric_tau_is_twice_d():
+    s = SPACES["discrete-9"]
+    assert wave_distance_matrix(s) == [[2 * s.d(i, j) for j in range(s.n)]
+                                       for i in range(s.n)]
+
+
+def test_api_value_types_follow_the_input():
+    tau = wave_distance_matrix(SPACES["graph-int"])
+    assert all(type(v) is int for row in tau for v in row)
+    assert type(wave_distance_matrix(SPACES["graph-12"])[0][1]) is Fraction
+    assert type(wave_distance_matrix(SPACES["points-7"])[0][1]) is float
+    assert type(condition2_report(SPACES["python-int"])["defects"][0][1]) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# Validation: the first failure and its witness, as the scalar loops found them
+
+
+def broken_copies(rng, rows, count):
+    """Copies of ``rows`` with one entry pushed out of range."""
+    n = len(rows)
+    for _ in range(count):
+        i, j = rng.randrange(n), rng.randrange(n)
+        bad = [list(r) for r in rows]
+        kind = rng.randrange(4)
+        if kind == 0:
+            bad[i][j] = bad[i][j] * 3 + 1  # may break triangles, symmetry, diagonal
+        elif kind == 1:
+            bad[i][j] = bad[j][i] = bad[i][j] * 3 + 1  # a symmetric long edge
+        elif kind == 2:
+            bad[i][j] = bad[j][i] = bad[i][j] - bad[i][j]  # zero
+        else:
+            bad[i][j] = -bad[i][j] - 1
+        yield bad
+
+
+@pytest.mark.parametrize("name", ["graph-12", "rational-6", "points-7", "python-int",
+                                  "segment-17", "float-graph-6"])
+def test_first_failure_and_witness_match_scalar_loops(name):
+    s = SPACES[name]
+    rng = random.Random(name)
+    rows = [list(r) for r in s.dist]
+    seen = 0
+    for bad in broken_copies(rng, rows, 40):
+        want = oracles.first_axiom_failure(bad, s.eta)
+        if want is None:
+            FiniteMetricSpace(tuple(map(tuple, bad)), s.labels, eta=s.eta)
+            continue
+        seen += 1
+        with pytest.raises(AxiomViolation) as ei:
+            FiniteMetricSpace(tuple(map(tuple, bad)), s.labels, eta=s.eta)
+        assert (str(ei.value), ei.value.witness) == want
+    assert seen > 0
+
+
+def test_failing_triangle_witness():
+    rows = [[0, 1, 5, 2], [1, 0, 1, 2], [5, 1, 0, 2], [2, 2, 2, 0]]
+    with pytest.raises(AxiomViolation) as ei:
+        build_from_matrix(rows)
+    assert ei.value.witness == (0, 1, 2) == oracles.first_axiom_failure(rows, 0)[1]
+
+
+def test_float_slack_is_eta():
+    # a triangle off by less than eta passes, as in the scalar loop
+    e = 1e-12
+    rows = [[0.0, 1.0, 2.0 + e], [1.0, 0.0, 1.0], [2.0 + e, 1.0, 0.0]]
+    assert build_from_matrix(rows).n == 3
+    rows[0][2] = rows[2][0] = 2.0 + 1e-6
+    with pytest.raises(AxiomViolation):
+        build_from_matrix(rows)
+
+
+# ---------------------------------------------------------------------------
+# Graph geodesics by Floyd-Warshall
+
+
+def test_exact_graph_matches_dijkstra():
+    rng = random.Random(5)
+    for n in (2, 9, 30):
+        edges = oracles.random_graph_edges(rng, n)
+        s = build_from_graph(edges, n=n)
+        assert [list(r) for r in s.dist] == oracles.dijkstra_distances(edges, n)
+
+
+def test_float_graph_deviates_from_dijkstra_by_rounding_only():
+    # 0.1-weights: Floyd-Warshall adds path pieces in another order than a
+    # source-outward sum, which may differ in the last place
+    # (up to 2 ulp on these graphs)
+    rng = random.Random(11)
+    for n in (8, 20, 35):
+        edges = [(j - 1, j, rng.choice([0.1, 0.2, 0.3, 0.7])) for j in range(1, n)]
+        edges += [(rng.randrange(n), rng.randrange(n), 0.3) for _ in range(n // 2)]
+        s = build_from_graph(edges, n=n)
+        ref = oracles.dijkstra_distances(edges, n)
+        for i in range(n):
+            for j in range(n):
+                gap = abs(s.d(i, j) - ref[i][j])
+                assert gap <= 4 * math.ulp(ref[i][j]) and gap <= s.eta
+
+
+def test_graph_repeated_edge_keeps_last_weight_and_loops_add_nodes():
+    s = build_from_graph([(0, 1, 5), (1, 0, 2), (1, 1, 7), (1, 2, 1)])
+    assert s.d(0, 1) == 2 and s.d(0, 2) == 3 and s.d(1, 1) == 0
+
+
+def test_graph_disconnected_and_node_errors():
+    with pytest.raises(MetricError, match="disconnected"):
+        build_from_graph([(0, 1, F(1, 2)), (2, 3, 1)])
+    with pytest.raises(MetricError, match="disconnected"):
+        build_from_graph([(0, 1, 0.5)], n=3)
+    with pytest.raises(MetricError, match="consecutive"):
+        build_from_graph([(0, 2, 1)])
+    with pytest.raises(MetricError, match="no nodes"):
+        build_from_graph([])
+
+
+def test_graph_with_python_int_scale():
+    edges = [(0, 1, 1 + F(1, BIG_PRIMES[0])), (1, 2, 1 + F(1, BIG_PRIMES[1])),
+             (0, 2, 3)]
+    s = build_from_graph(edges)
+    assert s._m.dtype == object
+    assert s.d(0, 2) == 2 + F(1, BIG_PRIMES[0]) + F(1, BIG_PRIMES[1])
+
+
+def test_points_space_defects_on_collinear_points():
+    s = build_from_points([(0,), (1,), (2,), (3.5,)])
+    assert condition2_report(s)["defects"] == by_pair(s, condition2_defect)

@@ -98,6 +98,40 @@ def test_matrix_validation():
     assert len(ei.value.witness) == 3
 
 
+@pytest.mark.parametrize("rows, witness", [
+    ([[0, math.nan], [math.nan, 0]], (0, 1)),
+    ([[math.nan, 1.0], [1.0, 0]], (0, 0)),
+    ([[0, 1.0, 2.0], [1.0, 0, math.inf], [2.0, math.inf, 0]], (1, 2)),
+    ([[0, -math.inf], [-math.inf, 0]], (0, 1)),
+])
+def test_non_finite_matrix_is_refused_with_witness(rows, witness):
+    for eta in (None, 0.0):
+        with pytest.raises(AxiomViolation) as ei:
+            build_from_matrix(rows, eta=eta)
+        assert ei.value.witness == witness
+        assert "not a finite number" in str(ei.value)
+
+
+def test_float_overflowing_rational_is_refused_on_float_space():
+    with pytest.raises(AxiomViolation) as ei:
+        build_from_matrix([[0, 1.5], [F(10 ** 400), 0]])
+    assert ei.value.witness == (1, 0)
+
+
+def test_non_finite_points_are_refused():
+    with pytest.raises(AxiomViolation):
+        build_from_points([(0.0, 0.0), (math.nan, 1.0)])
+    with pytest.raises(AxiomViolation):
+        build_from_points([(1e308, 1e308), (-1e308, -1e308)])  # distance overflows
+
+
+@pytest.mark.parametrize("w", [math.inf, math.nan, -math.inf])
+def test_non_finite_edge_weight_is_refused(w):
+    with pytest.raises(AxiomViolation) as ei:
+        build_from_graph([(0, 1, 1), (1, 2, w)])
+    assert ei.value.witness == (1, 2)
+
+
 # ---------------------------------------------------------------------------
 # Distance to a set and neighborhoods
 
