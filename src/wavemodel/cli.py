@@ -2,19 +2,21 @@
 
 Every number in a report is taken verbatim from a core-module operation;
 this layer only arranges them.  Exit codes: 0 success, 1 metric-axiom
-validation failure, 2 ingestion/parse error, 3 configuration refused.
+validation failure, 2 ingestion/parse error, 3 configuration refused,
+4 the report could not be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import formats, interval1d, lattice, metric, segment
 
@@ -22,14 +24,19 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INGEST = 2
 EXIT_CONFIG = 3
+EXIT_OUTPUT = 4
 
 
 class ConfigError(ValueError):
     pass
 
 
+class OutputError(Exception):
+    """Writing the report (to a file or to stdout) failed."""
+
+
 def jsonable(obj):
-    """Reports carry Fractions, frozensets and infinities; flatten them."""
+    """Reports carry Fractions and infinities; flatten them."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, float):
@@ -38,10 +45,6 @@ def jsonable(obj):
         return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return jsonable(asdict(obj))
     return obj
 
 
@@ -61,28 +64,11 @@ def parse_grid_spec(spec: str) -> lattice.TimeGrid:
         count = int(parts[2])
     except ValueError:
         raise ConfigError(f"grid count must be an integer: {parts[2]!r}") from None
-    law = parts[3].strip()
-    try:
-        return lattice.make_grid(lo, hi, count, law)
-    except lattice.GridError as exc:
-        raise ConfigError(str(exc)) from None
+    return lattice.make_grid(lo, hi, count, parts[3].strip())
 
 
 def build_space(args) -> metric.FiniteMetricSpace:
     backend = args.backend
-    if backend == "points":
-        if not args.input:
-            raise ConfigError("--backend points requires --input")
-        coords, labels = formats.load_points_csv(args.input)
-        return metric.build_from_points(coords, labels, eta=args.eta)
-    if backend == "graph":
-        if not args.input:
-            raise ConfigError("--backend graph requires --input")
-        return metric.build_from_graph(formats.load_edges(args.input))
-    if backend == "matrix":
-        if not args.input:
-            raise ConfigError("--backend matrix requires --input")
-        return metric.build_from_matrix(formats.load_matrix_csv(args.input))
     if backend == "discrete":
         if args.n is None:
             raise ConfigError("--backend discrete requires --n")
@@ -92,7 +78,14 @@ def build_space(args) -> metric.FiniteMetricSpace:
             raise ConfigError("--backend segment requires --samples")
         return metric.build_segment_sample(args.samples,
                                            _parse_rational(args.length))
-    raise ConfigError(f"backend {backend!r} is not a finite metric backend")
+    if not args.input:
+        raise ConfigError(f"--backend {backend} requires --input")
+    if backend == "points":
+        coords, labels = formats.load_points_csv(args.input)
+        return metric.build_from_points(coords, labels)
+    if backend == "graph":
+        return metric.build_from_graph(formats.load_edges(args.input))
+    return metric.build_from_matrix(formats.load_matrix_csv(args.input))
 
 
 def resolve_grid(args, space) -> lattice.TimeGrid:
@@ -107,29 +100,45 @@ def sample_spacing_note(space) -> dict:
     return {"min_positive_distance": space.min_positive_distance()}
 
 
+def _write_stdout(text: str) -> None:
+    out = sys.stdout
+    if out is None:
+        raise OutputError("stdout is closed")
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        # a blocking write that the reader cuts off by closing the pipe
+        # returns short, without an error; the next write raises
+        data = data[out.buffer.write(data):]
+    out.buffer.flush()
+
+
+def _write(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to stdout when it is None."""
+    try:
+        if path is None:
+            _write_stdout(text)
+        else:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise OutputError(exc) from None
+
+
 def emit(report: dict, args, matrix_key: str | None = None) -> None:
     """Write the report; csv format emits the named matrix, json everything."""
     if args.format == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf)
         rows = report.get(matrix_key) if matrix_key else None
-        out = sys.stdout if args.out is None else open(args.out, "w", newline="")
-        try:
-            w = csv.writer(out)
-            if rows is None:
-                for k, v in jsonable(report).items():
-                    w.writerow([k, json.dumps(v)])
-            else:
-                for row in jsonable(rows):
-                    w.writerow(row)
-        finally:
-            if args.out is not None:
-                out.close()
-    else:
-        text = json.dumps(jsonable(report), indent=2, sort_keys=True)
-        if args.out is None:
-            print(text)
+        if rows is None:
+            w.writerows([k, json.dumps(v)] for k, v in jsonable(report).items())
         else:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
+            w.writerows(jsonable(rows))
+        text = buf.getvalue()
+    else:
+        text = json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n"
+    _write(text, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -169,31 +178,11 @@ def cmd_conditions(args) -> int:
     return EXIT_OK
 
 
-def cmd_tau(args) -> int:
+def cmd_wave_model(args, with_brackets: bool) -> int:
+    """``tau`` (with the grid brackets) and ``isometry`` (without)."""
     space = build_space(args)
     grid = resolve_grid(args, space)
-    try:
-        result = lattice.wave_model(space, grid, include_brackets=True)
-    except lattice.GridError as exc:
-        raise ConfigError(str(exc)) from None
-    report = _model_report(space, result, with_brackets=True)
-    emit(report, args, matrix_key="tau")
-    return EXIT_OK
-
-
-def cmd_isometry(args) -> int:
-    space = build_space(args)
-    grid = resolve_grid(args, space)
-    try:
-        result = lattice.wave_model(space, grid)
-    except lattice.GridError as exc:
-        raise ConfigError(str(exc)) from None
-    report = _model_report(space, result, with_brackets=False)
-    emit(report, args, matrix_key="tau")
-    return EXIT_OK
-
-
-def _model_report(space, result: lattice.WaveModelResult, with_brackets: bool) -> dict:
+    result = lattice.wave_model(space, grid, include_brackets=with_brackets)
     report = {
         "n": space.n,
         "tau": result.tau,
@@ -213,7 +202,8 @@ def _model_report(space, result: lattice.WaveModelResult, with_brackets: bool) -
         report["discrepancy_cause"] = (
             "two-radii separation (Condition 2) fails: max defect "
             f"{max_defect}; tau need not equal d")
-    return report
+    emit(report, args, matrix_key="tau")
+    return EXIT_OK
 
 
 def cmd_segment_demo(args) -> int:
@@ -224,22 +214,25 @@ def cmd_segment_demo(args) -> int:
         raise ConfigError(f"--x must lie strictly inside (0, 1), got {x}")
     chain = segment.segment_example(x)
     report = segment.verify_four_chain(x)
+    traces = io.StringIO()
+    w = csv.writer(traces)
+    w.writerow(["t", "function", "set"])
+    w.writerows([str(t), f.name, str(f.evaluate(t))]
+                for t in report.probes for f in chain.functions())
     outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "four_functions.json"), "w") as fh:
-        json.dump([f.to_json() for f in chain.functions()], fh, indent=2)
-    with open(os.path.join(outdir, "chain_report.json"), "w") as fh:
-        json.dump(report.to_json(), fh, indent=2)
-    trace_path = os.path.join(outdir, "traces.csv")
-    with open(trace_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "function", "set"])
-        for t in report.probes:
-            for f in chain.functions():
-                w.writerow([str(t), f.name, str(f.evaluate(t))])
-    print(f"wrote four_functions.json, chain_report.json, traces.csv to {outdir}")
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(exc) from None
+    _write(json.dumps([f.to_json() for f in chain.functions()], indent=2),
+           os.path.join(outdir, "four_functions.json"))
+    _write(json.dumps(report.to_json(), indent=2),
+           os.path.join(outdir, "chain_report.json"))
+    _write(traces.getvalue(), os.path.join(outdir, "traces.csv"))
+    print(f"wrote four_functions.json, chain_report.json, traces.csv to {outdir}",
+          file=sys.stderr)
     if report.merged_exception:
-        print("note: x = 1/2, the two exceptional radii merge")
+        print("note: x = 1/2, the two exceptional radii merge", file=sys.stderr)
     return EXIT_OK if report.all_pass else EXIT_VALIDATION
 
 
@@ -261,77 +254,77 @@ def cmd_nucleus_demo(args) -> int:
             core_t = interval1d.iv_neighborhood(core, t)
             upper = interval1d.iv_interior(interval1d.iv_closure(core_t))
             trace.append({"t": t, "limit": str(g_t),
-                          "lower_ok": core_t.is_subset(g_t) or
-                          interval1d.iv_intersect(core_t, g_t) == core_t,
+                          "lower_ok": core_t.is_subset(g_t),
                           "upper_ok": g_t.is_subset(upper)})
         emit({"net": args.net, "x": x, "nucleus": str(core),
               "sandwich": trace}, args)
         return EXIT_OK
-    if args.net == "shrinking-ball":
-        if args.center is None:
-            raise ConfigError("--net shrinking-ball requires --center")
-        space = build_space(args)
-        if not 0 <= args.center < space.n:
-            raise ConfigError(f"--center {args.center} out of range")
-        grid = resolve_grid(args, space)
-        eps0 = (Fraction(space.diameter()) if space.n > 1 else Fraction(1))
-        net = lattice.DecreasingNet.from_family(
-            lambda e: metric.open_ball(space, args.center, e), eps0=eps0)
-        try:
-            g = lattice.net_limit(space, net, grid)
-        except lattice.NetError as exc:
-            emit({"error": f"non-stabilizing net: {exc}"}, args)
-            return EXIT_VALIDATION
-        core = lattice.nucleus(g)
-        records = lattice.sandwich_check(space, g)
-        emit({"net": "shrinking-ball", "center": args.center,
-              "nucleus": sorted(core),
-              "limit_function": g.to_json(),
-              "sandwich": [{"t": r.t, "lower_ok": r.lower_ok,
-                            "upper_ok": r.upper_ok} for r in records]}, args)
-        return EXIT_OK
-    raise ConfigError(f"unknown net spec {args.net!r}")
+    if args.center is None:
+        raise ConfigError("--net shrinking-ball requires --center")
+    space = build_space(args)
+    if not 0 <= args.center < space.n:
+        raise ConfigError(f"--center {args.center} out of range")
+    grid = resolve_grid(args, space)
+    eps0 = (Fraction(space.diameter()) if space.n > 1 else Fraction(1))
+    net = lattice.DecreasingNet.from_family(
+        lambda e: metric.open_ball(space, args.center, e), eps0=eps0)
+    try:
+        g = lattice.net_limit(space, net, grid)
+    except lattice.NetError as exc:
+        emit({"error": f"non-stabilizing net: {exc}"}, args)
+        return EXIT_VALIDATION
+    core = lattice.nucleus(g)
+    records = lattice.sandwich_check(space, g)
+    emit({"net": "shrinking-ball", "center": args.center,
+          "nucleus": sorted(core),
+          "limit_function": g.to_json(),
+          "sandwich": [{"t": r.t, "lower_ok": r.lower_ok,
+                        "upper_ok": r.upper_ok} for r in records]}, args)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, holding only the flags that command reads."""
+    space = argparse.ArgumentParser(add_help=False)
+    space.add_argument("--backend", default="segment",
+                       choices=["points", "graph", "matrix", "discrete", "segment"])
+    space.add_argument("--input", help="input file for points, graph and matrix")
+    space.add_argument("--n", type=int, help="point count for --backend discrete")
+    space.add_argument("--samples", type=int, help="sample count for --backend segment")
+    space.add_argument("--length", default="1",
+                       help="segment length as a rational, e.g. 1 or 3/2")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid", help="time grid spec: min,max,count,law")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", default="json", choices=["json", "csv"])
+    report.add_argument("--out", help="report file (default: stdout)")
+    demo = argparse.ArgumentParser(add_help=False)
+    demo.add_argument("--x", help="rational point of (0,1)")
+    demo.add_argument("--out", help="output directory (default: .)")
+    net = argparse.ArgumentParser(add_help=False)
+    net.add_argument("--net", default="shrinking-ball",
+                     choices=["shrinking-ball", "left-window", "right-window"])
+    net.add_argument("--x", help="rational point of (0,1) for the window nets")
+    net.add_argument("--center", type=int, help="center index for the shrinking-ball net")
+
     p = argparse.ArgumentParser(
         prog="wavemodel",
         description="Metric neighborhoods, nuclei, atoms and the wave distance "
                     "on finite and 1-D metric backends.")
     sub = p.add_subparsers(dest="command", required=True)
     commands = {
-        "validate": cmd_validate,
-        "conditions": cmd_conditions,
-        "tau": cmd_tau,
-        "isometry": cmd_isometry,
-        "segment-demo": cmd_segment_demo,
-        "nucleus-demo": cmd_nucleus_demo,
+        "validate": (cmd_validate, [space, report]),
+        "conditions": (cmd_conditions, [space, report]),
+        "tau": (partial(cmd_wave_model, with_brackets=True), [space, grid, report]),
+        "isometry": (partial(cmd_wave_model, with_brackets=False), [space, grid, report]),
+        "segment-demo": (cmd_segment_demo, [demo]),
+        "nucleus-demo": (cmd_nucleus_demo, [net, space, grid, report]),
     }
-    for name, fn in commands.items():
-        sp = sub.add_parser(name)
-        sp.set_defaults(fn=fn)
-        sp.add_argument("--backend", default="segment",
-                        choices=["points", "graph", "matrix", "discrete",
-                                 "segment", "interval1d"])
-        sp.add_argument("--input", help="input file path")
-        sp.add_argument("--grid", help="time grid spec: min,max,count,law")
-        sp.add_argument("--eta", type=float, default=1e-9,
-                        help="comparison tolerance for float backends")
-        sp.add_argument("--out", help="output path (directory for segment-demo)")
-        sp.add_argument("--format", default="json", choices=["json", "csv"])
-        sp.add_argument("--n", type=int, help="point count for --backend discrete")
-        sp.add_argument("--samples", type=int,
-                        help="sample count for --backend segment")
-        sp.add_argument("--length", default="1",
-                        help="segment length as a rational, e.g. 1 or 3/2")
-        sp.add_argument("--x", help="rational point of (0,1) for segment demos")
-        sp.add_argument("--net", default="shrinking-ball",
-                        choices=["shrinking-ball", "left-window", "right-window"])
-        sp.add_argument("--center", type=int,
-                        help="center index for the shrinking-ball net")
+    for name, (fn, parents) in commands.items():
+        sub.add_parser(name, parents=parents).set_defaults(fn=fn)
     return p
 
 
@@ -342,15 +335,15 @@ def main(argv=None) -> int:
     except metric.AxiomViolation as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (formats.ParseError, OSError, metric.MetricError) as exc:
-        if isinstance(exc, (ConfigError, lattice.GridError)):
-            print(f"configuration refused: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        print(f"ingestion error: {exc}", file=sys.stderr)
-        return EXIT_INGEST
-    except (ConfigError, interval1d.IntervalError) as exc:
+    except (ConfigError, lattice.GridError, interval1d.IntervalError) as exc:
         print(f"configuration refused: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
+    except (formats.ParseError, OSError, metric.MetricError) as exc:
+        print(f"ingestion error: {exc}", file=sys.stderr)
+        return EXIT_INGEST
 
 
 if __name__ == "__main__":

@@ -10,8 +10,7 @@ All arithmetic is exact Fractions; no floats enter this module.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 

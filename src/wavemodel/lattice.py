@@ -5,12 +5,14 @@ of positive rationals.  Decreasing nets are either explicit finite chains
 or parametric families sampled on the geometric schedule eps_0 * 2^-k
 with stabilization detection.  On finite backends interior and closure
 are identity maps, which collapses several of the continuum-side bounds
-to set equalities; the functions below still compute both sides.
+to set equalities.  Nuclei and net limits use the resulting closed forms
+(the first grid set, the image of the last net member); the full
+intersections they replace are kept as test oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -19,6 +21,7 @@ from .metric import (
     FiniteMetricSpace,
     MetricError,
     PointSet,
+    _check_points,
     closed_ball,
     condition2_report,
     check_condition1,
@@ -173,10 +176,6 @@ def _sample_family(net: DecreasingNet) -> tuple:
     raise NetError(f"family did not stabilize within {_MAX_HALVINGS} halvings")
 
 
-def net_members(net: DecreasingNet) -> tuple:
-    return net.chain if net.chain is not None else _sample_family(net)
-
-
 def isotony_apply(space: FiniteMetricSpace, g: PointSet, grid: TimeGrid) -> LatticeFunction:
     """The image of an open set under the metric isotony: t -> G^t."""
     g = frozenset(g)
@@ -197,31 +196,21 @@ def net_limit(space: FiniteMetricSpace, net: DecreasingNet, grid: TimeGrid) -> L
     """Order limit of the decreasing net of isotony images.
 
     Per grid point: interior of the intersection of G_alpha^t over the
-    (sampled) net.  Interior is the identity on finite backends; the
-    intersection of a stabilized decreasing chain is its last member's
-    neighborhood, but it is computed as an actual intersection.
+    (sampled) net.  Interior is the identity on finite backends, and
+    neighborhoods are monotone in the set, so the intersection over a
+    decreasing chain is the image of its last member.
     """
-    members = net_members(net)
-    sets = []
-    for t in grid:
-        cur = None
-        for g in members:
-            nb = neighborhood(space, g, t) if g else frozenset()
-            cur = nb if cur is None else cur & nb
-        sets.append(cur)
-    return LatticeFunction(grid, tuple(sets))
+    members = net.chain if net.chain is not None else _sample_family(net)
+    _check_points(space, members[0])  # the first member holds all the others
+    return isotony_apply(space, members[-1], grid)
 
 
 def nucleus(g: LatticeFunction) -> PointSet:
     """Intersection of g over the grid (with closures: identical here).
 
-    Monotonicity makes it the smallest-t value; the full intersection is
-    still taken so the identity is exercised, not assumed.
+    ``LatticeFunction`` is monotone in t, so this is its smallest-t value.
     """
-    out = g.sets[0]
-    for s in g.sets[1:]:
-        out = out & s
-    return out
+    return g.sets[0]
 
 
 @dataclass(frozen=True)

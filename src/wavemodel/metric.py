@@ -415,10 +415,15 @@ def build_from_matrix(rows: Sequence[Sequence], labels: Sequence[str] | None = N
 # Neighborhoods and balls
 
 
+def _check_points(space: FiniteMetricSpace, points: Iterable[int]) -> None:
+    """Refuse indices outside 0..n-1 (negative ones would wrap around)."""
+    if not all(0 <= p < space.n for p in points):
+        raise MetricError("point index out of range")
+
+
 def set_distance(space: FiniteMetricSpace, x: int, a: PointSet):
     """d(x, A) = inf over A; INFINITY for the empty set."""
-    if not 0 <= x < space.n:
-        raise MetricError(f"point index {x} out of range")
+    _check_points(space, (x, *a))
     if not a:
         return INFINITY
     row = space.dist[x]
@@ -431,6 +436,7 @@ def neighborhood(space: FiniteMetricSpace, a: PointSet, t) -> PointSet:
         raise MetricError(f"radius must be positive, got {t}")
     if not a:
         return frozenset()
+    _check_points(space, a)
     eta = space.eta
     dist = space.dist
     return frozenset(x for x in range(space.n)
@@ -438,6 +444,7 @@ def neighborhood(space: FiniteMetricSpace, a: PointSet, t) -> PointSet:
 
 
 def open_ball(space: FiniteMetricSpace, x: int, r) -> PointSet:
+    _check_points(space, (x,))
     if r <= 0:
         raise MetricError(f"radius must be positive, got {r}")
     row = space.dist[x]
@@ -448,6 +455,7 @@ def open_ball(space: FiniteMetricSpace, x: int, r) -> PointSet:
 def open_balls(space: FiniteMetricSpace, x: int, radii: Sequence) -> tuple:
     """``tuple(open_ball(space, x, r) for r in radii)``, read off the row of
     x sorted once; radii giving the same ball share one frozenset."""
+    _check_points(space, (x,))
     keys = space._radius_keys(radii)
     order = space._order[x]
     row = space._m[x, order].tolist()
@@ -464,6 +472,7 @@ def open_balls(space: FiniteMetricSpace, x: int, radii: Sequence) -> tuple:
 
 
 def closed_ball(space: FiniteMetricSpace, x: int, r) -> PointSet:
+    _check_points(space, (x,))
     if r <= 0:
         raise MetricError(f"radius must be positive, got {r}")
     row = space.dist[x]
@@ -512,8 +521,7 @@ def condition2_defect(space: FiniteMetricSpace, x: int, y: int):
     the sup over r is attained at values present in the distance matrix, so
     a single sweep over points sorted by d(x, .) suffices.
     """
-    if not (0 <= x < space.n and 0 <= y < space.n):
-        raise MetricError("point index out of range")
+    _check_points(space, (x, y))
     if x == y:
         return 0
     dx = space.dist[x]
@@ -565,8 +573,7 @@ def wave_distance_points(space: FiniteMetricSpace, x: int, y: int):
     when the two-radii separation property holds, and 2 d(x, y) on the
     discrete metric.
     """
-    if not (0 <= x < space.n and 0 <= y < space.n):
-        raise MetricError("point index out of range")
+    _check_points(space, (x, y))
     dx = space.dist[x]
     dy = space.dist[y]
     best = None

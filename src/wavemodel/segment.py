@@ -23,7 +23,6 @@ from .interval1d import (
     IntervalSet,
     iv_ball,
     iv_closure,
-    iv_interior,
     iv_net_limit,
     iv_to_json,
 )

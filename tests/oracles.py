@@ -14,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 
-from wavemodel import metric
+from wavemodel import lattice, metric
 
 
 def random_graph_space(rng: random.Random, n: int) -> metric.FiniteMetricSpace:
@@ -136,6 +136,30 @@ def random_decreasing_chain(rng: random.Random, n: int, keep_nonempty: bool = Fa
             break
         chain.append(frozenset(cur))
     return chain
+
+
+def intersection_nucleus(g: lattice.LatticeFunction) -> frozenset:
+    """The nucleus as the paper defines it: the intersection of g over the
+    whole grid (the closures are identities on a finite space)."""
+    out = g.sets[0]
+    for s in g.sets[1:]:
+        out = out & s
+    return out
+
+
+def intersection_net_limit(space: metric.FiniteMetricSpace, net: lattice.DecreasingNet,
+                           grid: lattice.TimeGrid) -> lattice.LatticeFunction:
+    """The order limit of a decreasing net: per grid value t, the
+    intersection of G^t over every member G of the (sampled) net."""
+    members = net.chain if net.chain is not None else lattice._sample_family(net)
+    sets = []
+    for t in grid:
+        cur = None
+        for g in members:
+            nb = metric.neighborhood(space, g, t) if g else frozenset()
+            cur = nb if cur is None else cur & nb
+        sets.append(cur)
+    return lattice.LatticeFunction(grid, tuple(sets))
 
 
 @functools.lru_cache(maxsize=None)

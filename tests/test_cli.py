@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 from wavemodel import ParseError, load_edges, load_matrix_csv, load_points_csv
-from wavemodel.cli import main
+from wavemodel.cli import build_parser, main
 
 
 def run(tmp_path, *argv, out_name="out.json"):
@@ -146,6 +147,94 @@ def test_missing_required_option_exit_3():
 
 
 # ---------------------------------------------------------------------------
+# flags
+
+
+_SPACE = {"--backend", "--input", "--n", "--samples", "--length"}
+_REPORT = {"--format", "--out"}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: [o for a in sp._actions if not isinstance(a, argparse._HelpAction)
+                    for o in a.option_strings]
+             for name, sp in sub.choices.items()}
+    assert {name: set(f) for name, f in flags.items()} == {
+        "validate": _SPACE | _REPORT,
+        "conditions": _SPACE | _REPORT,
+        "tau": _SPACE | {"--grid"} | _REPORT,
+        "isometry": _SPACE | {"--grid"} | _REPORT,
+        "segment-demo": {"--x", "--out"},
+        "nucleus-demo": {"--net", "--x", "--center"} | _SPACE | {"--grid"} | _REPORT,
+    }
+    assert sum(map(len, flags.values())) == 43
+
+
+@pytest.mark.parametrize("argv", [
+    ["segment-demo", "--x", "1/3", "--backend", "graph"],
+    ["tau", "--backend", "segment", "--samples", "3", "--eta", "1e-6"],
+    ["validate", "--backend", "interval1d"],
+])
+def test_unread_flags_are_refused(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as ei:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert ei.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# output errors
+
+
+def test_missing_out_directory_is_an_output_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code = main(["tau", "--backend", "segment", "--samples", "3", "--out", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("output error:")
+
+
+def test_segment_demo_unwritable_directory_is_an_output_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["segment-demo", "--x", "1/3", "--out", str(blocker / "d")]) == 4
+    assert capsys.readouterr().err.startswith("output error:")
+
+
+def _cli(argv, **kwargs):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return subprocess.Popen([sys.executable, "-m", "wavemodel.cli", *argv],
+                            stderr=subprocess.PIPE, text=True,
+                            env=dict(os.environ, PYTHONPATH=src), **kwargs)
+
+
+def _assert_clean_output_error(proc):
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 4
+    assert err.startswith("output error:")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_stdout_pipe_closed_before_writing():
+    r, w = os.pipe()
+    os.close(r)  # no reader: the first write fails
+    try:
+        proc = _cli(["validate", "--backend", "segment", "--samples", "3"], stdout=w)
+    finally:
+        os.close(w)
+    _assert_clean_output_error(proc)
+
+
+def test_stdout_pipe_closed_during_the_report():
+    # as in `wavemodel tau ... | head -1`: the reader leaves while a report
+    # far larger than the pipe buffer (about 2 MB) is still being written
+    proc = _cli(["tau", "--backend", "segment", "--samples", "120"],
+                stdout=subprocess.PIPE)
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    _assert_clean_output_error(proc)
+
+
+# ---------------------------------------------------------------------------
 # conditions
 
 
@@ -265,7 +354,9 @@ def test_segment_demo_writes_artifacts(tmp_path, capsys):
 def test_segment_demo_midpoint_note(tmp_path, capsys):
     code = main(["segment-demo", "--x", "1/2", "--out", str(tmp_path / "d")])
     assert code == 0
-    assert "merge" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "merge" in captured.err
+    assert captured.out == ""  # status lines go to stderr
 
 
 def test_segment_demo_bad_x_exit_3(tmp_path):

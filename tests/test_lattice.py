@@ -10,6 +10,7 @@ from wavemodel import (
     DecreasingNet,
     GridError,
     LatticeFunction,
+    MetricError,
     NetError,
     TimeGrid,
     b_star_lower,
@@ -170,6 +171,14 @@ def test_net_limit_below_every_member():
             assert g.leq(isotony_apply(s, member, grid))
 
 
+@pytest.mark.parametrize("bad", [-1, 11, 99])
+def test_net_limit_refuses_out_of_range_members(bad):
+    s = build_segment_sample(11)
+    net = DecreasingNet.from_chain([frozenset({0, bad}), frozenset({0})])
+    with pytest.raises(MetricError, match="point index out of range"):
+        net_limit(s, net, fine_grid(s))
+
+
 def test_net_limit_rejects_non_decreasing():
     s = build_segment_sample(11)
     with pytest.raises(NetError):
@@ -265,6 +274,73 @@ def test_nonempty_nets_have_nonempty_nucleus():
         chain = oracles.random_decreasing_chain(rng, s.n, keep_nonempty=True)
         g = net_limit(s, DecreasingNet.from_chain(chain), grid)
         assert nucleus(g) != frozenset()
+
+
+# ---------------------------------------------------------------------------
+# Closed forms of nucleus and net_limit against the full intersections
+
+
+def _oracle_spaces(rng):
+    return [build_segment_sample(13), build_discrete(7),
+            oracles.random_graph_space(rng, 9), oracles.random_point_space(rng, 9)]
+
+
+def test_net_limit_closed_form_on_random_chains():
+    rng = random.Random(59)
+    for s in _oracle_spaces(rng):
+        grid = fine_grid(s)
+        for _ in range(25):
+            net = DecreasingNet.from_chain(oracles.random_decreasing_chain(rng, s.n))
+            g = net_limit(s, net, grid)
+            assert g == oracles.intersection_net_limit(s, net, grid)
+            assert nucleus(g) == oracles.intersection_nucleus(g)
+
+
+def test_net_limit_closed_form_chain_ending_empty():
+    rng = random.Random(61)
+    for s in _oracle_spaces(rng):
+        grid = fine_grid(s)
+        chain = [*oracles.random_decreasing_chain(rng, s.n, keep_nonempty=True),
+                 frozenset()]
+        net = DecreasingNet.from_chain(chain)
+        g = net_limit(s, net, grid)
+        assert g == oracles.intersection_net_limit(s, net, grid)
+        assert all(v == frozenset() for v in g.sets)
+        assert nucleus(g) == oracles.intersection_nucleus(g) == frozenset()
+
+
+def test_net_limit_closed_form_on_stabilizing_families():
+    rng = random.Random(67)
+    for s in _oracle_spaces(rng):
+        grid = fine_grid(s)
+        eps0 = F(s.diameter())
+        for _ in range(5):
+            x = rng.randrange(s.n)
+            core = oracles.random_subset(rng, s.n, allow_empty=False)
+            for family in (lambda e: open_ball(s, x, e),
+                           lambda e: closed_ball(s, x, e),
+                           lambda e: neighborhood(s, core, e)):
+                net = DecreasingNet.from_family(family, eps0=eps0)
+                g = net_limit(s, net, grid)
+                assert g == oracles.intersection_net_limit(s, net, grid)
+                assert nucleus(g) == oracles.intersection_nucleus(g)
+
+
+def test_nucleus_closed_form_on_random_monotone_functions():
+    rng = random.Random(71)
+    for s in _oracle_spaces(rng):
+        grid = fine_grid(s)
+        for _ in range(25):
+            # a random increasing chain of sets, one per grid value
+            cur, sets = set(oracles.random_subset(rng, s.n)), []
+            for _t in grid:
+                cur |= {p for p in range(s.n) if rng.random() < 0.1}
+                sets.append(frozenset(cur))
+            g = LatticeFunction(grid, tuple(sets))
+            assert nucleus(g) == oracles.intersection_nucleus(g)
+        for x in range(s.n):
+            for g in (b_star_lower(s, x, grid), b_star_upper(s, x, grid)):
+                assert nucleus(g) == oracles.intersection_nucleus(g)
 
 
 # ---------------------------------------------------------------------------

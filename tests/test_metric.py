@@ -22,6 +22,7 @@ from wavemodel import (
     set_distance,
     wave_distance_points,
 )
+from wavemodel.metric import open_balls
 
 import oracles
 
@@ -189,6 +190,26 @@ def test_balls_segment():
 def test_closed_ball_with_radius_at_least_diameter():
     s = build_segment_sample(11)
     assert closed_ball(s, 3, 1) == s.universe()
+
+
+@pytest.mark.parametrize("bad", [-1, -5, 5, 99])
+def test_out_of_range_point_index_is_refused(bad):
+    # a negative index used to wrap around to the last points
+    s = build_segment_sample(5)
+    r = F(1, 2)
+    calls = [
+        lambda: open_ball(s, bad, r),
+        lambda: closed_ball(s, bad, r),
+        lambda: open_balls(s, bad, [r, 1]),
+        lambda: neighborhood(s, frozenset({bad}), r),
+        lambda: neighborhood(s, frozenset({0, bad}), r),
+        lambda: set_distance(s, bad, frozenset({0})),
+        lambda: set_distance(s, 0, frozenset({bad})),
+        lambda: set_distance(s, bad, frozenset()),
+    ]
+    for call in calls:
+        with pytest.raises(MetricError, match="point index out of range"):
+            call()
 
 
 # ---------------------------------------------------------------------------
