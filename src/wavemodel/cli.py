@@ -36,7 +36,7 @@ class OutputError(Exception):
 
 
 def jsonable(obj):
-    """Reports carry Fractions and infinities; flatten them."""
+    """Reports carry Fractions and infinities; flatten them (csv reports)."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, float):
@@ -46,6 +46,67 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     return obj
+
+
+def encode_report(report: dict) -> str:
+    """``json.dumps(jsonable(report), indent=2, sort_keys=True) + "\\n"``,
+    byte for byte, without the copy and the pure-Python encoder.
+
+    A list of scalars (a matrix row, a bracket) is one join of tokens, and
+    each distinct value is formatted once: floats and strs are memoised by
+    value, Fractions by identity (their hash is pure Python; the report's
+    equal Fractions are mostly one object, alive for the whole call).  The
+    memos are per type and skip zeros, so 0, 0.0, -0.0, Fraction(0) and
+    False keep their own tokens.  Values must be dict (str keys), list,
+    tuple, str, int, float, bool, None or Fraction.
+    """
+    floats, strs, fractions = {}, {}, {}
+    quote = json.encoder.encode_basestring_ascii
+
+    def encode(v, indent):
+        t = type(v)
+        if t is float:
+            if not v:
+                return repr(v)
+            tok = floats.get(v)
+            if tok is None:
+                tok = floats[v] = ('"inf"' if math.isinf(v)
+                                   else "NaN" if v != v else repr(v))
+            return tok
+        if t is Fraction:
+            if not v:
+                return '"0"'
+            tok = fractions.get(id(v))
+            if tok is None:
+                tok = fractions[id(v)] = quote(str(v))
+            return tok
+        if t is int:
+            return repr(v)
+        if t is str:
+            tok = strs.get(v)
+            if tok is None:
+                tok = strs[v] = quote(v)
+            return tok
+        if v is None:
+            return "null"
+        if t is bool:
+            return "true" if v else "false"
+        if t is list or t is tuple:
+            if not v:
+                return "[]"
+            inner = indent + "  "
+            return ("[\n" + inner + (",\n" + inner).join([encode(x, inner) for x in v])
+                    + "\n" + indent + "]")
+        if t is dict:
+            if not v:
+                return "{}"
+            inner = indent + "  "
+            return ("{\n" + inner + (",\n" + inner).join(
+                [quote(k) + ": " + encode(v[k], inner) for k in sorted(v)])
+                + "\n" + indent + "}")
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+    return encode(report, "") + "\n"
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -68,7 +129,7 @@ def parse_grid_spec(spec: str) -> lattice.TimeGrid:
 
 
 def build_space(args) -> metric.FiniteMetricSpace:
-    backend = args.backend
+    backend = args.backend or "segment"
     if backend == "discrete":
         if args.n is None:
             raise ConfigError("--backend discrete requires --n")
@@ -77,7 +138,7 @@ def build_space(args) -> metric.FiniteMetricSpace:
         if args.samples is None:
             raise ConfigError("--backend segment requires --samples")
         return metric.build_segment_sample(args.samples,
-                                           _parse_rational(args.length))
+                                           _parse_rational(args.length or "1"))
     if not args.input:
         raise ConfigError(f"--backend {backend} requires --input")
     if backend == "points":
@@ -137,7 +198,7 @@ def emit(report: dict, args, matrix_key: str | None = None) -> None:
             w.writerows(jsonable(rows))
         text = buf.getvalue()
     else:
-        text = json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n"
+        text = encode_report(report)
     _write(text, args.out)
 
 
@@ -237,7 +298,13 @@ def cmd_segment_demo(args) -> int:
 
 
 def cmd_nucleus_demo(args) -> int:
+    # one subparser serves every net; refuse the flags the chosen net ignores
     if args.net in ("left-window", "right-window"):
+        unread = [f"--{name}" for name in ("backend", "input", "n", "samples",
+                                           "length", "grid", "center")
+                  if getattr(args, name) is not None]
+        if unread:
+            raise ConfigError(f"--net {args.net} does not read {', '.join(unread)}")
         if args.x is None:
             raise ConfigError(f"--net {args.net} requires --x")
         x = _parse_rational(args.x)
@@ -259,6 +326,8 @@ def cmd_nucleus_demo(args) -> int:
         emit({"net": args.net, "x": x, "nucleus": str(core),
               "sandwich": trace}, args)
         return EXIT_OK
+    if args.x is not None:
+        raise ConfigError("--net shrinking-ball does not read --x")
     if args.center is None:
         raise ConfigError("--net shrinking-ball requires --center")
     space = build_space(args)
@@ -289,13 +358,14 @@ def cmd_nucleus_demo(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command, holding only the flags that command reads."""
     space = argparse.ArgumentParser(add_help=False)
-    space.add_argument("--backend", default="segment",
+    # None marks a flag not given (nucleus-demo refuses the ones its net ignores)
+    space.add_argument("--backend", help="default: segment",
                        choices=["points", "graph", "matrix", "discrete", "segment"])
     space.add_argument("--input", help="input file for points, graph and matrix")
     space.add_argument("--n", type=int, help="point count for --backend discrete")
     space.add_argument("--samples", type=int, help="sample count for --backend segment")
-    space.add_argument("--length", default="1",
-                       help="segment length as a rational, e.g. 1 or 3/2")
+    space.add_argument("--length",
+                       help="segment length as a rational, e.g. 3/2 (default: 1)")
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--grid", help="time grid spec: min,max,count,law")
     report = argparse.ArgumentParser(add_help=False)

@@ -274,9 +274,15 @@ class FiniteMetricSpace:
         np.fill_diagonal(out, 0)
         return out
 
-    def _radius_keys(self, radii) -> list:
+    def _radius_keys(self, radii) -> tuple:
         """Per radius r, the largest kernel value v counted inside B_r:
-        d < r on exact spaces, d <= r + eta otherwise."""
+        d < r on exact spaces, d <= r + eta otherwise.
+
+        The keys of the last tuple of radii are kept with the tuple (a grid
+        is reused for every point), so it is converted once."""
+        last = self.__dict__.get("_last_radii")
+        if last is not None and last[0] is radii:
+            return last[1]
         keys = []
         scale, eta = self._scale, self.eta
         for r in radii:
@@ -287,6 +293,9 @@ class FiniteMetricSpace:
                 keys.append(float(r) + eta)  # what r + eta evaluates to
             else:
                 keys.append((q.numerator * scale - 1) // q.denominator)
+        keys = tuple(keys)
+        if type(radii) is tuple:
+            self.__dict__["_last_radii"] = radii, keys
         return keys
 
 
@@ -395,9 +404,10 @@ def build_segment_sample(samples: int, length=Fraction(1)) -> FiniteMetricSpace:
     if length <= 0:
         raise MetricError("length must be positive")
     step = length / (samples - 1)
-    dist = tuple(tuple(abs(i - j) * step for j in range(samples))
+    at = [k * step for k in range(samples)]
+    dist = tuple(tuple(at[abs(i - j)] for j in range(samples))
                  for i in range(samples))
-    labels = tuple(str(i * step) for i in range(samples))
+    labels = tuple(map(str, at))
     return FiniteMetricSpace(dist, labels)
 
 

@@ -380,6 +380,22 @@ def test_nucleus_demo_shrinking_ball(tmp_path):
     assert all(r["lower_ok"] and r["upper_ok"] for r in data["sandwich"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["--net", "left-window", "--x", "1/2", "--backend", "graph",
+     "--grid", "1,2,3,linear", "--center", "7"],
+    ["--net", "right-window", "--x", "1/3", "--backend", "segment"],
+    ["--net", "left-window", "--x", "1/2", "--input", "edges.txt"],
+    ["--net", "right-window", "--x", "1/2", "--n", "3"],
+    ["--net", "left-window", "--x", "1/2", "--samples", "5", "--length", "2"],
+    ["--net", "shrinking-ball", "--samples", "5", "--center", "2", "--x", "1/2"],
+])
+def test_nucleus_demo_refuses_flags_its_net_ignores(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert main(["nucleus-demo", *argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("configuration refused:")
+    assert not out.exists()
+
+
 def test_nucleus_demo_center_out_of_range(tmp_path):
     assert main(["nucleus-demo", "--net", "shrinking-ball", "--backend",
                  "segment", "--samples", "11", "--center", "99"]) == 3

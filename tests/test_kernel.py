@@ -33,6 +33,7 @@ from wavemodel import (
     wave_distance_points,
     wave_model,
 )
+from wavemodel.metric import open_balls
 
 import oracles
 
@@ -125,6 +126,23 @@ def test_ball_table_and_brackets_match_scalar(name):
         for y in range(s.n):
             want = (0, 0) if x == y else wave_distance_classes(reps[x], reps[y])
             assert result.brackets[x][y] == want
+
+
+@pytest.mark.parametrize("name", ["segment-17", "points-20", "python-int"])
+def test_radius_keys_follow_the_radii_passed(name):
+    # a grid tuple is converted once; another tuple, or a list changed in
+    # place, gets keys of its own
+    s = SPACES[name]
+    grid = default_grid(s).values
+    doubled = tuple(2 * t for t in grid)
+    assert s._radius_keys(grid) is s._radius_keys(grid)
+    for radii in (grid, doubled, grid, doubled):
+        for x in range(s.n):
+            assert open_balls(s, x, radii) == tuple(open_ball(s, x, t) for t in radii)
+    radii = list(grid)
+    open_balls(s, 0, radii)
+    radii[:] = doubled
+    assert open_balls(s, 0, radii) == tuple(open_ball(s, 0, t) for t in doubled)
 
 
 @pytest.mark.parametrize("name", ["segment-17", "discrete-9", "python-int"])

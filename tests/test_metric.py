@@ -50,6 +50,15 @@ def test_uniform_segment_sample():
     assert s.exact
 
 
+def test_segment_sample_shares_one_fraction_per_offset():
+    s = build_segment_sample(9, F(7, 3))
+    step = F(7, 24)
+    assert s.dist == tuple(tuple(abs(i - j) * step for j in range(9)) for i in range(9))
+    assert s.labels == tuple(str(i * step) for i in range(9))
+    assert all(type(v) is F and v is s.dist[0][abs(i - j)]
+               for i, row in enumerate(s.dist) for j, v in enumerate(row))
+
+
 def test_point_cloud_errors():
     with pytest.raises(MetricError):
         build_from_points([(0, 0), (1,)])

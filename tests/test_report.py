@@ -1,0 +1,128 @@
+"""The JSON report writer against the standard-library encoder.
+
+``cli.encode_report`` must give the bytes of
+``json.dumps(jsonable(report), indent=2, sort_keys=True) + "\\n"``, the
+encoder the CLI used before, which stays here as the reference.
+"""
+
+import json
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wavemodel import cli
+
+import oracles
+
+F = Fraction
+INF = math.inf
+
+
+def reference(report) -> str:
+    return json.dumps(cli.jsonable(report), indent=2, sort_keys=True) + "\n"
+
+
+# values that compare equal across types, or that the reference rewrites
+TRICKY = [0, 0.0, -0.0, F(0), False, True, 1, 1.0, F(1), F(1, 2), 0.5, "0.5",
+          INF, -INF, math.nan, None, "", "inf", "é漢", 'q"\\\n\t\x00']
+
+scalars = st.one_of(
+    st.sampled_from(TRICKY),
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.fractions(),
+    st.text(),
+)
+trees = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees)
+def test_writer_matches_the_reference_encoder(report):
+    assert cli.encode_report(report) == reference(report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(TRICKY), max_size=8), max_size=6))
+def test_rows_of_values_that_compare_equal(rows):
+    """Memoised tokens never leak between equal values of other types."""
+    report = {"rows": rows, "again": [list(reversed(r)) for r in rows]}
+    assert cli.encode_report(report) == reference(report)
+
+
+@pytest.mark.parametrize("report", [
+    {"row": [-0.0, 0.0, -0.0, 0.0]},
+    {"row": [0, 0.0, F(0), False, -0.0, None]},
+    {"row": [F(1, 2), 0.5, F(1, 2), 0.5, "1/2"]},
+    {"row": [INF, -INF, 2.0, INF], "bracket": (F(3, 2), INF)},
+    {"none": None, "empty": [], "empty_dict": {}, "empty_tuple": ()},
+    {"é": "café ☃", "esc": 'a"b\\c\nd\te\x01', "z": {"y": [1, [2, [3]]]}},
+    {"mixed": [1, [2.5, F(-7, 3)], {"k": (0, 0.0)}, [], "s", {}]},
+    [F(5, 7)] * 3 + [F(5, 7), F(10, 14)],
+    [], {}, 0, -0.0, "top",
+])
+def test_edge_cases(report):
+    assert cli.encode_report(report) == reference(report)
+
+
+def test_unserializable_values_are_refused():
+    with pytest.raises(TypeError):
+        cli.encode_report({"a": {1, 2}})
+
+
+# ---------------------------------------------------------------------------
+# the reports the CLI writes, on every backend
+
+
+def _inputs(tmp_path, rng):
+    """(backend argv) lists with seeded random inputs for every backend."""
+    n = rng.randint(2, 9)
+    pts = tmp_path / "points.csv"
+    pts.write_text("".join(f"{rng.random():.17g},{rng.random():.17g}\n" for _ in range(n)))
+    edges = tmp_path / "edges.txt"
+    edges.write_text("".join(f"{i} {j} {w}\n" for i, j, w in oracles.random_graph_edges(rng, n)))
+    float_edges = tmp_path / "float_edges.txt"
+    float_edges.write_text("".join(f"{i} {j} {float(w)!r}\n"
+                                   for i, j, w in oracles.random_graph_edges(rng, n)))
+    exact = tmp_path / "matrix.csv"
+    exact.write_text("".join(",".join(map(str, row)) + "\n"
+                             for row in oracles.random_rational_metric(rng, n)))
+    floats = tmp_path / "matrix_float.csv"
+    floats.write_text("".join(",".join(repr(float(v)) for v in row) + "\n"
+                              for row in oracles.random_rational_metric(rng, n)))
+    length = F(rng.randint(1, 99), rng.randint(1, 99))
+    return [
+        ["--backend", "points", "--input", str(pts)],
+        ["--backend", "graph", "--input", str(edges)],
+        ["--backend", "graph", "--input", str(float_edges)],
+        ["--backend", "matrix", "--input", str(exact)],
+        ["--backend", "matrix", "--input", str(floats)],
+        ["--backend", "discrete", "--n", str(n)],
+        ["--backend", "segment", "--samples", str(n), "--length", str(length)],
+    ]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("command", ["tau", "isometry", "conditions"])
+def test_cli_reports_match_the_reference_encoder(tmp_path, monkeypatch, seed, command):
+    written, reports = [], []
+    monkeypatch.setattr(cli, "_write", lambda text, path: written.append(text))
+    emit = cli.emit
+    monkeypatch.setattr(cli, "emit", lambda report, args, matrix_key=None: (
+        reports.append(report), emit(report, args, matrix_key)))
+    backends = _inputs(tmp_path, random.Random(f"report/{seed}"))
+    for argv in backends:
+        assert cli.main([command, *argv]) == 0
+    assert len(written) == len(reports) == len(backends)
+    for text, report in zip(written, reports):
+        assert text == reference(report)
