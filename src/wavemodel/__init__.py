@@ -5,83 +5,58 @@ order limits of decreasing nets, nuclei, atoms and the wave distance, and
 checks at desk scale that the resulting atom space is isometric to the
 original space on backends satisfying the ball-compactness and two-radii
 separation conditions.
+
+The package exports the names in ``__all__``; everything else is reached
+through its module, e.g. ``wavemodel.lattice.b_star_lower``.
 """
 
 from .metric import (
-    INFINITY,
     AxiomViolation,
     FiniteMetricSpace,
     MetricError,
-    PointSet,
     build_discrete,
     build_from_graph,
     build_from_matrix,
     build_from_points,
     build_segment_sample,
-    check_condition1,
-    closed_ball,
-    condition2_defect,
     condition2_report,
-    neighborhood,
-    open_ball,
-    semigroup_defect,
-    set_distance,
     wave_distance_matrix,
-    wave_distance_points,
 )
 from .lattice import (
-    AtomClass,
-    DecreasingNet,
     GridError,
-    LatticeFunction,
     NetError,
     TimeGrid,
     WaveModelResult,
-    b_star_lower,
-    b_star_upper,
-    check_grid_admissible,
-    class_equivalent,
-    class_leq,
     default_grid,
-    is_atom,
-    isotony_apply,
-    isotony_monotone_check,
     make_grid,
-    net_limit,
-    nucleus,
-    sandwich_check,
-    wave_distance_classes,
     wave_model,
 )
-from .interval1d import (
-    AffineIntervalFamily,
-    Interval,
-    IntervalError,
-    IntervalSet,
-    iv_ball,
-    iv_closure,
-    iv_family_core,
-    iv_family_neighborhood_limit,
-    iv_from_json,
-    iv_interior,
-    iv_intersect,
-    iv_neighborhood,
-    iv_net_limit,
-    iv_to_json,
-    iv_union,
-)
-from .formats import (
-    ParseError,
-    load_edges,
-    load_matrix_csv,
-    load_points_csv,
-)
-from .segment import (
-    FourChain,
-    FourChainReport,
-    PiecewiseBallFunction,
-    segment_example,
-    verify_four_chain,
-)
+from .interval1d import IntervalError
+from .formats import ParseError, load_edges, load_matrix_csv, load_points_csv
+
+__all__ = [
+    "FiniteMetricSpace",
+    "build_discrete",
+    "build_from_graph",
+    "build_from_matrix",
+    "build_from_points",
+    "build_segment_sample",
+    "load_edges",
+    "load_matrix_csv",
+    "load_points_csv",
+    "TimeGrid",
+    "make_grid",
+    "default_grid",
+    "wave_model",
+    "WaveModelResult",
+    "condition2_report",
+    "wave_distance_matrix",
+    "MetricError",
+    "AxiomViolation",
+    "GridError",
+    "NetError",
+    "ParseError",
+    "IntervalError",
+]
 
 __version__ = "0.1.0"

@@ -128,8 +128,28 @@ def parse_grid_spec(spec: str) -> lattice.TimeGrid:
     return lattice.make_grid(lo, hi, count, parts[3].strip())
 
 
+#: The space flags each backend reads besides ``--backend``.
+_BACKEND_FLAGS = {
+    "points": ("input",),
+    "graph": ("input",),
+    "matrix": ("input",),
+    "discrete": ("n",),
+    "segment": ("samples", "length"),
+}
+_SPACE_FLAGS = ("backend", "input", "n", "samples", "length")
+
+
+def _refuse_unread(args, names, reader: str) -> None:
+    """Refuse the flags among ``names`` that were given but ``reader`` ignores."""
+    unread = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if unread:
+        raise ConfigError(f"{reader} does not read {', '.join(unread)}")
+
+
 def build_space(args) -> metric.FiniteMetricSpace:
     backend = args.backend or "segment"
+    _refuse_unread(args, [f for f in _SPACE_FLAGS[1:] if f not in _BACKEND_FLAGS[backend]],
+                   f"--backend {backend}")
     if backend == "discrete":
         if args.n is None:
             raise ConfigError("--backend discrete requires --n")
@@ -251,15 +271,15 @@ def cmd_wave_model(args, with_brackets: bool) -> int:
         "max_abs_tau_minus_d": result.max_abs_tau_minus_d,
         "homothety_c": result.homothety_c,
         "condition1": result.condition1,
-        "max_defect": result.condition2.get("max_defect"),
-        "atom_count": len({a.nucleus for a in result.atoms}),
+        "max_defect": result.condition2["max_defect"],
+        "atom_count": len(set(result.atoms)),
         "warnings": list(result.warnings),
         **sample_spacing_note(space),
     }
     if with_brackets:
         report["tau_brackets"] = result.brackets
-    max_defect = result.condition2.get("max_defect", 0)
-    if result.max_abs_tau_minus_d > 0 and max_defect is not None and max_defect > 0:
+    max_defect = result.condition2["max_defect"]
+    if result.max_abs_tau_minus_d > 0 and max_defect > 0:
         report["discrepancy_cause"] = (
             "two-radii separation (Condition 2) fails: max defect "
             f"{max_defect}; tau need not equal d")
@@ -300,11 +320,7 @@ def cmd_segment_demo(args) -> int:
 def cmd_nucleus_demo(args) -> int:
     # one subparser serves every net; refuse the flags the chosen net ignores
     if args.net in ("left-window", "right-window"):
-        unread = [f"--{name}" for name in ("backend", "input", "n", "samples",
-                                           "length", "grid", "center")
-                  if getattr(args, name) is not None]
-        if unread:
-            raise ConfigError(f"--net {args.net} does not read {', '.join(unread)}")
+        _refuse_unread(args, (*_SPACE_FLAGS, "grid", "center"), f"--net {args.net}")
         if args.x is None:
             raise ConfigError(f"--net {args.net} requires --x")
         x = _parse_rational(args.x)
@@ -326,8 +342,7 @@ def cmd_nucleus_demo(args) -> int:
         emit({"net": args.net, "x": x, "nucleus": str(core),
               "sandwich": trace}, args)
         return EXIT_OK
-    if args.x is not None:
-        raise ConfigError("--net shrinking-ball does not read --x")
+    _refuse_unread(args, ("x",), "--net shrinking-ball")
     if args.center is None:
         raise ConfigError("--net shrinking-ball requires --center")
     space = build_space(args)
@@ -358,9 +373,8 @@ def cmd_nucleus_demo(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command, holding only the flags that command reads."""
     space = argparse.ArgumentParser(add_help=False)
-    # None marks a flag not given (nucleus-demo refuses the ones its net ignores)
-    space.add_argument("--backend", help="default: segment",
-                       choices=["points", "graph", "matrix", "discrete", "segment"])
+    # None marks a flag not given (refused where the backend or net ignores it)
+    space.add_argument("--backend", help="default: segment", choices=list(_BACKEND_FLAGS))
     space.add_argument("--input", help="input file for points, graph and matrix")
     space.add_argument("--n", type=int, help="point count for --backend discrete")
     space.add_argument("--samples", type=int, help="sample count for --backend segment")

@@ -258,18 +258,11 @@ def class_leq(f: LatticeFunction, g: LatticeFunction) -> bool:
     return nucleus(f) <= nucleus(g)
 
 
-@dataclass(frozen=True)
-class AtomClass:
-    """Equivalence class keyed by its nucleus, with one representative."""
-
-    nucleus: PointSet
-    representative: LatticeFunction
-
-
-def is_atom(c: AtomClass) -> bool:
-    """Atoms are exactly the classes with a singleton nucleus; the empty
-    nucleus is the least class, not an atom."""
-    return len(c.nucleus) == 1
+def is_atom(core: PointSet) -> bool:
+    """Whether the class with nucleus ``core`` is an atom: atoms are exactly
+    the classes with a singleton nucleus; the empty nucleus is the least
+    class, not an atom."""
+    return len(core) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +313,8 @@ def check_grid_admissible(space: FiniteMetricSpace, grid: TimeGrid) -> None:
 
 @dataclass(frozen=True)
 class WaveModelResult:
+    """The wave model of a space; ``atoms[x]`` is the nucleus of point x."""
+
     atoms: tuple
     tau: list
     max_abs_tau_minus_d: object
@@ -331,14 +326,14 @@ class WaveModelResult:
 
 
 def wave_model(space: FiniteMetricSpace, grid: TimeGrid,
-               include_brackets: bool = False,
-               include_defects: bool = True) -> WaveModelResult:
+               include_brackets: bool = False) -> WaveModelResult:
     """Construct the atom set and the wave-distance matrix, plus a report.
 
-    One atom per point, represented by the open-ball function; the grid is
+    One atom per point, given by its nucleus: the nucleus of the open-ball
+    function t -> B_t(x) is its first grid value B_{t_1}(x).  The grid is
     refused if it cannot isolate singleton nuclei.  tau comes from the
     closed form 2 min_z max(d(x,z), d(y,z)); brackets, when requested, are
-    those of ``wave_distance_classes`` on the representatives, found by
+    those of ``wave_distance_classes`` on the open-ball functions, found by
     locating the closed form in the grid: the open balls of radius t meet
     iff min_z max(d(x,z), d(y,z)) lies inside t.
     """
@@ -347,11 +342,10 @@ def wave_model(space: FiniteMetricSpace, grid: TimeGrid,
     warnings = []
     atoms = []
     for x in space.points():
-        rep = b_star_lower(space, x, grid)
-        core = nucleus(rep)
+        core = open_balls(space, x, grid.values[:1])[0]
         if core != frozenset({x}):
             warnings.append(f"nucleus of point {x} is {sorted(core)}, not a singleton")
-        atoms.append(AtomClass(core, rep))
+        atoms.append(core)
     tau = wave_distance_matrix(space)
     max_dev, c = isometry_fit(space)
     brackets = None
@@ -362,8 +356,8 @@ def wave_model(space: FiniteMetricSpace, grid: TimeGrid,
         brackets = [[bounds[f] for f in row] for row in first_meeting(space, grid.values)]
         for i in range(n):
             brackets[i][i] = (0, 0)
-    cond2 = condition2_report(space) if include_defects else {}
     return WaveModelResult(
         atoms=tuple(atoms), tau=tau, max_abs_tau_minus_d=max_dev,
-        homothety_c=c, condition1=check_condition1(space), condition2=cond2,
-        brackets=brackets, warnings=tuple(warnings))
+        homothety_c=c, condition1=check_condition1(space),
+        condition2=condition2_report(space), brackets=brackets,
+        warnings=tuple(warnings))

@@ -38,6 +38,9 @@ INFINITY = math.inf
 
 PointSet = frozenset
 
+#: The comparison tolerance of every float backend.
+_FLOAT_ETA = 1e-9
+
 _INT64_MAX = int(np.iinfo(np.int64).max)
 #: Elements per temporary slab of the n^3 kernels.
 _SLAB = 1 << 16
@@ -274,15 +277,9 @@ class FiniteMetricSpace:
         np.fill_diagonal(out, 0)
         return out
 
-    def _radius_keys(self, radii) -> tuple:
+    def _radius_keys(self, radii) -> list:
         """Per radius r, the largest kernel value v counted inside B_r:
-        d < r on exact spaces, d <= r + eta otherwise.
-
-        The keys of the last tuple of radii are kept with the tuple (a grid
-        is reused for every point), so it is converted once."""
-        last = self.__dict__.get("_last_radii")
-        if last is not None and last[0] is radii:
-            return last[1]
+        d < r on exact spaces, d <= r + eta otherwise."""
         keys = []
         scale, eta = self._scale, self.eta
         for r in radii:
@@ -293,9 +290,6 @@ class FiniteMetricSpace:
                 keys.append(float(r) + eta)  # what r + eta evaluates to
             else:
                 keys.append((q.numerator * scale - 1) // q.denominator)
-        keys = tuple(keys)
-        if type(radii) is tuple:
-            self.__dict__["_last_radii"] = radii, keys
         return keys
 
 
@@ -304,9 +298,8 @@ class FiniteMetricSpace:
 
 
 def build_from_points(coords: Sequence[Sequence[float]],
-                      labels: Sequence[str] | None = None,
-                      eta: float = 1e-9) -> FiniteMetricSpace:
-    """Euclidean backend: float distances, tolerance ``eta``."""
+                      labels: Sequence[str] | None = None) -> FiniteMetricSpace:
+    """Euclidean backend: float distances, tolerance 1e-9."""
     if not coords:
         raise MetricError("empty point cloud")
     dim = len(coords[0])
@@ -318,16 +311,15 @@ def build_from_points(coords: Sequence[Sequence[float]],
     for i in range(n):
         for j in range(i + 1, n):
             dij = math.dist(coords[i], coords[j])
-            if dij <= eta:
+            if dij <= _FLOAT_ETA:
                 raise MetricError(f"duplicate points {i} and {j}")
             dist[i][j] = dist[j][i] = dij
     if labels is None:
         labels = [str(i) for i in range(n)]
-    return FiniteMetricSpace(tuple(map(tuple, dist)), tuple(labels), eta=eta)
+    return FiniteMetricSpace(tuple(map(tuple, dist)), tuple(labels), eta=_FLOAT_ETA)
 
 
-def build_from_graph(edges: Iterable[tuple], n: int | None = None,
-                     labels: Sequence[str] | None = None) -> FiniteMetricSpace:
+def build_from_graph(edges: Iterable[tuple], n: int | None = None) -> FiniteMetricSpace:
     """Geodesic backend: all-pairs shortest paths of a weighted graph.
 
     Rational/integer weights give an exact space; float weights fall back
@@ -382,9 +374,8 @@ def build_from_graph(edges: Iterable[tuple], n: int | None = None,
     rows = g.tolist()
     dist = tuple(tuple(0 if i == j else value(v) for j, v in enumerate(row))
                  for i, row in enumerate(rows))
-    if labels is None:
-        labels = [str(i) for i in range(m)]
-    return FiniteMetricSpace(dist, tuple(labels), eta=0.0 if exact else 1e-9)
+    return FiniteMetricSpace(dist, tuple(map(str, range(m))),
+                             eta=0.0 if exact else _FLOAT_ETA)
 
 
 def build_discrete(n: int) -> FiniteMetricSpace:
@@ -411,14 +402,12 @@ def build_segment_sample(samples: int, length=Fraction(1)) -> FiniteMetricSpace:
     return FiniteMetricSpace(dist, labels)
 
 
-def build_from_matrix(rows: Sequence[Sequence], labels: Sequence[str] | None = None,
-                      eta: float | None = None) -> FiniteMetricSpace:
+def build_from_matrix(rows: Sequence[Sequence], eta: float | None = None) -> FiniteMetricSpace:
     exact = all(not isinstance(v, float) for row in rows for v in row)
     if eta is None:
-        eta = 0.0 if exact else 1e-9
-    if labels is None:
-        labels = [str(i) for i in range(len(rows))]
-    return FiniteMetricSpace(tuple(map(tuple, rows)), tuple(labels), eta=eta)
+        eta = 0.0 if exact else _FLOAT_ETA
+    return FiniteMetricSpace(tuple(map(tuple, rows)), tuple(map(str, range(len(rows)))),
+                             eta=eta)
 
 
 # ---------------------------------------------------------------------------

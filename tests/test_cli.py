@@ -182,6 +182,31 @@ def test_unread_flags_are_refused(tmp_path, capsys, argv):
     assert ei.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["tau", "--backend", "discrete", "--n", "3", "--input", "/nonexistent",
+     "--length", "7", "--samples", "9"],
+    ["validate", "--backend", "segment", "--samples", "3", "--n", "3"],
+    ["conditions", "--samples", "3", "--input", "edges.txt"],
+    ["isometry", "--backend", "points", "--input", "pts.csv", "--samples", "3"],
+    ["tau", "--backend", "matrix", "--input", "m.csv", "--n", "2"],
+    ["nucleus-demo", "--backend", "graph", "--input", "g.txt", "--length", "2",
+     "--center", "0"],
+])
+def test_space_flags_the_backend_ignores_are_refused(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("configuration refused:")
+    assert not out.exists()
+
+
+def test_refused_space_flags_are_named(capsys):
+    assert main(["tau", "--backend", "discrete", "--n", "3", "--input", "/nonexistent",
+                 "--length", "7", "--samples", "9"]) == 3
+    assert capsys.readouterr().err == (
+        "configuration refused: --backend discrete does not read "
+        "--input, --samples, --length\n")
+
+
 # ---------------------------------------------------------------------------
 # output errors
 
@@ -331,6 +356,20 @@ def test_tau_points_from_file(tmp_path):
     code, data = run(tmp_path, "tau", "--backend", "points", "--input", str(p))
     assert code == 0
     assert data["n"] == 4
+
+
+def test_isometry_reports_non_singleton_nuclei(tmp_path):
+    # points 0 and 1 lie 1.2e-9 apart: farther than the tolerance 1e-9, so
+    # not duplicates, but inside every open ball of the default grid
+    p = tmp_path / "pts.csv"
+    p.write_text("0,0\n1.2e-9,0\n1,0\n")
+    code, data = run(tmp_path, "isometry", "--backend", "points", "--input", str(p))
+    assert code == 0
+    assert data["atom_count"] == 2
+    assert data["warnings"] == [
+        "nucleus of point 0 is [0, 1], not a singleton",
+        "nucleus of point 1 is [0, 1], not a singleton",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from wavemodel import (
+from wavemodel import IntervalError
+from wavemodel.interval1d import (
     AffineIntervalFamily,
     Interval,
-    IntervalError,
     IntervalSet,
     iv_ball,
     iv_closure,

@@ -18,22 +18,18 @@ from wavemodel import (
     FiniteMetricSpace,
     MetricError,
     TimeGrid,
-    b_star_lower,
     build_discrete,
     build_from_graph,
     build_from_matrix,
     build_from_points,
     build_segment_sample,
-    condition2_defect,
     condition2_report,
     default_grid,
-    open_ball,
-    wave_distance_classes,
     wave_distance_matrix,
-    wave_distance_points,
     wave_model,
 )
-from wavemodel.metric import open_balls
+from wavemodel.lattice import b_star_lower, nucleus, wave_distance_classes
+from wavemodel.metric import condition2_defect, open_ball, open_balls, wave_distance_points
 
 import oracles
 
@@ -121,7 +117,7 @@ def test_ball_table_and_brackets_match_scalar(name):
         rep = b_star_lower(s, x, grid)
         assert rep.sets == tuple(open_ball(s, x, t) for t in grid)
         reps.append(rep)
-    result = wave_model(s, grid, include_brackets=True, include_defects=False)
+    result = wave_model(s, grid, include_brackets=True)
     for x in range(s.n):
         for y in range(s.n):
             want = (0, 0) if x == y else wave_distance_classes(reps[x], reps[y])
@@ -135,7 +131,6 @@ def test_radius_keys_follow_the_radii_passed(name):
     s = SPACES[name]
     grid = default_grid(s).values
     doubled = tuple(2 * t for t in grid)
-    assert s._radius_keys(grid) is s._radius_keys(grid)
     for radii in (grid, doubled, grid, doubled):
         for x in range(s.n):
             assert open_balls(s, x, radii) == tuple(open_ball(s, x, t) for t in radii)
@@ -145,17 +140,50 @@ def test_radius_keys_follow_the_radii_passed(name):
     assert open_balls(s, 0, radii) == tuple(open_ball(s, 0, t) for t in doubled)
 
 
-@pytest.mark.parametrize("name", ["segment-17", "discrete-9", "python-int"])
-def test_balls_and_brackets_on_a_grid_through_the_distances(name):
-    # grid values equal to distances test the open-ball boundary d < t
-    s = SPACES[name]
+def grid_through_distances(s):
+    """A grid holding every positive distance and every half distance of s
+    (n > 1), so that grid values test the open-ball boundary d < t."""
     d = {F(v) for row in s.dist for v in row} - {0}
     values = sorted(d | {v / 2 for v in d})
-    grid = TimeGrid((values[0] / 2, *values, 2 * values[-1]))
+    return TimeGrid((values[0] / 2, *values, 2 * values[-1]))
+
+
+def coarsest_grid(s):
+    """The default grid's end points: only the first isolates the points."""
+    values = default_grid(s).values
+    return TimeGrid((values[0], values[-1]))
+
+
+GRIDS = {
+    "default": default_grid,
+    "coarsest": coarsest_grid,
+    "through-distances": grid_through_distances,
+}
+
+
+@pytest.mark.parametrize("name,grid_kind", [
+    (name, kind) for name in sorted(SPACES) for kind in GRIDS
+    if SPACES[name].n > 1 or kind != "through-distances"])
+def test_atoms_are_the_nuclei_of_the_ball_functions(name, grid_kind):
+    s = SPACES[name]
+    grid = GRIDS[grid_kind](s)
+    result = wave_model(s, grid)
+    assert len(result.atoms) == s.n
+    for x in range(s.n):
+        rep = b_star_lower(s, x, grid)
+        assert result.atoms[x] == nucleus(rep) == oracles.intersection_nucleus(rep)
+        assert result.atoms[x] == open_ball(s, x, grid.values[0])
+    assert len(result.warnings) == sum(a != {x} for x, a in enumerate(result.atoms))
+
+
+@pytest.mark.parametrize("name", ["segment-17", "discrete-9", "python-int"])
+def test_balls_and_brackets_on_a_grid_through_the_distances(name):
+    s = SPACES[name]
+    grid = grid_through_distances(s)
     reps = [b_star_lower(s, x, grid) for x in range(s.n)]
     for x in range(s.n):
         assert reps[x].sets == tuple(open_ball(s, x, t) for t in grid)
-    brackets = wave_model(s, grid, include_brackets=True, include_defects=False).brackets
+    brackets = wave_model(s, grid, include_brackets=True).brackets
     for x in range(s.n):
         for y in range(x + 1, s.n):
             assert brackets[x][y] == wave_distance_classes(reps[x], reps[y])
@@ -167,7 +195,7 @@ def test_isometry_fit_matches_pairwise_sums(name):
     n = s.n
     tau = by_pair(s, wave_distance_points)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    result = wave_model(s, default_grid(s), include_defects=False)
+    result = wave_model(s, default_grid(s))
     assert result.max_abs_tau_minus_d == max(
         (abs(tau[i][j] - s.d(i, j)) for i, j in pairs), default=0)
     den = sum(s.d(i, j) ** 2 for i, j in pairs)

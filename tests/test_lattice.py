@@ -5,38 +5,41 @@ from fractions import Fraction
 import pytest
 
 from wavemodel import (
-    INFINITY,
-    AtomClass,
-    DecreasingNet,
     GridError,
-    LatticeFunction,
     MetricError,
     NetError,
     TimeGrid,
-    b_star_lower,
-    b_star_upper,
     build_discrete,
     build_from_graph,
     build_from_matrix,
     build_segment_sample,
+    default_grid,
+    make_grid,
+    wave_model,
+)
+from wavemodel.lattice import (
+    DecreasingNet,
+    LatticeFunction,
+    b_star_lower,
+    b_star_upper,
     check_grid_admissible,
     class_equivalent,
     class_leq,
-    closed_ball,
-    condition2_defect,
-    default_grid,
     is_atom,
     isotony_apply,
     isotony_monotone_check,
-    make_grid,
-    neighborhood,
     net_limit,
     nucleus,
-    open_ball,
     sandwich_check,
     wave_distance_classes,
+)
+from wavemodel.metric import (
+    INFINITY,
+    closed_ball,
+    condition2_defect,
+    neighborhood,
+    open_ball,
     wave_distance_points,
-    wave_model,
 )
 
 import oracles
@@ -401,12 +404,9 @@ def test_distinct_points_not_equivalent():
 def test_is_atom():
     s = build_segment_sample(11)
     grid = default_grid(s)
-    rep = b_star_lower(s, 4, grid)
-    assert is_atom(AtomClass(nucleus(rep), rep))
-    full = isotony_apply(s, s.universe(), grid)
-    assert not is_atom(AtomClass(nucleus(full), full))
-    bottom = isotony_apply(s, frozenset(), grid)
-    assert not is_atom(AtomClass(nucleus(bottom), bottom))
+    assert is_atom(nucleus(b_star_lower(s, 4, grid)))
+    assert not is_atom(nucleus(isotony_apply(s, s.universe(), grid)))
+    assert not is_atom(nucleus(isotony_apply(s, frozenset(), grid)))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +480,7 @@ def test_bracket_contains_closed_form_and_is_representative_independent():
 
 def test_wave_model_segment_sample():
     s = oracles.segment_sample_cached(101)
-    res = wave_model(s, default_grid(s), include_defects=False)
+    res = wave_model(s, default_grid(s))
     assert res.max_abs_tau_minus_d <= F(2, 100)
     assert len(res.atoms) == s.n
     assert all(is_atom(a) for a in res.atoms)

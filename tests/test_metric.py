@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from wavemodel import (
-    INFINITY,
     AxiomViolation,
     MetricError,
     build_discrete,
@@ -13,16 +12,19 @@ from wavemodel import (
     build_from_matrix,
     build_from_points,
     build_segment_sample,
+)
+from wavemodel.metric import (
+    INFINITY,
     check_condition1,
     closed_ball,
     condition2_defect,
     neighborhood,
     open_ball,
+    open_balls,
     semigroup_defect,
     set_distance,
     wave_distance_points,
 )
-from wavemodel.metric import open_balls
 
 import oracles
 

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from wavemodel import (
     build_discrete,
     build_from_matrix,
-    condition2_defect,
     condition2_report,
     wave_distance_matrix,
 )
+from wavemodel.metric import condition2_defect
 
 import oracles
 

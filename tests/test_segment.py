@@ -2,13 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from wavemodel import (
-    Interval,
-    IntervalError,
-    IntervalSet,
-    segment_example,
-    verify_four_chain,
-)
+from wavemodel import IntervalError
+from wavemodel.interval1d import Interval, IntervalSet
+from wavemodel.segment import segment_example, verify_four_chain
 
 F = Fraction
 
