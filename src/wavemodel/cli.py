@@ -150,29 +150,32 @@ def build_space(args) -> metric.FiniteMetricSpace:
     backend = args.backend or "segment"
     _refuse_unread(args, [f for f in _SPACE_FLAGS[1:] if f not in _BACKEND_FLAGS[backend]],
                    f"--backend {backend}")
-    if backend == "discrete":
-        if args.n is None:
-            raise ConfigError("--backend discrete requires --n")
-        return metric.build_discrete(args.n)
-    if backend == "segment":
-        if args.samples is None:
-            raise ConfigError("--backend segment requires --samples")
-        return metric.build_segment_sample(args.samples,
-                                           _parse_rational(args.length or "1"))
+    try:  # out-of-range flag values are a refused configuration
+        if backend == "discrete":
+            if args.n is None:
+                raise ConfigError("--backend discrete requires --n")
+            return metric.build_discrete(args.n)
+        if backend == "segment":
+            if args.samples is None:
+                raise ConfigError("--backend segment requires --samples")
+            return metric.build_segment_sample(args.samples,
+                                               _parse_rational(args.length or "1"))
+    except metric.MetricError as exc:
+        raise ConfigError(exc) from None
     if not args.input:
         raise ConfigError(f"--backend {backend} requires --input")
     if backend == "points":
-        coords, labels = formats.load_points_csv(args.input)
-        return metric.build_from_points(coords, labels)
+        return metric.build_from_points(formats.load_points_csv(args.input)[0])
     if backend == "graph":
         return metric.build_from_graph(formats.load_edges(args.input))
     return metric.build_from_matrix(formats.load_matrix_csv(args.input))
 
 
 def resolve_grid(args, space) -> lattice.TimeGrid:
-    if args.grid:
-        return parse_grid_spec(args.grid)
-    return lattice.default_grid(space)
+    grid = parse_grid_spec(args.grid) if args.grid else lattice.default_grid(space)
+    if not space.exact:
+        lattice.check_float_range(grid.values)
+    return grid
 
 
 def sample_spacing_note(space) -> dict:

@@ -13,6 +13,7 @@ intersections they replace are kept as test oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -21,6 +22,7 @@ from .metric import (
     FiniteMetricSpace,
     MetricError,
     PointSet,
+    _as_float,
     _check_points,
     closed_ball,
     condition2_report,
@@ -80,12 +82,30 @@ def make_grid(lo, hi, count: int = 64, law: str = "geometric") -> TimeGrid:
         step = (hi - lo) / (count - 1)
         vals = tuple(lo + k * step for k in range(count))
     elif law == "geometric":
+        check_float_range((lo, hi))
         ratio = (float(hi) / float(lo)) ** (1.0 / (count - 1))
+        if ratio == INFINITY:
+            raise GridError(f"grid ratio {_sci(hi)}/{_sci(lo)} is outside the float range")
         vals = [Fraction(float(lo) * ratio ** k) for k in range(1, count - 1)]
         vals = tuple([Fraction(lo)] + vals + [Fraction(hi)])
     else:
         raise GridError(f"unknown spacing law {law!r}")
     return TimeGrid(vals)
+
+
+def check_float_range(values) -> None:
+    """Refuse values without a positive finite float: the geometric law
+    and float spaces compute with grid values as floats."""
+    for v in values:
+        if not 0 < _as_float(v) < INFINITY:
+            raise GridError(f"grid value {_sci(v)} is outside the positive float range")
+
+
+def _sci(v) -> str:
+    """A number in six significant digits, however large its Fraction."""
+    if isinstance(v, (int, Fraction)):
+        v = (Decimal(v.numerator) / v.denominator).normalize()
+    return f"{v:.6g}"
 
 
 def default_grid(space: FiniteMetricSpace, count: int = 64) -> TimeGrid:

@@ -1,10 +1,11 @@
 """Finite metric-space backends, metric neighborhoods and ball arithmetic.
 
-Every backend reduces to a labeled point set with a validated distance
-matrix.  Exact backends (graph geodesics with rational weights, discrete
-metric, uniform segment samples, rational matrices) store distances as
-``Fraction`` and compare exactly; the Euclidean backend stores floats and
-compares with a single global tolerance ``eta``.
+Every backend reduces to a validated distance matrix, and the matrix alone
+fixes the number system: a space with no float entry is exact (graph
+geodesics with rational weights, discrete metric, uniform segment samples,
+rational matrices) and compares exactly; a space with a float entry (the
+Euclidean backend, float matrices and float-weight graphs) compares with
+the single global tolerance ``eta`` = 1e-9.
 
 Open sets are plain ``frozenset`` objects of point indices: a finite
 metric space carries the discrete topology, so every subset is clopen and
@@ -13,9 +14,9 @@ interior/closure are identity maps.
 Internally each space also holds one numpy matrix, built once at
 construction: exact spaces scale their distances by the LCM of the
 denominators into int64 (Python ints in an object array when four times
-the largest entry would overflow int64); spaces with ``eta > 0`` use
-float64.  Validation, the defect matrix, the wave distance, ball tables
-and grid brackets run on that matrix; values leave this module only as
+the largest entry would overflow int64); float spaces use float64.
+Validation, the defect matrix, the wave distance, ball tables and grid
+brackets run on that matrix; values leave this module only as
 ``Fraction``, ``int`` or ``float``.  The scalar functions
 (``condition2_defect``, ``wave_distance_points``, ``open_ball``) are the
 reference the matrix paths are tested against.
@@ -38,7 +39,7 @@ INFINITY = math.inf
 
 PointSet = frozenset
 
-#: The comparison tolerance of every float backend.
+#: The comparison tolerance of every float space.
 _FLOAT_ETA = 1e-9
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -74,30 +75,36 @@ def _slabs(n: int):
         yield lo, min(n, lo + step)
 
 
-def _int_dtype(bound: int):
-    """int64 when ``bound`` fits, else object (Python ints)."""
-    return np.int64 if bound <= _INT64_MAX else object
+def _kernel_matrix(rows) -> tuple:
+    """(matrix, scale), read off the entries: float64 with a float entry;
+    otherwise the entries times the LCM ``scale`` of their denominators,
+    with ``scale`` None when every entry is a Python int."""
+    if any(isinstance(v, float) for row in rows for v in row):
+        return _float_matrix(rows), None
+    return _exact_matrix(rows)
 
 
 def _exact_matrix(dist) -> tuple:
-    """(matrix, scale): the entries times the LCM of their denominators."""
     flat = []
+    ints = True
     for i, row in enumerate(dist):
         for j, v in enumerate(row):
-            if not isinstance(v, (int, Fraction)):
-                try:
-                    v = Fraction(v)
-                except (ValueError, OverflowError, TypeError):
-                    raise AxiomViolation(
-                        f"d({i},{j}) = {v} is not a finite number", (i, j)) from None
+            if type(v) is not int:
+                ints = False
+                if not isinstance(v, Fraction):
+                    try:
+                        v = Fraction(v)
+                    except (ValueError, OverflowError, TypeError):
+                        raise AxiomViolation(
+                            f"d({i},{j}) = {v} is not a finite number", (i, j)) from None
             flat.append(v)
     denominators = {v.denominator for v in flat}
     scale = math.lcm(*denominators)
     factor = {q: scale // q for q in denominators}
     scaled = [v.numerator * factor[v.denominator] for v in flat]
     n = len(dist)
-    m = np.array(scaled, dtype=_int_dtype(4 * max(map(abs, scaled))))
-    return m.reshape(n, n), scale
+    dtype = np.int64 if 4 * max(map(abs, scaled)) <= _INT64_MAX else object
+    return np.array(scaled, dtype=dtype).reshape(n, n), None if ints else scale
 
 
 def _float_matrix(dist) -> np.ndarray:
@@ -123,35 +130,42 @@ def _is_finite_real(v) -> bool:
     return isinstance(v, (int, Fraction)) or math.isfinite(_as_float(v))
 
 
+def _to_values(a: np.ndarray, scale) -> list:
+    """Nested lists of API values with the int 0 on the diagonal: kernel
+    values over ``scale``, one ``Fraction`` per distinct value, or the
+    values themselves when ``scale`` is None."""
+    rows = a.tolist()
+    if scale is not None:
+        memo = {}
+        rows = [[memo[v] if v in memo else memo.setdefault(v, Fraction(v, scale))
+                 for v in row] for row in rows]
+    for i, row in enumerate(rows):
+        row[i] = 0
+    return rows
+
+
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """n labeled points with a symmetric, triangle-valid distance matrix.
+    """n points with a symmetric, triangle-valid distance matrix.
 
-    Immutable after construction; all operations below are pure functions,
-    so concurrent use needs no synchronization.
+    The entries fix the number system: exact without a float entry, float
+    with tolerance ``eta`` = 1e-9 otherwise.  Immutable after construction;
+    all operations below are pure functions, so concurrent use needs no
+    synchronization.
     """
 
     dist: tuple
-    labels: tuple
-    eta: float = 0.0
 
     def __post_init__(self):
         n = len(self.dist)
         if n == 0:
             raise MetricError("a metric space needs at least one point")
-        if len(self.labels) != n:
-            raise MetricError("label count does not match matrix size")
         for i, row in enumerate(self.dist):
             if len(row) != n:
                 raise AxiomViolation(f"row {i} has length {len(row)}, expected {n}", (i,))
-        if self.exact:
-            m, scale = _exact_matrix(self.dist)
-            ints = scale == 1 and all(type(v) is int for row in self.dist for v in row)
-        else:
-            m, scale, ints = _float_matrix(self.dist), None, False
+        m, scale = _kernel_matrix(self.dist)
         object.__setattr__(self, "_m", m)
         object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_ints", ints)
         self._validate()
 
     def _validate(self):
@@ -159,7 +173,7 @@ class FiniteMetricSpace:
         row by row the diagonal, then symmetry and positivity for j > i;
         then the triangle inequality over (i, j, k) in lexicographic order."""
         m, n = self._m, self.n
-        tol = 0 if self.exact else self.eta
+        tol = 0 if self.exact else _FLOAT_ETA
         upper = np.triu(np.ones((n, n), dtype=bool), 1)
         asym = (np.abs(m - m.T) > tol) & upper
         nonpos = (m <= tol) & upper
@@ -194,7 +208,12 @@ class FiniteMetricSpace:
 
     @property
     def exact(self) -> bool:
-        return self.eta == 0
+        return self._m.dtype != np.float64
+
+    @property
+    def eta(self) -> float:
+        """The comparison tolerance: 0 on exact spaces."""
+        return 0.0 if self.exact else _FLOAT_ETA
 
     def points(self) -> range:
         return range(self.n)
@@ -223,21 +242,7 @@ class FiniteMetricSpace:
         """A kernel scalar as the API value: float, int or Fraction."""
         if isinstance(v, np.generic):
             v = v.item()
-        if self._scale is None or self._ints:
-            return v
-        return Fraction(v, self._scale)
-
-    def _to_lists(self, a: np.ndarray) -> list:
-        """Nested lists of API values with the int 0 on the diagonal."""
-        rows = a.tolist()
-        if self._scale is not None and not self._ints:
-            memo = {}
-            scale = self._scale
-            rows = [[memo[v] if v in memo else memo.setdefault(v, Fraction(v, scale))
-                     for v in row] for row in rows]
-        for i, row in enumerate(rows):
-            row[i] = 0
-        return rows
+        return v if self._scale is None else Fraction(v, self._scale)
 
     @cached_property
     def _order(self) -> np.ndarray:
@@ -281,15 +286,15 @@ class FiniteMetricSpace:
         """Per radius r, the largest kernel value v counted inside B_r:
         d < r on exact spaces, d <= r + eta otherwise."""
         keys = []
-        scale, eta = self._scale, self.eta
+        exact, scale = self.exact, self._scale or 1
         for r in radii:
             q = r if isinstance(r, (int, Fraction)) else Fraction(r)
             if q.numerator <= 0:
                 raise MetricError(f"radius must be positive, got {r}")
-            if scale is None:
-                keys.append(float(r) + eta)  # what r + eta evaluates to
-            else:
+            if exact:
                 keys.append((q.numerator * scale - 1) // q.denominator)
+            else:
+                keys.append(float(r) + _FLOAT_ETA)  # what r + eta evaluates to
         return keys
 
 
@@ -297,8 +302,7 @@ class FiniteMetricSpace:
 # Backends
 
 
-def build_from_points(coords: Sequence[Sequence[float]],
-                      labels: Sequence[str] | None = None) -> FiniteMetricSpace:
+def build_from_points(coords: Sequence[Sequence[float]]) -> FiniteMetricSpace:
     """Euclidean backend: float distances, tolerance 1e-9."""
     if not coords:
         raise MetricError("empty point cloud")
@@ -314,29 +318,24 @@ def build_from_points(coords: Sequence[Sequence[float]],
             if dij <= _FLOAT_ETA:
                 raise MetricError(f"duplicate points {i} and {j}")
             dist[i][j] = dist[j][i] = dij
-    if labels is None:
-        labels = [str(i) for i in range(n)]
-    return FiniteMetricSpace(tuple(map(tuple, dist)), tuple(labels), eta=_FLOAT_ETA)
+    return FiniteMetricSpace(tuple(map(tuple, dist)))
 
 
 def build_from_graph(edges: Iterable[tuple], n: int | None = None) -> FiniteMetricSpace:
     """Geodesic backend: all-pairs shortest paths of a weighted graph.
 
-    Rational/integer weights give an exact space; float weights fall back
-    to the default tolerance.  A repeated edge keeps its last weight and a
-    self-loop adds only its node.  Distances come from Floyd-Warshall on the
-    scaled integer (or float64) weight matrix.
+    Rational/integer weights give an exact space, float weights a float
+    space.  A repeated edge keeps its last weight and a self-loop adds only
+    its node.  Distances come from Floyd-Warshall on the kernel matrix of
+    the weights.
     """
     weights = {}
     nodes = set()
-    exact = True
     for i, j, w in edges:
         if not _is_finite_real(w):
             raise AxiomViolation(f"non-finite weight {w} on edge ({i},{j})", (i, j))
         if w <= 0:
             raise MetricError(f"nonpositive weight on edge ({i},{j})")
-        if isinstance(w, float):
-            exact = False
         nodes.update((i, j))
         if i != j:
             weights[(i, j) if i < j else (j, i)] = w
@@ -347,35 +346,17 @@ def build_from_graph(edges: Iterable[tuple], n: int | None = None) -> FiniteMetr
     m = len(nodes)
     if sorted(nodes) != list(range(m)):
         raise MetricError("graph nodes must be 0-based consecutive indices")
-    ij = list(weights)
-    if exact:
-        ws = [Fraction(w) for w in weights.values()]
-        scale = math.lcm(*{w.denominator for w in ws})
-        scaled = [w.numerator * (scale // w.denominator) for w in ws]
-        unreachable = sum(scaled) + 1  # longer than any path
-        g = np.full((m, m), unreachable, dtype=_int_dtype(4 * unreachable))
-    else:
-        scaled, unreachable = [float(w) for w in weights.values()], math.inf
-        g = np.full((m, m), math.inf)
-    for (i, j), w in zip(ij, scaled):
-        g[i, j] = g[j, i] = w
-    np.fill_diagonal(g, 0)
+    unreachable = 2 * sum(weights.values()) + 1  # longer than any path
+    rows = [[0 if i == j else unreachable for j in range(m)] for i in range(m)]
+    for (i, j), w in weights.items():
+        rows[i][j] = rows[j][i] = w
+    g, scale = _kernel_matrix(rows)
+    top = g.max()  # ``unreachable`` in kernel units if some pair is no edge
     for k in range(m):
         np.minimum(g, g[:, k, None] + g[None, k, :], out=g)
-    if (g == unreachable).any():
+    if len(weights) < m * (m - 1) // 2 and (g == top).any():
         raise MetricError("graph is disconnected: no finite metric")
-    if not exact:
-        value = float
-    elif scale == 1 and all(type(w) is int for w in weights.values()):
-        value = int
-    else:
-        def value(v):
-            return Fraction(v, scale)
-    rows = g.tolist()
-    dist = tuple(tuple(0 if i == j else value(v) for j, v in enumerate(row))
-                 for i, row in enumerate(rows))
-    return FiniteMetricSpace(dist, tuple(map(str, range(m))),
-                             eta=0.0 if exact else _FLOAT_ETA)
+    return FiniteMetricSpace(tuple(map(tuple, _to_values(g, scale))))
 
 
 def build_discrete(n: int) -> FiniteMetricSpace:
@@ -384,7 +365,7 @@ def build_discrete(n: int) -> FiniteMetricSpace:
         raise MetricError("n must be >= 1")
     dist = tuple(tuple(Fraction(0) if i == j else Fraction(1) for j in range(n))
                  for i in range(n))
-    return FiniteMetricSpace(dist, tuple(str(i) for i in range(n)))
+    return FiniteMetricSpace(dist)
 
 
 def build_segment_sample(samples: int, length=Fraction(1)) -> FiniteMetricSpace:
@@ -396,18 +377,12 @@ def build_segment_sample(samples: int, length=Fraction(1)) -> FiniteMetricSpace:
         raise MetricError("length must be positive")
     step = length / (samples - 1)
     at = [k * step for k in range(samples)]
-    dist = tuple(tuple(at[abs(i - j)] for j in range(samples))
-                 for i in range(samples))
-    labels = tuple(map(str, at))
-    return FiniteMetricSpace(dist, labels)
+    return FiniteMetricSpace(tuple(tuple(at[abs(i - j)] for j in range(samples))
+                                   for i in range(samples)))
 
 
-def build_from_matrix(rows: Sequence[Sequence], eta: float | None = None) -> FiniteMetricSpace:
-    exact = all(not isinstance(v, float) for row in rows for v in row)
-    if eta is None:
-        eta = 0.0 if exact else _FLOAT_ETA
-    return FiniteMetricSpace(tuple(map(tuple, rows)), tuple(map(str, range(len(rows)))),
-                             eta=eta)
+def build_from_matrix(rows: Sequence[Sequence]) -> FiniteMetricSpace:
+    return FiniteMetricSpace(tuple(map(tuple, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +532,7 @@ def condition2_report(space: FiniteMetricSpace) -> dict:
     defects = space._defects()
     top = defects.max()
     max_defect = space._value(top) if top > 0 else 0
-    return {"defects": space._to_lists(defects), "max_defect": max_defect,
+    return {"defects": _to_values(defects, space._scale), "max_defect": max_defect,
             "holds": max_defect <= 0}
 
 
@@ -585,7 +560,7 @@ def wave_distance_points(space: FiniteMetricSpace, x: int, y: int):
 
 def wave_distance_matrix(space: FiniteMetricSpace) -> list:
     """``wave_distance_points`` at every pair, from the (min, max) product."""
-    return space._to_lists(2 * space._meet)
+    return _to_values(2 * space._meet, space._scale)
 
 
 def isometry_fit(space: FiniteMetricSpace) -> tuple:
@@ -602,7 +577,7 @@ def isometry_fit(space: FiniteMetricSpace) -> tuple:
     num = sum(map(operator.mul, tau, d))
     den = sum(v ** 2 for v in d)
     # exact spaces: the scale cancels; int spaces divide as ints do
-    c = num / den if space._scale is None or space._ints else Fraction(num, den)
+    c = num / den if space._scale is None else Fraction(num, den)
     return max_dev, c
 
 

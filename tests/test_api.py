@@ -1,5 +1,7 @@
 """The package's public surface: the names in ``__all__`` and nothing else."""
 
+import dataclasses
+import inspect
 import types
 
 import wavemodel
@@ -42,3 +44,9 @@ def test_no_public_name_outside_all():
              and not (isinstance(value, types.ModuleType)
                       and value.__name__ == f"wavemodel.{name}")}
     assert extra == set()
+
+
+def test_a_space_is_its_distance_matrix():
+    assert [f.name for f in dataclasses.fields(wavemodel.FiniteMetricSpace)] == ["dist"]
+    assert list(inspect.signature(wavemodel.build_from_points).parameters) == ["coords"]
+    assert list(inspect.signature(wavemodel.build_from_matrix).parameters) == ["rows"]

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -9,6 +10,9 @@ import pytest
 
 from wavemodel import ParseError, load_edges, load_matrix_csv, load_points_csv
 from wavemodel.cli import build_parser, main
+
+
+POINTS = str(pathlib.Path(__file__).parent / "golden" / "inputs" / "points.csv")
 
 
 def run(tmp_path, *argv, out_name="out.json"):
@@ -205,6 +209,51 @@ def test_refused_space_flags_are_named(capsys):
     assert capsys.readouterr().err == (
         "configuration refused: --backend discrete does not read "
         "--input, --samples, --length\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--backend", "segment", "--samples", "1"], 3),
+    (["--backend", "discrete", "--n", "0"], 3),
+    (["--backend", "segment", "--samples", "3", "--length", "0"], 3),
+    (["--backend", "points", "--input", "{dup}"], 2),  # errors in input files
+    (["--backend", "graph", "--input", "{split}"], 2),
+])
+def test_out_of_range_space_flags_are_refused(tmp_path, capsys, argv, code):
+    (tmp_path / "dup.csv").write_text("0,0\n0,0\n")
+    (tmp_path / "split.txt").write_text("0 1 1\n2 3 1\n")
+    argv = [a.format(dup=tmp_path / "dup.csv", split=tmp_path / "split.txt") for a in argv]
+    assert main(["validate", *argv, "--out", str(tmp_path / "out.json")]) == code
+    prefix = "configuration refused: " if code == 3 else "ingestion error: "
+    assert capsys.readouterr().err.startswith(prefix)
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["tau", "--backend", "segment", "--samples", "3",
+      "--grid", "1/100,1e400,5,geometric"], "1e+400"),
+    (["tau", "--backend", "segment", "--samples", "3",
+      "--grid", "1e-400,3,5,geometric"], "1e-400"),
+    (["tau", "--backend", "segment", "--samples", "3", "--length", "1e400"], "1.25e+399"),
+    (["tau", "--backend", "points", "--input", POINTS,
+      "--grid", "1/100,1e400,5,linear"], "2.5e+399"),
+    (["isometry", "--backend", "points", "--input", POINTS,
+      "--grid", "1/100,1e400,5,linear"], "2.5e+399"),
+    (["nucleus-demo", "--backend", "points", "--input", POINTS,
+      "--grid", "1/100,1e400,5,linear", "--center", "0"], "2.5e+399"),
+    (["tau", "--backend", "segment", "--samples", "3",
+      "--grid", "1e-200,1e200,5,geometric"], "1e+200/1e-200"),
+])
+def test_grid_values_beyond_float_range_are_refused(tmp_path, capsys, argv, value):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration refused: grid") and f" {value} " in err
+    assert not out.exists()
+
+
+def test_exact_space_takes_a_linear_grid_beyond_float_range(tmp_path):
+    code, data = run(tmp_path, "tau", "--backend", "segment", "--samples", "3",
+                     "--length", "1e400", "--grid", "1e398,1e401,5,linear")
+    assert code == 0 and data["tau"][0][2] == str(10 ** 400)
 
 
 # ---------------------------------------------------------------------------

@@ -257,11 +257,11 @@ def test_first_failure_and_witness_match_scalar_loops(name):
     for bad in broken_copies(rng, rows, 40):
         want = oracles.first_axiom_failure(bad, s.eta)
         if want is None:
-            FiniteMetricSpace(tuple(map(tuple, bad)), s.labels, eta=s.eta)
+            FiniteMetricSpace(tuple(map(tuple, bad)))
             continue
         seen += 1
         with pytest.raises(AxiomViolation) as ei:
-            FiniteMetricSpace(tuple(map(tuple, bad)), s.labels, eta=s.eta)
+            FiniteMetricSpace(tuple(map(tuple, bad)))
         assert (str(ei.value), ei.value.witness) == want
     assert seen > 0
 

@@ -6,6 +6,7 @@ import pytest
 
 from wavemodel import (
     AxiomViolation,
+    FiniteMetricSpace,
     MetricError,
     build_discrete,
     build_from_graph,
@@ -56,9 +57,27 @@ def test_segment_sample_shares_one_fraction_per_offset():
     s = build_segment_sample(9, F(7, 3))
     step = F(7, 24)
     assert s.dist == tuple(tuple(abs(i - j) * step for j in range(9)) for i in range(9))
-    assert s.labels == tuple(str(i * step) for i in range(9))
     assert all(type(v) is F and v is s.dist[0][abs(i - j)]
                for i, row in enumerate(s.dist) for j, v in enumerate(row))
+
+
+def test_the_entries_fix_the_number_system():
+    s = FiniteMetricSpace(((0, 0.5), (0.5, 0)))
+    assert not s.exact and s.eta == 1e-9
+    s = FiniteMetricSpace(((0, F(1, 2)), (F(1, 2), 0)))
+    assert s.exact and s.eta == 0
+    assert build_from_graph([(0, 1, F(1, 2)), (1, 2, 3)]).exact
+    s = build_from_graph([(0, 1, F(1, 2)), (1, 2, 3), (2, 3, 0.25)])
+    assert not s.exact and s.eta == 1e-9
+    assert type(s.d(0, 3)) is float
+
+
+def test_rational_graph_shares_one_fraction_per_value():
+    s = build_from_graph([(0, 1, F(1, 3)), (1, 2, F(1, 3)), (2, 3, F(2, 3)), (3, 0, 1)])
+    off = [v for i, row in enumerate(s.dist) for j, v in enumerate(row) if i != j]
+    assert all(type(v) is F for v in off)
+    assert len({id(v) for v in off}) == len(set(off)) == 3
+    assert all(s.d(i, i) == 0 and type(s.d(i, i)) is int for i in range(4))
 
 
 def test_point_cloud_errors():
@@ -115,13 +134,13 @@ def test_matrix_validation():
     ([[math.nan, 1.0], [1.0, 0]], (0, 0)),
     ([[0, 1.0, 2.0], [1.0, 0, math.inf], [2.0, math.inf, 0]], (1, 2)),
     ([[0, -math.inf], [-math.inf, 0]], (0, 1)),
+    ([[0, 1], [None, 0]], (1, 0)),
 ])
 def test_non_finite_matrix_is_refused_with_witness(rows, witness):
-    for eta in (None, 0.0):
-        with pytest.raises(AxiomViolation) as ei:
-            build_from_matrix(rows, eta=eta)
-        assert ei.value.witness == witness
-        assert "not a finite number" in str(ei.value)
+    with pytest.raises(AxiomViolation) as ei:
+        build_from_matrix(rows)
+    assert ei.value.witness == witness
+    assert "not a finite number" in str(ei.value)
 
 
 def test_float_overflowing_rational_is_refused_on_float_space():
