@@ -18,6 +18,8 @@ import sys
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
+
 from . import formats, interval1d, lattice, metric, segment
 
 EXIT_OK = 0
@@ -36,7 +38,10 @@ class OutputError(Exception):
 
 
 def jsonable(obj):
-    """Reports carry Fractions and infinities; flatten them (csv reports)."""
+    """Reports carry Fractions, infinities and matrix tables; flatten them
+    into what ``json`` and ``csv`` write (csv reports)."""
+    if isinstance(obj, metric._Table):
+        return jsonable(obj.tolist())
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, float):
@@ -52,18 +57,21 @@ def encode_report(report: dict) -> str:
     """``json.dumps(jsonable(report), indent=2, sort_keys=True) + "\\n"``,
     byte for byte, without the copy and the pure-Python encoder.
 
-    A list of scalars (a matrix row, a bracket) is one join of tokens, and
-    each distinct value is formatted once: floats and strs are memoised by
+    The text is gathered in one list of parts and joined once, and each
+    distinct value is formatted once: floats and strs are memoised by
     value, Fractions by identity (their hash is pure Python; the report's
     equal Fractions are mostly one object, alive for the whole call).  The
     memos are per type and skip zeros, so 0, 0.0, -0.0, Fraction(0) and
-    False keep their own tokens.  Values must be dict (str keys), list,
-    tuple, str, int, float, bool, None or Fraction.
+    False keep their own tokens.  A matrix table (``metric._Table``)
+    formats each of its values once, at the indent of its cells, gathers
+    the tokens by its codes and joins each row.  Values must be dict (str
+    keys), list, tuple, str, int, float, bool, None, Fraction or a table.
     """
     floats, strs, fractions = {}, {}, {}
     quote = json.encoder.encode_basestring_ascii
 
-    def encode(v, indent):
+    def scalar(v):
+        """The token of a scalar; None for anything else."""
         t = type(v)
         if t is float:
             if not v:
@@ -91,22 +99,58 @@ def encode_report(report: dict) -> str:
             return "null"
         if t is bool:
             return "true" if v else "false"
+        return None
+
+    def write(v, indent, out):
+        """Append the parts of ``v`` to ``out``."""
+        tok = scalar(v)
+        if tok is not None:
+            out.append(tok)
+            return
+        t = type(v)
+        inner = indent + "  "
         if t is list or t is tuple:
             if not v:
-                return "[]"
-            inner = indent + "  "
-            return ("[\n" + inner + (",\n" + inner).join([encode(x, inner) for x in v])
-                    + "\n" + indent + "]")
-        if t is dict:
+                out.append("[]")
+                return
+            sep = "[\n" + inner
+            for x in v:
+                out.append(sep)
+                write(x, inner, out)
+                sep = ",\n" + inner
+            out.append("\n" + indent + "]")
+        elif t is dict:
             if not v:
-                return "{}"
-            inner = indent + "  "
-            return ("{\n" + inner + (",\n" + inner).join(
-                [quote(k) + ": " + encode(v[k], inner) for k in sorted(v)])
-                + "\n" + indent + "}")
-        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+                out.append("{}")
+                return
+            sep = "{\n" + inner
+            for k in sorted(v):
+                out.append(sep + quote(k) + ": ")
+                write(v[k], inner, out)
+                sep = ",\n" + inner
+            out.append("\n" + indent + "}")
+        elif t is metric._Table:
+            cell = inner + "  "
+            tokens = np.array([scalar(x) or text(x, cell) for x in v.values], dtype=object)
+            sep = ",\n" + cell
+            head = "[\n" + inner + "[\n" + cell
+            for row in tokens[v.codes].tolist():
+                out.append(head)
+                out.append(sep.join(row))
+                head = "\n" + inner + "],\n" + inner + "[\n" + cell
+            out.append("\n" + inner + "]\n" + indent + "]")
+        else:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
-    return encode(report, "") + "\n"
+    def text(v, indent):
+        out = []
+        write(v, indent, out)
+        return "".join(out)
+
+    out = []
+    write(report, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -250,7 +294,7 @@ def _verdict(space, max_defect) -> str:
 
 def cmd_conditions(args) -> int:
     space = build_space(args)
-    cond2 = metric.condition2_report(space)
+    cond2 = metric._condition2(space)
     report = {
         "condition1": metric.check_condition1(space),
         "condition2_defects": cond2["defects"],
@@ -269,19 +313,19 @@ def cmd_wave_model(args, with_brackets: bool) -> int:
     result = lattice.wave_model(space, grid, include_brackets=with_brackets)
     report = {
         "n": space.n,
-        "tau": result.tau,
-        "d": [list(row) for row in space.dist],
+        "tau": result.tau_table,
+        "d": metric._dist_table(space),
         "max_abs_tau_minus_d": result.max_abs_tau_minus_d,
         "homothety_c": result.homothety_c,
         "condition1": result.condition1,
-        "max_defect": result.condition2["max_defect"],
+        "max_defect": result.max_defect,
         "atom_count": len(set(result.atoms)),
         "warnings": list(result.warnings),
         **sample_spacing_note(space),
     }
     if with_brackets:
-        report["tau_brackets"] = result.brackets
-    max_defect = result.condition2["max_defect"]
+        report["tau_brackets"] = result.bracket_table
+    max_defect = result.max_defect
     if result.max_abs_tau_minus_d > 0 and max_defect > 0:
         report["discrepancy_cause"] = (
             "two-radii separation (Condition 2) fails: max defect "

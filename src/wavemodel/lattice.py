@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -22,18 +23,21 @@ from .metric import (
     FiniteMetricSpace,
     MetricError,
     PointSet,
+    _Table,
     _as_float,
     _check_points,
+    _max_defect,
+    _table,
     closed_ball,
-    condition2_report,
     check_condition1,
+    condition2_report,
     first_meeting,
     isometry_fit,
     neighborhood,
-    open_ball,  # noqa: F401  (the scalar ball stays reachable as lattice.open_ball)
     open_balls,
-    wave_distance_matrix,
 )
+# the scalar ball and the tau matrix stay reachable through lattice
+from .metric import open_ball, wave_distance_matrix  # noqa: F401
 
 
 class GridError(MetricError):
@@ -333,16 +337,34 @@ def check_grid_admissible(space: FiniteMetricSpace, grid: TimeGrid) -> None:
 
 @dataclass(frozen=True)
 class WaveModelResult:
-    """The wave model of a space; ``atoms[x]`` is the nucleus of point x."""
+    """The wave model of ``space``; ``atoms[x]`` is the nucleus of point x.
 
+    The matrices are kept as tables; ``tau``, ``brackets`` (None unless
+    requested) and ``condition2`` (``condition2_report(space)``) are built
+    on first access.
+    """
+
+    space: FiniteMetricSpace
     atoms: tuple
-    tau: list
+    tau_table: _Table
     max_abs_tau_minus_d: object
     homothety_c: object
     condition1: dict
-    condition2: dict
-    brackets: list | None = None
+    max_defect: object
+    bracket_table: _Table | None = None
     warnings: tuple = ()
+
+    @cached_property
+    def tau(self) -> list:
+        return self.tau_table.tolist()
+
+    @cached_property
+    def brackets(self) -> list | None:
+        return None if self.bracket_table is None else self.bracket_table.tolist()
+
+    @cached_property
+    def condition2(self) -> dict:
+        return condition2_report(self.space)
 
 
 def wave_model(space: FiniteMetricSpace, grid: TimeGrid,
@@ -358,7 +380,6 @@ def wave_model(space: FiniteMetricSpace, grid: TimeGrid,
     iff min_z max(d(x,z), d(y,z)) lies inside t.
     """
     check_grid_admissible(space, grid)
-    n = space.n
     warnings = []
     atoms = []
     for x in space.points():
@@ -366,18 +387,14 @@ def wave_model(space: FiniteMetricSpace, grid: TimeGrid,
         if core != frozenset({x}):
             warnings.append(f"nucleus of point {x} is {sorted(core)}, not a singleton")
         atoms.append(core)
-    tau = wave_distance_matrix(space)
     max_dev, c = isometry_fit(space)
     brackets = None
     if include_brackets:
         doubled = [2 * t for t in grid.values]
         # the bracket for each index of the first grid value where the balls meet
         bounds = [(0, doubled[0]), *zip(doubled, doubled[1:]), (doubled[-1], INFINITY)]
-        brackets = [[bounds[f] for f in row] for row in first_meeting(space, grid.values)]
-        for i in range(n):
-            brackets[i][i] = (0, 0)
+        brackets = _Table(first_meeting(space, grid.values), bounds, ((0, 0),))
     return WaveModelResult(
-        atoms=tuple(atoms), tau=tau, max_abs_tau_minus_d=max_dev,
-        homothety_c=c, condition1=check_condition1(space),
-        condition2=condition2_report(space), brackets=brackets,
-        warnings=tuple(warnings))
+        space=space, atoms=tuple(atoms), tau_table=_table(2 * space._meet, space._scale),
+        max_abs_tau_minus_d=max_dev, homothety_c=c, condition1=check_condition1(space),
+        max_defect=_max_defect(space), bracket_table=brackets, warnings=tuple(warnings))

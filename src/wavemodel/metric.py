@@ -17,7 +17,8 @@ denominators into int64 (Python ints in an object array when four times
 the largest entry would overflow int64); float spaces use float64.
 Validation, the defect matrix, the wave distance, ball tables and grid
 brackets run on that matrix; values leave this module only as
-``Fraction``, ``int`` or ``float``.  The scalar functions
+``Fraction``, ``int`` or ``float``, and matrices of them as lists or as a
+``_Table`` of codes into their distinct values.  The scalar functions
 (``condition2_defect``, ``wave_distance_points``, ``open_ball``) are the
 reference the matrix paths are tested against.
 """
@@ -30,6 +31,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -78,8 +80,15 @@ def _slabs(n: int):
 def _kernel_matrix(rows) -> tuple:
     """(matrix, scale), read off the entries: float64 with a float entry;
     otherwise the entries times the LCM ``scale`` of their denominators,
-    with ``scale`` None when every entry is a Python int."""
-    if any(isinstance(v, float) for row in rows for v in row):
+    with ``scale`` None when every entry is a Python int.  str and bool
+    entries are refused: ``Fraction()`` and numpy would read them as
+    numbers, while ``dist`` keeps them as given."""
+    types = set(chain.from_iterable(map(type, row) for row in rows))
+    if any(issubclass(t, (str, bool)) for t in types):
+        i, j = next((i, j) for i, row in enumerate(rows) for j, v in enumerate(row)
+                    if isinstance(v, (str, bool)))
+        raise AxiomViolation(f"d({i},{j}) = {rows[i][j]!r} is not a finite number", (i, j))
+    if any(issubclass(t, float) for t in types):
         return _float_matrix(rows), None
     return _exact_matrix(rows)
 
@@ -130,18 +139,56 @@ def _is_finite_real(v) -> bool:
     return isinstance(v, (int, Fraction)) or math.isfinite(_as_float(v))
 
 
-def _to_values(a: np.ndarray, scale) -> list:
-    """Nested lists of API values with the int 0 on the diagonal: kernel
-    values over ``scale``, one ``Fraction`` per distinct value, or the
-    values themselves when ``scale`` is None."""
-    rows = a.tolist()
+class _Table:
+    """An n x n matrix of API values: an int array of ``codes`` into the
+    tuple of distinct ``values``, with codes of their own on the diagonal.
+    Reports render it once per distinct value (``cli.encode_report``)."""
+
+    __slots__ = ("codes", "values")
+
+    def __init__(self, codes: np.ndarray, values, diagonal):
+        """``diagonal`` holds one value for the whole diagonal or one per row."""
+        k = len(values)
+        np.fill_diagonal(codes, range(k, k + len(diagonal)))
+        self.codes = codes
+        self.values = (*values, *diagonal)
+
+    def tolist(self) -> list:
+        """Nested lists of the values, sharing one object per code."""
+        values = np.fromiter(self.values, dtype=object, count=len(self.values))
+        return values[self.codes].tolist()
+
+
+def _table(a: np.ndarray, scale, diagonal=(0,)) -> _Table:
+    """The kernel matrix ``a`` as API values: kernel values over ``scale``,
+    one ``Fraction`` per distinct value, or the values themselves when
+    ``scale`` is None.  Floats are told apart by their bits, so 0.0 and
+    -0.0 keep their own values."""
+    floats = a.dtype == np.float64
+    distinct, codes = np.unique(a.view(np.uint64) if floats else a, return_inverse=True)
+    values = (distinct.view(np.float64) if floats else distinct).tolist()
     if scale is not None:
-        memo = {}
-        rows = [[memo[v] if v in memo else memo.setdefault(v, Fraction(v, scale))
-                 for v in row] for row in rows]
-    for i, row in enumerate(rows):
-        row[i] = 0
-    return rows
+        values = [Fraction(v, scale) for v in values]
+    return _Table(codes.reshape(a.shape), values, diagonal)
+
+
+def _dist_table(space: "FiniteMetricSpace") -> _Table:
+    """``space.dist`` as given, each entry with its own type and token.
+
+    Off the diagonal, entries of one type (float, or int or ``Fraction`` on
+    an exact space) are the kernel values converted once per distinct
+    value; entries of any other kind or of mixed types get one code each.
+    The diagonal keeps its entries."""
+    dist, n = space.dist, space.n
+    kinds = set()
+    for i, row in enumerate(dist):
+        kinds.update(map(type, row[:i]), map(type, row[i + 1:]))
+    diagonal = tuple(row[i] for i, row in enumerate(dist))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float or (kind in (int, Fraction) and space.exact):
+        return _table(space._m, space._scale if kind is Fraction else None, diagonal)
+    codes = np.arange(n * n).reshape(n, n)
+    return _Table(codes, tuple(chain.from_iterable(dist)), diagonal)
 
 
 @dataclass(frozen=True)
@@ -258,6 +305,7 @@ class FiniteMetricSpace:
             out[lo:hi] = np.maximum(m[lo:hi, None, :], m[None, :, :]).min(axis=2)
         return out
 
+    @cached_property
     def _defects(self) -> np.ndarray:
         """The defect sweep of ``condition2_defect`` for all pairs at once.
 
@@ -356,7 +404,7 @@ def build_from_graph(edges: Iterable[tuple], n: int | None = None) -> FiniteMetr
         np.minimum(g, g[:, k, None] + g[None, k, :], out=g)
     if len(weights) < m * (m - 1) // 2 and (g == top).any():
         raise MetricError("graph is disconnected: no finite metric")
-    return FiniteMetricSpace(tuple(map(tuple, _to_values(g, scale))))
+    return FiniteMetricSpace(tuple(map(tuple, _table(g, scale).tolist())))
 
 
 def build_discrete(n: int) -> FiniteMetricSpace:
@@ -529,11 +577,21 @@ def condition2_report(space: FiniteMetricSpace) -> dict:
     d(y, .) in that order, and candidates r + s at the starts of groups of
     equal r.
     """
-    defects = space._defects()
-    top = defects.max()
-    max_defect = space._value(top) if top > 0 else 0
-    return {"defects": _to_values(defects, space._scale), "max_defect": max_defect,
+    report = _condition2(space)
+    return {**report, "defects": report["defects"].tolist()}
+
+
+def _condition2(space: FiniteMetricSpace) -> dict:
+    """``condition2_report`` with the defect matrix as a ``_Table``."""
+    max_defect = _max_defect(space)
+    return {"defects": _table(space._defects, space._scale), "max_defect": max_defect,
             "holds": max_defect <= 0}
+
+
+def _max_defect(space: FiniteMetricSpace):
+    """The largest defect, or 0 when no defect is positive."""
+    top = space._defects.max()
+    return space._value(top) if top > 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +618,7 @@ def wave_distance_points(space: FiniteMetricSpace, x: int, y: int):
 
 def wave_distance_matrix(space: FiniteMetricSpace) -> list:
     """``wave_distance_points`` at every pair, from the (min, max) product."""
-    return _to_values(2 * space._meet, space._scale)
+    return _table(2 * space._meet, space._scale).tolist()
 
 
 def isometry_fit(space: FiniteMetricSpace) -> tuple:
@@ -581,9 +639,10 @@ def isometry_fit(space: FiniteMetricSpace) -> tuple:
     return max_dev, c
 
 
-def first_meeting(space: FiniteMetricSpace, radii: Sequence) -> list:
-    """Per pair (x, y), the index of the first radius r at which the open
-    balls B_r(x) and B_r(y) intersect, or ``len(radii)`` if they never do.
+def first_meeting(space: FiniteMetricSpace, radii: Sequence) -> np.ndarray:
+    """An int array holding, per pair (x, y), the index of the first radius
+    r at which the open balls B_r(x) and B_r(y) intersect, or
+    ``len(radii)`` if they never do.
 
     The balls meet exactly when some z lies in both, i.e. when
     min_z max(d(x,z), d(y,z)) lies inside radius r; ``radii`` must increase.
@@ -592,4 +651,4 @@ def first_meeting(space: FiniteMetricSpace, radii: Sequence) -> list:
     meet = space._meet
     if meet.dtype == np.int64:
         keys = [min(k, _INT64_MAX) for k in keys]  # every meet value is below
-    return np.searchsorted(np.array(keys, dtype=meet.dtype), meet, side="left").tolist()
+    return np.searchsorted(np.array(keys, dtype=meet.dtype), meet, side="left")

@@ -227,3 +227,18 @@ def random_rational_metric(rng: random.Random, n: int, denominators=(3, 7, 11, 1
             q = rng.choice(denominators)
             rows[i][j] = rows[j][i] = 1 + Fraction(rng.randrange(q), q)
     return rows
+
+
+def to_values(a, scale) -> list:
+    """Nested lists of API values with the int 0 on the diagonal: kernel
+    values over ``scale``, one ``Fraction`` per distinct value, or the
+    values themselves when ``scale`` is None.  The element-wise conversion
+    of the old ``metric._to_values``, the reference of ``metric._table``."""
+    rows = a.tolist()
+    if scale is not None:
+        memo = {}
+        rows = [[memo[v] if v in memo else memo.setdefault(v, Fraction(v, scale))
+                 for v in row] for row in rows]
+    for i, row in enumerate(rows):
+        row[i] = 0
+    return rows

@@ -135,6 +135,12 @@ def test_matrix_validation():
     ([[0, 1.0, 2.0], [1.0, 0, math.inf], [2.0, math.inf, 0]], (1, 2)),
     ([[0, -math.inf], [-math.inf, 0]], (0, 1)),
     ([[0, 1], [None, 0]], (1, 0)),
+    # Fraction() and numpy read strs and bools as numbers; dist would keep them
+    ((("0", "1"), ("1", "0")), (0, 0)),
+    ([[0, "1"], ["1", 0]], (0, 1)),
+    ([[0, 1.0], ["1", 0.0]], (1, 0)),
+    ([[0, True], [True, 0]], (0, 1)),
+    ([[False, 1.0], [1.0, 0.0]], (0, 0)),
 ])
 def test_non_finite_matrix_is_refused_with_witness(rows, witness):
     with pytest.raises(AxiomViolation) as ei:

@@ -1,0 +1,200 @@
+"""Matrix tables: the kernel matrices as codes into their distinct values.
+
+``metric._Table`` carries ``tau``, ``d``, the grid brackets and the defect
+matrix into the reports.  ``cli.encode_report`` renders it from one token
+per distinct value; these tests hold it to the standard-library encoder
+(``test_report.reference``), to ``csv.writer`` over its expanded rows and,
+for tables built from kernel arrays, to the element-wise conversion kept
+in ``oracles.to_values``.
+"""
+
+import argparse
+import csv
+import io
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wavemodel import (
+    build_from_matrix,
+    build_from_points,
+    build_segment_sample,
+    condition2_report,
+    default_grid,
+    wave_distance_matrix,
+    wave_model,
+)
+from wavemodel import cli, metric
+
+import oracles
+from test_golden import EXPECTED, _argv
+from test_kernel import SPACES
+from test_report import TRICKY, reference
+
+F = Fraction
+INF = math.inf
+
+# the values of matrix cells: scalars, and bracket pairs as tau_brackets holds them
+cells = st.one_of(
+    st.sampled_from(TRICKY),
+    st.tuples(st.sampled_from([0, F(1, 3), F(2), 0.5]),
+              st.sampled_from([0, F(2, 3), F(4), 1.5, INF])),
+    st.integers(), st.floats(), st.fractions(),
+)
+
+
+@st.composite
+def tables(draw):
+    """A random table: codes (the diagonal's included) into its values."""
+    n = draw(st.integers(1, 6))
+    values = draw(st.lists(cells, min_size=1, max_size=8))
+    diagonal = draw(st.one_of(st.lists(cells, min_size=1, max_size=1),
+                              st.lists(cells, min_size=n, max_size=n)))
+    codes = np.zeros((n, n), dtype=np.intp)
+    table = metric._Table(codes, values, tuple(diagonal))
+    if draw(st.booleans()):  # the diagonal keeps its own codes
+        off = ~np.eye(n, dtype=bool)
+        codes[off] = draw(st.lists(st.integers(0, len(values) - 1),
+                                   min_size=n * n - n, max_size=n * n - n))
+    else:  # any code anywhere
+        codes[:] = np.reshape(draw(st.lists(st.integers(0, len(table.values) - 1),
+                                            min_size=n * n, max_size=n * n)), (n, n))
+    return table
+
+
+def expanded(report):
+    """``report`` with each table written out as nested lists, code by code."""
+    if isinstance(report, metric._Table):
+        return [[report.values[c] for c in row] for row in report.codes.tolist()]
+    if isinstance(report, dict):
+        return {k: expanded(v) for k, v in report.items()}
+    if isinstance(report, (list, tuple)):
+        return [expanded(v) for v in report]
+    return report
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(), st.dictionaries(st.text(max_size=3), st.sampled_from(TRICKY), max_size=3))
+def test_table_reports_match_the_reference_encoder(table, extra):
+    assert _same(table.tolist(), expanded(table))
+    for report in ({"m": table, **extra}, {"a": {"b": [table, (table,)]}}, table):
+        assert cli.encode_report(report) == reference(report) == reference(expanded(report))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables())
+def test_csv_branch_writes_the_expanded_rows(table):
+    written = []
+    write = cli._write
+    cli._write = lambda text, path: written.append(text)
+    try:
+        cli.emit({"tau": table, "n": 1}, argparse.Namespace(format="csv", out=None),
+                 matrix_key="tau")
+    finally:
+        cli._write = write
+    buf = io.StringIO()
+    csv.writer(buf).writerows(cli.jsonable(expanded(table)))
+    assert written == [buf.getvalue()]
+
+
+def _same(a, b):
+    """Equal nested lists whose entries also agree in type (and in the sign
+    of a zero): repr tells 0, 0.0, -0.0, Fraction(0) and False apart."""
+    return repr(a) == repr(b)
+
+
+kernel_ints = st.lists(st.integers(-50, 50), min_size=1, max_size=49)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_ints, st.one_of(st.none(), st.integers(1, 60)))
+def test_int64_table_matches_the_elementwise_conversion(flat, scale):
+    a = _square(flat, np.int64)
+    assert _same(metric._table(a, scale).tolist(), oracles.to_values(a, scale))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_ints, st.one_of(st.none(), st.integers(1, 10 ** 30)))
+def test_object_table_matches_the_elementwise_conversion(flat, scale):
+    a = _square([v * 2 ** 70 for v in flat], object)  # beyond int64
+    assert _same(metric._table(a, scale).tolist(), oracles.to_values(a, scale))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, INF, -INF, math.nan, 1.0]),
+                          st.floats()), min_size=1, max_size=49))
+def test_float_table_matches_the_elementwise_conversion(flat):
+    a = _square(flat, np.float64)
+    assert _same(metric._table(a, None).tolist(), oracles.to_values(a, None))
+
+
+def _square(flat, dtype):
+    n = math.isqrt(len(flat))
+    return np.array(flat[:n * n], dtype=dtype).reshape(n, n)
+
+
+# ---------------------------------------------------------------------------
+# d, tau and the defects of the reports
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, F(1), 0.5], [F(1), 0, 0.75], [0.5, 0.75, 0]],  # mixed float and Fraction
+    [[F(0), 0.3], [0.3, F(0)]],  # float matrix CSV: Fraction zeros on the diagonal
+    [[1e-10, 0.3], [0.3, 0.0]],  # float diagonals within eta of 0
+    [[F(0), 1], [1, F(0)]],  # exact ints beside Fraction zeros
+    [[0, F(1, 2)], [F(1, 2), 0]],
+    [[0, 2 ** 70], [2 ** 70, 0]],  # Python ints in an object kernel
+    [[0.0, F(1)], [F(1), 0.0]],  # Fractions on a float space
+    [[0.0, 1], [1, 0.0]],  # ints on a float space
+    [[0, np.float64(0.5)], [np.float64(0.5), 0]],  # a float type of numpy's
+    [[F(0)]], [[0.0]],
+])
+def test_dist_table_keeps_every_entry_and_its_type(rows):
+    space = build_from_matrix(rows)
+    assert _same(metric._dist_table(space).tolist(), [list(row) for row in space.dist])
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_dist_table_of_every_backend(name):
+    space = SPACES[name]
+    table = metric._dist_table(space)
+    assert _same(table.tolist(), [list(row) for row in space.dist])
+    # one value per distinct kernel value, then one per diagonal entry
+    assert len(table.values) == len(np.unique(space._m)) + space.n
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_wave_model_lists_match_the_public_functions(name):
+    space = SPACES[name]
+    result = wave_model(space, default_grid(space), include_brackets=True)
+    assert _same(result.tau, wave_distance_matrix(space))
+    assert _same(result.condition2, condition2_report(space))
+    assert result.brackets[0][0] == (0, 0)
+    assert result.tau is result.tau  # built once
+    assert wave_model(space, default_grid(space)).brackets is None
+
+
+def test_tau_and_isometry_reports_need_no_lists():
+    space = build_segment_sample(9, F(3, 2))
+    result = wave_model(space, default_grid(space), include_brackets=True)
+    assert not {"tau", "brackets", "condition2"} & set(vars(result))
+
+
+def test_points_report_renders_float_tokens():
+    space = build_from_points([(0.0, 0.0), (0.1, 0.2), (0.7, 0.3)])
+    report = {"d": metric._dist_table(space),
+              "tau": wave_model(space, default_grid(space)).tau_table}
+    assert cli.encode_report(report) == reference(report)
+
+
+def test_mixed_matrix_report_matches_golden(tmp_path):
+    """The float matrix ``0,1,0.5 / 1,0,0.75 / 0.5,0.75,0`` reads its 0 and
+    1 as Fractions: ``d`` reports them as "0" and "1" beside 0.5."""
+    out = tmp_path / "isometry-matrix-mixed.json"
+    argv = ["isometry", "--backend", "matrix", "--input", "matrix_mixed.csv"]
+    assert cli.main(_argv(argv, out)) == 0
+    assert out.read_bytes() == (EXPECTED / out.name).read_bytes()
