@@ -100,10 +100,6 @@ class IntervalSet:
         return cls(length, tuple(merged))
 
     @classmethod
-    def empty(cls, length) -> "IntervalSet":
-        return cls.build(length, [])
-
-    @classmethod
     def full(cls, length) -> "IntervalSet":
         length = _frac(length)
         return cls.build(length, [Interval(Fraction(0), True, length, True)])
@@ -140,11 +136,6 @@ class IntervalSet:
 
 # ---------------------------------------------------------------------------
 # Lattice operations
-
-
-def iv_union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    a._check_ambient(b)
-    return IntervalSet.build(a.length, list(a.components) + list(b.components))
 
 
 def iv_intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -213,12 +204,6 @@ def iv_to_json(a: IntervalSet) -> list:
             for c in a.components]
 
 
-def iv_from_json(length, data: list) -> IntervalSet:
-    comps = [Interval(Fraction(d["lo"]), bool(d["lo_closed"]),
-                      Fraction(d["hi"]), bool(d["hi_closed"])) for d in data]
-    return IntervalSet.build(length, comps)
-
-
 # ---------------------------------------------------------------------------
 # Parametric decreasing families with endpoints affine in eps
 
@@ -265,11 +250,6 @@ class AffineIntervalFamily:
         """(x - eps, x + eps): the two-sided approximation of x."""
         length, x = _frac(length), _frac(x)
         return cls(length, x, Fraction(-1), x, Fraction(1))
-
-    @classmethod
-    def constant(cls, length, lo, hi, lo_closed: bool, hi_closed: bool) -> "AffineIntervalFamily":
-        return cls(_frac(length), _frac(lo), Fraction(0), _frac(hi), Fraction(0),
-                   lo_closed, hi_closed)
 
     def at(self, eps) -> IntervalSet:
         eps = _frac(eps)

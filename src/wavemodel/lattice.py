@@ -138,11 +138,6 @@ class LatticeFunction:
     def __call__(self, i: int) -> PointSet:
         return self.sets[i]
 
-    def leq(self, other: "LatticeFunction") -> bool:
-        if self.grid != other.grid:
-            raise GridError("grids differ")
-        return all(a <= b for a, b in zip(self.sets, other.sets))
-
     def to_json(self) -> dict:
         return {
             "grid": [str(t) for t in self.grid],
@@ -207,15 +202,6 @@ def isotony_apply(space: FiniteMetricSpace, g: PointSet, grid: TimeGrid) -> Latt
                                        for t in grid))
 
 
-def isotony_monotone_check(space: FiniteMetricSpace, g: PointSet, h: PointSet,
-                           grid: TimeGrid) -> bool:
-    """G <= H must imply IG <= IH pointwise; vacuously true otherwise."""
-    g, h = frozenset(g), frozenset(h)
-    if not g <= h:
-        return True
-    return isotony_apply(space, g, grid).leq(isotony_apply(space, h, grid))
-
-
 def net_limit(space: FiniteMetricSpace, net: DecreasingNet, grid: TimeGrid) -> LatticeFunction:
     """Order limit of the decreasing net of isotony images.
 
@@ -268,25 +254,6 @@ def b_star_lower(space: FiniteMetricSpace, x: int, grid: TimeGrid) -> LatticeFun
 def b_star_upper(space: FiniteMetricSpace, x: int, grid: TimeGrid) -> LatticeFunction:
     """t -> interior of the closed ball B_t[x] (the ball itself here)."""
     return LatticeFunction(grid, tuple(closed_ball(space, x, t) for t in grid))
-
-
-# ---------------------------------------------------------------------------
-# Equivalence classes and atoms
-
-
-def class_equivalent(f: LatticeFunction, g: LatticeFunction) -> bool:
-    return nucleus(f) == nucleus(g)
-
-
-def class_leq(f: LatticeFunction, g: LatticeFunction) -> bool:
-    return nucleus(f) <= nucleus(g)
-
-
-def is_atom(core: PointSet) -> bool:
-    """Whether the class with nucleus ``core`` is an atom: atoms are exactly
-    the classes with a singleton nucleus; the empty nucleus is the least
-    class, not an atom."""
-    return len(core) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ Validation, the defect matrix, the wave distance, ball tables and grid
 brackets run on that matrix; values leave this module only as
 ``Fraction``, ``int`` or ``float``, and matrices of them as lists or as a
 ``_Table`` of codes into their distinct values.  The scalar functions
-(``condition2_defect``, ``wave_distance_points``, ``open_ball``) are the
-reference the matrix paths are tested against.
+``condition2_defect`` and ``open_ball`` are the reference the matrix paths
+are tested against; the other scalar references (``wave_distance_points``,
+``set_distance``, ``semigroup_defect``) live in the tests' ``oracles.py``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-#: Sentinel for the distance to the empty set (inf over the empty family).
+#: The upper bound of a grid bracket whose balls never meet on the grid.
 INFINITY = math.inf
 
 PointSet = frozenset
@@ -136,6 +137,9 @@ def _as_float(v) -> float:
 
 
 def _is_finite_real(v) -> bool:
+    # float() reads str and bool as numbers, but neither is a distance
+    if isinstance(v, (str, bool)):
+        return False
     return isinstance(v, (int, Fraction)) or math.isfinite(_as_float(v))
 
 
@@ -369,7 +373,7 @@ def build_from_points(coords: Sequence[Sequence[float]]) -> FiniteMetricSpace:
     return FiniteMetricSpace(tuple(map(tuple, dist)))
 
 
-def build_from_graph(edges: Iterable[tuple], n: int | None = None) -> FiniteMetricSpace:
+def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
     """Geodesic backend: all-pairs shortest paths of a weighted graph.
 
     Rational/integer weights give an exact space, float weights a float
@@ -381,14 +385,13 @@ def build_from_graph(edges: Iterable[tuple], n: int | None = None) -> FiniteMetr
     nodes = set()
     for i, j, w in edges:
         if not _is_finite_real(w):
-            raise AxiomViolation(f"non-finite weight {w} on edge ({i},{j})", (i, j))
+            raise AxiomViolation(
+                f"weight {w!r} on edge ({i},{j}) is not a finite number", (i, j))
         if w <= 0:
             raise MetricError(f"nonpositive weight on edge ({i},{j})")
         nodes.update((i, j))
         if i != j:
             weights[(i, j) if i < j else (j, i)] = w
-    if n is not None:
-        nodes.update(range(n))
     if not nodes:
         raise MetricError("graph has no nodes")
     m = len(nodes)
@@ -443,15 +446,6 @@ def _check_points(space: FiniteMetricSpace, points: Iterable[int]) -> None:
         raise MetricError("point index out of range")
 
 
-def set_distance(space: FiniteMetricSpace, x: int, a: PointSet):
-    """d(x, A) = inf over A; INFINITY for the empty set."""
-    _check_points(space, (x, *a))
-    if not a:
-        return INFINITY
-    row = space.dist[x]
-    return min(row[p] for p in a)
-
-
 def neighborhood(space: FiniteMetricSpace, a: PointSet, t) -> PointSet:
     """A^t = {x : d(x, A) < t}; the empty set maps to itself."""
     if t <= 0:
@@ -500,22 +494,6 @@ def closed_ball(space: FiniteMetricSpace, x: int, r) -> PointSet:
     row = space.dist[x]
     eta = space.eta
     return frozenset(y for y in range(space.n) if _le(row[y], r, eta))
-
-
-def semigroup_defect(space: FiniteMetricSpace, a: PointSet, r, s):
-    """Return the pair ((A^r)^s, A^{r+s}) for the caller to compare.
-
-    The triangle inequality forces (A^r)^s to be a subset of A^{r+s} on any
-    metric space; equality is expected only when the two-radii separation
-    property holds (geodesic-like spaces).  Strictness of the inclusion is
-    therefore a witness of that property failing.
-    """
-    if r <= 0 or s <= 0:
-        raise MetricError("radii must be positive")
-    if not a:
-        raise MetricError("A must be nonempty")
-    return neighborhood(space, neighborhood(space, a, r), s), \
-        neighborhood(space, a, r + s)
 
 
 # ---------------------------------------------------------------------------
@@ -598,26 +576,13 @@ def _max_defect(space: FiniteMetricSpace):
 # Wave distance between points (closed form)
 
 
-def wave_distance_points(space: FiniteMetricSpace, x: int, y: int):
-    """tau(x, y) = 2 inf{t : B_t(x) meets B_t(y)} = 2 min_z max(d(x,z), d(y,z)).
-
-    Always symmetric, zero on the diagonal, and >= d(x, y); equals d(x, y)
-    when the two-radii separation property holds, and 2 d(x, y) on the
-    discrete metric.
-    """
-    _check_points(space, (x, y))
-    dx = space.dist[x]
-    dy = space.dist[y]
-    best = None
-    for z in range(space.n):
-        m = dx[z] if dx[z] > dy[z] else dy[z]
-        if best is None or m < best:
-            best = m
-    return 2 * best
-
-
 def wave_distance_matrix(space: FiniteMetricSpace) -> list:
-    """``wave_distance_points`` at every pair, from the (min, max) product."""
+    """tau(x, y) = 2 inf{t : B_t(x) meets B_t(y)} = 2 min_z max(d(x,z), d(y,z))
+    at every pair, from the (min, max) product.
+
+    Symmetric, zero on the diagonal, and >= d(x, y); equals d(x, y) when the
+    two-radii separation property holds, and 2 d(x, y) on the discrete metric.
+    """
     return _table(2 * space._meet, space._scale).tolist()
 
 

@@ -3,7 +3,10 @@
 These deliberately avoid the closed forms under test: the separation
 defect is maximized over an explicit radius grid with enumerated ball
 disjointness, and the wave distance is found by scanning a fine radius
-grid for the first ball intersection.
+grid for the first ball intersection.  The scalar forms of the paper's
+objects that the package computes on its kernel matrix (the wave distance
+per pair, the distance to a set, the semigroup pair, the pointwise order of
+lattice functions) are kept here as references.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from wavemodel import lattice, metric
 
 
 def random_graph_space(rng: random.Random, n: int) -> metric.FiniteMetricSpace:
-    """Exact geodesic space: random connected graph with rational weights."""
-    return metric.build_from_graph(random_graph_edges(rng, n), n=n)
+    """Exact geodesic space: random connected graph with rational weights;
+    for n = 1 a self-loop, which adds only its node."""
+    return metric.build_from_graph(random_graph_edges(rng, n) or [(0, 0, 1)])
 
 
 def random_graph_edges(rng: random.Random, n: int) -> list:
@@ -242,3 +246,62 @@ def to_values(a, scale) -> list:
     for i, row in enumerate(rows):
         row[i] = 0
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Scalar references of the kernel paths
+
+
+def wave_distance_points(space: metric.FiniteMetricSpace, x: int, y: int):
+    """tau(x, y) = 2 min_z max(d(x,z), d(y,z)), one pair at a time: the
+    reference of ``metric.wave_distance_matrix`` and ``WaveModelResult.tau``."""
+    metric._check_points(space, (x, y))
+    dx = space.dist[x]
+    dy = space.dist[y]
+    best = None
+    for z in range(space.n):
+        m = dx[z] if dx[z] > dy[z] else dy[z]
+        if best is None or m < best:
+            best = m
+    return 2 * best
+
+
+def set_distance(space: metric.FiniteMetricSpace, x: int, a: frozenset):
+    """d(x, A) = inf over A; ``metric.INFINITY`` for the empty set."""
+    metric._check_points(space, (x, *a))
+    if not a:
+        return metric.INFINITY
+    row = space.dist[x]
+    return min(row[p] for p in a)
+
+
+def semigroup_defect(space: metric.FiniteMetricSpace, a: frozenset, r, s):
+    """The pair ((A^r)^s, A^{r+s}) for the caller to compare.
+
+    The triangle inequality forces (A^r)^s to be a subset of A^{r+s} on any
+    metric space; equality is expected only when the two-radii separation
+    property holds (geodesic-like spaces).  Strictness of the inclusion is
+    therefore a witness of that property failing.
+    """
+    if r <= 0 or s <= 0:
+        raise metric.MetricError("radii must be positive")
+    if not a:
+        raise metric.MetricError("A must be nonempty")
+    return metric.neighborhood(space, metric.neighborhood(space, a, r), s), \
+        metric.neighborhood(space, a, r + s)
+
+
+def leq(f: lattice.LatticeFunction, g: lattice.LatticeFunction) -> bool:
+    """The pointwise order f <= g of two functions on one grid."""
+    if f.grid != g.grid:
+        raise lattice.GridError("grids differ")
+    return all(a <= b for a, b in zip(f.sets, g.sets))
+
+
+def isotony_monotone_check(space: metric.FiniteMetricSpace, g: frozenset, h: frozenset,
+                           grid: lattice.TimeGrid) -> bool:
+    """G <= H must imply IG <= IH pointwise; vacuously true otherwise."""
+    g, h = frozenset(g), frozenset(h)
+    if not g <= h:
+        return True
+    return leq(lattice.isotony_apply(space, g, grid), lattice.isotony_apply(space, h, grid))

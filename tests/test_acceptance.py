@@ -35,12 +35,7 @@ from wavemodel.lattice import (
     sandwich_check,
     wave_distance_classes,
 )
-from wavemodel.metric import (
-    condition2_defect,
-    neighborhood,
-    semigroup_defect,
-    wave_distance_points,
-)
+from wavemodel.metric import condition2_defect, neighborhood
 from wavemodel.segment import segment_example
 
 import oracles
@@ -160,8 +155,8 @@ def test_acceptance_5_property_suites(capsys):
     for _ in range(200):
         s = oracles.random_space(rng, rng.randint(2, 6))
         a = oracles.random_subset(rng, s.n, allow_empty=False)
-        lhs, rhs = semigroup_defect(s, a, F(rng.randint(1, 30), 10),
-                                    F(rng.randint(1, 30), 10))
+        lhs, rhs = oracles.semigroup_defect(s, a, F(rng.randint(1, 30), 10),
+                                            F(rng.randint(1, 30), 10))
         ok &= lhs <= rhs
     seg = oracles.segment_sample_cached(101)
     step = F(1, 100)
@@ -169,7 +164,7 @@ def test_acceptance_5_property_suites(capsys):
         a = oracles.random_subset(rng, seg.n, allow_empty=False)
         r = (2 * rng.randint(1, 40) + 1) * step / 2
         t = (2 * rng.randint(1, 40) + 1) * step / 2
-        lhs, rhs = semigroup_defect(seg, a, r, t)
+        lhs, rhs = oracles.semigroup_defect(seg, a, r, t)
         ok &= lhs == rhs
     for _ in range(100):
         lo = F(rng.randint(0, 50), 60)
@@ -207,20 +202,26 @@ def test_acceptance_5_property_suites(capsys):
             ok &= nucleus(g) != frozenset()
 
     # (h) grid brackets contain the closed-form tau and do not depend on
-    # the representative (open-ball vs interior-of-closed-ball)
+    # the representative (open-ball vs interior-of-closed-ball); the wave
+    # model's kernel brackets are those brackets (with (0, 0) on the
+    # diagonal) and its tau is the per-pair closed form
     rng = random.Random(206)
     spaces = [build_discrete(5), oracles.segment_sample_cached(21)]
     spaces += [oracles.random_space(rng, 5) for _ in range(4)]
     for s in spaces:
         grid = default_grid(s)
+        res = wave_model(s, grid, include_brackets=True)
         for x in range(s.n):
             for y in range(x, s.n):
                 low = wave_distance_classes(b_star_lower(s, x, grid),
                                             b_star_lower(s, y, grid))
                 up = wave_distance_classes(b_star_upper(s, x, grid),
                                            b_star_upper(s, y, grid))
-                tau = wave_distance_points(s, x, y)
+                tau = oracles.wave_distance_points(s, x, y)
                 ok &= low == up and low[0] <= tau <= low[1]
+                want = (0, 0) if x == y else low
+                ok &= res.brackets[x][y] == res.brackets[y][x] == want
+                ok &= res.tau[x][y] == res.tau[y][x] == tau
 
     verdict(capsys, 5,
             "property suites: axioms, disjointness symmetry, semigroup law, "

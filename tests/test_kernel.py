@@ -1,8 +1,9 @@
 """Differential tests: the numpy matrix paths against the scalar reference.
 
-The reference is the pure-Python code kept public for this purpose:
-``condition2_defect``, ``wave_distance_points``, ``open_ball`` and
-``wave_distance_classes``, plus the brute-force oracles in ``oracles.py``.
+The reference is the pure-Python code kept in the package for this purpose
+(``condition2_defect``, ``open_ball`` and ``wave_distance_classes``), the
+scalar references in ``oracles.py`` (``wave_distance_points``) and its
+brute-force oracles.
 Every comparison is exact equality, on floats too: the matrix paths perform
 the same comparisons and the same single additions as the scalar code.
 """
@@ -29,7 +30,7 @@ from wavemodel import (
     wave_model,
 )
 from wavemodel.lattice import b_star_lower, nucleus, wave_distance_classes
-from wavemodel.metric import condition2_defect, open_ball, open_balls, wave_distance_points
+from wavemodel.metric import condition2_defect, open_ball, open_balls
 
 import oracles
 
@@ -42,7 +43,7 @@ def random_float_graph(rng, n):
     edges = [(rng.randrange(j), j, round(rng.uniform(0.1, 3.0), 2)) for j in range(1, n)]
     edges += [(rng.randrange(n), rng.randrange(n), round(rng.uniform(0.1, 3.0), 2))
               for _ in range(n)]
-    return build_from_graph(edges, n=n)
+    return build_from_graph(edges)
 
 
 def spaces():
@@ -103,7 +104,7 @@ def test_defect_matrix_matches_radius_grid_oracle(name):
 @pytest.mark.parametrize("name", sorted(SPACES))
 def test_tau_matrix_matches_closed_form_per_pair(name):
     s = SPACES[name]
-    want = [[0 if x == y else wave_distance_points(s, x, y) for y in range(s.n)]
+    want = [[0 if x == y else oracles.wave_distance_points(s, x, y) for y in range(s.n)]
             for x in range(s.n)]
     assert wave_distance_matrix(s) == want
 
@@ -193,7 +194,7 @@ def test_balls_and_brackets_on_a_grid_through_the_distances(name):
 def test_isometry_fit_matches_pairwise_sums(name):
     s = SPACES[name]
     n = s.n
-    tau = by_pair(s, wave_distance_points)
+    tau = by_pair(s, oracles.wave_distance_points)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     result = wave_model(s, default_grid(s))
     assert result.max_abs_tau_minus_d == max(
@@ -291,7 +292,7 @@ def test_exact_graph_matches_dijkstra():
     rng = random.Random(5)
     for n in (2, 9, 30):
         edges = oracles.random_graph_edges(rng, n)
-        s = build_from_graph(edges, n=n)
+        s = build_from_graph(edges)
         assert [list(r) for r in s.dist] == oracles.dijkstra_distances(edges, n)
 
 
@@ -303,7 +304,7 @@ def test_float_graph_deviates_from_dijkstra_by_rounding_only():
     for n in (8, 20, 35):
         edges = [(j - 1, j, rng.choice([0.1, 0.2, 0.3, 0.7])) for j in range(1, n)]
         edges += [(rng.randrange(n), rng.randrange(n), 0.3) for _ in range(n // 2)]
-        s = build_from_graph(edges, n=n)
+        s = build_from_graph(edges)
         ref = oracles.dijkstra_distances(edges, n)
         for i in range(n):
             for j in range(n):
@@ -320,7 +321,7 @@ def test_graph_disconnected_and_node_errors():
     with pytest.raises(MetricError, match="disconnected"):
         build_from_graph([(0, 1, F(1, 2)), (2, 3, 1)])
     with pytest.raises(MetricError, match="disconnected"):
-        build_from_graph([(0, 1, 0.5)], n=3)
+        build_from_graph([(0, 1, 0.5), (2, 3, 0.25)])
     with pytest.raises(MetricError, match="consecutive"):
         build_from_graph([(0, 2, 1)])
     with pytest.raises(MetricError, match="no nodes"):

@@ -23,11 +23,7 @@ from wavemodel.lattice import (
     b_star_lower,
     b_star_upper,
     check_grid_admissible,
-    class_equivalent,
-    class_leq,
-    is_atom,
     isotony_apply,
-    isotony_monotone_check,
     net_limit,
     nucleus,
     sandwich_check,
@@ -39,7 +35,6 @@ from wavemodel.metric import (
     condition2_defect,
     neighborhood,
     open_ball,
-    wave_distance_points,
 )
 
 import oracles
@@ -121,11 +116,11 @@ def test_isotony_preserves_order():
     for _ in range(50):
         g = oracles.random_subset(rng, s.n)
         h = g | oracles.random_subset(rng, s.n)
-        assert isotony_monotone_check(s, g, h, grid)
-        assert isotony_monotone_check(s, g, g, grid)
+        assert oracles.isotony_monotone_check(s, g, h, grid)
+        assert oracles.isotony_monotone_check(s, g, g, grid)
         # unrelated pairs: vacuously true
-        assert isotony_monotone_check(s, oracles.random_subset(rng, s.n),
-                                      oracles.random_subset(rng, s.n), grid)
+        assert oracles.isotony_monotone_check(s, oracles.random_subset(rng, s.n),
+                                              oracles.random_subset(rng, s.n), grid)
 
 
 def test_lattice_function_must_be_monotone():
@@ -171,7 +166,7 @@ def test_net_limit_below_every_member():
         net = DecreasingNet.from_chain(chain)
         g = net_limit(s, net, grid)
         for member in chain:
-            assert g.leq(isotony_apply(s, member, grid))
+            assert oracles.leq(g, isotony_apply(s, member, grid))
 
 
 @pytest.mark.parametrize("bad", [-1, 11, 99])
@@ -357,7 +352,7 @@ def test_b_star_discrete():
     upper = b_star_upper(s, 1, grid)
     assert lower.sets[1] == frozenset({1})       # open unit ball
     assert upper.sets[1] == s.universe()         # closed unit ball
-    assert lower.leq(upper)
+    assert oracles.leq(lower, upper)
 
 
 def test_b_star_nuclei_are_singletons():
@@ -383,7 +378,7 @@ def test_b_star_segment_chains_nested():
 def test_b_star_representatives_equivalent():
     s = build_segment_sample(21)
     grid = default_grid(s)
-    assert class_equivalent(b_star_lower(s, 7, grid), b_star_upper(s, 7, grid))
+    assert nucleus(b_star_lower(s, 7, grid)) == nucleus(b_star_upper(s, 7, grid))
 
 
 def test_class_order_bottom_below_everything():
@@ -391,22 +386,24 @@ def test_class_order_bottom_below_everything():
     grid = default_grid(s)
     bottom = isotony_apply(s, frozenset(), grid)
     rep = b_star_lower(s, 3, grid)
-    assert class_leq(bottom, rep)
-    assert not class_equivalent(bottom, rep)
+    assert nucleus(bottom) <= nucleus(rep)
+    assert nucleus(bottom) != nucleus(rep)
 
 
 def test_distinct_points_not_equivalent():
     s = build_segment_sample(11)
     grid = default_grid(s)
-    assert not class_equivalent(b_star_lower(s, 2, grid), b_star_lower(s, 9, grid))
+    assert nucleus(b_star_lower(s, 2, grid)) != nucleus(b_star_lower(s, 9, grid))
 
 
 def test_is_atom():
     s = build_segment_sample(11)
     grid = default_grid(s)
-    assert is_atom(nucleus(b_star_lower(s, 4, grid)))
-    assert not is_atom(nucleus(isotony_apply(s, s.universe(), grid)))
-    assert not is_atom(nucleus(isotony_apply(s, frozenset(), grid)))
+    # atoms are the classes with a singleton nucleus; the empty nucleus is
+    # the least class, not an atom
+    assert len(nucleus(b_star_lower(s, 4, grid))) == 1
+    assert len(nucleus(isotony_apply(s, s.universe(), grid))) != 1
+    assert len(nucleus(isotony_apply(s, frozenset(), grid))) != 1
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +467,7 @@ def test_bracket_contains_closed_form_and_is_representative_independent():
                 up = wave_distance_classes(b_star_upper(s, x, grid),
                                            b_star_upper(s, y, grid))
                 assert low == up
-                tau = wave_distance_points(s, x, y)
+                tau = oracles.wave_distance_points(s, x, y)
                 assert low[0] <= tau <= low[1]
 
 
@@ -483,7 +480,7 @@ def test_wave_model_segment_sample():
     res = wave_model(s, default_grid(s))
     assert res.max_abs_tau_minus_d <= F(2, 100)
     assert len(res.atoms) == s.n
-    assert all(is_atom(a) for a in res.atoms)
+    assert all(len(a) == 1 for a in res.atoms)
     assert abs(res.homothety_c - 1) < F(3, 100)
 
 

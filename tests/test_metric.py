@@ -22,9 +22,6 @@ from wavemodel.metric import (
     neighborhood,
     open_ball,
     open_balls,
-    semigroup_defect,
-    set_distance,
-    wave_distance_points,
 )
 
 import oracles
@@ -104,7 +101,7 @@ def test_single_edge_graph():
 
 def test_graph_errors():
     with pytest.raises(MetricError):
-        build_from_graph([(0, 1, 1)], n=3)  # disconnected
+        build_from_graph([(0, 1, 1), (2, 3, 1)])  # disconnected
     with pytest.raises(MetricError):
         build_from_graph([(0, 1, 0)])
 
@@ -162,11 +159,12 @@ def test_non_finite_points_are_refused():
         build_from_points([(1e308, 1e308), (-1e308, -1e308)])  # distance overflows
 
 
-@pytest.mark.parametrize("w", [math.inf, math.nan, -math.inf])
+@pytest.mark.parametrize("w", [math.inf, math.nan, -math.inf, "1", True])
 def test_non_finite_edge_weight_is_refused(w):
     with pytest.raises(AxiomViolation) as ei:
         build_from_graph([(0, 1, 1), (1, 2, w)])
     assert ei.value.witness == (1, 2)
+    assert "on edge (1,2) is not a finite number" in str(ei.value)
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +173,18 @@ def test_non_finite_edge_weight_is_refused(w):
 
 def test_set_distance_member_is_zero():
     s = build_segment_sample(11)
-    assert set_distance(s, 4, frozenset({4, 9})) == 0
+    assert oracles.set_distance(s, 4, frozenset({4, 9})) == 0
 
 
 def test_set_distance_minimum():
     s = build_segment_sample(11)
     # x = 0.0 against A = {0.5, 0.7}
-    assert set_distance(s, 0, frozenset({5, 7})) == F(1, 2)
+    assert oracles.set_distance(s, 0, frozenset({5, 7})) == F(1, 2)
 
 
 def test_set_distance_empty_is_infinity():
     s = build_segment_sample(11)
-    assert set_distance(s, 0, frozenset()) == INFINITY
+    assert oracles.set_distance(s, 0, frozenset()) == INFINITY
 
 
 def test_neighborhood_empty_maps_to_empty():
@@ -239,9 +237,9 @@ def test_out_of_range_point_index_is_refused(bad):
         lambda: open_balls(s, bad, [r, 1]),
         lambda: neighborhood(s, frozenset({bad}), r),
         lambda: neighborhood(s, frozenset({0, bad}), r),
-        lambda: set_distance(s, bad, frozenset({0})),
-        lambda: set_distance(s, 0, frozenset({bad})),
-        lambda: set_distance(s, bad, frozenset()),
+        lambda: oracles.set_distance(s, bad, frozenset({0})),
+        lambda: oracles.set_distance(s, 0, frozenset({bad})),
+        lambda: oracles.set_distance(s, bad, frozenset()),
     ]
     for call in calls:
         with pytest.raises(MetricError, match="point index out of range"):
@@ -313,7 +311,7 @@ def test_semigroup_segment_grid_aligned_radii():
     # radii aligned with the sample spacing lose one boundary point per hop
     s = oracles.segment_sample_cached(101)
     a = frozenset({50})
-    lhs, rhs = semigroup_defect(s, a, F(1, 10), F(1, 10))
+    lhs, rhs = oracles.semigroup_defect(s, a, F(1, 10), F(1, 10))
     assert lhs <= rhs
     assert rhs - lhs <= {31, 69}  # only the outermost sample points differ
 
@@ -325,13 +323,13 @@ def test_semigroup_segment_half_offset_radii_exact():
     step = F(1, 100)
     for r, t in [(F(21, 2) * step, F(19, 2) * step),
                  (F(5, 2) * step, F(7, 2) * step)]:
-        lhs, rhs = semigroup_defect(s, a, r, t)
+        lhs, rhs = oracles.semigroup_defect(s, a, r, t)
         assert lhs == rhs
 
 
 def test_semigroup_path_graph_strict_inclusion():
     s = build_from_graph([(0, 1, 1), (1, 2, 1)])
-    lhs, rhs = semigroup_defect(s, frozenset({0}), F(6, 10), F(6, 10))
+    lhs, rhs = oracles.semigroup_defect(s, frozenset({0}), F(6, 10), F(6, 10))
     assert lhs == frozenset({0})
     assert rhs == frozenset({0, 1})
     assert lhs < rhs  # strict: the separation property fails on this graph
@@ -339,16 +337,16 @@ def test_semigroup_path_graph_strict_inclusion():
 
 def test_semigroup_whole_space():
     s = build_discrete(5)
-    lhs, rhs = semigroup_defect(s, s.universe(), F(1, 2), F(1, 2))
+    lhs, rhs = oracles.semigroup_defect(s, s.universe(), F(1, 2), F(1, 2))
     assert lhs == rhs == s.universe()
 
 
 def test_semigroup_rejects_bad_input():
     s = build_discrete(3)
     with pytest.raises(MetricError):
-        semigroup_defect(s, frozenset({0}), 0, 1)
+        oracles.semigroup_defect(s, frozenset({0}), 0, 1)
     with pytest.raises(MetricError):
-        semigroup_defect(s, frozenset(), 1, 1)
+        oracles.semigroup_defect(s, frozenset(), 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +355,14 @@ def test_semigroup_rejects_bad_input():
 
 def test_wave_distance_discrete_doubles():
     s = build_discrete(5)
-    assert wave_distance_points(s, 0, 3) == 2
-    assert wave_distance_points(s, 2, 2) == 0
+    assert oracles.wave_distance_points(s, 0, 3) == 2
+    assert oracles.wave_distance_points(s, 2, 2) == 0
 
 
 def test_wave_distance_path_graph():
     s = build_from_graph([(0, 1, 1), (1, 2, 1)])
-    assert wave_distance_points(s, 0, 2) == 2 == s.d(0, 2)
-    assert wave_distance_points(s, 0, 1) == 2 != s.d(0, 1)
+    assert oracles.wave_distance_points(s, 0, 2) == 2 == s.d(0, 2)
+    assert oracles.wave_distance_points(s, 0, 1) == 2 != s.d(0, 1)
 
 
 def test_wave_distance_matches_brute_force_scan():
@@ -373,7 +371,7 @@ def test_wave_distance_matches_brute_force_scan():
         s = oracles.random_space(rng, 5)
         for x in range(s.n):
             for y in range(s.n):
-                tau = wave_distance_points(s, x, y)
+                tau = oracles.wave_distance_points(s, x, y)
                 scanned, step = oracles.brute_force_tau(s, x, y)
                 assert abs(scanned - tau) <= step
 
@@ -384,8 +382,8 @@ def test_wave_distance_dominates_d():
         s = oracles.random_space(rng, 6)
         for x in range(s.n):
             for y in range(s.n):
-                tau = wave_distance_points(s, x, y)
-                assert tau == wave_distance_points(s, y, x)
+                tau = oracles.wave_distance_points(s, x, y)
+                assert tau == oracles.wave_distance_points(s, y, x)
                 assert tau >= s.d(x, y) - 2 * s.eta
 
 
@@ -432,5 +430,5 @@ def test_semigroup_inclusion_always_holds():
         a = oracles.random_subset(rng, s.n, allow_empty=False)
         r = F(rng.randint(1, 30), 10)
         t = F(rng.randint(1, 30), 10)
-        lhs, rhs = semigroup_defect(s, a, r, t)
+        lhs, rhs = oracles.semigroup_defect(s, a, r, t)
         assert lhs <= rhs
