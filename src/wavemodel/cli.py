@@ -39,9 +39,10 @@ class OutputError(Exception):
 
 def jsonable(obj):
     """Reports carry Fractions, infinities and matrix tables; flatten them
-    into what ``json`` and ``csv`` write (csv reports)."""
+    into what ``json`` and ``csv`` write (csv reports), tables once per value."""
     if isinstance(obj, metric._Table):
-        return jsonable(obj.tolist())
+        values = np.fromiter(map(jsonable, obj.values), dtype=object, count=len(obj.values))
+        return values[obj.codes].tolist()
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, float):

@@ -71,11 +71,13 @@ def _le(a, b, eta: float) -> bool:
     return a <= b if eta == 0 else a <= b + eta
 
 
-def _slabs(n: int):
-    """Row ranges whose (rows, n, n) temporaries stay within ``_SLAB``."""
-    step = max(1, _SLAB // max(1, n * n))
-    for lo in range(0, n, step):
-        yield lo, min(n, lo + step)
+def _slabs(n: int, half: bool = False):
+    """Row ranges [lo, hi) whose (rows, n, cols) temporaries stay within
+    ``_SLAB``: cols is n, or n - lo when only the columns from lo are swept."""
+    hi = 0
+    while hi < n:
+        lo, hi = hi, min(n, hi + max(1, _SLAB // (n * (n - hi if half else n))))
+        yield lo, hi
 
 
 def _kernel_matrix(rows) -> tuple:
@@ -302,11 +304,14 @@ class FiniteMetricSpace:
 
     @cached_property
     def _meet(self) -> np.ndarray:
-        """min_z max(d(x,z), d(y,z)): the (min, max) product, half of tau."""
+        """min_z max(d(x,z), d(y,z)): the (min, max) product, half of tau.
+        Exactly symmetric, as it reads rows x and y alike: slab [lo, hi)
+        computes the columns from lo and mirrors the rest."""
         m = self._m
         out = np.empty_like(m)
-        for lo, hi in _slabs(self.n):
-            out[lo:hi] = np.maximum(m[lo:hi, None, :], m[None, :, :]).min(axis=2)
+        for lo, hi in _slabs(self.n, half=True):
+            out[lo:hi, lo:] = np.maximum(m[lo:hi, None, :], m[None, lo:, :]).min(axis=2)
+            out[hi:, lo:hi] = out[lo:hi, hi:].T
         return out
 
     @cached_property
@@ -315,22 +320,32 @@ class FiniteMetricSpace:
 
         Per row x: the points sorted by d(x, .) give the radii r; a prefix
         minimum over the sorted rows of d^T gives, for every y, the largest
-        admissible s = min d(y, z) over the points z inside B_r(x)."""
-        m = self._m
+        admissible s = min d(y, z) over the points z inside B_r(x).  Diagonal
+        entries <= 0 of d^T hold a sentinel below -max d, so no r + s counts
+        once y is inside.  On a d exactly symmetric with a zero diagonal, slab
+        [lo, hi) sweeps the columns from lo and mirrors the rest; otherwise
+        (a float d off symmetry within eta) it sweeps every column."""
+        m, n = self._m, self.n
+        dt = m.T.copy()
+        low = np.flatnonzero(np.diagonal(m) <= 0)
+        dt[low, low] = -np.inf if m.dtype == np.float64 else -(m.max() + 1)
+        half = not np.diagonal(m).any() and bool((m == m.T).all())
         out = np.empty_like(m)
-        for lo, hi in _slabs(self.n):
+        for lo, hi in _slabs(n, half):
+            start = lo if half else 0
             order = self._order[lo:hi]
             radii = np.take_along_axis(m[lo:hi], order, axis=1)  # sorted d(x, .)
             # running[x, q, y]: min d(y, z) over the first q + 1 points z by d(x, .)
-            running = m.T[order]
+            running = dt[order, start:]
             np.minimum.accumulate(running, axis=1, out=running)
-            running = running[:, :-1, :]
-            # candidate r + s at every sorted position q >= 1 with y still
-            # outside; inside a group of equal r the running minimum only
-            # falls, so the group's start holds its largest candidate
-            cand = radii[:, 1:, None] + running
-            cand *= running > 0
-            out[lo:hi] = cand.max(axis=1, initial=0) - m[lo:hi]
+            # candidate r + s at every sorted position q >= 1; inside a group
+            # of equal r the running minimum only falls, so the group's
+            # start holds its largest candidate
+            cand = running[:, :-1]
+            cand += radii[:, 1:, None]
+            out[lo:hi, start:] = cand.max(axis=1, initial=0) - m[lo:hi, start:]
+            if half:
+                out[hi:, lo:hi] = out[lo:hi, hi:].T
         np.fill_diagonal(out, 0)
         return out
 
@@ -553,7 +568,7 @@ def condition2_report(space: FiniteMetricSpace) -> dict:
     The matrix equals ``condition2_defect`` at every pair; it is computed by
     one sweep per row: a stable argsort of d(x, .), a prefix minimum of
     d(y, .) in that order, and candidates r + s at the starts of groups of
-    equal r.
+    equal r; each unordered pair once if d = d^T with a zero diagonal.
     """
     report = _condition2(space)
     return {**report, "defects": report["defects"].tolist()}

@@ -29,10 +29,13 @@ from wavemodel import (
     wave_distance_matrix,
     wave_model,
 )
+from wavemodel import metric
+from wavemodel.cli import main
 from wavemodel.lattice import b_star_lower, nucleus, wave_distance_classes
 from wavemodel.metric import condition2_defect, open_ball, open_balls
 
 import oracles
+from test_golden import EXPECTED, _argv
 
 F = Fraction
 #: Large primes: a metric with these denominators scales past int64.
@@ -66,6 +69,24 @@ def spaces():
         yield f"rational-{n}", build_from_matrix(oracles.random_rational_metric(rng, n))
     yield "python-int", build_from_matrix(
         oracles.random_rational_metric(rng, 12, BIG_PRIMES))
+    # float matrices off exact symmetry within eta: the defect kernel sweeps
+    # them in full instead of mirroring one triangle
+    yield "float-asymmetric-12", build_from_matrix(within_eta(rng, 12, off_diagonal=True))
+    yield "float-diagonal-9", build_from_matrix(within_eta(rng, 9, off_diagonal=False))
+
+
+def within_eta(rng, n, off_diagonal):
+    """The matrix of n random points with each off-diagonal entry, or each
+    diagonal entry, moved by at most 4e-10 (well within eta = 1e-9)."""
+    rows = [list(row) for row in oracles.random_point_space(rng, n).dist]
+    for i in range(n):
+        if off_diagonal:
+            for j in range(n):
+                if j != i:
+                    rows[i][j] += rng.choice([-2e-10, 1e-10, 2e-10])
+        else:
+            rows[i][i] = rng.choice([-4e-10, 4e-10])
+    return rows
 
 
 SPACES = dict(spaces())
@@ -80,6 +101,13 @@ def test_python_int_fallback_is_used():
     assert SPACES["rational-30"]._m.dtype != object
 
 
+def test_float_spaces_within_eta_are_not_exactly_symmetric():
+    m = SPACES["float-asymmetric-12"]._m
+    assert (m != m.T).any() and not m.diagonal().any()
+    m = SPACES["float-diagonal-9"]._m
+    assert (m == m.T).all() and (m.diagonal() > 0).any() and (m.diagonal() < 0).any()
+
+
 @pytest.mark.parametrize("name", sorted(SPACES))
 def test_defect_matrix_matches_scalar_sweep(name):
     s = SPACES[name]
@@ -89,6 +117,32 @@ def test_defect_matrix_matches_scalar_sweep(name):
     flat = [v for row in want for v in row]
     assert report["max_defect"] == max(flat)
     assert report["holds"] == (max(flat) <= 0)
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_kernels_across_slab_boundaries(name, monkeypatch):
+    """With 64-element slabs every n > 4 splits into slabs, and slabs with
+    lo > 0 sweep only part of the columns; the scalar references hold at
+    every pair, and validation still finds the scalar loops' first failure."""
+    monkeypatch.setattr(metric, "_SLAB", 64)
+    s = FiniteMetricSpace(SPACES[name].dist)  # fresh: the kernels are cached
+    assert condition2_report(s)["defects"] == by_pair(s, condition2_defect)
+    assert wave_distance_matrix(s) == [
+        [0 if x == y else oracles.wave_distance_points(s, x, y) for y in range(s.n)]
+        for x in range(s.n)]
+    build_broken_copies(s, random.Random(name), 8)
+
+
+@pytest.mark.parametrize("case,args", [
+    ("conditions-graph-48", ["conditions", "--backend", "graph", "--input", "edges_48.txt"]),
+    ("tau-graph-48", ["tau", "--backend", "graph", "--input", "edges_48.txt"]),
+])
+def test_reports_larger_than_one_slab_match_golden(case, args, tmp_path):
+    """48 nodes: the kernels split into slabs at the default slab size."""
+    assert len(list(metric._slabs(48))) > 1
+    out = tmp_path / f"{case}.json"
+    assert main(_argv(args, out)) == 0
+    assert out.read_bytes() == (EXPECTED / out.name).read_bytes()
 
 
 @pytest.mark.parametrize("name", [k for k in sorted(SPACES) if SPACES[k].n <= 7])
@@ -144,7 +198,7 @@ def test_radius_keys_follow_the_radii_passed(name):
 def grid_through_distances(s):
     """A grid holding every positive distance and every half distance of s
     (n > 1), so that grid values test the open-ball boundary d < t."""
-    d = {F(v) for row in s.dist for v in row} - {0}
+    d = {F(v) for row in s.dist for v in row if v > 0}
     values = sorted(d | {v / 2 for v in d})
     return TimeGrid((values[0] / 2, *values, 2 * values[-1]))
 
@@ -251,11 +305,15 @@ def broken_copies(rng, rows, count):
 @pytest.mark.parametrize("name", ["graph-12", "rational-6", "points-7", "python-int",
                                   "segment-17", "float-graph-6"])
 def test_first_failure_and_witness_match_scalar_loops(name):
-    s = SPACES[name]
-    rng = random.Random(name)
-    rows = [list(r) for r in s.dist]
+    assert build_broken_copies(SPACES[name], random.Random(name), 40) > 0
+
+
+def build_broken_copies(s, rng, count):
+    """Build ``count`` broken copies of s: each fails with the scalar loops'
+    first failure and witness, or builds when they find none.  Returns the
+    number that failed."""
     seen = 0
-    for bad in broken_copies(rng, rows, 40):
+    for bad in broken_copies(rng, [list(r) for r in s.dist], count):
         want = oracles.first_axiom_failure(bad, s.eta)
         if want is None:
             FiniteMetricSpace(tuple(map(tuple, bad)))
@@ -264,7 +322,7 @@ def test_first_failure_and_witness_match_scalar_loops(name):
         with pytest.raises(AxiomViolation) as ei:
             FiniteMetricSpace(tuple(map(tuple, bad)))
         assert (str(ei.value), ei.value.witness) == want
-    assert seen > 0
+    return seen
 
 
 def test_failing_triangle_witness():

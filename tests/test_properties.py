@@ -76,3 +76,6 @@ def test_separation_bounds_the_excess_of_tau_over_d(space):
 def test_defect_matrix_equals_the_scalar_defect(space):
     defects = condition2_report(space)["defects"]
     assert all(defects[x][y] == condition2_defect(space, x, y) for x, y in pairs(space))
+    # every generated space is exactly symmetric, and then so is the defect
+    assert all(space.d(x, y) == space.d(y, x) for x, y in pairs(space))
+    assert all(defects[x][y] == defects[y][x] for x, y in pairs(space))
