@@ -34,6 +34,20 @@ def _number(text: str, row: int, col: int):
     return value
 
 
+def _parser():
+    """``_number`` that parses each distinct token once: repeated tokens
+    give the same object, which the space's ingest then converts once."""
+    parsed = {}
+
+    def parse(text: str, row: int, col: int):
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = _number(text, row, col)
+        return value
+
+    return parse
+
+
 def _coordinate(text: str, row: int, col: int) -> float:
     try:
         return float(_number(text, row, col))
@@ -77,6 +91,7 @@ def load_points_csv(path: str):
 def load_edges(path: str):
     """Whitespace-separated `i j weight` triples, 0-based indices."""
     edges = []
+    number = _parser()
     with open(path) as fh:
         for r, line in enumerate(fh, start=1):
             line = line.strip()
@@ -92,7 +107,7 @@ def load_edges(path: str):
                 raise ParseError("endpoint indices must be integers", r, 1) from None
             if i < 0 or j < 0:
                 raise ParseError("indices must be nonnegative", r, 1)
-            w = _number(parts[2], r, 3)
+            w = number(parts[2], r, 3)
             edges.append((i, j, w))
     if not edges:
         raise ParseError("no edges found", 1, 1)
@@ -102,11 +117,12 @@ def load_edges(path: str):
 def load_matrix_csv(path: str):
     """n x n distance matrix, one row per line."""
     rows = []
+    number = _parser()
     with open(path, newline="") as fh:
         for r, rec in enumerate(csv.reader(fh), start=1):
             if not rec or all(not f.strip() for f in rec):
                 continue
-            rows.append([_number(f, r, c) for c, f in enumerate(rec, start=1)])
+            rows.append([number(f, r, c) for c, f in enumerate(rec, start=1)])
     if not rows:
         raise ParseError("no matrix rows found", 1, 1)
     n = len(rows)

@@ -13,8 +13,10 @@ interior/closure are identity maps.
 
 Internally each space also holds one numpy matrix, built once at
 construction: exact spaces scale their distances by the LCM of the
-denominators into int64 (Python ints in an object array when four times
-the largest entry would overflow int64); float spaces use float64.
+denominators, converting each distinct entry object once, into the
+narrowest of int16, int32 and int64 that holds four times the largest
+entry (Python ints in an object array beyond int64); float spaces use
+float64.
 Validation, the defect matrix, the wave distance, ball tables and grid
 brackets run on that matrix; values leave this module only as
 ``Fraction``, ``int`` or ``float``, and matrices of them as lists or as a
@@ -45,7 +47,6 @@ PointSet = frozenset
 #: The comparison tolerance of every float space.
 _FLOAT_ETA = 1e-9
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
 #: Elements per temporary slab of the n^3 kernels.
 _SLAB = 1 << 16
 
@@ -81,42 +82,53 @@ def _slabs(n: int, half: bool = False):
 
 
 def _kernel_matrix(rows) -> tuple:
-    """(matrix, scale), read off the entries: float64 with a float entry;
-    otherwise the entries times the LCM ``scale`` of their denominators,
-    with ``scale`` None when every entry is a Python int.  str and bool
-    entries are refused: ``Fraction()`` and numpy would read them as
-    numbers, while ``dist`` keeps them as given."""
+    """(matrix, scale), read off the entries: float64 with a float entry
+    (numpy's float scalars included); otherwise the entries times the LCM
+    ``scale`` of their denominators, with ``scale`` None when every entry is
+    a Python int.  str and bool entries are refused: ``Fraction()`` and
+    numpy would read them as numbers, while ``dist`` keeps them as given."""
     types = set(chain.from_iterable(map(type, row) for row in rows))
     if any(issubclass(t, (str, bool)) for t in types):
         i, j = next((i, j) for i, row in enumerate(rows) for j, v in enumerate(row)
                     if isinstance(v, (str, bool)))
         raise AxiomViolation(f"d({i},{j}) = {rows[i][j]!r} is not a finite number", (i, j))
-    if any(issubclass(t, float) for t in types):
+    if any(issubclass(t, (float, np.floating)) for t in types):
         return _float_matrix(rows), None
     return _exact_matrix(rows)
 
 
 def _exact_matrix(dist) -> tuple:
-    flat = []
+    """The scaled int matrix, converting each distinct entry object once:
+    the entries are keyed by ``id`` (``dist`` keeps them all alive), and the
+    scaled values are gathered back by the codes.  The dtype is the
+    narrowest of int16, int32 and int64 that holds four times the largest
+    scaled entry, else object (Python ints)."""
+    n = len(dist)
+    ids = np.fromiter(map(id, chain.from_iterable(dist)), dtype=np.uintp, count=n * n)
+    _, first, codes = np.unique(ids, return_index=True, return_inverse=True)
+    values = []
+    bad = []
     ints = True
-    for i, row in enumerate(dist):
-        for j, v in enumerate(row):
-            if type(v) is not int:
-                ints = False
-                if not isinstance(v, Fraction):
-                    try:
-                        v = Fraction(v)
-                    except (ValueError, OverflowError, TypeError):
-                        raise AxiomViolation(
-                            f"d({i},{j}) = {v} is not a finite number", (i, j)) from None
-            flat.append(v)
-    denominators = {v.denominator for v in flat}
+    for k in first.tolist():
+        v = dist[k // n][k % n]
+        if type(v) is not int:
+            ints = False
+            if not isinstance(v, Fraction):
+                try:
+                    v = Fraction(v)
+                except (ValueError, OverflowError, TypeError):
+                    bad.append(k)
+        values.append(v)
+    if bad:
+        i, j = divmod(min(bad), n)  # the first bad entry in row-major order
+        raise AxiomViolation(f"d({i},{j}) = {dist[i][j]} is not a finite number", (i, j))
+    denominators = {v.denominator for v in values}
     scale = math.lcm(*denominators)
     factor = {q: scale // q for q in denominators}
-    scaled = [v.numerator * factor[v.denominator] for v in flat]
-    n = len(dist)
-    dtype = np.int64 if 4 * max(map(abs, scaled)) <= _INT64_MAX else object
-    return np.array(scaled, dtype=dtype).reshape(n, n), None if ints else scale
+    scaled = [v.numerator * factor[v.denominator] for v in values]
+    top = 4 * max(map(abs, scaled))
+    dtype = next((t for t in (np.int16, np.int32, np.int64) if top <= np.iinfo(t).max), object)
+    return np.array(scaled, dtype=dtype)[codes].reshape(n, n), None if ints else scale
 
 
 def _float_matrix(dist) -> np.ndarray:
@@ -224,7 +236,10 @@ class FiniteMetricSpace:
     def _validate(self):
         """Raise on the first failure in the order of the scalar loops:
         row by row the diagonal, then symmetry and positivity for j > i;
-        then the triangle inequality over (i, j, k) in lexicographic order."""
+        then the triangle inequality over (i, j, k) in lexicographic order.
+        An exact space first compares d with the (min, +) product d * d, one
+        triangle of it; only when that fails does the ordered scan run, to
+        find the first failing triple."""
         m, n = self._m, self.n
         tol = 0 if self.exact else _FLOAT_ETA
         upper = np.triu(np.ones((n, n), dtype=bool), 1)
@@ -240,6 +255,12 @@ class FiniteMetricSpace:
             if asym[i, j]:
                 raise AxiomViolation(f"asymmetric: d({i},{j}) != d({j},{i})", (i, j))
             raise AxiomViolation(f"d({i},{j}) = {dij} <= 0 for distinct points", (i, j))
+        if self.exact and all(
+                # d is now exactly symmetric with a zero diagonal, so d <= the
+                # (min, +) product on the upper triangle decides every triangle
+                (m[lo:hi, lo:] <= (m[lo:hi, :, None] + m[None, :, lo:]).min(axis=1)).all()
+                for lo, hi in _slabs(n, half=True)):
+            return
         for lo, hi in _slabs(n):
             # (d(i,k) - d(i,j)) - d(j,k), evaluated in the scalar loop's order
             excess = m[lo:hi, None, :] - m[lo:hi, :, None]
@@ -429,8 +450,8 @@ def build_discrete(n: int) -> FiniteMetricSpace:
     """d(x,y) = 1 for x != y, 0 otherwise."""
     if n < 1:
         raise MetricError("n must be >= 1")
-    dist = tuple(tuple(Fraction(0) if i == j else Fraction(1) for j in range(n))
-                 for i in range(n))
+    zero, one = Fraction(0), Fraction(1)
+    dist = tuple(tuple(zero if i == j else one for j in range(n)) for i in range(n))
     return FiniteMetricSpace(dist)
 
 
@@ -629,6 +650,7 @@ def first_meeting(space: FiniteMetricSpace, radii: Sequence) -> np.ndarray:
     """
     keys = space._radius_keys(radii)
     meet = space._meet
-    if meet.dtype == np.int64:
-        keys = [min(k, _INT64_MAX) for k in keys]  # every meet value is below
+    if meet.dtype.kind == "i":
+        top = int(np.iinfo(meet.dtype).max)
+        keys = [min(k, top) for k in keys]  # every meet value is below
     return np.searchsorted(np.array(keys, dtype=meet.dtype), meet, side="left")

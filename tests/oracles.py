@@ -233,6 +233,29 @@ def random_rational_metric(rng: random.Random, n: int, denominators=(3, 7, 11, 1
     return rows
 
 
+def exact_matrix_per_entry(dist) -> tuple:
+    """(scaled rows, scale): every entry converted on its own, in row-major
+    order, refusing the first that is no finite number.  The loop of the old
+    ``metric._exact_matrix``, the reference of its per-distinct conversion."""
+    flat = []
+    ints = True
+    for i, row in enumerate(dist):
+        for j, v in enumerate(row):
+            if type(v) is not int:
+                ints = False
+                if not isinstance(v, Fraction):
+                    try:
+                        v = Fraction(v)
+                    except (ValueError, OverflowError, TypeError):
+                        raise metric.AxiomViolation(
+                            f"d({i},{j}) = {v} is not a finite number", (i, j)) from None
+            flat.append(v)
+    scale = math.lcm(*{v.denominator for v in flat})
+    scaled = [v.numerator * (scale // v.denominator) for v in flat]
+    n = len(dist)
+    return [scaled[i * n:(i + 1) * n] for i in range(n)], None if ints else scale
+
+
 def to_values(a, scale) -> list:
     """Nested lists of API values with the int 0 on the diagonal: kernel
     values over ``scale``, one ``Fraction`` per distinct value, or the

@@ -67,6 +67,22 @@ def test_load_edges_errors(tmp_path):
         load_edges(str(p))
 
 
+def test_loaders_parse_each_distinct_token_once(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text("0 1 3/2\n1 2 3/2\n2 3 0.5\n3 0 0.5\n")
+    edges = load_edges(str(p))
+    assert edges[0][2] is edges[1][2] and edges[2][2] is edges[3][2]
+    m = tmp_path / "m.csv"
+    m.write_text("0,1/3,1/3\n1/3,0,1/3\n1/3,1/3,0\n")
+    rows = load_matrix_csv(str(m))
+    assert len({id(v) for row in rows for v in row}) == 2
+    # a bad token is reported where it first occurs
+    m.write_text("0,1,oops\n1,0,oops\noops,1,0\n")
+    with pytest.raises(ParseError) as ei:
+        load_matrix_csv(str(m))
+    assert (ei.value.row, ei.value.col) == (1, 3)
+
+
 def test_load_matrix_not_square(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("0,1\n1,0,2\n")

@@ -10,8 +10,10 @@ the same comparisons and the same single additions as the scalar code.
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wavemodel import (
@@ -40,6 +42,31 @@ from test_golden import EXPECTED, _argv
 F = Fraction
 #: Large primes: a metric with these denominators scales past int64.
 BIG_PRIMES = (2147483647, 2147483629, 2147483587)
+#: The int dtypes of exact kernels, narrowest first.
+INT_DTYPES = (np.int16, np.int32, np.int64)
+
+
+def bound(dtype):
+    """The largest scaled entry a kernel of ``dtype`` holds: 4 * max fits."""
+    return int(np.iinfo(dtype).max) // 4
+
+
+def near_top(rng, n, top, denominator=1):
+    """An exact metric with entries in (top/2, top] over ``denominator``
+    (so every triangle holds) and d(0, 1) = top / denominator."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = top if (i, j) == (0, 1) else rng.randint(top // 2 + 1, top)
+            rows[i][j] = rows[j][i] = F(v, denominator) if denominator > 1 else v
+    return rows
+
+
+def on_a_line(rng, n, top):
+    """Integer points 0 = p_0 < ... < p_{n-1} = top on a line: every
+    triangle through a point between two others holds with equality."""
+    at = [0, *sorted(rng.sample(range(1, top), n - 2)), top]
+    return [[abs(p - q) for q in at] for p in at]
 
 
 def random_float_graph(rng, n):
@@ -73,6 +100,11 @@ def spaces():
     # them in full instead of mirroring one triangle
     yield "float-asymmetric-12", build_from_matrix(within_eta(rng, 12, off_diagonal=True))
     yield "float-diagonal-9", build_from_matrix(within_eta(rng, 9, off_diagonal=False))
+    # the largest entry at each int dtype's bound: the kernels' sums reach
+    # 2 * max and the defect sentinel -(max + 1)
+    yield "int16-top-12", build_from_matrix(near_top(rng, 12, bound(np.int16)))
+    yield "int32-line-12", build_from_matrix(on_a_line(rng, 12, bound(np.int32)))
+    yield "int64-top-9", build_from_matrix(near_top(rng, 9, bound(np.int64), 3))
 
 
 def within_eta(rng, n, off_diagonal):
@@ -99,6 +131,47 @@ def by_pair(space, fn):
 def test_python_int_fallback_is_used():
     assert SPACES["python-int"]._m.dtype == object
     assert SPACES["rational-30"]._m.dtype != object
+
+
+def test_spaces_cover_every_int_dtype_at_its_bound():
+    for name, dtype in (("int16-top-12", np.int16), ("int32-line-12", np.int32),
+                        ("int64-top-9", np.int64)):
+        m = SPACES[name]._m
+        assert m.dtype == dtype and int(m.max()) == bound(dtype)
+
+
+@pytest.mark.parametrize("denominator", [1, 3])
+@pytest.mark.parametrize("k", range(len(INT_DTYPES)))
+def test_kernel_dtype_is_the_narrowest_holding_four_times_the_max(k, denominator):
+    """Just below and just above each bound, with int and Fraction entries;
+    the scaled values are those of the per-entry conversion."""
+    rng = random.Random(k)
+    wider = INT_DTYPES[k + 1] if k + 1 < len(INT_DTYPES) else object
+    for top, dtype in ((bound(INT_DTYPES[k]), INT_DTYPES[k]),
+                       (bound(INT_DTYPES[k]) + 1, wider)):
+        rows = near_top(rng, 5, top, denominator)
+        s = build_from_matrix(rows)
+        assert s._m.dtype == dtype and int(s._m.max()) == top
+        assert (s._m.tolist(), s._scale) == oracles.exact_matrix_per_entry(rows)
+        assert condition2_report(s)["defects"] == by_pair(s, condition2_defect)
+        assert wave_distance_matrix(s) == [
+            [0 if x == y else oracles.wave_distance_points(s, x, y) for y in range(s.n)]
+            for x in range(s.n)]
+
+
+@pytest.mark.parametrize("name", ["discrete-9", "segment-17", "int16-top-12",
+                                  "int32-line-12", "int64-top-9"])
+def test_first_meeting_clamps_radii_beyond_the_dtype(name):
+    s = SPACES[name]
+    top = int(np.iinfo(s._m.dtype).max)
+    scale = s._scale or 1
+    radii = sorted({F(1, 2 * scale), F(int(s._meet.max()), scale), F(top - 1, scale),
+                    F(top, scale), F(top + 1, scale), F(top + 2, scale), F(10 ** 30)})
+    got = metric.first_meeting(s, radii)
+    for x in range(s.n):
+        for y in range(s.n):
+            assert got[x, y] == next((k for k, r in enumerate(radii)
+                                      if open_ball(s, x, r) & open_ball(s, y, r)), len(radii))
 
 
 def test_float_spaces_within_eta_are_not_exactly_symmetric():
@@ -303,17 +376,18 @@ def broken_copies(rng, rows, count):
 
 
 @pytest.mark.parametrize("name", ["graph-12", "rational-6", "points-7", "python-int",
-                                  "segment-17", "float-graph-6"])
+                                  "segment-17", "float-graph-6", "int16-top-12",
+                                  "int32-line-12", "int64-top-9"])
 def test_first_failure_and_witness_match_scalar_loops(name):
     assert build_broken_copies(SPACES[name], random.Random(name), 40) > 0
 
 
-def build_broken_copies(s, rng, count):
-    """Build ``count`` broken copies of s: each fails with the scalar loops'
-    first failure and witness, or builds when they find none.  Returns the
-    number that failed."""
+def build_broken_copies(s, rng, count, breaks=broken_copies):
+    """Build ``count`` copies of s broken by ``breaks``: each fails with the
+    scalar loops' first failure and witness, or builds when they find none.
+    Returns the number that failed."""
     seen = 0
-    for bad in broken_copies(rng, [list(r) for r in s.dist], count):
+    for bad in breaks(rng, [list(r) for r in s.dist], count):
         want = oracles.first_axiom_failure(bad, s.eta)
         if want is None:
             FiniteMetricSpace(tuple(map(tuple, bad)))
@@ -323,6 +397,67 @@ def build_broken_copies(s, rng, count):
             FiniteMetricSpace(tuple(map(tuple, bad)))
         assert (str(ei.value), ei.value.witness) == want
     return seen
+
+
+def symmetric_breaks(rng, rows, count):
+    """Copies of ``rows`` with one pair (i != j) lengthened or shortened on
+    both sides: symmetry, the diagonal and positivity still hold, so only
+    the triangle check can refuse them."""
+    n = len(rows)
+    for _ in range(count):
+        i, j = rng.sample(range(n), 2)
+        bad = [list(r) for r in rows]
+        v = bad[i][j]
+        bad[i][j] = bad[j][i] = v * 3 + 1 if rng.random() < 0.5 else F(v) / 3
+        yield bad
+
+
+@pytest.mark.parametrize("name", [k for k in sorted(SPACES)
+                                  if SPACES[k].exact and SPACES[k].n >= 9])
+def test_min_plus_check_across_half_slabs(name, monkeypatch):
+    """With 64-element slabs the (min, +) check runs in several half slabs;
+    it passes the space, and each broken copy fails with the ordered scan's
+    first failing triple."""
+    monkeypatch.setattr(metric, "_SLAB", 64)
+    s = FiniteMetricSpace(SPACES[name].dist)
+    assert len(list(metric._slabs(s.n, half=True))) > 2
+    assert build_broken_copies(s, random.Random(name), 30, symmetric_breaks) > 0
+
+
+@pytest.mark.parametrize("dtype", INT_DTYPES)
+def test_triangle_witness_in_each_int_dtype(dtype, monkeypatch):
+    """Lengthening a pair of a line metric at the bound breaks the tight
+    triangles through the points between, and keeps the dtype."""
+    monkeypatch.setattr(metric, "_SLAB", 64)
+    rng = random.Random(str(dtype))
+    rows = on_a_line(rng, 10, bound(dtype))
+    assert build_from_matrix(rows)._m.dtype == dtype
+    # pairs with a point between them, short of the end pair already at top
+    pairs = [(i, k) for i in range(10) for k in range(i + 2, 10) if (i, k) != (0, 9)]
+    for i, k in rng.sample(pairs, 10):
+        bad = [list(r) for r in rows]
+        bad[i][k] = bad[k][i] = min(rows[i][k] * 2, bound(dtype))
+        assert metric._kernel_matrix(bad)[0].dtype == dtype
+        with pytest.raises(AxiomViolation) as ei:
+            build_from_matrix(bad)
+        assert (str(ei.value), ei.value.witness) == oracles.first_axiom_failure(bad, 0)
+
+
+def test_ordered_scan_runs_only_when_the_exact_check_fails(monkeypatch):
+    """Valid exact spaces are decided by the half-slab (min, +) check alone;
+    float spaces and broken exact ones take the ordered scan (full slabs)."""
+    calls = []
+    slabs = metric._slabs
+    monkeypatch.setattr(metric, "_slabs", lambda n, half=False: calls.append(half) or
+                        slabs(n, half))
+    for name, s in SPACES.items():
+        calls.clear()
+        FiniteMetricSpace(s.dist)
+        assert calls == ([True] if s.exact else [False]), name
+    calls.clear()
+    with pytest.raises(AxiomViolation):
+        build_from_matrix([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
+    assert calls == [True, False]
 
 
 def test_failing_triangle_witness():
@@ -397,3 +532,64 @@ def test_graph_with_python_int_scale():
 def test_points_space_defects_on_collinear_points():
     s = build_from_points([(0,), (1,), (2,), (3.5,)])
     assert condition2_report(s)["defects"] == by_pair(s, condition2_defect)
+
+
+# ---------------------------------------------------------------------------
+# Ingest: each distinct entry object is converted once
+
+
+class CountedDecimal(Decimal):
+    """A Decimal that counts its conversions to ``Fraction``."""
+
+    conversions = 0
+
+    def as_integer_ratio(self):
+        CountedDecimal.conversions += 1
+        return super().as_integer_ratio()
+
+
+def ingest_cases():
+    third = F(1, 3)
+    yield "equal-values-distinct-objects", [[F(abs(i - j), 3) for j in range(6)]
+                                            for i in range(6)]
+    yield "one-object-many-positions", [[0 if i == j else third for j in range(6)]
+                                        for i in range(6)]
+    yield "mixed-int-fraction-decimal", [[0, 1, F(3, 2), Decimal("2.25")],
+                                         [1, 0, Decimal("0.5"), F(5, 4)],
+                                         [F(3, 2), Decimal("0.5"), 0, 1],
+                                         [Decimal("2.25"), F(5, 4), 1, 0]]
+    yield "ints", [[abs(i - j) * 7 for j in range(5)] for i in range(5)]
+    yield "python-int", [list(r) for r in SPACES["python-int"].dist]
+
+
+@pytest.mark.parametrize("name,rows", list(ingest_cases()))
+def test_per_distinct_ingest_equals_the_per_entry_conversion(name, rows):
+    m, scale = metric._exact_matrix(rows)
+    assert (m.tolist(), scale) == oracles.exact_matrix_per_entry(rows)
+
+
+def test_each_distinct_entry_object_is_converted_once():
+    half, quarter = CountedDecimal("0.5"), CountedDecimal("0.25")
+    rows = [[0 if i == j else half if (i + j) % 2 else quarter for j in range(7)]
+            for i in range(7)]
+    CountedDecimal.conversions = 0
+    m, scale = metric._exact_matrix(rows)
+    assert CountedDecimal.conversions == 2
+    assert (m.tolist(), scale) == oracles.exact_matrix_per_entry(rows)
+
+
+@pytest.mark.parametrize("bad_ids_descend", [True, False])
+def test_refused_entry_is_the_first_in_row_major_order(bad_ids_descend):
+    """Two bad objects, placed so that their ``id`` order is (or is not)
+    the reverse of their row-major order; the one that comes first in
+    row-major order is reported, as the per-entry loop reported it."""
+    nan, inf = Decimal("NaN"), Decimal("Infinity")
+    first, second = sorted((nan, inf), key=id, reverse=bad_ids_descend)
+    rows = [[0, 1, 1, 1], [1, 0, 1, first], [1, second, 0, 1], [1, first, 1, 0]]
+    rows[3][2] = second
+    with pytest.raises(AxiomViolation) as ei:
+        build_from_matrix(rows)
+    with pytest.raises(AxiomViolation) as want:
+        oracles.exact_matrix_per_entry(rows)
+    assert (str(ei.value), ei.value.witness) == (str(want.value), want.value.witness)
+    assert ei.value.witness == (1, 3)

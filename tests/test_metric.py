@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wavemodel import (
@@ -111,6 +112,9 @@ def test_discrete_metric():
     assert s1.n == 1
     s3 = build_discrete(3)
     assert all(s3.d(i, j) == 1 for i in range(3) for j in range(3) if i != j)
+    # one Fraction(0) and one Fraction(1) are shared by every entry
+    entries = [v for row in s3.dist for v in row]
+    assert all(type(v) is F for v in entries) and len({id(v) for v in entries}) == 2
     oracles.assert_metric_axioms(build_discrete(10))
     with pytest.raises(MetricError):
         build_discrete(0)
@@ -144,6 +148,19 @@ def test_non_finite_matrix_is_refused_with_witness(rows, witness):
         build_from_matrix(rows)
     assert ei.value.witness == witness
     assert "not a finite number" in str(ei.value)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.longdouble])
+def test_numpy_float_entries_build_a_float_space(dtype):
+    a = np.array([[0, 1.5, 2], [1.5, 0, 1], [2, 1, 0]], dtype=dtype)
+    s = build_from_matrix(a)
+    assert not s.exact and s.eta == 1e-9
+    assert s._m.dtype == np.float64 and s._m.tolist() == a.astype(np.float64).tolist()
+    s = build_from_graph([(0, 1, dtype(1.5)), (1, 2, dtype(1)), (0, 2, F(3))])
+    assert not s.exact and s._m.tolist() == [[0, 1.5, 2.5], [1.5, 0, 1], [2.5, 1, 0]]
+    a[0, 1] = np.inf
+    with pytest.raises(AxiomViolation, match=r"^d\(0,1\) = inf is not a finite number$"):
+        build_from_matrix(a)
 
 
 def test_float_overflowing_rational_is_refused_on_float_space():
