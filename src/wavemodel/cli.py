@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -418,8 +418,10 @@ def cmd_nucleus_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, holding only the flags that command reads."""
+    """One subparser per command, holding only the flags that command reads.
+    Built once per process: parsing leaves the parser as it was."""
     space = argparse.ArgumentParser(add_help=False)
     # None marks a flag not given (refused where the backend or net ignores it)
     space.add_argument("--backend", help="default: segment", choices=list(_BACKEND_FLAGS))

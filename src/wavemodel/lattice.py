@@ -36,7 +36,7 @@ from .metric import (
     neighborhood,
     open_balls,
 )
-# the scalar ball and the tau matrix stay reachable through lattice
+# unused here: the bench tracer wraps lattice.open_ball and lattice.wave_distance_matrix
 from .metric import open_ball, wave_distance_matrix  # noqa: F401
 
 
@@ -198,8 +198,7 @@ def _sample_family(net: DecreasingNet) -> tuple:
 def isotony_apply(space: FiniteMetricSpace, g: PointSet, grid: TimeGrid) -> LatticeFunction:
     """The image of an open set under the metric isotony: t -> G^t."""
     g = frozenset(g)
-    return LatticeFunction(grid, tuple(neighborhood(space, g, t) if g else frozenset()
-                                       for t in grid))
+    return LatticeFunction(grid, tuple(neighborhood(space, g, t) for t in grid))
 
 
 def net_limit(space: FiniteMetricSpace, net: DecreasingNet, grid: TimeGrid) -> LatticeFunction:
@@ -241,7 +240,7 @@ def sandwich_check(space: FiniteMetricSpace, g: LatticeFunction) -> tuple:
     core = nucleus(g)
     records = []
     for t, s in zip(g.grid, g.sets):
-        core_t = neighborhood(space, core, t) if core else frozenset()
+        core_t = neighborhood(space, core, t)
         records.append(SandwichRecord(t, core_t <= s, s <= core_t))
     return tuple(records)
 

@@ -17,20 +17,20 @@ denominators, converting each distinct entry object once, into the
 narrowest of int16, int32 and int64 that holds four times the largest
 entry (Python ints in an object array beyond int64); float spaces use
 float64.
-Validation, the defect matrix, the wave distance, ball tables and grid
-brackets run on that matrix; values leave this module only as
+Validation, balls, neighborhoods, the defects, the wave distance and
+grid brackets all run on that matrix; ``dist`` is read only at the API and
+report boundary (construction, validation messages, ``d``, the extreme
+distances and the report's ``d`` table).  Values leave this module only as
 ``Fraction``, ``int`` or ``float``, and matrices of them as lists or as a
-``_Table`` of codes into their distinct values.  The scalar functions
-``condition2_defect`` and ``open_ball`` are the reference the matrix paths
-are tested against; the other scalar references (``wave_distance_points``,
-``set_distance``, ``semigroup_defect``) live in the tests' ``oracles.py``.
+``_Table`` of codes into their distinct values.  The scalar loops the
+matrix paths are tested against (balls, neighborhoods, the pair defect,
+the wave distance per pair) live in the tests' ``oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -63,15 +63,6 @@ class AxiomViolation(MetricError):
         self.witness = witness
 
 
-def _lt(a, b, eta: float) -> bool:
-    # strict "a < b"; values within eta of the threshold count as "in"
-    return a < b if eta == 0 else a <= b + eta
-
-
-def _le(a, b, eta: float) -> bool:
-    return a <= b if eta == 0 else a <= b + eta
-
-
 def _slabs(n: int, half: bool = False):
     """Row ranges [lo, hi) whose (rows, n, cols) temporaries stay within
     ``_SLAB``: cols is n, or n - lo when only the columns from lo are swept."""
@@ -79,6 +70,24 @@ def _slabs(n: int, half: bool = False):
     while hi < n:
         lo, hi = hi, min(n, hi + max(1, _SLAB // (n * (n - hi if half else n))))
         yield lo, hi
+
+
+def _min_product(m: np.ndarray, op) -> np.ndarray:
+    """min_z op(m[x, z], m[z, y]) at every pair of a symmetric ``m``: the
+    (min, max) product with ``np.maximum``, the (min, +) product with
+    ``np.add``.  Exactly symmetric, as it reads rows x and y alike: slab
+    [lo, hi) computes the columns from lo and mirrors the rest."""
+    out = np.empty_like(m)
+    for lo, hi in _slabs(len(m), half=True):
+        out[lo:hi, lo:] = op(m[lo:hi, None, :], m[None, lo:, :]).min(axis=2)
+        out[hi:, lo:hi] = out[lo:hi, hi:].T
+    return out
+
+
+def _int_dtype(top: int):
+    """The narrowest of int16, int32 and int64 that holds ``top``, else
+    object (Python ints)."""
+    return next((t for t in (np.int16, np.int32, np.int64) if top <= np.iinfo(t).max), object)
 
 
 def _kernel_matrix(rows) -> tuple:
@@ -126,8 +135,7 @@ def _exact_matrix(dist) -> tuple:
     scale = math.lcm(*denominators)
     factor = {q: scale // q for q in denominators}
     scaled = [v.numerator * factor[v.denominator] for v in values]
-    top = 4 * max(map(abs, scaled))
-    dtype = next((t for t in (np.int16, np.int32, np.int64) if top <= np.iinfo(t).max), object)
+    dtype = _int_dtype(4 * max(map(abs, scaled)))
     return np.array(scaled, dtype=dtype)[codes].reshape(n, n), None if ints else scale
 
 
@@ -237,9 +245,9 @@ class FiniteMetricSpace:
         """Raise on the first failure in the order of the scalar loops:
         row by row the diagonal, then symmetry and positivity for j > i;
         then the triangle inequality over (i, j, k) in lexicographic order.
-        An exact space first compares d with the (min, +) product d * d, one
-        triangle of it; only when that fails does the ordered scan run, to
-        find the first failing triple."""
+        An exact space first compares d with the (min, +) product d * d; only
+        when that fails does the ordered scan run, to find the first failing
+        triple."""
         m, n = self._m, self.n
         tol = 0 if self.exact else _FLOAT_ETA
         upper = np.triu(np.ones((n, n), dtype=bool), 1)
@@ -255,11 +263,9 @@ class FiniteMetricSpace:
             if asym[i, j]:
                 raise AxiomViolation(f"asymmetric: d({i},{j}) != d({j},{i})", (i, j))
             raise AxiomViolation(f"d({i},{j}) = {dij} <= 0 for distinct points", (i, j))
-        if self.exact and all(
-                # d is now exactly symmetric with a zero diagonal, so d <= the
-                # (min, +) product on the upper triangle decides every triangle
-                (m[lo:hi, lo:] <= (m[lo:hi, :, None] + m[None, :, lo:]).min(axis=1)).all()
-                for lo, hi in _slabs(n, half=True)):
+        # d is now exactly symmetric with a zero diagonal, so d <= the
+        # (min, +) product d * d decides every triangle
+        if self.exact and (m <= _min_product(m, np.add)).all():
             return
         for lo, hi in _slabs(n):
             # (d(i,k) - d(i,j)) - d(j,k), evaluated in the scalar loop's order
@@ -275,7 +281,7 @@ class FiniteMetricSpace:
 
     @property
     def n(self) -> int:
-        return len(self.dist)
+        return len(self._m)
 
     def d(self, i: int, j: int):
         return self.dist[i][j]
@@ -325,15 +331,8 @@ class FiniteMetricSpace:
 
     @cached_property
     def _meet(self) -> np.ndarray:
-        """min_z max(d(x,z), d(y,z)): the (min, max) product, half of tau.
-        Exactly symmetric, as it reads rows x and y alike: slab [lo, hi)
-        computes the columns from lo and mirrors the rest."""
-        m = self._m
-        out = np.empty_like(m)
-        for lo, hi in _slabs(self.n, half=True):
-            out[lo:hi, lo:] = np.maximum(m[lo:hi, None, :], m[None, lo:, :]).min(axis=2)
-            out[hi:, lo:hi] = out[lo:hi, hi:].T
-        return out
+        """min_z max(d(x,z), d(y,z)): the (min, max) product, half of tau."""
+        return _min_product(self._m, np.maximum)
 
     @cached_property
     def _defects(self) -> np.ndarray:
@@ -370,20 +369,26 @@ class FiniteMetricSpace:
         np.fill_diagonal(out, 0)
         return out
 
-    def _radius_keys(self, radii) -> list:
-        """Per radius r, the largest kernel value v counted inside B_r:
-        d < r on exact spaces, d <= r + eta otherwise."""
+    def _radius_keys(self, radii, closed: bool = False) -> np.ndarray:
+        """Per radius r, the largest kernel value counted inside the ball of
+        radius r, in the kernel's dtype: d < r (d <= r if ``closed``) on
+        exact spaces, clamped to the largest value of an int kernel; d <= r +
+        eta on float spaces, where open and closed balls coincide."""
         keys = []
         exact, scale = self.exact, self._scale or 1
+        top = np.iinfo(self._m.dtype).max if self._m.dtype.kind == "i" else math.inf
         for r in radii:
-            q = r if isinstance(r, (int, Fraction)) else Fraction(r)
+            try:
+                q = r if isinstance(r, (int, Fraction)) else Fraction(r)
+            except (OverflowError, ValueError):
+                raise MetricError(f"radius must be a finite number, got {r}") from None
             if q.numerator <= 0:
                 raise MetricError(f"radius must be positive, got {r}")
             if exact:
-                keys.append((q.numerator * scale - 1) // q.denominator)
+                keys.append(min((q.numerator * scale - (not closed)) // q.denominator, top))
             else:
                 keys.append(float(r) + _FLOAT_ETA)  # what r + eta evaluates to
-        return keys
+        return np.array(keys, dtype=self._m.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +438,19 @@ def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
     m = len(nodes)
     if sorted(nodes) != list(range(m)):
         raise MetricError("graph nodes must be 0-based consecutive indices")
-    unreachable = 2 * sum(weights.values()) + 1  # longer than any path
-    rows = [[0 if i == j else unreachable for j in range(m)] for i in range(m)]
+    rows = [[0] * m for _ in range(m)]
     for (i, j), w in weights.items():
         rows[i][j] = rows[j][i] = w
     g, scale = _kernel_matrix(rows)
-    top = g.max()  # ``unreachable`` in kernel units if some pair is no edge
+    # no edge: longer than any simple path (m - 1 edges), also after float rounding
+    top = m * g.max(keepdims=True).item() + 1
+    if g.dtype != np.float64:
+        g = g.astype(_int_dtype(2 * top))  # a relaxation adds two entries
+    g[g == 0] = top
+    np.fill_diagonal(g, 0)
     for k in range(m):
         np.minimum(g, g[:, k, None] + g[None, k, :], out=g)
-    if len(weights) < m * (m - 1) // 2 and (g == top).any():
+    if (g == top).any():
         raise MetricError("graph is disconnected: no finite metric")
     return FiniteMetricSpace(tuple(map(tuple, _table(g, scale).tolist())))
 
@@ -484,52 +493,35 @@ def _check_points(space: FiniteMetricSpace, points: Iterable[int]) -> None:
 
 def neighborhood(space: FiniteMetricSpace, a: PointSet, t) -> PointSet:
     """A^t = {x : d(x, A) < t}; the empty set maps to itself."""
-    if t <= 0:
-        raise MetricError(f"radius must be positive, got {t}")
+    key, = space._radius_keys((t,))
     if not a:
         return frozenset()
     _check_points(space, a)
-    eta = space.eta
-    dist = space.dist
-    return frozenset(x for x in range(space.n)
-                     if _lt(min(dist[x][p] for p in a), t, eta))
+    near = space._m[:, list(a)].min(axis=1) <= key
+    return frozenset(np.flatnonzero(near).tolist())
 
 
 def open_ball(space: FiniteMetricSpace, x: int, r) -> PointSet:
-    _check_points(space, (x,))
-    if r <= 0:
-        raise MetricError(f"radius must be positive, got {r}")
-    row = space.dist[x]
-    eta = space.eta
-    return frozenset(y for y in range(space.n) if _lt(row[y], r, eta))
+    """B_r(x) = {y : d(x, y) < r}."""
+    return open_balls(space, x, (r,))[0]
 
 
 def open_balls(space: FiniteMetricSpace, x: int, radii: Sequence) -> tuple:
-    """``tuple(open_ball(space, x, r) for r in radii)``, read off the row of
-    x sorted once; radii giving the same ball share one frozenset."""
+    """The open balls B_r(x) for r in ``radii``, read off the row of x
+    sorted once; radii giving the same ball share one frozenset."""
     _check_points(space, (x,))
-    keys = space._radius_keys(radii)
     order = space._order[x]
-    row = space._m[x, order].tolist()
-    order = order.tolist()
-    balls = {}
-    out = []
-    for key in keys:
-        k = bisect_right(row, key)
-        ball = balls.get(k)
-        if ball is None:
-            ball = balls[k] = frozenset(order[:k])
-        out.append(ball)
-    return tuple(out)
+    ends = np.searchsorted(space._m[x, order], space._radius_keys(radii), side="right")
+    order, ends = order.tolist(), ends.tolist()
+    balls = {k: frozenset(order[:k]) for k in set(ends)}
+    return tuple(balls[k] for k in ends)
 
 
 def closed_ball(space: FiniteMetricSpace, x: int, r) -> PointSet:
+    """B_r[x] = {y : d(x, y) <= r}."""
     _check_points(space, (x,))
-    if r <= 0:
-        raise MetricError(f"radius must be positive, got {r}")
-    row = space.dist[x]
-    eta = space.eta
-    return frozenset(y for y in range(space.n) if _le(row[y], r, eta))
+    key, = space._radius_keys((r,), closed=True)
+    return frozenset(np.flatnonzero(space._m[x] <= key).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -558,29 +550,7 @@ def condition2_defect(space: FiniteMetricSpace, x: int, y: int):
     a single sweep over points sorted by d(x, .) suffices.
     """
     _check_points(space, (x, y))
-    if x == y:
-        return 0
-    dx = space.dist[x]
-    dy = space.dist[y]
-    order = sorted(space.points(), key=dx.__getitem__)
-    sup_rs = 0
-    running = None  # min of dy over points strictly inside B_r(x)
-    i = 0
-    n = space.n
-    while i < n:
-        v = dx[order[i]]
-        if v > 0 and running is not None and running > 0:
-            cand = v + running
-            if cand > sup_rs:
-                sup_rs = cand
-        while i < n and dx[order[i]] == v:
-            w = dy[order[i]]
-            if running is None or w < running:
-                running = w
-            i += 1
-        if running == 0:
-            break  # y already inside every larger ball around x
-    return sup_rs - dx[y]
+    return 0 if x == y else space._value(space._defects[x, y])
 
 
 def condition2_report(space: FiniteMetricSpace) -> dict:
@@ -648,9 +618,4 @@ def first_meeting(space: FiniteMetricSpace, radii: Sequence) -> np.ndarray:
     The balls meet exactly when some z lies in both, i.e. when
     min_z max(d(x,z), d(y,z)) lies inside radius r; ``radii`` must increase.
     """
-    keys = space._radius_keys(radii)
-    meet = space._meet
-    if meet.dtype.kind == "i":
-        top = int(np.iinfo(meet.dtype).max)
-        keys = [min(k, top) for k in keys]  # every meet value is below
-    return np.searchsorted(np.array(keys, dtype=meet.dtype), meet, side="left")
+    return np.searchsorted(space._radius_keys(radii), space._meet, side="left")

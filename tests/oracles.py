@@ -3,10 +3,12 @@
 These deliberately avoid the closed forms under test: the separation
 defect is maximized over an explicit radius grid with enumerated ball
 disjointness, and the wave distance is found by scanning a fine radius
-grid for the first ball intersection.  The scalar forms of the paper's
-objects that the package computes on its kernel matrix (the wave distance
-per pair, the distance to a set, the semigroup pair, the pointwise order of
-lattice functions) are kept here as references.
+grid for the first ball intersection; both, like every oracle here, read
+the distances as given (``space.dist``), never the kernel matrix.  The
+scalar forms of the paper's objects that the package computes on its
+kernel matrix (open and closed balls, neighborhoods, the pair defect, the
+wave distance per pair, the distance to a set, the semigroup pair, the
+pointwise order of lattice functions) are kept here as references.
 """
 
 from __future__ import annotations
@@ -100,11 +102,11 @@ def brute_force_condition2_defect(space: metric.FiniteMetricSpace, x: int, y: in
     cands = defect_candidates(space)
     best = 0
     for r in cands:
-        bx = metric.open_ball(space, x, r)
+        bx = open_ball(space, x, r)
         for s in cands:
             if r + s <= best:
                 continue
-            if not (bx & metric.open_ball(space, y, s)):
+            if not (bx & open_ball(space, y, s)):
                 best = r + s
     return best - space.d(x, y)
 
@@ -116,7 +118,7 @@ def brute_force_tau(space: metric.FiniteMetricSpace, x: int, y: int, steps: int 
         return 0, 0
     for k in range(1, steps + 1):
         t = Fraction(k, steps) * Fraction(hi)
-        if metric.open_ball(space, x, t) & metric.open_ball(space, y, t):
+        if open_ball(space, x, t) & open_ball(space, y, t):
             return 2 * t, 2 * Fraction(hi) / steps
     raise AssertionError("balls never intersected below twice the diameter")
 
@@ -160,7 +162,7 @@ def intersection_net_limit(space: metric.FiniteMetricSpace, net: lattice.Decreas
     for t in grid:
         cur = None
         for g in members:
-            nb = metric.neighborhood(space, g, t) if g else frozenset()
+            nb = neighborhood(space, g, t) if g else frozenset()
             cur = nb if cur is None else cur & nb
         sets.append(cur)
     return lattice.LatticeFunction(grid, tuple(sets))
@@ -275,6 +277,81 @@ def to_values(a, scale) -> list:
 # Scalar references of the kernel paths
 
 
+def _lt(a, b, eta: float) -> bool:
+    # strict "a < b"; values within eta of the threshold count as "in"
+    return a < b if eta == 0 else a <= b + eta
+
+
+def _le(a, b, eta: float) -> bool:
+    return a <= b if eta == 0 else a <= b + eta
+
+
+def open_ball(space: metric.FiniteMetricSpace, x: int, r) -> frozenset:
+    """B_r(x) by one comparison per point: the reference of
+    ``metric.open_ball`` and ``metric.open_balls``."""
+    metric._check_points(space, (x,))
+    if r <= 0:
+        raise metric.MetricError(f"radius must be positive, got {r}")
+    row = space.dist[x]
+    eta = space.eta
+    return frozenset(y for y in range(space.n) if _lt(row[y], r, eta))
+
+
+def closed_ball(space: metric.FiniteMetricSpace, x: int, r) -> frozenset:
+    """B_r[x] by one comparison per point: the reference of
+    ``metric.closed_ball``."""
+    metric._check_points(space, (x,))
+    if r <= 0:
+        raise metric.MetricError(f"radius must be positive, got {r}")
+    row = space.dist[x]
+    eta = space.eta
+    return frozenset(y for y in range(space.n) if _le(row[y], r, eta))
+
+
+def neighborhood(space: metric.FiniteMetricSpace, a: frozenset, t) -> frozenset:
+    """A^t = {x : d(x, A) < t} by a minimum per point: the reference of
+    ``metric.neighborhood``."""
+    if t <= 0:
+        raise metric.MetricError(f"radius must be positive, got {t}")
+    if not a:
+        return frozenset()
+    metric._check_points(space, a)
+    eta = space.eta
+    dist = space.dist
+    return frozenset(x for x in range(space.n)
+                     if _lt(min(dist[x][p] for p in a), t, eta))
+
+
+def condition2_defect(space: metric.FiniteMetricSpace, x: int, y: int):
+    """The separation defect of one pair by a sweep over the points sorted
+    by d(x, .): the reference of ``metric.condition2_defect`` and of the
+    defect matrix."""
+    metric._check_points(space, (x, y))
+    if x == y:
+        return 0
+    dx = space.dist[x]
+    dy = space.dist[y]
+    order = sorted(space.points(), key=dx.__getitem__)
+    sup_rs = 0
+    running = None  # min of dy over points strictly inside B_r(x)
+    i = 0
+    n = space.n
+    while i < n:
+        v = dx[order[i]]
+        if v > 0 and running is not None and running > 0:
+            cand = v + running
+            if cand > sup_rs:
+                sup_rs = cand
+        while i < n and dx[order[i]] == v:
+            w = dy[order[i]]
+            if running is None or w < running:
+                running = w
+            i += 1
+        if running == 0:
+            break  # y already inside every larger ball around x
+    return sup_rs - dx[y]
+
+
 def wave_distance_points(space: metric.FiniteMetricSpace, x: int, y: int):
     """tau(x, y) = 2 min_z max(d(x,z), d(y,z)), one pair at a time: the
     reference of ``metric.wave_distance_matrix`` and ``WaveModelResult.tau``."""
@@ -310,8 +387,7 @@ def semigroup_defect(space: metric.FiniteMetricSpace, a: frozenset, r, s):
         raise metric.MetricError("radii must be positive")
     if not a:
         raise metric.MetricError("A must be nonempty")
-    return metric.neighborhood(space, metric.neighborhood(space, a, r), s), \
-        metric.neighborhood(space, a, r + s)
+    return neighborhood(space, neighborhood(space, a, r), s), neighborhood(space, a, r + s)
 
 
 def leq(f: lattice.LatticeFunction, g: lattice.LatticeFunction) -> bool:

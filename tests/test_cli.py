@@ -505,6 +505,23 @@ def test_nucleus_demo_center_out_of_range(tmp_path):
                  "segment", "--samples", "11", "--center", "99"]) == 3
 
 
+def test_one_parser_serves_successive_calls_without_leaking_flags(tmp_path):
+    """The parser is built once per process; the flags of one call do not
+    reach the next, whose report equals a fresh process's."""
+    assert build_parser() is build_parser()
+    seg = ["--backend", "segment", "--samples", "5"]
+    gridded = tmp_path / "gridded.json"
+    assert main(["tau", *seg, "--grid", "1/16,2,32,linear", "--out", str(gridded)]) == 0
+    assert main(["conditions", *seg, "--format", "csv",
+                 "--out", str(tmp_path / "conditions.csv")]) == 0
+    out = tmp_path / "tau.json"
+    assert main(["tau", *seg, "--out", str(out)]) == 0
+    fresh = _cli(["tau", *seg], stdout=subprocess.PIPE)
+    text, _ = fresh.communicate(timeout=60)
+    assert fresh.returncode == 0
+    assert out.read_text() == text != gridded.read_text()
+
+
 def test_cli_import_does_not_load_networkx():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = "import sys, wavemodel.cli; print('networkx' in sys.modules)"

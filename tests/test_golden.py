@@ -61,6 +61,10 @@ CASES = {
                                "bad_triangle.csv"], 1),
     "nucleus-demo-segment": (["nucleus-demo", "--backend", "segment", "--samples", "7",
                               "--center", "3"], 0),
+    "nucleus-demo-points": (["nucleus-demo", "--backend", "points", "--input", "points.csv",
+                             "--center", "2"], 0),
+    "nucleus-demo-matrix-float": (["nucleus-demo", "--backend", "matrix", "--input",
+                                   "matrix_float.csv", "--center", "1"], 0),
 }
 
 

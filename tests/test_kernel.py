@@ -1,9 +1,9 @@
 """Differential tests: the numpy matrix paths against the scalar reference.
 
-The reference is the pure-Python code kept in the package for this purpose
-(``condition2_defect``, ``open_ball`` and ``wave_distance_classes``), the
-scalar references in ``oracles.py`` (``wave_distance_points``) and its
-brute-force oracles.
+The reference is the pure-Python code of ``oracles.py`` (``open_ball``,
+``closed_ball``, ``neighborhood``, ``condition2_defect``,
+``wave_distance_points``), which reads the distances as given, its
+brute-force oracles, and ``lattice.wave_distance_classes``.
 Every comparison is exact equality, on floats too: the matrix paths perform
 the same comparisons and the same single additions as the scalar code.
 """
@@ -34,7 +34,7 @@ from wavemodel import (
 from wavemodel import metric
 from wavemodel.cli import main
 from wavemodel.lattice import b_star_lower, nucleus, wave_distance_classes
-from wavemodel.metric import condition2_defect, open_ball, open_balls
+from wavemodel.metric import open_balls
 
 import oracles
 from test_golden import EXPECTED, _argv
@@ -153,7 +153,7 @@ def test_kernel_dtype_is_the_narrowest_holding_four_times_the_max(k, denominator
         s = build_from_matrix(rows)
         assert s._m.dtype == dtype and int(s._m.max()) == top
         assert (s._m.tolist(), s._scale) == oracles.exact_matrix_per_entry(rows)
-        assert condition2_report(s)["defects"] == by_pair(s, condition2_defect)
+        assert condition2_report(s)["defects"] == by_pair(s, oracles.condition2_defect)
         assert wave_distance_matrix(s) == [
             [0 if x == y else oracles.wave_distance_points(s, x, y) for y in range(s.n)]
             for x in range(s.n)]
@@ -171,7 +171,8 @@ def test_first_meeting_clamps_radii_beyond_the_dtype(name):
     for x in range(s.n):
         for y in range(s.n):
             assert got[x, y] == next((k for k, r in enumerate(radii)
-                                      if open_ball(s, x, r) & open_ball(s, y, r)), len(radii))
+                                      if oracles.open_ball(s, x, r) & oracles.open_ball(s, y, r)),
+                                     len(radii))
 
 
 def test_float_spaces_within_eta_are_not_exactly_symmetric():
@@ -185,7 +186,7 @@ def test_float_spaces_within_eta_are_not_exactly_symmetric():
 def test_defect_matrix_matches_scalar_sweep(name):
     s = SPACES[name]
     report = condition2_report(s)
-    want = by_pair(s, condition2_defect)
+    want = by_pair(s, oracles.condition2_defect)
     assert report["defects"] == want
     flat = [v for row in want for v in row]
     assert report["max_defect"] == max(flat)
@@ -199,7 +200,7 @@ def test_kernels_across_slab_boundaries(name, monkeypatch):
     every pair, and validation still finds the scalar loops' first failure."""
     monkeypatch.setattr(metric, "_SLAB", 64)
     s = FiniteMetricSpace(SPACES[name].dist)  # fresh: the kernels are cached
-    assert condition2_report(s)["defects"] == by_pair(s, condition2_defect)
+    assert condition2_report(s)["defects"] == by_pair(s, oracles.condition2_defect)
     assert wave_distance_matrix(s) == [
         [0 if x == y else oracles.wave_distance_points(s, x, y) for y in range(s.n)]
         for x in range(s.n)]
@@ -236,6 +237,36 @@ def test_tau_matrix_matches_closed_form_per_pair(name):
     assert wave_distance_matrix(s) == want
 
 
+def radii_through_distances(s, rng, count=40):
+    """Up to ``count`` radii among the positive distances of s, their halves
+    and, on float spaces, values within eta of them; plus a tiny radius and
+    one past every distance (and past the largest value of an int kernel)."""
+    d = sorted({F(v) for row in s.dist for v in row if v > 0})
+    values = d + [v / 2 for v in d]
+    if not s.exact:
+        values += [v + k * F(s.eta) / 2 for v in d for k in (-3, -1, 1, 3)]
+    values = [v for v in values if v > 0]
+    return [*rng.sample(values, min(count, len(values))), F(1, 2 ** 40), F(10 ** 30)]
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_balls_and_neighborhoods_match_scalar(name):
+    """Open and closed balls at and between the distances, where d < r and
+    d <= r part, and neighborhoods of random sets (the empty one too)."""
+    s = SPACES[name]
+    rng = random.Random(name)
+    radii = radii_through_distances(s, rng)
+    for x in range(s.n):
+        assert open_balls(s, x, radii) == tuple(oracles.open_ball(s, x, r) for r in radii)
+        for r in radii:
+            assert metric.open_ball(s, x, r) == oracles.open_ball(s, x, r)
+            assert metric.closed_ball(s, x, r) == oracles.closed_ball(s, x, r)
+    for _ in range(6):
+        a = oracles.random_subset(rng, s.n)
+        for r in radii:
+            assert metric.neighborhood(s, a, r) == oracles.neighborhood(s, a, r)
+
+
 @pytest.mark.parametrize("name", sorted(SPACES))
 def test_ball_table_and_brackets_match_scalar(name):
     s = SPACES[name]
@@ -243,7 +274,7 @@ def test_ball_table_and_brackets_match_scalar(name):
     reps = []
     for x in range(s.n):
         rep = b_star_lower(s, x, grid)
-        assert rep.sets == tuple(open_ball(s, x, t) for t in grid)
+        assert rep.sets == tuple(oracles.open_ball(s, x, t) for t in grid)
         reps.append(rep)
     result = wave_model(s, grid, include_brackets=True)
     for x in range(s.n):
@@ -261,11 +292,11 @@ def test_radius_keys_follow_the_radii_passed(name):
     doubled = tuple(2 * t for t in grid)
     for radii in (grid, doubled, grid, doubled):
         for x in range(s.n):
-            assert open_balls(s, x, radii) == tuple(open_ball(s, x, t) for t in radii)
+            assert open_balls(s, x, radii) == tuple(oracles.open_ball(s, x, t) for t in radii)
     radii = list(grid)
     open_balls(s, 0, radii)
     radii[:] = doubled
-    assert open_balls(s, 0, radii) == tuple(open_ball(s, 0, t) for t in doubled)
+    assert open_balls(s, 0, radii) == tuple(oracles.open_ball(s, 0, t) for t in doubled)
 
 
 def grid_through_distances(s):
@@ -300,7 +331,7 @@ def test_atoms_are_the_nuclei_of_the_ball_functions(name, grid_kind):
     for x in range(s.n):
         rep = b_star_lower(s, x, grid)
         assert result.atoms[x] == nucleus(rep) == oracles.intersection_nucleus(rep)
-        assert result.atoms[x] == open_ball(s, x, grid.values[0])
+        assert result.atoms[x] == oracles.open_ball(s, x, grid.values[0])
     assert len(result.warnings) == sum(a != {x} for x, a in enumerate(result.atoms))
 
 
@@ -310,7 +341,7 @@ def test_balls_and_brackets_on_a_grid_through_the_distances(name):
     grid = grid_through_distances(s)
     reps = [b_star_lower(s, x, grid) for x in range(s.n)]
     for x in range(s.n):
-        assert reps[x].sets == tuple(open_ball(s, x, t) for t in grid)
+        assert reps[x].sets == tuple(oracles.open_ball(s, x, t) for t in grid)
     brackets = wave_model(s, grid, include_brackets=True).brackets
     for x in range(s.n):
         for y in range(x + 1, s.n):
@@ -529,9 +560,35 @@ def test_graph_with_python_int_scale():
     assert s.d(0, 2) == 2 + F(1, BIG_PRIMES[0]) + F(1, BIG_PRIMES[1])
 
 
+@pytest.mark.parametrize("top", [4095, 4096])
+@pytest.mark.parametrize("denominator", [1, 3])
+def test_graph_no_edge_bound_at_the_int16_limit(top, denominator):
+    """A missing edge holds m * max + 1 in kernel units and a relaxation adds
+    two entries: on 4 nodes Floyd-Warshall runs in int16 up to a largest
+    scaled weight of 4095, and in int32 from 4096 on."""
+    rng = random.Random(top)
+    for _ in range(5):
+        weights = [top, *(rng.randint(top // 2, top) for _ in range(3))]
+        edges = [(i, i + 1, F(w, denominator)) for i, w in enumerate(weights[:3])]
+        edges.append((0, 2, F(weights[3], denominator)))
+        s = build_from_graph(edges)
+        assert [list(r) for r in s.dist] == oracles.dijkstra_distances(edges, 4)
+
+
+def test_graph_with_mixed_fraction_and_numpy_float_weights():
+    edges = [(0, 1, F(1, 3)), (1, 2, np.float64(0.25)), (2, 3, np.float32(0.5)),
+             (0, 3, F(3, 2)), (1, 3, np.longdouble(1.5))]
+    s = build_from_graph(edges)
+    assert not s.exact
+    ref = oracles.dijkstra_distances([(i, j, float(w)) for i, j, w in edges], 4)
+    assert all(abs(s.d(i, j) - ref[i][j]) <= s.eta for i in range(4) for j in range(4))
+    with pytest.raises(MetricError, match="disconnected"):
+        build_from_graph([(0, 1, F(1, 3)), (2, 3, np.float64(0.25))])
+
+
 def test_points_space_defects_on_collinear_points():
     s = build_from_points([(0,), (1,), (2,), (3.5,)])
-    assert condition2_report(s)["defects"] == by_pair(s, condition2_defect)
+    assert condition2_report(s)["defects"] == by_pair(s, oracles.condition2_defect)
 
 
 # ---------------------------------------------------------------------------
@@ -593,3 +650,31 @@ def test_refused_entry_is_the_first_in_row_major_order(bad_ids_descend):
         oracles.exact_matrix_per_entry(rows)
     assert (str(ei.value), ei.value.witness) == (str(want.value), want.value.witness)
     assert ei.value.witness == (1, 3)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms at slab scale: one-row slabs at the default slab size
+
+
+@pytest.mark.parametrize("n", [257, 513])
+def test_closed_forms_at_slab_scale(n):
+    """The discrete metric has tau = 2d and the defect 1 at every pair of
+    distinct points; the segment sample of length 3/2 with step h has
+    tau(i, j) = 2 ceil(|i - j| / 2) h, and the unit-weight path graph
+    tau(i, j) = 2 ceil(|i - j| / 2)."""
+    assert next(metric._slabs(n, half=True)) == (0, 1)
+    off = [[abs(i - j) for j in range(n)] for i in range(n)]
+
+    discrete = build_discrete(n)
+    assert wave_distance_matrix(discrete) == [[2 * v for v in row] for row in discrete.dist]
+    report = condition2_report(discrete)
+    assert report["defects"] == [[1 if k else 0 for k in row] for row in off]
+    assert report["max_defect"] == 1
+
+    h = F(3, 2) / (n - 1)
+    tau = [2 * ((k + 1) // 2) * h for k in range(n)]
+    assert wave_distance_matrix(build_segment_sample(n, F(3, 2))) == [
+        [tau[k] for k in row] for row in off]
+
+    path = build_from_graph([(i, i + 1, 1) for i in range(n - 1)])
+    assert wave_distance_matrix(path) == [[2 * ((k + 1) // 2) for k in row] for row in off]

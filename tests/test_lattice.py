@@ -32,7 +32,6 @@ from wavemodel.lattice import (
 from wavemodel.metric import (
     INFINITY,
     closed_ball,
-    condition2_defect,
     neighborhood,
     open_ball,
 )
@@ -152,7 +151,7 @@ def test_net_limit_shrinking_balls_matches_enumeration():
     for i, t in enumerate(grid):
         expect = None
         for e in eps_list:
-            nb = neighborhood(s, open_ball(s, x, e), t)
+            nb = oracles.neighborhood(s, oracles.open_ball(s, x, e), t)
             expect = nb if expect is None else expect & nb
         assert g.sets[i] == expect
 

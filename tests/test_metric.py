@@ -20,6 +20,7 @@ from wavemodel.metric import (
     check_condition1,
     closed_ball,
     condition2_defect,
+    first_meeting,
     neighborhood,
     open_ball,
     open_balls,
@@ -235,7 +236,7 @@ def test_balls_segment():
     s = build_segment_sample(11)
     assert open_ball(s, 5, F(1, 10)) == frozenset({5})
     assert closed_ball(s, 5, F(1, 10)) == frozenset({4, 5, 6})
-    assert open_ball(s, 5, F(1, 10)) == neighborhood(s, frozenset({5}), F(1, 10))
+    assert neighborhood(s, frozenset({5}), F(1, 10)) == oracles.open_ball(s, 5, F(1, 10))
 
 
 def test_closed_ball_with_radius_at_least_diameter():
@@ -260,6 +261,23 @@ def test_out_of_range_point_index_is_refused(bad):
     ]
     for call in calls:
         with pytest.raises(MetricError, match="point index out of range"):
+            call()
+
+
+@pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("space", [build_segment_sample(5),
+                                   build_from_points([(0, 0), (1, 0), (0, 2)])],
+                         ids=["exact", "float"])
+def test_non_finite_radius_is_refused(space, r):
+    calls = [
+        lambda: open_ball(space, 0, r),
+        lambda: closed_ball(space, 0, r),
+        lambda: open_balls(space, 0, [F(1, 2), r]),
+        lambda: neighborhood(space, frozenset({0, 1}), r),
+        lambda: first_meeting(space, [F(1, 2), r]),
+    ]
+    for call in calls:
+        with pytest.raises(MetricError, match=f"radius must be a finite number, got {r}"):
             call()
 
 
