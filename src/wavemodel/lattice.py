@@ -346,13 +346,11 @@ def wave_model(space: FiniteMetricSpace, grid: TimeGrid,
     iff min_z max(d(x,z), d(y,z)) lies inside t.
     """
     check_grid_admissible(space, grid)
-    warnings = []
-    atoms = []
-    for x in space.points():
-        core = open_balls(space, x, grid.values[:1])[0]
-        if core != frozenset({x}):
-            warnings.append(f"nucleus of point {x} is {sorted(core)}, not a singleton")
-        atoms.append(core)
+    # row x of d < t_1 (d <= t_1 + eta on float spaces) is the nucleus of x
+    inside = space._m <= space._radius_keys(grid.values[:1])
+    atoms = tuple(frozenset(row.nonzero()[0].tolist()) for row in inside)
+    warnings = tuple(f"nucleus of point {x} is {sorted(core)}, not a singleton"
+                     for x, core in enumerate(atoms) if core != {x})
     max_dev, c = isometry_fit(space)
     brackets = None
     if include_brackets:
@@ -361,6 +359,6 @@ def wave_model(space: FiniteMetricSpace, grid: TimeGrid,
         bounds = [(0, doubled[0]), *zip(doubled, doubled[1:]), (doubled[-1], INFINITY)]
         brackets = _Table(first_meeting(space, grid.values), bounds, ((0, 0),))
     return WaveModelResult(
-        space=space, atoms=tuple(atoms), tau_table=_table(2 * space._meet, space._scale),
+        space=space, atoms=atoms, tau_table=_table(2 * space._meet, space._scale),
         max_abs_tau_minus_d=max_dev, homothety_c=c, condition1=check_condition1(space),
-        max_defect=_max_defect(space), bracket_table=brackets, warnings=tuple(warnings))
+        max_defect=_max_defect(space), bracket_table=brackets, warnings=warnings)

@@ -47,7 +47,8 @@ PointSet = frozenset
 #: The comparison tolerance of every float space.
 _FLOAT_ETA = 1e-9
 
-#: Elements per temporary slab of the n^3 kernels.
+#: Elements per temporary slab: a (rows, n, cols) block of the n^3 kernels,
+#: a (rows, cols) plane of the defect sweep.
 _SLAB = 1 << 16
 
 
@@ -63,12 +64,13 @@ class AxiomViolation(MetricError):
         self.witness = witness
 
 
-def _slabs(n: int, half: bool = False):
-    """Row ranges [lo, hi) whose (rows, n, cols) temporaries stay within
-    ``_SLAB``: cols is n, or n - lo when only the columns from lo are swept."""
+def _slabs(n: int, half: bool = False, depth: int | None = None):
+    """Row ranges [lo, hi) whose (rows, depth, cols) temporaries stay within
+    ``_SLAB`` elements: depth is n unless given, and cols is n, or n - lo
+    when only the columns from lo are swept."""
     hi = 0
     while hi < n:
-        lo, hi = hi, min(n, hi + max(1, _SLAB // (n * (n - hi if half else n))))
+        lo, hi = hi, min(n, hi + max(1, _SLAB // ((depth or n) * (n - hi if half else n))))
         yield lo, hi
 
 
@@ -338,32 +340,35 @@ class FiniteMetricSpace:
     def _defects(self) -> np.ndarray:
         """The defect sweep of ``condition2_defect`` for all pairs at once.
 
-        Per row x: the points sorted by d(x, .) give the radii r; a prefix
-        minimum over the sorted rows of d^T gives, for every y, the largest
-        admissible s = min d(y, z) over the points z inside B_r(x).  Diagonal
-        entries <= 0 of d^T hold a sentinel below -max d, so no r + s counts
-        once y is inside.  On a d exactly symmetric with a zero diagonal, slab
-        [lo, hi) sweeps the columns from lo and mirrors the rest; otherwise
-        (a float d off symmetry within eta) it sweeps every column."""
+        Per block of rows x it walks the points z in order of d(x, .), whose
+        distances are the radii r, keeping two (rows, cols) planes: for every
+        y, ``running`` holds the largest admissible s = min d(y, z) over the z
+        passed so far and ``best`` the largest r + s.  Diagonal entries <= 0
+        of d^T hold a sentinel below -max d, so no r + s counts once y is
+        inside.  On a d exactly symmetric with a zero diagonal, block [lo, hi)
+        sweeps the columns from lo and mirrors the rest; otherwise (a float d
+        off symmetry within eta) it sweeps every column."""
         m, n = self._m, self.n
         dt = m.T.copy()
         low = np.flatnonzero(np.diagonal(m) <= 0)
         dt[low, low] = -np.inf if m.dtype == np.float64 else -(m.max() + 1)
         half = not np.diagonal(m).any() and bool((m == m.T).all())
         out = np.empty_like(m)
-        for lo, hi in _slabs(n, half):
+        for lo, hi in _slabs(n, half, depth=1):
             start = lo if half else 0
             order = self._order[lo:hi]
             radii = np.take_along_axis(m[lo:hi], order, axis=1)  # sorted d(x, .)
-            # running[x, q, y]: min d(y, z) over the first q + 1 points z by d(x, .)
-            running = dt[order, start:]
-            np.minimum.accumulate(running, axis=1, out=running)
-            # candidate r + s at every sorted position q >= 1; inside a group
-            # of equal r the running minimum only falls, so the group's
-            # start holds its largest candidate
-            cand = running[:, :-1]
-            cand += radii[:, 1:, None]
-            out[lo:hi, start:] = cand.max(axis=1, initial=0) - m[lo:hi, start:]
+            running = dt[order[:, 0], start:]
+            best = np.zeros_like(running)
+            cand = np.empty_like(running)
+            # candidate r + s at every sorted position q >= 1, before point q
+            # joins the ball; inside a group of equal r the running minimum
+            # only falls, so the group's start holds its largest candidate
+            for q in range(1, n):
+                np.add(running, radii[:, q, None], out=cand)
+                np.maximum(best, cand, out=best)
+                np.minimum(running, dt[order[:, q], start:], out=running)
+            out[lo:hi, start:] = best - m[lo:hi, start:]
             if half:
                 out[hi:, lo:hi] = out[lo:hi, hi:].T
         np.fill_diagonal(out, 0)
@@ -387,7 +392,10 @@ class FiniteMetricSpace:
             if exact:
                 keys.append(min((q.numerator * scale - (not closed)) // q.denominator, top))
             else:
-                keys.append(float(r) + _FLOAT_ETA)  # what r + eta evaluates to
+                try:
+                    keys.append(float(r) + _FLOAT_ETA)  # what r + eta evaluates to
+                except OverflowError:  # finite, but past the floats: every point
+                    keys.append(math.inf)
         return np.array(keys, dtype=self._m.dtype)
 
 
@@ -557,9 +565,10 @@ def condition2_report(space: FiniteMetricSpace) -> dict:
     """Full defect matrix plus the max defect and a verdict.
 
     The matrix equals ``condition2_defect`` at every pair; it is computed by
-    one sweep per row: a stable argsort of d(x, .), a prefix minimum of
-    d(y, .) in that order, and candidates r + s at the starts of groups of
-    equal r; each unordered pair once if d = d^T with a zero diagonal.
+    one sweep per row x over the points in stable order of d(x, .), one
+    add, max and min over a plane of rows per point: candidates r + s from
+    the running minimum of d(y, .), then the point folded into that
+    minimum; each unordered pair once if d = d^T with a zero diagonal.
     """
     report = _condition2(space)
     return {**report, "defects": report["defects"].tolist()}

@@ -195,16 +195,49 @@ def test_defect_matrix_matches_scalar_sweep(name):
 
 @pytest.mark.parametrize("name", sorted(SPACES))
 def test_kernels_across_slab_boundaries(name, monkeypatch):
-    """With 64-element slabs every n > 4 splits into slabs, and slabs with
-    lo > 0 sweep only part of the columns; the scalar references hold at
-    every pair, and validation still finds the scalar loops' first failure."""
+    """With 64-element slabs every n > 4 splits into slabs, with one-element
+    slabs every block is one row, and slabs with lo > 0 sweep only part of
+    the columns; the scalar references hold at every pair, and validation
+    still finds the scalar loops' first failure."""
+    for slab in (64, 1):
+        monkeypatch.setattr(metric, "_SLAB", slab)
+        s = FiniteMetricSpace(SPACES[name].dist)  # fresh: the kernels are cached
+        assert condition2_report(s)["defects"] == by_pair(s, oracles.condition2_defect)
+        assert wave_distance_matrix(s) == [
+            [0 if x == y else oracles.wave_distance_points(s, x, y) for y in range(s.n)]
+            for x in range(s.n)]
+        build_broken_copies(s, random.Random(name), 8)
+
+
+def same_matrix(a, b):
+    """Equal dtype and entries, floats bit for bit."""
+    return a.dtype == b.dtype and (a.tolist() == b.tolist() if a.dtype == object
+                                   else a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_kernels_permute_with_the_points(name, monkeypatch):
+    """Relabel s by a random permutation pi, so that point i of the copy is
+    point pi[i] of s; with 64-element slabs, blocks straddle the relabelled
+    indices.  The defects, tau, the first meetings, the atoms and the
+    Condition-2 verdict of the copy are those of s, relabelled."""
     monkeypatch.setattr(metric, "_SLAB", 64)
-    s = FiniteMetricSpace(SPACES[name].dist)  # fresh: the kernels are cached
-    assert condition2_report(s)["defects"] == by_pair(s, oracles.condition2_defect)
-    assert wave_distance_matrix(s) == [
-        [0 if x == y else oracles.wave_distance_points(s, x, y) for y in range(s.n)]
-        for x in range(s.n)]
-    build_broken_copies(s, random.Random(name), 8)
+    s = SPACES[name]
+    pi = list(range(s.n))
+    random.Random(name).shuffle(pi)
+    t = FiniteMetricSpace(tuple(tuple(s.dist[p][q] for q in pi) for p in pi))
+    at = np.ix_(pi, pi)
+    assert same_matrix(t._defects, s._defects[at])
+    assert same_matrix(2 * t._meet, (2 * s._meet)[at])
+    grid = default_grid(s)
+    assert same_matrix(metric.first_meeting(t, grid.values),
+                       metric.first_meeting(s, grid.values)[at])
+    label = np.argsort(pi).tolist()  # label[z]: the copy's index of point z of s
+    atoms = wave_model(s, grid).atoms
+    assert wave_model(t, grid).atoms == tuple(frozenset(label[z] for z in atoms[p]) for p in pi)
+    want = condition2_report(s)
+    got = condition2_report(t)
+    assert (got["max_defect"], got["holds"]) == (want["max_defect"], want["holds"])
 
 
 @pytest.mark.parametrize("case,args", [
@@ -659,9 +692,11 @@ def test_refused_entry_is_the_first_in_row_major_order(bad_ids_descend):
 @pytest.mark.parametrize("n", [257, 513])
 def test_closed_forms_at_slab_scale(n):
     """The discrete metric has tau = 2d and the defect 1 at every pair of
-    distinct points; the segment sample of length 3/2 with step h has
-    tau(i, j) = 2 ceil(|i - j| / 2) h, and the unit-weight path graph
-    tau(i, j) = 2 ceil(|i - j| / 2)."""
+    distinct points; the segment sample with step h has
+    tau(i, j) = 2 ceil(|i - j| / 2) h and the defect h at every pair of
+    distinct points, with lengths 3/2, 15000 and 10^9/7 putting the kernel
+    in int16, int32 and int64; the unit-weight path graph is the segment
+    with h = 1."""
     assert next(metric._slabs(n, half=True)) == (0, 1)
     off = [[abs(i - j) for j in range(n)] for i in range(n)]
 
@@ -671,10 +706,41 @@ def test_closed_forms_at_slab_scale(n):
     assert report["defects"] == [[1 if k else 0 for k in row] for row in off]
     assert report["max_defect"] == 1
 
+    segments = {length: build_segment_sample(n, length)
+                for length in (F(3, 2), F(15000), F(10 ** 9, 7))}
     h = F(3, 2) / (n - 1)
     tau = [2 * ((k + 1) // 2) * h for k in range(n)]
-    assert wave_distance_matrix(build_segment_sample(n, F(3, 2))) == [
-        [tau[k] for k in row] for row in off]
+    assert wave_distance_matrix(segments[F(3, 2)]) == [[tau[k] for k in row] for row in off]
+    for (length, segment), dtype in zip(segments.items(), INT_DTYPES):
+        assert segment._m.dtype == dtype
+        assert_segment_closed_forms(segment, length / (n - 1))
 
     path = build_from_graph([(i, i + 1, 1) for i in range(n - 1)])
     assert wave_distance_matrix(path) == [[2 * ((k + 1) // 2) for k in row] for row in off]
+    assert_segment_closed_forms(path, 1)
+
+
+def test_segment_closed_forms_in_the_object_dtype(monkeypatch):
+    """A length whose scaled entries pass int64, with blocks of a few rows."""
+    monkeypatch.setattr(metric, "_SLAB", 64)
+    n = 17
+    assert len(list(metric._slabs(n, half=True, depth=1))) > 2
+    segment = build_segment_sample(n, F(10 ** 20, 3))
+    assert segment._m.dtype == object
+    assert_segment_closed_forms(segment, F(10 ** 20, 3) / (n - 1))
+    assert condition2_report(segment)["defects"] == by_pair(segment, oracles.condition2_defect)
+
+
+def assert_segment_closed_forms(s, h):
+    """s is the uniform sample of a segment with step h: in the kernel's
+    dtype every off-diagonal defect is h and tau(i, j) = 2 ceil(|i - j| / 2) h,
+    and the report reads the defect h."""
+    hk = int(h * (s._scale or 1))  # h in kernel units
+    off = np.abs(np.subtract.outer(np.arange(s.n), np.arange(s.n))).astype(s._m.dtype)
+    assert s._defects.dtype == s._m.dtype
+    assert np.array_equal(s._defects, np.where(off > 0, hk, 0))
+    assert np.array_equal(2 * s._meet, 2 * ((off + 1) // 2) * hk)
+    report = metric._condition2(s)
+    assert report["max_defect"] == h and type(report["max_defect"]) is type(h)
+    assert sorted(set(report["defects"].values)) == [0, h]
+    assert report["holds"] is False

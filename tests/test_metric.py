@@ -281,6 +281,18 @@ def test_non_finite_radius_is_refused(space, r):
             call()
 
 
+@pytest.mark.parametrize("r", [F(10 ** 400), 10 ** 400], ids=["fraction", "int"])
+def test_radius_past_the_floats_covers_a_float_space(r):
+    """A finite radius that no float holds is a ball of every point."""
+    s = build_from_points([(0, 0), (1, 0), (0, 2)])
+    whole = s.universe()
+    assert open_ball(s, 0, r) == closed_ball(s, 2, r) == whole
+    assert open_balls(s, 1, [F(1, 2), r]) == (frozenset({1}), whole)
+    assert neighborhood(s, frozenset({0}), r) == whole
+    meets = first_meeting(s, [F(1, 2), r])
+    assert meets.tolist() == [[0 if x == y else 1 for y in range(3)] for x in range(3)]
+
+
 # ---------------------------------------------------------------------------
 # Conditions
 
