@@ -17,6 +17,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache, partial
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -54,104 +55,80 @@ def jsonable(obj):
     return obj
 
 
-def encode_report(report: dict) -> str:
-    """``json.dumps(jsonable(report), indent=2, sort_keys=True) + "\\n"``,
-    byte for byte, without the copy and the pure-Python encoder.
+_quote = json.encoder.encode_basestring_ascii
 
-    The text is gathered in one list of parts and joined once, and each
-    distinct value is formatted once: floats and strs are memoised by
-    value, Fractions by identity (their hash is pure Python; the report's
-    equal Fractions are mostly one object, alive for the whole call).  The
-    memos are per type and skip zeros, so 0, 0.0, -0.0, Fraction(0) and
-    False keep their own tokens.  A matrix table (``metric._Table``)
-    formats each of its values once, at the indent of its cells, gathers
-    the tokens by its codes and joins each row.  Values must be dict (str
-    keys), list, tuple, str, int, float, bool, None, Fraction or a table.
+
+def encode_report(report) -> Iterator[str]:
+    """The parts of ``json.dumps(jsonable(report), indent=2, sort_keys=True)
+    + "\\n"``, byte for byte, without the copy and the pure-Python encoder.
+
+    The parts come as they are made, so the text is never held whole.  A
+    container's run of scalar items is one part.  A matrix table
+    (``metric._Table``) formats each of its values once, at the indent of
+    its cells, and is one part per row.  Values must be dict (str keys),
+    list, tuple, str, int, float, bool, None, Fraction or a table.
     """
-    floats, strs, fractions = {}, {}, {}
-    quote = json.encoder.encode_basestring_ascii
+    yield from _parts(report, "")
+    yield "\n"
 
-    def scalar(v):
-        """The token of a scalar; None for anything else."""
-        t = type(v)
-        if t is float:
-            if not v:
-                return repr(v)
-            tok = floats.get(v)
-            if tok is None:
-                tok = floats[v] = ('"inf"' if math.isinf(v)
-                                   else "NaN" if v != v else repr(v))
-            return tok
-        if t is Fraction:
-            if not v:
-                return '"0"'
-            tok = fractions.get(id(v))
-            if tok is None:
-                tok = fractions[id(v)] = quote(str(v))
-            return tok
-        if t is int:
-            return repr(v)
-        if t is str:
-            tok = strs.get(v)
-            if tok is None:
-                tok = strs[v] = quote(v)
-            return tok
-        if v is None:
-            return "null"
-        if t is bool:
-            return "true" if v else "false"
-        return None
 
-    def write(v, indent, out):
-        """Append the parts of ``v`` to ``out``."""
-        tok = scalar(v)
-        if tok is not None:
-            out.append(tok)
-            return
-        t = type(v)
-        inner = indent + "  "
-        if t is list or t is tuple:
-            if not v:
-                out.append("[]")
-                return
-            sep = "[\n" + inner
-            for x in v:
-                out.append(sep)
-                write(x, inner, out)
-                sep = ",\n" + inner
-            out.append("\n" + indent + "]")
-        elif t is dict:
-            if not v:
-                out.append("{}")
-                return
-            sep = "{\n" + inner
-            for k in sorted(v):
-                out.append(sep + quote(k) + ": ")
-                write(v[k], inner, out)
-                sep = ",\n" + inner
-            out.append("\n" + indent + "}")
-        elif t is metric._Table:
-            cell = inner + "  "
-            tokens = np.array([scalar(x) or text(x, cell) for x in v.values], dtype=object)
-            sep = ",\n" + cell
-            head = "[\n" + inner + "[\n" + cell
-            for row in tokens[v.codes].tolist():
-                out.append(head)
-                out.append(sep.join(row))
-                head = "\n" + inner + "],\n" + inner + "[\n" + cell
-            out.append("\n" + inner + "]\n" + indent + "]")
+def _token(v) -> str | None:
+    """The token of a scalar, as ``json.dumps(jsonable(v))`` writes it;
+    None for anything else."""
+    t = type(v)
+    if t is Fraction:
+        return _quote(str(v))
+    if t is float:
+        return '"inf"' if math.isinf(v) else "NaN" if v != v else repr(v)
+    if t is int:
+        return repr(v)
+    if t is str:
+        return _quote(v)
+    if v is None:
+        return "null"
+    if t is bool:
+        return "true" if v else "false"
+    return None
+
+
+def _parts(v, indent: str) -> Iterator[str]:
+    """The parts of ``v``, its lines after the first indented by ``indent``."""
+    token = _token(v)
+    if token is not None:
+        yield token
+        return
+    t = type(v)
+    inner = indent + "  "
+    if t is metric._Table:
+        cell = inner + "  "
+        tokens = np.array([_token(x) or "".join(_parts(x, cell)) for x in v.values],
+                          dtype=object)
+        head, sep = "[\n" + inner + "[\n" + cell, ",\n" + cell
+        for row in tokens[v.codes].tolist():
+            yield head + sep.join(row)
+            head = "\n" + inner + "],\n" + inner + "[\n" + cell
+        yield "\n" + inner + "]\n" + indent + "]"
+        return
+    if t is dict:
+        items, ends = [(_quote(k) + ": ", v[k]) for k in sorted(v)], "{}"
+    elif t is list or t is tuple:
+        items, ends = [("", x) for x in v], "[]"
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    if not items:
+        yield ends
+        return
+    run, sep = [], ends[0] + "\n" + inner
+    for key, x in items:
+        token = _token(x)
+        if token is None:
+            yield "".join(run) + sep + key
+            run = []
+            yield from _parts(x, inner)
         else:
-            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-
-    def text(v, indent):
-        out = []
-        write(v, indent, out)
-        return "".join(out)
-
-    out = []
-    write(report, "", out)
-    out.append("\n")
-    return "".join(out)
+            run += (sep, key, token)
+        sep = ",\n" + inner
+    yield "".join(run) + "\n" + indent + ends[1]
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -229,27 +206,26 @@ def sample_spacing_note(space) -> dict:
     return {"min_positive_distance": space.min_positive_distance()}
 
 
-def _write_stdout(text: str) -> None:
-    out = sys.stdout
-    if out is None:
-        raise OutputError("stdout is closed")
-    out.flush()
-    data = memoryview(text.encode(out.encoding, out.errors))
-    while data:
-        # a blocking write that the reader cuts off by closing the pipe
-        # returns short, without an error; the next write raises
-        data = data[out.buffer.write(data):]
-    out.buffer.flush()
-
-
-def _write(text: str, path: str | None) -> None:
-    """Write ``text`` to ``path``, or to stdout when it is None."""
+def _write(parts: Iterable[str], path: str | None) -> None:
+    """Write the text ``parts`` one at a time to ``path``, or to stdout when
+    it is None, so that a report is never held whole.  A failed write
+    raises ``OutputError``."""
     try:
-        if path is None:
-            _write_stdout(text)
-        else:
+        if path is not None:
             with open(path, "w", newline="") as fh:
-                fh.write(text)
+                fh.writelines(parts)
+            return
+        out = sys.stdout
+        if out is None:
+            raise OutputError("stdout is closed")
+        out.flush()
+        for part in parts:
+            data = memoryview(part.encode(out.encoding, out.errors))
+            while data:
+                # a blocking write that the reader cuts off by closing the
+                # pipe returns short, without an error; the next write raises
+                data = data[out.buffer.write(data):]
+        out.buffer.flush()
     except OSError as exc:
         raise OutputError(exc) from None
 
@@ -264,10 +240,9 @@ def emit(report: dict, args, matrix_key: str | None = None) -> None:
             w.writerows([k, json.dumps(v)] for k, v in jsonable(report).items())
         else:
             w.writerows(jsonable(rows))
-        text = buf.getvalue()
+        _write((buf.getvalue(),), args.out)
     else:
-        text = encode_report(report)
-    _write(text, args.out)
+        _write(encode_report(report), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +328,11 @@ def cmd_segment_demo(args) -> int:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         raise OutputError(exc) from None
-    _write(json.dumps([f.to_json() for f in chain.functions()], indent=2),
+    _write((json.dumps([f.to_json() for f in chain.functions()], indent=2),),
            os.path.join(outdir, "four_functions.json"))
-    _write(json.dumps(report.to_json(), indent=2),
+    _write((json.dumps(report.to_json(), indent=2),),
            os.path.join(outdir, "chain_report.json"))
-    _write(traces.getvalue(), os.path.join(outdir, "traces.csv"))
+    _write((traces.getvalue(),), os.path.join(outdir, "traces.csv"))
     print(f"wrote four_functions.json, chain_report.json, traces.csv to {outdir}",
           file=sys.stderr)
     if report.merged_exception:

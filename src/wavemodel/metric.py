@@ -30,7 +30,6 @@ the wave distance per pair) live in the tests' ``oracles.py``.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -611,9 +610,10 @@ def isometry_fit(space: FiniteMetricSpace) -> tuple:
     d = space._m[rows, cols]
     tau = 2 * space._meet[rows, cols]
     max_dev = space._value(np.abs(tau - d).max())
-    tau, d = tau.tolist(), d.tolist()
-    num = sum(map(operator.mul, tau, d))
-    den = sum(v ** 2 for v in d)
+    kind = object if space.exact else None  # int16 products overflow
+    # Python scalars, summed one after another in row-major pair order
+    num = np.cumsum(np.multiply(tau, d, dtype=kind)).item(-1)
+    den = np.cumsum(np.multiply(d, d, dtype=kind)).item(-1)
     # exact spaces: the scale cancels; int spaces divide as ints do
     c = num / den if space._scale is None else Fraction(num, den)
     return max_dev, c

@@ -100,13 +100,14 @@ def brute_force_condition2_defect(space: metric.FiniteMetricSpace, x: int, y: in
     if x == y:
         return 0
     cands = defect_candidates(space)
+    by = {s: open_ball(space, y, s) for s in cands}
     best = 0
     for r in cands:
         bx = open_ball(space, x, r)
         for s in cands:
             if r + s <= best:
                 continue
-            if not (bx & open_ball(space, y, s)):
+            if not (bx & by[s]):
                 best = r + s
     return best - space.d(x, y)
 
@@ -364,6 +365,21 @@ def wave_distance_points(space: metric.FiniteMetricSpace, x: int, y: int):
         if best is None or m < best:
             best = m
     return 2 * best
+
+
+def isometry_fit(space: metric.FiniteMetricSpace) -> tuple:
+    """(max |tau - d|, c = sum tau d / sum d^2) by one loop over the pairs
+    i < j in row-major order, adding one term at a time: the reference of
+    ``metric.isometry_fit``."""
+    if space.n == 1:
+        return 0, None
+    pairs = [(space.d(i, j), wave_distance_points(space, i, j))
+             for i in range(space.n) for j in range(i + 1, space.n)]
+    num = den = 0
+    for d, tau in pairs:
+        num += tau * d
+        den += d * d
+    return max(abs(tau - d) for d, tau in pairs), num / den
 
 
 def set_distance(space: metric.FiniteMetricSpace, x: int, a: frozenset):

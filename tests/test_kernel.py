@@ -15,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavemodel import (
     AxiomViolation,
@@ -31,9 +33,9 @@ from wavemodel import (
     wave_distance_matrix,
     wave_model,
 )
-from wavemodel import metric
+from wavemodel import cli, metric
 from wavemodel.cli import main
-from wavemodel.lattice import b_star_lower, nucleus, wave_distance_classes
+from wavemodel.lattice import b_star_lower, make_grid, nucleus, wave_distance_classes
 from wavemodel.metric import open_balls
 
 import oracles
@@ -395,6 +397,32 @@ def test_isometry_fit_matches_pairwise_sums(name):
     assert result.homothety_c == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                min_size=2, max_size=14, unique=True),
+       st.lists(st.floats(0, 0.4), min_size=28, max_size=28),
+       st.floats(1e-3, 1e6))
+def test_isometry_fit_is_the_row_major_loop_on_float_spaces(cells, jitter, scale):
+    """Distinct lattice cells, each point jittered inside its cell and the
+    whole cloud scaled: the fit's float sums keep the scalar loop's bits."""
+    points = [((x + jitter[2 * k]) * scale, (y + jitter[2 * k + 1]) * scale)
+              for k, (x, y) in enumerate(cells)]
+    s = build_from_points(points)
+    assert repr(metric.isometry_fit(s)) == repr(oracles.isometry_fit(s))
+
+
+@pytest.mark.parametrize("name,dtype", [
+    ("rational-6", np.int16), ("int16-top-12", np.int16), ("graph-12", np.int32),
+    ("int32-line-12", np.int32), ("int64-top-9", np.int64), ("python-int", object),
+])
+def test_isometry_fit_is_the_row_major_loop_in_each_exact_dtype(name, dtype):
+    """Products of entries near a dtype's bound leave the dtype: the fit
+    multiplies Python ints."""
+    s = SPACES[name]
+    assert s._m.dtype == dtype
+    assert repr(metric.isometry_fit(s)) == repr(oracles.isometry_fit(s))
+
+
 @pytest.mark.parametrize("name", [k for k in sorted(SPACES) if SPACES[k].n > 1])
 def test_extreme_distances_are_the_matrix_entries(name):
     s = SPACES[name]
@@ -729,6 +757,40 @@ def test_segment_closed_forms_in_the_object_dtype(monkeypatch):
     assert segment._m.dtype == object
     assert_segment_closed_forms(segment, F(10 ** 20, 3) / (n - 1))
     assert condition2_report(segment)["defects"] == by_pair(segment, oracles.condition2_defect)
+
+
+def scaled(s, c):
+    """The space with every distance of s times c."""
+    return FiniteMetricSpace(tuple(tuple(c * v for v in row) for row in s.dist))
+
+
+#: Factors that move an int16 kernel into int32, int64 and object.
+SCALES = ((F(1), np.int16), (F(1000), np.int32), (F(10 ** 12, 7), np.int64),
+          (F(10 ** 21, 7), object))
+
+
+@pytest.mark.parametrize("name", ["rational-6", "graph-5", "segment-17"])
+def test_exact_results_scale_with_the_metric(name):
+    """d -> c d on a linear grid scaled by c: tau, the defects, the maximum
+    defect, max |tau - d| and the grid brackets scale by c exactly; the
+    homothety factor, the atoms and the Condition-2 verdict do not change."""
+    s = SPACES[name]
+    assert s._m.dtype == np.int16
+    lo, hi = F(s.min_positive_distance()) / 4, 2 * F(s.diameter())
+    base = wave_model(s, make_grid(lo, hi, 40, "linear"), include_brackets=True)
+    defects = condition2_report(s)["defects"]
+    for c, dtype in SCALES:
+        t = scaled(s, c)
+        assert t._m.dtype == dtype
+        result = wave_model(t, make_grid(c * lo, c * hi, 40, "linear"), include_brackets=True)
+        assert result.tau == [[c * v for v in row] for row in base.tau]
+        assert condition2_report(t)["defects"] == [[c * v for v in row] for row in defects]
+        assert result.max_defect == c * base.max_defect
+        assert result.max_abs_tau_minus_d == c * base.max_abs_tau_minus_d
+        assert result.brackets == [[(c * a, c * b) for a, b in row] for row in base.brackets]
+        assert result.homothety_c == base.homothety_c
+        assert result.atoms == base.atoms
+        assert cli._verdict(t, result.max_defect) == cli._verdict(s, base.max_defect)
 
 
 def assert_segment_closed_forms(s, h):

@@ -49,15 +49,16 @@ trees = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(trees)
 def test_writer_matches_the_reference_encoder(report):
-    assert cli.encode_report(report) == reference(report)
+    assert "".join(cli.encode_report(report)) == reference(report)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.lists(st.sampled_from(TRICKY), max_size=8), max_size=6))
 def test_rows_of_values_that_compare_equal(rows):
-    """Memoised tokens never leak between equal values of other types."""
+    """Equal values of other types keep their own tokens: 0, 0.0, -0.0,
+    Fraction(0) and False are each written as the reference writes them."""
     report = {"rows": rows, "again": [list(reversed(r)) for r in rows]}
-    assert cli.encode_report(report) == reference(report)
+    assert "".join(cli.encode_report(report)) == reference(report)
 
 
 @pytest.mark.parametrize("report", [
@@ -72,12 +73,31 @@ def test_rows_of_values_that_compare_equal(rows):
     [], {}, 0, -0.0, "top",
 ])
 def test_edge_cases(report):
-    assert cli.encode_report(report) == reference(report)
+    assert "".join(cli.encode_report(report)) == reference(report)
 
 
 def test_unserializable_values_are_refused():
     with pytest.raises(TypeError):
-        cli.encode_report({"a": {1, 2}})
+        "".join(cli.encode_report({"a": {1, 2}}))
+
+
+def test_tau_report_leaves_one_table_row_at_a_time(monkeypatch):
+    """segment-201: no part is longer than one row of a table, indent and
+    separator included, and the parts join to the reference text."""
+    parts, reports = [], []
+    monkeypatch.setattr(cli, "_write", lambda written, path: parts.extend(written))
+    emit = cli.emit
+    monkeypatch.setattr(cli, "emit", lambda report, args, matrix_key=None: (
+        reports.append(report), emit(report, args, matrix_key)))
+    assert cli.main(["tau", "--backend", "segment", "--samples", "201"]) == 0
+    [report] = reports
+    assert "".join(parts) == reference(report)
+    tables = [report[k].tolist() for k in ("tau", "d", "tau_brackets")]
+    # a row at the indent of a top-level table's rows, after the last row's "],\n"
+    row = max(len("    " + json.dumps(cli.jsonable(r), indent=2).replace("\n", "\n    "))
+              for table in tables for r in table) + len(",\n")
+    assert len(parts) > 3 * 201
+    assert max(map(len, parts)) <= row
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +136,7 @@ def _inputs(tmp_path, rng):
 @pytest.mark.parametrize("command", ["tau", "isometry", "conditions"])
 def test_cli_reports_match_the_reference_encoder(tmp_path, monkeypatch, seed, command):
     written, reports = [], []
-    monkeypatch.setattr(cli, "_write", lambda text, path: written.append(text))
+    monkeypatch.setattr(cli, "_write", lambda parts, path: written.append("".join(parts)))
     emit = cli.emit
     monkeypatch.setattr(cli, "emit", lambda report, args, matrix_key=None: (
         reports.append(report), emit(report, args, matrix_key)))
