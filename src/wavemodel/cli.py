@@ -63,9 +63,9 @@ def encode_report(report) -> Iterator[str]:
     + "\\n"``, byte for byte, without the copy and the pure-Python encoder.
 
     The parts come as they are made, so the text is never held whole.  A
-    container's run of scalar items is one part.  A matrix table
-    (``metric._Table``) formats each of its values once, at the indent of
-    its cells, and is one part per row.  Values must be dict (str keys),
+    scalar is one part, and so is each item's separator and key.  A matrix
+    table (``metric._Table``) formats each of its values once, at the
+    indent of its cells, and is one part per row.  Values must be dict (str keys),
     list, tuple, str, int, float, bool, None, Fraction or a table.
     """
     yield from _parts(report, "")
@@ -76,8 +76,8 @@ def _token(v) -> str | None:
     """The token of a scalar, as ``json.dumps(jsonable(v))`` writes it;
     None for anything else."""
     t = type(v)
-    if t is Fraction:
-        return _quote(str(v))
+    if t is Fraction:  # digits, a sign and a slash: nothing to escape
+        return '"' + str(v) + '"'
     if t is float:
         return '"inf"' if math.isinf(v) else "NaN" if v != v else repr(v)
     if t is int:
@@ -118,17 +118,12 @@ def _parts(v, indent: str) -> Iterator[str]:
     if not items:
         yield ends
         return
-    run, sep = [], ends[0] + "\n" + inner
+    sep = ends[0] + "\n" + inner
     for key, x in items:
-        token = _token(x)
-        if token is None:
-            yield "".join(run) + sep + key
-            run = []
-            yield from _parts(x, inner)
-        else:
-            run += (sep, key, token)
+        yield sep + key
+        yield from _parts(x, inner)
         sep = ",\n" + inner
-    yield "".join(run) + "\n" + indent + ends[1]
+    yield "\n" + indent + ends[1]
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -209,7 +204,9 @@ def sample_spacing_note(space) -> dict:
 def _write(parts: Iterable[str], path: str | None) -> None:
     """Write the text ``parts`` one at a time to ``path``, or to stdout when
     it is None, so that a report is never held whole.  A failed write
-    raises ``OutputError``."""
+    raises ``OutputError``.  The parts are made while the file is open: if
+    making one raises (``encode_report`` meets a value it cannot write),
+    ``path`` is left holding the parts before it."""
     try:
         if path is not None:
             with open(path, "w", newline="") as fh:

@@ -603,7 +603,9 @@ def wave_distance_matrix(space: FiniteMetricSpace) -> list:
 def isometry_fit(space: FiniteMetricSpace) -> tuple:
     """(max |tau - d|, c) over the pairs i < j, with tau the closed form and
     c = sum tau d / sum d^2 the least-squares homothety factor (None for one
-    point).  Sums run in row-major pair order, as a scalar loop would."""
+    point).  Sums run in row-major pair order, one term after another as a
+    scalar loop adds them, on every Python version (``sum()`` compensates
+    float sums from 3.12 on, so it is not used)."""
     if space.n == 1:
         return 0, None
     rows, cols = np.triu_indices(space.n, 1)

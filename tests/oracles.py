@@ -370,7 +370,8 @@ def wave_distance_points(space: metric.FiniteMetricSpace, x: int, y: int):
 def isometry_fit(space: metric.FiniteMetricSpace) -> tuple:
     """(max |tau - d|, c = sum tau d / sum d^2) by one loop over the pairs
     i < j in row-major order, adding one term at a time: the reference of
-    ``metric.isometry_fit``."""
+    ``metric.isometry_fit``.  Not ``sum()``, which compensates float sums
+    from Python 3.12 on."""
     if space.n == 1:
         return 0, None
     pairs = [(space.d(i, j), wave_distance_points(space, i, j))
