@@ -1,6 +1,8 @@
 """Finite metric-space backends, metric neighborhoods and ball arithmetic.
 
-Every backend reduces to a validated distance matrix, and the matrix alone
+Every backend reduces to a distance matrix, validated unless the builder
+makes a metric by construction (exact graph geodesics, the segment sample,
+the discrete metric), and the matrix alone
 fixes the number system: a space with no float entry is exact (graph
 geodesics with rational weights, discrete metric, uniform segment samples,
 rational matrices) and compares exactly; a space with a float entry (the
@@ -118,26 +120,31 @@ def _exact_matrix(dist) -> tuple:
     _, first, codes = np.unique(ids, return_index=True, return_inverse=True)
     values = []
     bad = []
-    ints = True
     for k in first.tolist():
         v = dist[k // n][k % n]
-        if type(v) is not int:
-            ints = False
-            if not isinstance(v, Fraction):
-                try:
-                    v = Fraction(v)
-                except (ValueError, OverflowError, TypeError):
-                    bad.append(k)
+        if type(v) is not int and not isinstance(v, Fraction):
+            try:
+                v = Fraction(v)
+            except (ValueError, OverflowError, TypeError):
+                bad.append(k)
         values.append(v)
     if bad:
         i, j = divmod(min(bad), n)  # the first bad entry in row-major order
         raise AxiomViolation(f"d({i},{j}) = {dist[i][j]} is not a finite number", (i, j))
+    scaled, scale = _scaled(values)
+    dtype = _int_dtype(4 * max(map(abs, scaled)))
+    return np.array(scaled, dtype=dtype)[codes].reshape(n, n), scale
+
+
+def _scaled(values) -> tuple:
+    """(scaled, scale): the ints and ``Fraction``s ``values`` times the LCM
+    ``scale`` of their denominators, with ``scale`` None when every value is
+    a Python int."""
     denominators = {v.denominator for v in values}
     scale = math.lcm(*denominators)
     factor = {q: scale // q for q in denominators}
     scaled = [v.numerator * factor[v.denominator] for v in values]
-    dtype = _int_dtype(4 * max(map(abs, scaled)))
-    return np.array(scaled, dtype=dtype)[codes].reshape(n, n), None if ints else scale
+    return scaled, None if all(type(v) is int for v in values) else scale
 
 
 def _float_matrix(dist) -> np.ndarray:
@@ -160,8 +167,8 @@ def _as_float(v) -> float:
 
 
 def _is_finite_real(v) -> bool:
-    # float() reads str and bool as numbers, but neither is a distance
-    if isinstance(v, (str, bool)):
+    # float() reads str and bools as numbers, but none is a distance
+    if isinstance(v, (str, bool, np.bool_)):
         return False
     return isinstance(v, (int, Fraction)) or math.isfinite(_as_float(v))
 
@@ -242,6 +249,18 @@ class FiniteMetricSpace:
         object.__setattr__(self, "_scale", scale)
         self._validate()
 
+    @classmethod
+    def _of_kernel(cls, dist: tuple, m: np.ndarray, scale) -> "FiniteMetricSpace":
+        """The space of a ``dist`` that is a metric by construction, with the
+        kernel matrix ``m`` and ``scale`` that ``FiniteMetricSpace(dist)``
+        would build (dtype included), taken as given: no ingest, no
+        validation."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "dist", dist)
+        object.__setattr__(space, "_m", m)
+        object.__setattr__(space, "_scale", scale)
+        return space
+
     def _validate(self):
         """Raise on the first failure in the order of the scalar loops:
         row by row the diagonal, then symmetry and positivity for j > i;
@@ -302,20 +321,22 @@ class FiniteMetricSpace:
     def universe(self) -> PointSet:
         return frozenset(range(self.n))
 
-    def _upper_entry(self, pick) -> object:
-        """The entry ``dist[i][j]``, i < j, at the first ``pick`` (argmin or
-        argmax) over the upper triangle in row-major order."""
+    @cached_property
+    def _extremes(self) -> tuple:
+        """The entries ``dist[i][j]``, i < j, at the first minimum and the
+        first maximum over the upper triangle in row-major order."""
         rows, cols = np.triu_indices(self.n, 1)
-        k = int(pick(self._m[rows, cols]))
-        return self.dist[int(rows[k])][int(cols[k])]
+        upper = self._m[rows, cols]
+        return tuple(self.dist[int(rows[k])][int(cols[k])]
+                     for k in (int(upper.argmin()), int(upper.argmax())))
 
     def min_positive_distance(self):
-        return self._upper_entry(np.argmin)
+        return self._extremes[0]
 
     def diameter(self):
         if self.n == 1:
             return 0
-        return self._upper_entry(np.argmax)
+        return self._extremes[1]
 
     # -- matrix kernels (cached: the space is immutable) ---------------------
 
@@ -427,7 +448,9 @@ def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
     Rational/integer weights give an exact space, float weights a float
     space.  A repeated edge keeps its last weight and a self-loop adds only
     its node.  Distances come from Floyd-Warshall on the kernel matrix of
-    the weights.
+    the weights.  Exact geodesics are a metric by construction, so the
+    space takes their kernel as it is; float rounding can break a triangle
+    by ulps, so a float space is validated.
     """
     weights = {}
     nodes = set()
@@ -445,21 +468,38 @@ def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
     m = len(nodes)
     if sorted(nodes) != list(range(m)):
         raise MetricError("graph nodes must be 0-based consecutive indices")
-    rows = [[0] * m for _ in range(m)]
-    for (i, j), w in weights.items():
-        rows[i][j] = rows[j][i] = w
-    g, scale = _kernel_matrix(rows)
+    exact = not any(isinstance(w, (float, np.floating)) for w in weights.values())
     # no edge: longer than any simple path (m - 1 edges), also after float rounding
-    top = m * g.max(keepdims=True).item() + 1
-    if g.dtype != np.float64:
-        g = g.astype(_int_dtype(2 * top))  # a relaxation adds two entries
-    g[g == 0] = top
+    if exact:
+        scaled, scale = _scaled([w if isinstance(w, (int, Fraction)) else Fraction(w)
+                                 for w in weights.values()])
+        top = m * max(scaled, default=0) + 1
+        g = np.full((m, m), top, dtype=_int_dtype(2 * top))  # a relaxation adds two entries
+        if weights:
+            i, j = zip(*weights)
+            g[i, j] = g[j, i] = scaled
+    else:
+        rows = [[0] * m for _ in range(m)]
+        for (i, j), w in weights.items():
+            rows[i][j] = rows[j][i] = w
+        g = _float_matrix(rows)
+        top = m * g.max() + 1
+        g[g == 0] = top
     np.fill_diagonal(g, 0)
     for k in range(m):
         np.minimum(g, g[:, k, None] + g[None, k, :], out=g)
     if (g == top).any():
         raise MetricError("graph is disconnected: no finite metric")
-    return FiniteMetricSpace(tuple(map(tuple, _table(g, scale).tolist())))
+    if not exact:
+        return FiniteMetricSpace(tuple(map(tuple, _table(g, None).tolist())))
+    # the kernel FiniteMetricSpace(dist) reads back: the scale of the reduced
+    # distances (a weight on no shortest path leaves it) and the narrowest dtype
+    if scale is not None:
+        c = math.gcd(scale, int(np.gcd.reduce(g, axis=None)))
+        g //= c
+        scale //= c
+    g = g.astype(_int_dtype(4 * g.max(keepdims=True).item()), copy=False)
+    return FiniteMetricSpace._of_kernel(tuple(map(tuple, _table(g, scale).tolist())), g, scale)
 
 
 def build_discrete(n: int) -> FiniteMetricSpace:
@@ -468,20 +508,23 @@ def build_discrete(n: int) -> FiniteMetricSpace:
         raise MetricError("n must be >= 1")
     zero, one = Fraction(0), Fraction(1)
     dist = tuple(tuple(zero if i == j else one for j in range(n)) for i in range(n))
-    return FiniteMetricSpace(dist)
+    return FiniteMetricSpace._of_kernel(dist, 1 - np.eye(n, dtype=np.int16), 1)
 
 
 def build_segment_sample(samples: int, length=Fraction(1)) -> FiniteMetricSpace:
-    """Uniform exact sample of the segment [0, length]."""
+    """Uniform exact sample of the segment [0, length]: d(i, j) = |i - j| step,
+    whose kernel is |i - j| times the step's numerator over its denominator."""
     if samples < 2:
         raise MetricError("need at least 2 samples")
     length = Fraction(length)
     if length <= 0:
         raise MetricError("length must be positive")
-    step = length / (samples - 1)
-    at = [k * step for k in range(samples)]
-    return FiniteMetricSpace(tuple(tuple(at[abs(i - j)] for j in range(samples))
-                                   for i in range(samples)))
+    n, step = samples, length / (samples - 1)
+    at = [k * step for k in range(n)]
+    k = np.arange(n, dtype=_int_dtype(4 * (n - 1) * step.numerator))
+    m = np.abs(k[:, None] - k) * step.numerator
+    return FiniteMetricSpace._of_kernel(tuple(tuple(at[i::-1] + at[1:n - i]) for i in range(n)),
+                                        m, step.denominator)
 
 
 def build_from_matrix(rows: Sequence[Sequence]) -> FiniteMetricSpace:

@@ -1,0 +1,154 @@
+"""Builders whose output is a metric by construction hand over their kernel.
+
+``build_from_graph`` on exact weights, ``build_segment_sample`` and
+``build_discrete`` set ``dist``, the kernel matrix ``_m`` and ``_scale``
+together, without ingesting or validating ``dist``.  Each space must equal
+its twin ``FiniteMetricSpace(space.dist)``, which reads the same ``dist``
+back through the full path: equal ``dist``, equal ``_m`` with its dtype,
+equal ``_scale``.  ``build_from_points``, ``build_from_matrix`` and graphs
+with a float weight still validate.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wavemodel import (
+    FiniteMetricSpace,
+    build_discrete,
+    build_from_graph,
+    build_from_matrix,
+    build_from_points,
+    build_segment_sample,
+)
+from wavemodel import metric
+
+F = Fraction
+
+
+def assert_equals_its_twin(s):
+    """s equals FiniteMetricSpace(s.dist), and its dist shares one object
+    per distinct value, as the full path's ingest expects."""
+    twin = FiniteMetricSpace(s.dist)
+    assert s.dist == twin.dist
+    assert s._m.dtype == twin._m.dtype
+    assert np.array_equal(s._m, twin._m)
+    assert s._scale == twin._scale and type(s._scale) is type(twin._scale)
+    entries = [v for row in s.dist for v in row]
+    assert len(set(map(id, entries))) == len(set(entries))
+
+
+INTS = st.integers(1, 60)
+FRACTIONS = st.builds(F, st.integers(1, 60), st.sampled_from([1, 2, 3, 7, 10, 12]))
+WHOLE = st.builds(F, st.integers(1, 60))  # Fractions of denominator 1
+
+
+@st.composite
+def graphs(draw, weights):
+    """A connected graph on 1..12 nodes: a random spanning tree plus up to 2n
+    further edges, repeats and self-loops included; one node is a self-loop."""
+    n = draw(st.integers(1, 12))
+    edges = [(draw(st.integers(0, j - 1)), j, draw(weights)) for j in range(1, n)]
+    node = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(node, node, weights), max_size=2 * n))
+    return edges or [(0, 0, draw(weights))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(st.one_of(INTS, FRACTIONS)))
+def test_exact_graph_equals_its_twin(edges):
+    assert_equals_its_twin(build_from_graph(edges))
+
+
+@settings(max_examples=50, deadline=None)
+@given(graphs(INTS))
+def test_int_graph_has_no_scale(edges):
+    s = build_from_graph(edges)
+    assert s._scale is None
+    assert_equals_its_twin(s)
+
+
+@settings(max_examples=50, deadline=None)
+@given(graphs(WHOLE))
+def test_whole_fraction_graph_has_scale_one(edges):
+    s = build_from_graph(edges)
+    assert s._scale == (1 if s.n > 1 else None)  # one node: no weight is kept
+    assert_equals_its_twin(s)
+
+
+def test_weight_on_no_shortest_path_leaves_the_scale():
+    s = build_from_graph([(0, 1, F(1, 3)), (0, 2, F(1, 10)), (2, 1, F(1, 10))])
+    assert s.d(0, 1) == F(1, 5)
+    assert s._scale == 10
+    assert_equals_its_twin(s)
+
+
+@pytest.mark.parametrize("dtype,prev", [(np.int16, None), (np.int32, np.int16),
+                                        (np.int64, np.int32), (object, np.int64)])
+@pytest.mark.parametrize("denominator", [1, 3])
+def test_graph_kernel_in_each_dtype(dtype, prev, denominator):
+    """A 5-node path with equal weights w: its longest geodesic is 4w, so the
+    kernel holds 16w, while Floyd-Warshall needs only 2 (5w + 1); w just past
+    the narrower bound puts the kernel in ``dtype``, one wider than the
+    Floyd-Warshall matrix."""
+    w = 1 if prev is None else int(np.iinfo(prev).max) // 16 + 1
+    s = build_from_graph([(i, i + 1, F(w, denominator)) for i in range(4)])
+    assert s._m.dtype == dtype
+    assert_equals_its_twin(s)
+
+
+@pytest.mark.parametrize("w", [F(1, 2), 1, 0.5])
+def test_one_node_graph_equals_its_twin(w):
+    s = build_from_graph([(0, 0, w)])
+    assert s.n == 1 and s._scale is None
+    assert_equals_its_twin(s)
+
+
+def test_float_graph_equals_its_validated_twin():
+    for edges in ([(0, 1, 0.1), (1, 2, 0.2), (2, 3, 0.7), (0, 3, 0.3), (1, 3, 0.3)],
+                  [(0, 1, F(1, 3)), (1, 2, np.float64(0.25)), (0, 2, F(3, 2))]):
+        s = build_from_graph(edges)
+        assert not s.exact
+        assert_equals_its_twin(s)
+
+
+@pytest.mark.parametrize("length,dtype", [(F(3, 2), np.int16), (F(15000), np.int32),
+                                          (F(10 ** 9, 7), np.int64), (F(10 ** 20, 3), object)])
+def test_segment_kernel_in_each_dtype(length, dtype):
+    s = build_segment_sample(17, length)
+    assert s._m.dtype == dtype
+    assert_equals_its_twin(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 10 ** 25), st.integers(1, 10 ** 6))
+def test_segment_equals_its_twin(samples, p, q):
+    assert_equals_its_twin(build_segment_sample(samples, F(p, q)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 300])
+def test_discrete_equals_its_twin(n):
+    s = build_discrete(n)
+    assert s._m.dtype == np.int16 and s._scale == 1
+    assert_equals_its_twin(s)
+
+
+def test_only_builders_without_a_construction_guarantee_validate(monkeypatch):
+    """Exact graphs, segments and the discrete metric never ingest or
+    validate; points, matrices and float-weight graphs do."""
+    def refuse(*args):
+        raise AssertionError("validated")
+
+    monkeypatch.setattr(metric, "_kernel_matrix", refuse)
+    monkeypatch.setattr(FiniteMetricSpace, "_validate", refuse)
+    build_from_graph([(0, 1, F(1, 3)), (1, 2, 2)])
+    build_segment_sample(5, F(3, 2))
+    build_discrete(4)
+    for build in (lambda: build_from_points([(0.0,), (1.0,)]),
+                  lambda: build_from_matrix([[0, 1], [1, 0]]),
+                  lambda: build_from_graph([(0, 1, 0.5)])):
+        with pytest.raises(AssertionError, match="validated"):
+            build()

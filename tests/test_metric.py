@@ -177,7 +177,7 @@ def test_non_finite_points_are_refused():
         build_from_points([(1e308, 1e308), (-1e308, -1e308)])  # distance overflows
 
 
-@pytest.mark.parametrize("w", [math.inf, math.nan, -math.inf, "1", True])
+@pytest.mark.parametrize("w", [math.inf, math.nan, -math.inf, "1", True, np.True_])
 def test_non_finite_edge_weight_is_refused(w):
     with pytest.raises(AxiomViolation) as ei:
         build_from_graph([(0, 1, 1), (1, 2, w)])
