@@ -91,6 +91,21 @@ def _token(v) -> str | None:
     return None
 
 
+def _cell_tokens(values, cell: str) -> list:
+    """The text of each table value at the indent ``cell``: finite floats and
+    ints in one ``repr`` pass, and a pair of scalars (a grid bracket) from
+    the tokens of its ends, each end object formatted once."""
+    if {float, int}.issuperset(map(type, values)):
+        tokens = list(map(repr, values))
+        if {"inf", "-inf", "nan"}.isdisjoint(tokens):
+            return tokens
+    ends = {id(e): e for x in values if type(x) is tuple for e in x}
+    ends = {k: _token(e) for k, e in ends.items()}
+    pairs = [[ends[id(e)] for e in x] if type(x) is tuple else () for x in values]
+    return [f"[\n{cell}  {p[0]},\n{cell}  {p[1]}\n{cell}]" if len(p) == 2 and None not in p
+            else _token(x) or "".join(_parts(x, cell)) for x, p in zip(values, pairs)]
+
+
 def _parts(v, indent: str) -> Iterator[str]:
     """The parts of ``v``, its lines after the first indented by ``indent``."""
     token = _token(v)
@@ -101,8 +116,7 @@ def _parts(v, indent: str) -> Iterator[str]:
     inner = indent + "  "
     if t is metric._Table:
         cell = inner + "  "
-        tokens = np.array([_token(x) or "".join(_parts(x, cell)) for x in v.values],
-                          dtype=object)
+        tokens = np.array(_cell_tokens(v.values, cell), dtype=object)
         head, sep = "[\n" + inner + "[\n" + cell, ",\n" + cell
         for row in tokens[v.codes].tolist():
             yield head + sep.join(row)
@@ -196,8 +210,6 @@ def resolve_grid(args, space) -> lattice.TimeGrid:
 
 
 def sample_spacing_note(space) -> dict:
-    if space.n == 1:
-        return {"min_positive_distance": None}
     return {"min_positive_distance": space.min_positive_distance()}
 
 
@@ -209,7 +221,7 @@ def _write(parts: Iterable[str], path: str | None) -> None:
     ``path`` is left holding the parts before it."""
     try:
         if path is not None:
-            with open(path, "w", newline="") as fh:
+            with open(path, "w", newline="", buffering=1 << 16) as fh:
                 fh.writelines(parts)
             return
         out = sys.stdout

@@ -27,7 +27,7 @@ from .metric import (
     _as_float,
     _check_points,
     _max_defect,
-    _table,
+    _tau_table,
     closed_ball,
     check_condition1,
     condition2_report,
@@ -359,6 +359,6 @@ def wave_model(space: FiniteMetricSpace, grid: TimeGrid,
         bounds = [(0, doubled[0]), *zip(doubled, doubled[1:]), (doubled[-1], INFINITY)]
         brackets = _Table(first_meeting(space, grid.values), bounds, ((0, 0),))
     return WaveModelResult(
-        space=space, atoms=atoms, tau_table=_table(2 * space._meet, space._scale),
+        space=space, atoms=atoms, tau_table=_tau_table(space),
         max_abs_tau_minus_d=max_dev, homothety_c=c, condition1=check_condition1(space),
         max_defect=_max_defect(space), bracket_table=brackets, warnings=warnings)

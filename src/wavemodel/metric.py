@@ -18,7 +18,7 @@ construction: exact spaces scale their distances by the LCM of the
 denominators, converting each distinct entry object once, into the
 narrowest of int16, int32 and int64 that holds four times the largest
 entry (Python ints in an object array beyond int64); float spaces use
-float64.
+float64, and the exact ranks R of its values for the wave distance.
 Validation, balls, neighborhoods, the defects, the wave distance and
 grid brackets all run on that matrix; ``dist`` is read only at the API and
 report boundary (construction, validation messages, ``d``, the extreme
@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations, starmap
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -152,11 +152,16 @@ def _float_matrix(dist) -> np.ndarray:
         m = np.array(dist, dtype=np.float64)
     except (OverflowError, TypeError, ValueError):
         m = np.array([[_as_float(v) for v in row] for row in dist])
+    _check_finite(m, dist)
+    return m
+
+
+def _check_finite(m: np.ndarray, dist) -> None:
+    """Refuse the first entry of ``m`` in row-major order that is not finite."""
     bad = ~np.isfinite(m)
     if bad.any():
-        i, j = divmod(int(np.argmax(bad)), len(dist))
+        i, j = divmod(int(np.argmax(bad)), len(m))
         raise AxiomViolation(f"d({i},{j}) = {dist[i][j]} is not a finite number", (i, j))
-    return m
 
 
 def _as_float(v) -> float:
@@ -206,20 +211,35 @@ def _table(a: np.ndarray, scale, diagonal=(0,)) -> _Table:
     return _Table(codes.reshape(a.shape), values, diagonal)
 
 
+def _tau_table(space: "FiniteMetricSpace") -> _Table:
+    """tau = 2 ``_meet`` as a table; on a float space the codes are the
+    ranks of ``_meet`` compressed to those in use, with no second sort."""
+    if space.exact:
+        return _table(2 * space._meet, space._scale)
+    values, _, meet = space._ranks
+    used = np.bincount(meet.ravel(), minlength=len(values)) > 0
+    return _Table((np.cumsum(used) - 1)[meet], (2 * values[used]).tolist(), (0,))
+
+
 def _dist_table(space: "FiniteMetricSpace") -> _Table:
     """``space.dist`` as given, each entry with its own type and token.
 
     Off the diagonal, entries of one type (float, or int or ``Fraction`` on
     an exact space) are the kernel values converted once per distinct
-    value; entries of any other kind or of mixed types get one code each.
-    The diagonal keeps its entries."""
+    value (floats by their ranks R); entries of any other kind or of mixed
+    types get one code each.  The diagonal keeps its entries."""
     dist, n = space.dist, space.n
-    kinds = set()
-    for i, row in enumerate(dist):
-        kinds.update(map(type, row[:i]), map(type, row[i + 1:]))
+    kinds = set(map(type, chain.from_iterable(dist)))
+    if len(kinds) > 1:  # the diagonal may differ: read the rest alone
+        kinds = set()
+        for i, row in enumerate(dist):
+            kinds.update(map(type, row[:i]), map(type, row[i + 1:]))
     diagonal = tuple(row[i] for i, row in enumerate(dist))
     kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is float or (kind in (int, Fraction) and space.exact):
+    if kind is float:
+        values, ranks, _ = space._ranks
+        return _Table(ranks.astype(np.intp), values.tolist(), diagonal)
+    if kind in (int, Fraction) and space.exact:
         return _table(space._m, space._scale if kind is Fraction else None, diagonal)
     codes = np.arange(n * n).reshape(n, n)
     return _Table(codes, tuple(chain.from_iterable(dist)), diagonal)
@@ -251,10 +271,10 @@ class FiniteMetricSpace:
 
     @classmethod
     def _of_kernel(cls, dist: tuple, m: np.ndarray, scale) -> "FiniteMetricSpace":
-        """The space of a ``dist`` that is a metric by construction, with the
-        kernel matrix ``m`` and ``scale`` that ``FiniteMetricSpace(dist)``
-        would build (dtype included), taken as given: no ingest, no
-        validation."""
+        """The space of ``dist`` with the kernel matrix ``m`` and ``scale``
+        that ``FiniteMetricSpace(dist)`` would build (dtype included), taken
+        as given: no ingest, and no validation unless the caller runs
+        ``_validate`` (a metric by construction needs none)."""
         space = object.__new__(cls)
         object.__setattr__(space, "dist", dist)
         object.__setattr__(space, "_m", m)
@@ -264,10 +284,15 @@ class FiniteMetricSpace:
     def _validate(self):
         """Raise on the first failure in the order of the scalar loops:
         row by row the diagonal, then symmetry and positivity for j > i;
-        then the triangle inequality over (i, j, k) in lexicographic order.
-        An exact space first compares d with the (min, +) product d * d; only
-        when that fails does the ordered scan run, to find the first failing
-        triple."""
+        then the triangle inequality over (i, j, k) in lexicographic order,
+        refusing (d(i,k) - d(i,j)) - d(j,k) > tol.  An exactly symmetric d
+        passes at once if d - P <= margin, P = d * d the (min, +) product:
+        margin 0 if exact, else eta - 2^-48 D with D = max |d|.  That covers
+        the gap between the scan's (a - b) - c and P's a - (b + c): two
+        roundings each, each off by at most 2^-53 of a result, |a - b| and
+        |b + c| <= 2D and eta <= D, so where the scan passes eta the product
+        passes eta - 6 * 2^-53 D > eta - 2^-50 D.  Otherwise (or with margin
+        < 0) the ordered scan runs, to find the first failing triple."""
         m, n = self._m, self.n
         tol = 0 if self.exact else _FLOAT_ETA
         upper = np.triu(np.ones((n, n), dtype=bool), 1)
@@ -283,9 +308,8 @@ class FiniteMetricSpace:
             if asym[i, j]:
                 raise AxiomViolation(f"asymmetric: d({i},{j}) != d({j},{i})", (i, j))
             raise AxiomViolation(f"d({i},{j}) = {dij} <= 0 for distinct points", (i, j))
-        # d is now exactly symmetric with a zero diagonal, so d <= the
-        # (min, +) product d * d decides every triangle
-        if self.exact and (m <= _min_product(m, np.add)).all():
+        margin = 0 if self.exact else tol - 2.0 ** -48 * float(np.abs(m).max())
+        if margin >= 0 and (m == m.T).all() and (m - _min_product(m, np.add) <= margin).all():
             return
         for lo, hi in _slabs(n):
             # (d(i,k) - d(i,j)) - d(j,k), evaluated in the scalar loop's order
@@ -331,12 +355,11 @@ class FiniteMetricSpace:
                      for k in (int(upper.argmin()), int(upper.argmax())))
 
     def min_positive_distance(self):
-        return self._extremes[0]
+        """The least distance of two distinct points; None on one point."""
+        return self._extremes[0] if self.n > 1 else None
 
     def diameter(self):
-        if self.n == 1:
-            return 0
-        return self._extremes[1]
+        return self._extremes[1] if self.n > 1 else 0
 
     # -- matrix kernels (cached: the space is immutable) ---------------------
 
@@ -352,9 +375,21 @@ class FiniteMetricSpace:
         return np.argsort(self._m, axis=1, kind="stable")
 
     @cached_property
+    def _ranks(self) -> tuple:
+        """(values, R, meet) of a float space: its distinct values, increasing,
+        the int16 or int32 matrix R of their exact ranks (none merge within
+        eta; 0.0 is -0.0), and the ranks of ``_meet``, R's (min, max) product."""
+        values, ranks = np.unique(self._m, return_inverse=True)
+        ranks = ranks.reshape(self._m.shape).astype(_int_dtype(len(values)))
+        return values, ranks, _min_product(ranks, np.maximum)
+
+    @cached_property
     def _meet(self) -> np.ndarray:
-        """min_z max(d(x,z), d(y,z)): the (min, max) product, half of tau."""
-        return _min_product(self._m, np.maximum)
+        """min_z max(d(x,z), d(y,z)): the (min, max) product, half of tau;
+        a float space takes it on R and gathers the values."""
+        if self.exact:
+            return _min_product(self._m, np.maximum)
+        return self._ranks[0][self._ranks[2]]
 
     @cached_property
     def _defects(self) -> np.ndarray:
@@ -424,22 +459,25 @@ class FiniteMetricSpace:
 
 
 def build_from_points(coords: Sequence[Sequence[float]]) -> FiniteMetricSpace:
-    """Euclidean backend: float distances, tolerance 1e-9."""
+    """Euclidean backend: float distances, tolerance 1e-9.  ``math.dist``
+    of each pair fills the float64 kernel, which the space validates."""
     if not coords:
         raise MetricError("empty point cloud")
     dim = len(coords[0])
     for i, c in enumerate(coords):
         if len(c) != dim:
             raise MetricError(f"point {i} has dimension {len(c)}, expected {dim}")
-    n = len(coords)
-    dist = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            dij = math.dist(coords[i], coords[j])
-            if dij <= _FLOAT_ETA:
-                raise MetricError(f"duplicate points {i} and {j}")
-            dist[i][j] = dist[j][i] = dij
-    return FiniteMetricSpace(tuple(map(tuple, dist)))
+    rows, cols = np.triu_indices(len(coords), 1)
+    upper = np.fromiter(starmap(math.dist, combinations(coords, 2)), np.float64, len(rows))
+    near = np.flatnonzero(upper <= _FLOAT_ETA)
+    if len(near):
+        raise MetricError(f"duplicate points {rows[near[0]]} and {cols[near[0]]}")
+    m = np.zeros((len(coords),) * 2)
+    m[rows, cols] = m[cols, rows] = upper
+    space = FiniteMetricSpace._of_kernel(tuple(map(tuple, m.tolist())), m, None)
+    _check_finite(m, space.dist)
+    space._validate()
+    return space
 
 
 def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
@@ -640,7 +678,7 @@ def wave_distance_matrix(space: FiniteMetricSpace) -> list:
     Symmetric, zero on the diagonal, and >= d(x, y); equals d(x, y) when the
     two-radii separation property holds, and 2 d(x, y) on the discrete metric.
     """
-    return _table(2 * space._meet, space._scale).tolist()
+    return _tau_table(space).tolist()
 
 
 def isometry_fit(space: FiniteMetricSpace) -> tuple:

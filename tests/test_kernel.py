@@ -522,8 +522,10 @@ def test_triangle_witness_in_each_int_dtype(dtype, monkeypatch):
 
 
 def test_ordered_scan_runs_only_when_the_exact_check_fails(monkeypatch):
-    """Valid exact spaces are decided by the half-slab (min, +) check alone;
-    float spaces and broken exact ones take the ordered scan (full slabs)."""
+    """Valid exactly symmetric spaces, exact or float, are decided by the
+    half-slab (min, +) check alone; float spaces asymmetric within eta or
+    past the margin's range (max d >= 2^48 eta), and refused spaces, take
+    the ordered scan (full slabs)."""
     calls = []
     slabs = metric._slabs
     monkeypatch.setattr(metric, "_slabs", lambda n, half=False: calls.append(half) or
@@ -531,11 +533,15 @@ def test_ordered_scan_runs_only_when_the_exact_check_fails(monkeypatch):
     for name, s in SPACES.items():
         calls.clear()
         FiniteMetricSpace(s.dist)
-        assert calls == ([True] if s.exact else [False]), name
+        assert calls == ([False] if name == "float-asymmetric-12" else [True]), name
     calls.clear()
-    with pytest.raises(AxiomViolation):
-        build_from_matrix([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
-    assert calls == [True, False]
+    build_from_matrix([[0.0, 1e6], [1e6, 0.0]])
+    assert calls == [False]
+    for rows in ([[0, 1, 3], [1, 0, 1], [3, 1, 0]], [[0.0, 1, 3], [1, 0, 1], [3, 1, 0]]):
+        calls.clear()
+        with pytest.raises(AxiomViolation):
+            build_from_matrix(rows)
+        assert calls == [True, False]
 
 
 def test_failing_triangle_witness():
@@ -553,6 +559,103 @@ def test_float_slack_is_eta():
     rows[0][2] = rows[2][0] = 2.0 + 1e-6
     with pytest.raises(AxiomViolation):
         build_from_matrix(rows)
+
+
+def test_float_margin_covers_the_rounding_gap():
+    """The scan's (a - b) - c exceeds eta, while the product's a - (b + c)
+    falls just short of it: a (min, +) check against eta alone would pass
+    this matrix; the margin eta - 2^-48 max|d| sends it to the scan."""
+    a, b, c = 695.655792736914, 527.427661008108, 168.22813172780602
+    assert (a - b) - c > 1e-9 >= a - (b + c)
+    rows = [[0, b, a], [b, 0, c], [a, c, 0]]
+    with pytest.raises(AxiomViolation) as ei:
+        build_from_matrix(rows)
+    assert ei.value.witness == (0, 1, 2)
+    assert (str(ei.value), ei.value.witness) == oracles.first_axiom_failure(rows, 1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.01, 1000), st.floats(0.01, 1000), st.integers(-8, 8),
+       st.permutations(range(4)))
+def test_triangle_within_ulps_of_eta_gets_the_scan_verdict(b, c, k, perm):
+    """One triangle with a = b + c + eta moved by k ulps, so that its excess
+    lies within 8 ulps of a around eta, and a fourth point at distance a from
+    the others, relabelled: the space is refused exactly when the ordered
+    scan refuses it, with the scan's message and witness."""
+    a = b + c + 1e-9
+    for _ in range(abs(k)):
+        a = math.nextafter(a, math.inf if k > 0 else 0)
+    base = [[0, b, a, a], [b, 0, c, a], [a, c, 0, a], [a, a, a, 0]]
+    rows = [[float(base[perm[i]][perm[j]]) for j in range(4)] for i in range(4)]
+    failure = oracles.first_axiom_failure(rows, 1e-9)
+    if failure is None:
+        assert build_from_matrix(rows).n == 4
+    else:
+        with pytest.raises(AxiomViolation) as ei:
+            build_from_matrix(rows)
+        assert (str(ei.value), ei.value.witness) == failure
+
+
+@st.composite
+def tied_float_spaces(draw):
+    """Float spaces with ties: distinct points of a 4 x 4 integer grid,
+    scaled, built by the points backend or as a matrix with one of: nothing
+    changed, -0.0 on the diagonal, diagonal entries within eta of 0
+    (negative ones too), or entries below the diagonal moved by 2e-10
+    (asymmetric within eta, which the ordered scan validates)."""
+    n = draw(st.integers(2, 7))
+    pts = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                        min_size=n, max_size=n, unique=True))
+    scale = draw(st.sampled_from([1.0, 0.1, 7.3]))
+    change = draw(st.sampled_from(["points", "none", "-0.0", "diagonal", "asymmetric"]))
+    if change == "points":
+        return build_from_points([(x * scale, y * scale) for x, y in pts])
+    rows = [[math.dist(p, q) * scale for q in pts] for p in pts]
+    for i in range(n):
+        if change == "-0.0":
+            rows[i][i] = draw(st.sampled_from([0.0, -0.0]))
+        elif change == "diagonal":
+            rows[i][i] = draw(st.sampled_from([-4e-10, -0.0, 0.0, 3e-10]))
+        elif change == "asymmetric":
+            for j in range(i):
+                rows[i][j] += draw(st.sampled_from([0.0, -2e-10, 2e-10]))
+    return build_from_matrix(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_float_spaces())
+def test_float_kernels_on_ranks_match_the_scalar_loops(space):
+    """``_meet``, ``first_meeting`` and the tau, d and defect tables of a
+    float space, which run on its ranks R, are bit-identical to the scalar
+    float loops of ``oracles``."""
+    n = space.n
+    tau = by_pair(space, lambda s, x, y: 0 if x == y else oracles.wave_distance_points(s, x, y))
+    off = ~np.eye(n, dtype=bool)
+    # bit for bit off the diagonal; on it, 0.0 and -0.0 share one rank
+    assert (2 * space._meet[off]).tobytes() == np.array(tau)[off].tobytes()
+    assert (np.diagonal(space._meet) == np.diagonal(space._m)).all()
+    radii = sorted({*map(F, space._meet[off].tolist()), *default_grid(space, 8).values})
+    got = metric.first_meeting(space, radii)
+    for x in range(n):
+        for y in range(n):
+            assert got[x, y] == next((k for k, r in enumerate(radii) if
+                                      oracles.open_ball(space, x, r) &
+                                      oracles.open_ball(space, y, r)), len(radii))
+    same = lambda a, b: repr(a) == repr(b)  # noqa: E731 (types and zero signs too)
+    assert same(metric._tau_table(space).tolist(), tau)
+    assert same(metric._dist_table(space).tolist(), [list(row) for row in space.dist])
+    defects = by_pair(space, lambda s, x, y: 0 if x == y else oracles.condition2_defect(s, x, y))
+    assert same(metric._condition2(space)["defects"].tolist(), defects)
+
+
+def test_ranks_widen_past_int16():
+    """260 random points have more distinct distances than int16 holds: R is
+    int32, and the meet on it is the meet on the values."""
+    space = oracles.random_point_space(random.Random(3), 260)
+    values, ranks, _ = space._ranks
+    assert len(values) > 2 ** 15 and ranks.dtype == np.int32
+    assert (values[ranks] == space._m).all()
+    assert space._meet.tobytes() == metric._min_product(space._m, np.maximum).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,16 @@ def test_point_cloud_errors():
         build_from_points([(0, 0), (1,)])
     with pytest.raises(MetricError):
         build_from_points([(1, 2), (1, 2)])
+    # the first duplicate pair in row-major order
+    with pytest.raises(MetricError, match=r"^duplicate points 0 and 2$"):
+        build_from_points([(0, 0), (1, 1), (0, 1e-10), (1, 1)])
+
+
+@pytest.mark.parametrize("space", [build_discrete(1), build_from_points([(0.3, 0.4)]),
+                                   build_from_matrix([[0]])])
+def test_one_point_has_no_min_positive_distance(space):
+    assert space.min_positive_distance() is None
+    assert space.diameter() == 0
 
 
 def test_path_graph_geodesics():
@@ -171,10 +181,12 @@ def test_float_overflowing_rational_is_refused_on_float_space():
 
 
 def test_non_finite_points_are_refused():
-    with pytest.raises(AxiomViolation):
+    with pytest.raises(AxiomViolation, match=r"^d\(0,1\) = nan is not a finite number$"):
         build_from_points([(0.0, 0.0), (math.nan, 1.0)])
-    with pytest.raises(AxiomViolation):
-        build_from_points([(1e308, 1e308), (-1e308, -1e308)])  # distance overflows
+    with pytest.raises(AxiomViolation) as ei:  # the distance of (2, 3) overflows
+        build_from_points([(0.0, 0.0), (1.0, 0.0), (1e308, 1e308), (-1e308, -1e308)])
+    assert ei.value.witness == (2, 3)
+    assert str(ei.value) == "d(2,3) = inf is not a finite number"
 
 
 @pytest.mark.parametrize("w", [math.inf, math.nan, -math.inf, "1", True, np.True_])

@@ -102,6 +102,25 @@ def test_csv_branch_writes_the_expanded_rows(table):
     assert written == [buf.getvalue()]
 
 
+@pytest.mark.parametrize("values", [
+    (0.0, -0.0, 1.5, 0),  # a float table with an int diagonal
+    (0.25, INF, 0), (-INF, 0.5, 0.0), (math.nan, 0.5, 0),
+    (0.5, F(1, 2), 1, 0), (True, 1.0, 0), (2 ** 200, -7, 0.5), (3, 1, 0),
+    ((0, F(2, 3)), (F(2, 3), F(4, 3)), (F(4, 3), INF), (0, 0)),  # grid brackets
+    ((0.5, 1.5), (0.5, F(1, 2)), (), (1,), 0.5),
+])
+def test_table_tokens_are_the_scalar_tokens(values):
+    cell = "      "
+    assert cli._cell_tokens(values, cell) == [
+        cli._token(x) or "".join(cli._parts(x, cell)) for x in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.integers(), st.sampled_from(TRICKY)), max_size=9))
+def test_scalar_table_tokens_are_the_scalar_tokens(values):
+    assert cli._cell_tokens(values, "    ") == list(map(cli._token, values))
+
+
 def _same(a, b):
     """Equal nested lists whose entries also agree in type (and in the sign
     of a zero): repr tells 0, 0.0, -0.0, Fraction(0) and False apart."""
