@@ -26,6 +26,7 @@ from .metric import (
     _Table,
     _as_float,
     _check_points,
+    _in_use,
     _max_defect,
     _tau_table,
     closed_ball,
@@ -354,10 +355,13 @@ def wave_model(space: FiniteMetricSpace, grid: TimeGrid,
     max_dev, c = isometry_fit(space)
     brackets = None
     if include_brackets:
-        doubled = [2 * t for t in grid.values]
-        # the bracket for each index of the first grid value where the balls meet
-        bounds = [(0, doubled[0]), *zip(doubled, doubled[1:]), (doubled[-1], INFINITY)]
-        brackets = _Table(first_meeting(space, grid.values), bounds, ((0, 0),))
+        # the bracket (2 t_{k-1}, 2 t_k) of each index k of the first grid value
+        # where the balls meet, for the k in use; neighbours share their end
+        codes, used = _in_use(first_meeting(space, grid.values), len(grid) + 1)
+        ends = {*used, *(k - 1 for k in used)} - {-1, len(grid)}
+        doubled = {k: 2 * grid.values[k] for k in ends}
+        bounds = [(doubled.get(k - 1, 0), doubled.get(k, INFINITY)) for k in used]
+        brackets = _Table(codes, bounds, ((0, 0),))
     return WaveModelResult(
         space=space, atoms=atoms, tau_table=_tau_table(space),
         max_abs_tau_minus_d=max_dev, homothety_c=c, condition1=check_condition1(space),

@@ -2,7 +2,7 @@
 
 Every backend reduces to a distance matrix, validated unless the builder
 makes a metric by construction (exact graph geodesics, the segment sample,
-the discrete metric), and the matrix alone
+the discrete metric, point clouds), and the matrix alone
 fixes the number system: a space with no float entry is exact (graph
 geodesics with rational weights, discrete metric, uniform segment samples,
 rational matrices) and compares exactly; a space with a float entry (the
@@ -198,7 +198,7 @@ class _Table:
         return values[self.codes].tolist()
 
 
-def _table(a: np.ndarray, scale, diagonal=(0,)) -> _Table:
+def _table(a: np.ndarray, scale) -> _Table:
     """The kernel matrix ``a`` as API values: kernel values over ``scale``,
     one ``Fraction`` per distinct value, or the values themselves when
     ``scale`` is None.  Floats are told apart by their bits, so 0.0 and
@@ -208,7 +208,13 @@ def _table(a: np.ndarray, scale, diagonal=(0,)) -> _Table:
     values = (distinct.view(np.float64) if floats else distinct).tolist()
     if scale is not None:
         values = [Fraction(v, scale) for v in values]
-    return _Table(codes.reshape(a.shape), values, diagonal)
+    return _Table(codes.reshape(a.shape), values, (0,))
+
+
+def _in_use(codes: np.ndarray, size: int) -> tuple:
+    """``codes`` into ``size`` values, renumbered to those in use, and their indices."""
+    used = np.bincount(codes.ravel(), minlength=size) > 0
+    return (np.cumsum(used) - 1)[codes], np.flatnonzero(used).tolist()
 
 
 def _tau_table(space: "FiniteMetricSpace") -> _Table:
@@ -217,17 +223,18 @@ def _tau_table(space: "FiniteMetricSpace") -> _Table:
     if space.exact:
         return _table(2 * space._meet, space._scale)
     values, _, meet = space._ranks
-    used = np.bincount(meet.ravel(), minlength=len(values)) > 0
-    return _Table((np.cumsum(used) - 1)[meet], (2 * values[used]).tolist(), (0,))
+    codes, used = _in_use(meet, len(values))
+    return _Table(codes, (2 * values[used]).tolist(), (0,))
 
 
 def _dist_table(space: "FiniteMetricSpace") -> _Table:
     """``space.dist`` as given, each entry with its own type and token.
 
-    Off the diagonal, entries of one type (float, or int or ``Fraction`` on
-    an exact space) are the kernel values converted once per distinct
-    value (floats by their ranks R); entries of any other kind or of mixed
-    types get one code each.  The diagonal keeps its entries."""
+    Off the diagonal, entries of one type share one value per distinct
+    kernel value: a float by its rank in R, an int or ``Fraction`` on an
+    exact space as the entry where the value first occurs (only 0 can first
+    occur on the diagonal, which keeps its entries); entries of any other
+    kind or of mixed types get one code each."""
     dist, n = space.dist, space.n
     kinds = set(map(type, chain.from_iterable(dist)))
     if len(kinds) > 1:  # the diagonal may differ: read the rest alone
@@ -240,7 +247,9 @@ def _dist_table(space: "FiniteMetricSpace") -> _Table:
         values, ranks, _ = space._ranks
         return _Table(ranks.astype(np.intp), values.tolist(), diagonal)
     if kind in (int, Fraction) and space.exact:
-        return _table(space._m, space._scale if kind is Fraction else None, diagonal)
+        _, first, codes = np.unique(space._m, return_index=True, return_inverse=True)
+        values = [dist[k // n][k % n] for k in first.tolist()]
+        return _Table(codes.reshape(n, n), values, diagonal)
     codes = np.arange(n * n).reshape(n, n)
     return _Table(codes, tuple(chain.from_iterable(dist)), diagonal)
 
@@ -460,7 +469,9 @@ class FiniteMetricSpace:
 
 def build_from_points(coords: Sequence[Sequence[float]]) -> FiniteMetricSpace:
     """Euclidean backend: float distances, tolerance 1e-9.  ``math.dist``
-    of each pair fills the float64 kernel, which the space validates."""
+    of each pair, within 2 ulps of the true distance (README), fills the
+    float64 kernel: a metric by construction, refused only for duplicate
+    points (a pair <= eta) and distances that are not finite."""
     if not coords:
         raise MetricError("empty point cloud")
     dim = len(coords[0])
@@ -476,7 +487,6 @@ def build_from_points(coords: Sequence[Sequence[float]]) -> FiniteMetricSpace:
     m[rows, cols] = m[cols, rows] = upper
     space = FiniteMetricSpace._of_kernel(tuple(map(tuple, m.tolist())), m, None)
     _check_finite(m, space.dist)
-    space._validate()
     return space
 
 
@@ -686,14 +696,17 @@ def isometry_fit(space: FiniteMetricSpace) -> tuple:
     c = sum tau d / sum d^2 the least-squares homothety factor (None for one
     point).  Sums run in row-major pair order, one term after another as a
     scalar loop adds them, on every Python version (``sum()`` compensates
-    float sums from 3.12 on, so it is not used)."""
+    float sums from 3.12 on, so it is not used); exact sums, which no order
+    changes, run in int64 while n^2 (4 max d)^2 fits it, else on Python ints."""
     if space.n == 1:
         return 0, None
     rows, cols = np.triu_indices(space.n, 1)
     d = space._m[rows, cols]
     tau = 2 * space._meet[rows, cols]
     max_dev = space._value(np.abs(tau - d).max())
-    kind = object if space.exact else None  # int16 products overflow
+    kind = None  # int16 products overflow; int64 holds < n^2 terms tau d < (4 max d)^2
+    if space.exact:
+        kind = np.int64 if (4 * space.n * int(d.max())) ** 2 <= np.iinfo(np.int64).max else object
     # Python scalars, summed one after another in row-major pair order
     num = np.cumsum(np.multiply(tau, d, dtype=kind)).item(-1)
     den = np.cumsum(np.multiply(d, d, dtype=kind)).item(-1)

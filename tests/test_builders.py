@@ -1,14 +1,16 @@
 """Builders whose output is a metric by construction hand over their kernel.
 
-``build_from_graph`` on exact weights, ``build_segment_sample`` and
-``build_discrete`` set ``dist``, the kernel matrix ``_m`` and ``_scale``
-together, without ingesting or validating ``dist``.  Each space must equal
-its twin ``FiniteMetricSpace(space.dist)``, which reads the same ``dist``
-back through the full path: equal ``dist``, equal ``_m`` with its dtype,
-equal ``_scale``.  ``build_from_points``, ``build_from_matrix`` and graphs
-with a float weight still validate.
+``build_from_graph`` on exact weights, ``build_segment_sample``,
+``build_discrete`` and ``build_from_points`` set ``dist``, the kernel
+matrix ``_m`` and ``_scale`` together, without ingesting or validating
+``dist``.  Each space must equal its twin ``FiniteMetricSpace(space.dist)``,
+which reads the same ``dist`` back through the full path: equal ``dist``,
+equal ``_m`` with its dtype, equal ``_scale`` (a point cloud wherever the
+twin accepts it).  ``build_from_matrix`` and graphs with a float weight
+still validate.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavemodel import (
+    AxiomViolation,
     FiniteMetricSpace,
     build_discrete,
     build_from_graph,
@@ -29,16 +32,16 @@ from wavemodel import metric
 F = Fraction
 
 
-def assert_equals_its_twin(s):
-    """s equals FiniteMetricSpace(s.dist), and its dist shares one object
-    per distinct value, as the full path's ingest expects."""
+def assert_equals_its_twin(s, shared=True):
+    """s equals FiniteMetricSpace(s.dist), and (if ``shared``) its dist
+    shares one object per distinct value, as the full path's ingest expects."""
     twin = FiniteMetricSpace(s.dist)
     assert s.dist == twin.dist
     assert s._m.dtype == twin._m.dtype
     assert np.array_equal(s._m, twin._m)
     assert s._scale == twin._scale and type(s._scale) is type(twin._scale)
     entries = [v for row in s.dist for v in row]
-    assert len(set(map(id, entries))) == len(set(entries))
+    assert not shared or len(set(map(id, entries))) == len(set(entries))
 
 
 INTS = st.integers(1, 60)
@@ -136,9 +139,49 @@ def test_discrete_equals_its_twin(n):
     assert_equals_its_twin(s)
 
 
+#: Each stored point distance lies within this many ulps of the true one.
+ULPS = 2
+
+
+@st.composite
+def hard_clouds(draw):
+    """3 to 8 points, nearly collinear or nearly cocircular, at scales from
+    1e-3 to 1e12: their true triangles are tight, so rounding breaks them."""
+    scale = 10.0 ** draw(st.integers(-3, 12))
+    at = draw(st.lists(st.integers(0, 1000), min_size=3, max_size=8, unique=True))
+    turn = draw(st.floats(0, 2 * math.pi))
+    off = draw(st.lists(st.floats(-1, 1), min_size=len(at), max_size=len(at)))
+    if draw(st.booleans()):  # on a line through the origin, off it by 1e-9 of the scale
+        u, v = math.cos(turn), math.sin(turn)
+        return [(scale * (k / 1000 * u - e * 1e-9 * v), scale * (k / 1000 * v + e * 1e-9 * u))
+                for k, e in zip(at, off)]
+    return [(scale * (1 + e * 1e-9) * math.cos(turn + k / 200),
+             scale * (1 + e * 1e-9) * math.sin(turn + k / 200)) for k, e in zip(at, off)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hard_clouds())
+def test_point_distances_are_within_two_ulps_of_the_true_ones(coords):
+    """Every cloud builds, each stored distance c satisfies
+    (c - 2 ulp(c))^2 <= S <= (c + 2 ulp(c))^2 for the exact sum S of the
+    squared coordinate differences, and wherever the validating path
+    accepts the cloud's matrix it builds the same space."""
+    s = build_from_points(coords)
+    for i, p in enumerate(coords):
+        for j in range(i + 1, len(coords)):
+            c, q = s.d(i, j), coords[j]
+            exact = sum((F(a) - F(b)) ** 2 for a, b in zip(p, q))
+            slack = ULPS * F(math.ulp(c))
+            assert (F(c) - slack) ** 2 <= exact <= (F(c) + slack) ** 2
+    try:  # float entries are read by value, not by object
+        assert_equals_its_twin(s, shared=False)
+    except AxiomViolation:  # a triangle broken by rounding beyond eta
+        pass
+
+
 def test_only_builders_without_a_construction_guarantee_validate(monkeypatch):
-    """Exact graphs, segments and the discrete metric never ingest or
-    validate; points, matrices and float-weight graphs do."""
+    """Exact graphs, segments, the discrete metric and point clouds never
+    ingest or validate; matrices and float-weight graphs do."""
     def refuse(*args):
         raise AssertionError("validated")
 
@@ -147,8 +190,8 @@ def test_only_builders_without_a_construction_guarantee_validate(monkeypatch):
     build_from_graph([(0, 1, F(1, 3)), (1, 2, 2)])
     build_segment_sample(5, F(3, 2))
     build_discrete(4)
-    for build in (lambda: build_from_points([(0.0,), (1.0,)]),
-                  lambda: build_from_matrix([[0, 1], [1, 0]]),
+    build_from_points([(0.0,), (1.0,)])
+    for build in (lambda: build_from_matrix([[0, 1], [1, 0]]),
                   lambda: build_from_graph([(0, 1, 0.5)])):
         with pytest.raises(AssertionError, match="validated"):
             build()

@@ -162,6 +162,17 @@ def test_validate_exit_1_when_point_distances_overflow(tmp_path):
     assert data["valid"] is False and data["witness"] == [0, 1]
 
 
+def test_validate_accepts_a_large_nearly_collinear_cloud(tmp_path):
+    """The rounding of math.dist breaks this triangle by more than eta, but
+    the points themselves satisfy it: a point cloud is a metric."""
+    p = tmp_path / "pts.csv"
+    p.write_text("0,0\n-123948716.92454171,-135161505.53280166\n"
+                 "-235532660.49759912,-256839681.643356\n")
+    code, data = run(tmp_path, "validate", "--backend", "points", "--input", str(p))
+    assert code == 0
+    assert data["valid"] is True and data["n"] == 3
+
+
 def test_missing_required_option_exit_3():
     assert main(["validate", "--backend", "discrete"]) == 3
 

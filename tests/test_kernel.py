@@ -395,6 +395,34 @@ def test_isometry_fit_matches_pairwise_sums(name):
     assert type(result.homothety_c) is type(c)
 
 
+#: The largest kernel maximum whose fit on 9 points runs in int64:
+#: 9^2 (4 max)^2 <= the int64 maximum.
+INT64_FIT_TOP = math.isqrt(int(np.iinfo(np.int64).max) // 81) // 4
+
+
+@pytest.mark.parametrize("top,denominator,dtype,in_int64", [
+    (bound(np.int16), 1, np.int16, True),
+    (bound(np.int16), 5, np.int16, True),
+    (INT64_FIT_TOP, 1, np.int32, True),
+    (INT64_FIT_TOP + 1, 1, np.int32, False),
+    (INT64_FIT_TOP, 7, np.int32, True),
+    (INT64_FIT_TOP + 1, 7, np.int32, False),
+    (bound(np.int32), 1, np.int32, False),  # the int64 sum of the products wraps
+    (bound(np.int64), 3, np.int64, False),  # each product wraps
+    (4 * bound(np.int64), 1, object, False),
+])
+def test_isometry_fit_on_each_side_of_the_int64_bound(top, denominator, dtype, in_int64):
+    """9 points with the largest kernel entry ``top``: the fit equals the
+    scalar loop's in value and Python type, whether n^2 (4 max)^2 fits
+    int64 (int64 products and sum) or not (Python ints)."""
+    s = build_from_matrix(near_top(random.Random(top), 9, top, denominator))
+    assert s._m.dtype == dtype and s._m.max() == top
+    assert (81 * (4 * top) ** 2 <= np.iinfo(np.int64).max) is in_int64
+    got, want = metric.isometry_fit(s), oracles.isometry_fit(s)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
                 min_size=2, max_size=14, unique=True),
@@ -835,6 +863,50 @@ def test_closed_forms_at_slab_scale(n):
     path = build_from_graph([(i, i + 1, 1) for i in range(n - 1)])
     assert wave_distance_matrix(path) == [[2 * ((k + 1) // 2) for k in row] for row in off]
     assert_segment_closed_forms(path, 1)
+
+
+def separation_floor(m: np.ndarray) -> np.ndarray:
+    """s(x, y) = min{d(y, z) : d(x, z) < d(x, y)} at every pair x != y of
+    the kernel ``m``, 0 on the diagonal: with r = d(x, y) the balls
+    B_r(x) and B_s(y) are disjoint, so defect(x, y) >= (r + s) - r."""
+    s = np.zeros_like(m)
+    for x in range(len(m)):
+        inside = m[x][None, :] < m[x][:, None]  # [y, z]: d(x, z) < d(x, y)
+        s[x] = np.where(inside, m, m.max()).min(axis=1)
+        s[x, x] = 0
+    return s
+
+
+#: Spaces of 257 points; the nearly collinear cloud's rounding breaks
+#: triangles by more than eta, so it would not validate as a matrix.
+DEFECT_FLOOR_SPACES = {
+    "discrete": lambda rng: build_discrete(257),
+    "segment": lambda rng: build_segment_sample(257, F(3, 2)),
+    "graph": lambda rng: oracles.random_graph_space(rng, 257),
+    "rational": lambda rng: build_from_matrix(oracles.random_rational_metric(rng, 257)),
+    "points": lambda rng: oracles.random_point_space(rng, 257),
+    "collinear-points": lambda rng: build_from_points(
+        [(k * 1e7 + rng.uniform(-1e-3, 1e-3), k * 3e7) for k in range(257)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFECT_FLOOR_SPACES))
+def test_every_defect_is_at_least_the_separation_floor(name, monkeypatch):
+    """defect(x, y) >= s(x, y) > 0 at every pair of distinct points, exactly
+    on exact spaces and as (d + s) - d in float64 (the sweep's own
+    arithmetic) on point clouds; so max_defect > 0 and the verdict is never
+    "holds" on two or more points.  The bound needs no triangle inequality."""
+    space = DEFECT_FLOOR_SPACES[name](random.Random(name))
+    monkeypatch.setattr(metric, "_SLAB", 64)
+    m = space._m
+    floor = separation_floor(m)
+    if not space.exact:
+        floor = (m + floor) - m
+    off = ~np.eye(space.n, dtype=bool)
+    assert (floor[off] > 0).all()
+    assert (space._defects >= floor).all()
+    max_defect = metric._max_defect(space)
+    assert max_defect > 0 and cli._verdict(space, max_defect) != "holds"
 
 
 def test_segment_closed_forms_in_the_object_dtype(monkeypatch):
