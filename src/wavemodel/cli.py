@@ -40,7 +40,7 @@ class OutputError(Exception):
 
 def jsonable(obj):
     """Flatten Fractions, infinities and matrix tables (once per value) into
-    what ``json`` writes, for the csv summary rows and the tests' reference."""
+    what ``json`` and ``csv`` write: csv reports, and the tests' reference."""
     if isinstance(obj, metric._Table):
         values = np.fromiter(map(jsonable, obj.values), dtype=object, count=len(obj.values))
         return values[obj.codes].tolist()
@@ -244,17 +244,12 @@ def emit(report: dict, args, matrix_key: str | None = None) -> None:
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
-        table = report.get(matrix_key) if matrix_key else None
-        if table is None:
+        rows = report.get(matrix_key) if matrix_key else None
+        if rows is None:
             w.writerows([k, json.dumps(v)] for k, v in jsonable(report).items())
-            text = buf.getvalue()
-        else:  # each distinct value's field, as csv writes it first of two, less ",\r\n"
-            sizes = [w.writerow((v, "")) for v in jsonable(table.values)]
-            text, ends = buf.getvalue(), np.cumsum(sizes).tolist()
-            fields = np.array([text[e - k:e - 3] for k, e in zip(sizes, ends)], dtype=object)
-            rows = fields[table.codes].tolist()  # csv quotes a row of one empty field
-            text = "".join((",".join(row) or '""') + "\r\n" for row in rows)
-        _write((text,), args.out)
+        else:
+            w.writerows(jsonable(rows))
+        _write((buf.getvalue(),), args.out)
     else:
         _write(encode_report(report), args.out)
 

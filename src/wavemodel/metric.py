@@ -258,8 +258,11 @@ def _dist_table(space: "FiniteMetricSpace") -> _Table:
 class FiniteMetricSpace:
     """n points with a symmetric, triangle-valid distance matrix.
 
-    The entries fix the number system: exact without a float entry, float
-    with tolerance ``eta`` = 1e-9 otherwise.  Immutable after construction;
+    Point clouds are the exception: their stored distances are ``math.dist``
+    within 2 ulps of the true Euclidean ones, so rounding may break a
+    triangle by more than eta, and ``FiniteMetricSpace(space.dist)`` may
+    refuse such a cloud's matrix.  The entries fix the number system: exact
+    without a float entry, float with tolerance ``eta`` = 1e-9 otherwise.  Immutable after construction;
     all operations below are pure functions, so concurrent use needs no
     synchronization.
     """

@@ -159,7 +159,7 @@ def hard_clouds(draw):
              scale * (1 + e * 1e-9) * math.sin(turn + k / 200)) for k, e in zip(at, off)]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(hard_clouds())
 def test_point_distances_are_within_two_ulps_of_the_true_ones(coords):
     """Every cloud builds, each stored distance c satisfies
