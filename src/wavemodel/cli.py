@@ -97,7 +97,7 @@ def _cell_tokens(values, cell: str) -> list:
     the tokens of its ends, each end object formatted once."""
     if {float, int}.issuperset(map(type, values)):
         tokens = list(map(repr, values))
-        if {"inf", "-inf", "nan"}.isdisjoint(tokens):
+        if "n" not in "".join(tokens):  # in "inf" and "nan", in no finite repr
             return tokens
     ends = {id(e): e for x in values if type(x) is tuple for e in x}
     ends = {k: _token(e) for k, e in ends.items()}

@@ -66,11 +66,30 @@ def _is_label(text: str) -> bool:
     return True
 
 
+def _float_row(rec: list) -> list | None:
+    """The fields of a row that holds no label, each read by one ``float``
+    pass, where that gives ``_coordinate``'s values: every value finite and
+    nonzero (``_number`` reads '-0' as 0.0, ``float`` as -0.0) and no '_'
+    (``Fraction`` reads none before Python 3.11).  None for any other row."""
+    try:
+        row = list(map(float, rec))
+    except ValueError:
+        return None
+    # a finite sum has no inf or nan among its terms
+    if row and 0.0 not in row and math.isfinite(sum(row)) and "_" not in "".join(rec):
+        return row
+    return None
+
+
 def load_points_csv(path: str):
     """One point per row; a non-numeric first field is taken as the label."""
     coords, labels = [], []
     with open(path, newline="") as fh:
         for r, rec in enumerate(csv.reader(fh), start=1):
+            row = _float_row(rec)
+            if row is not None:
+                coords.append(row)
+                continue
             if not rec or all(not f.strip() for f in rec):
                 continue
             fields = [f for f in rec]

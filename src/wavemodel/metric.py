@@ -222,8 +222,8 @@ def _tau_table(space: "FiniteMetricSpace") -> _Table:
     ranks of ``_meet`` compressed to those in use, with no second sort."""
     if space.exact:
         return _table(2 * space._meet, space._scale)
-    values, _, meet = space._ranks
-    codes, used = _in_use(meet, len(values))
+    values = space._ranks[0]
+    codes, used = _in_use(space._meet_ranks, len(values))
     return _Table(codes, (2 * values[used]).tolist(), (0,))
 
 
@@ -236,15 +236,10 @@ def _dist_table(space: "FiniteMetricSpace") -> _Table:
     occur on the diagonal, which keeps its entries); entries of any other
     kind or of mixed types get one code each."""
     dist, n = space.dist, space.n
-    kinds = set(map(type, chain.from_iterable(dist)))
-    if len(kinds) > 1:  # the diagonal may differ: read the rest alone
-        kinds = set()
-        for i, row in enumerate(dist):
-            kinds.update(map(type, row[:i]), map(type, row[i + 1:]))
     diagonal = tuple(row[i] for i, row in enumerate(dist))
-    kind = kinds.pop() if len(kinds) == 1 else None
+    kind = space._entry_type
     if kind is float:
-        values, ranks, _ = space._ranks
+        values, ranks = space._ranks
         return _Table(ranks.astype(np.intp), values.tolist(), diagonal)
     if kind in (int, Fraction) and space.exact:
         _, first, codes = np.unique(space._m, return_index=True, return_inverse=True)
@@ -282,15 +277,19 @@ class FiniteMetricSpace:
         self._validate()
 
     @classmethod
-    def _of_kernel(cls, dist: tuple, m: np.ndarray, scale) -> "FiniteMetricSpace":
+    def _of_kernel(cls, dist: tuple, m: np.ndarray, scale, entry_type: type
+                   ) -> "FiniteMetricSpace":
         """The space of ``dist`` with the kernel matrix ``m`` and ``scale``
         that ``FiniteMetricSpace(dist)`` would build (dtype included), taken
         as given: no ingest, and no validation unless the caller runs
-        ``_validate`` (a metric by construction needs none)."""
+        ``_validate`` (a metric by construction needs none).  ``entry_type``
+        is the type of every entry off the diagonal, so ``_entry_type``
+        needs no scan."""
         space = object.__new__(cls)
         object.__setattr__(space, "dist", dist)
         object.__setattr__(space, "_m", m)
         object.__setattr__(space, "_scale", scale)
+        object.__setattr__(space, "_entry_type", entry_type)
         return space
 
     def _validate(self):
@@ -382,18 +381,51 @@ class FiniteMetricSpace:
         return v if self._scale is None else Fraction(v, self._scale)
 
     @cached_property
+    def _entry_type(self):
+        """The type of every entry of ``dist`` off the diagonal, None if they
+        have several (on one point, the diagonal's); the builders that hand
+        over their kernel state it."""
+        kinds = set(map(type, chain.from_iterable(self.dist)))
+        if len(kinds) > 1:  # the diagonal may differ: read the rest alone
+            kinds = set()
+            for i, row in enumerate(self.dist):
+                kinds.update(map(type, row[:i]), map(type, row[i + 1:]))
+        return kinds.pop() if len(kinds) == 1 else None
+
+    @cached_property
+    def _mirrored(self) -> bool:
+        """d is exactly symmetric with a zero diagonal: a kernel may read
+        one triangle and mirror it."""
+        m = self._m
+        return not np.diagonal(m).any() and bool((m == m.T).all())
+
+    @cached_property
     def _order(self) -> np.ndarray:
-        """Per row x, the points in stable order of d(x, .)."""
-        return np.argsort(self._m, axis=1, kind="stable")
+        """Per row x, the points in stable order of d(x, .); a float space
+        sorts its exact ranks R, which tie exactly where the floats do."""
+        return np.argsort(self._m if self.exact else self._ranks[1], axis=1, kind="stable")
 
     @cached_property
     def _ranks(self) -> tuple:
-        """(values, R, meet) of a float space: its distinct values, increasing,
+        """(values, R) of a float space: its distinct values, increasing, and
         the int16 or int32 matrix R of their exact ranks (none merge within
-        eta; 0.0 is -0.0), and the ranks of ``_meet``, R's (min, max) product."""
-        values, ranks = np.unique(self._m, return_inverse=True)
-        ranks = ranks.reshape(self._m.shape).astype(_int_dtype(len(values)))
-        return values, ranks, _min_product(ranks, np.maximum)
+        eta; 0.0 is -0.0).  A mirrored d takes them from its upper triangle,
+        whose entries are positive, with 0 ranked first."""
+        m, n = self._m, self.n
+        if not self._mirrored:
+            values, ranks = np.unique(m, return_inverse=True)
+            return values, ranks.reshape(m.shape).astype(_int_dtype(len(values)))
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        values, codes = np.unique(m[upper], return_inverse=True)
+        ranks = np.zeros((n, n), dtype=_int_dtype(len(values) + 1))
+        ranks[upper] = codes + 1
+        ranks += ranks.T
+        return np.concatenate(([0.0], values)), ranks
+
+    @cached_property
+    def _meet_ranks(self) -> np.ndarray:
+        """The ranks of ``_meet`` on a float space: R's (min, max) product."""
+        return _min_product(self._ranks[1], np.maximum)
 
     @cached_property
     def _meet(self) -> np.ndarray:
@@ -401,7 +433,7 @@ class FiniteMetricSpace:
         a float space takes it on R and gathers the values."""
         if self.exact:
             return _min_product(self._m, np.maximum)
-        return self._ranks[0][self._ranks[2]]
+        return self._ranks[0][self._meet_ranks]
 
     @cached_property
     def _defects(self) -> np.ndarray:
@@ -419,7 +451,7 @@ class FiniteMetricSpace:
         dt = m.T.copy()
         low = np.flatnonzero(np.diagonal(m) <= 0)
         dt[low, low] = -np.inf if m.dtype == np.float64 else -(m.max() + 1)
-        half = not np.diagonal(m).any() and bool((m == m.T).all())
+        half = self._mirrored
         out = np.empty_like(m)
         for lo, hi in _slabs(n, half, depth=1):
             start = lo if half else 0
@@ -482,13 +514,14 @@ def build_from_points(coords: Sequence[Sequence[float]]) -> FiniteMetricSpace:
         if len(c) != dim:
             raise MetricError(f"point {i} has dimension {len(c)}, expected {dim}")
     rows, cols = np.triu_indices(len(coords), 1)
-    upper = np.fromiter(starmap(math.dist, combinations(coords, 2)), np.float64, len(rows))
+    pairs = combinations(map(tuple, coords), 2)  # math.dist reads tuples without a copy
+    upper = np.fromiter(starmap(math.dist, pairs), np.float64, len(rows))
     near = np.flatnonzero(upper <= _FLOAT_ETA)
     if len(near):
         raise MetricError(f"duplicate points {rows[near[0]]} and {cols[near[0]]}")
     m = np.zeros((len(coords),) * 2)
     m[rows, cols] = m[cols, rows] = upper
-    space = FiniteMetricSpace._of_kernel(tuple(map(tuple, m.tolist())), m, None)
+    space = FiniteMetricSpace._of_kernel(tuple(map(tuple, m.tolist())), m, None, float)
     _check_finite(m, space.dist)
     return space
 
@@ -550,7 +583,8 @@ def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
         g //= c
         scale //= c
     g = g.astype(_int_dtype(4 * g.max(keepdims=True).item()), copy=False)
-    return FiniteMetricSpace._of_kernel(tuple(map(tuple, _table(g, scale).tolist())), g, scale)
+    return FiniteMetricSpace._of_kernel(tuple(map(tuple, _table(g, scale).tolist())), g, scale,
+                                        int if scale is None else Fraction)
 
 
 def build_discrete(n: int) -> FiniteMetricSpace:
@@ -559,7 +593,7 @@ def build_discrete(n: int) -> FiniteMetricSpace:
         raise MetricError("n must be >= 1")
     zero, one = Fraction(0), Fraction(1)
     dist = tuple(tuple(zero if i == j else one for j in range(n)) for i in range(n))
-    return FiniteMetricSpace._of_kernel(dist, 1 - np.eye(n, dtype=np.int16), 1)
+    return FiniteMetricSpace._of_kernel(dist, 1 - np.eye(n, dtype=np.int16), 1, Fraction)
 
 
 def build_segment_sample(samples: int, length=Fraction(1)) -> FiniteMetricSpace:
@@ -575,7 +609,7 @@ def build_segment_sample(samples: int, length=Fraction(1)) -> FiniteMetricSpace:
     k = np.arange(n, dtype=_int_dtype(4 * (n - 1) * step.numerator))
     m = np.abs(k[:, None] - k) * step.numerator
     return FiniteMetricSpace._of_kernel(tuple(tuple(at[i::-1] + at[1:n - i]) for i in range(n)),
-                                        m, step.denominator)
+                                        m, step.denominator, Fraction)
 
 
 def build_from_matrix(rows: Sequence[Sequence]) -> FiniteMetricSpace:

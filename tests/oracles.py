@@ -13,13 +13,14 @@ pointwise order of lattice functions) are kept here as references.
 
 from __future__ import annotations
 
+import csv
 import functools
 import heapq
 import math
 import random
 from fractions import Fraction
 
-from wavemodel import lattice, metric
+from wavemodel import formats, lattice, metric
 
 
 def random_graph_space(rng: random.Random, n: int) -> metric.FiniteMetricSpace:
@@ -257,6 +258,28 @@ def exact_matrix_per_entry(dist) -> tuple:
     scaled = [v.numerator * (scale // v.denominator) for v in flat]
     n = len(dist)
     return [scaled[i * n:(i + 1) * n] for i in range(n)], None if ints else scale
+
+
+def load_points_per_field(path: str):
+    """(coords, labels) of a points CSV, every field read on its own by
+    ``formats._coordinate`` after the label test: the loop of the old
+    ``formats.load_points_csv``, the reference of its one-pass row path."""
+    coords, labels = [], []
+    with open(path, newline="") as fh:
+        for r, rec in enumerate(csv.reader(fh), start=1):
+            if not rec or all(not f.strip() for f in rec):
+                continue
+            start = 0
+            if formats._is_label(rec[0]):
+                labels.append(rec[0].strip())
+                start = 1
+                if len(rec) == 1:
+                    raise formats.ParseError("label with no coordinates", r, 1)
+            coords.append([formats._coordinate(f, r, c)
+                           for c, f in enumerate(rec[start:], start=start + 1)])
+    if not coords:
+        raise formats.ParseError("no points found", 1, 1)
+    return coords, (labels if len(labels) == len(coords) else None)
 
 
 def to_values(a, scale) -> list:

@@ -40,6 +40,7 @@ def assert_equals_its_twin(s, shared=True):
     assert s._m.dtype == twin._m.dtype
     assert np.array_equal(s._m, twin._m)
     assert s._scale == twin._scale and type(s._scale) is type(twin._scale)
+    assert s._entry_type is twin._entry_type  # stated by the builder, scanned by the twin
     entries = [v for row in s.dist for v in row]
     assert not shared or len(set(map(id, entries))) == len(set(entries))
 
@@ -137,6 +138,21 @@ def test_discrete_equals_its_twin(n):
     s = build_discrete(n)
     assert s._m.dtype == np.int16 and s._scale == 1
     assert_equals_its_twin(s)
+
+
+@pytest.mark.parametrize("build,stated", [
+    (lambda: build_segment_sample(9, F(7, 3)), Fraction),
+    (lambda: build_discrete(5), Fraction),
+    (lambda: build_from_graph([(0, 1, F(1, 3)), (1, 2, 2), (2, 3, F(5, 2))]), Fraction),
+    (lambda: build_from_graph([(0, 1, F(2)), (1, 2, F(3))]), Fraction),  # scale 1
+    (lambda: build_from_graph([(0, 1, 1), (1, 2, 2), (0, 3, 7)]), int),  # no scale
+    (lambda: build_from_points([(0.0, 1.0), (2.0, -0.5), (-1.0, 3.0), (4.0, 4.0)]), float),
+], ids=["segment", "discrete", "graph-scale", "graph-scale-1", "graph-int", "points"])
+def test_stated_entry_type_is_the_type_of_every_entry_off_the_diagonal(build, stated):
+    s = build()
+    assert s.__dict__["_entry_type"] is stated  # set at construction, not scanned
+    assert {type(v) for i, row in enumerate(s.dist)
+            for j, v in enumerate(row) if i != j} == {stated}
 
 
 #: Each stored point distance lies within this many ulps of the true one.

@@ -680,10 +680,63 @@ def test_ranks_widen_past_int16():
     """260 random points have more distinct distances than int16 holds: R is
     int32, and the meet on it is the meet on the values."""
     space = oracles.random_point_space(random.Random(3), 260)
-    values, ranks, _ = space._ranks
+    values, ranks = space._ranks
     assert len(values) > 2 ** 15 and ranks.dtype == np.int32
     assert (values[ranks] == space._m).all()
     assert space._meet.tobytes() == metric._min_product(space._m, np.maximum).tobytes()
+    assert_ranks_are_those_of_the_matrix(space)
+    assert_order_is_the_float_argsort(space)
+
+
+FLOAT_SPACES = [name for name, s in SPACES.items() if not s.exact]
+
+
+def assert_order_is_the_float_argsort(space):
+    """``_order``, a stable sort of R, is the stable sort of the floats."""
+    assert np.array_equal(space._order, np.argsort(space._m, axis=1, kind="stable"))
+
+
+def assert_ranks_are_those_of_the_matrix(space):
+    """R, from the upper triangle when d is mirrored, is one ``np.unique``
+    of the whole matrix (``==``: 0.0 and -0.0 are one value), dtype included."""
+    values, ranks = np.unique(space._m, return_inverse=True)
+    got_values, got_ranks = space._ranks
+    assert np.array_equal(got_values, values)
+    assert np.array_equal(got_ranks, ranks.reshape(space._m.shape))
+    assert got_ranks.dtype == metric._int_dtype(len(values))
+
+
+def test_float_spaces_cover_mirrored_and_full_ranks():
+    assert {SPACES[name]._mirrored for name in FLOAT_SPACES} == {True, False}
+
+
+@pytest.mark.parametrize("name", FLOAT_SPACES)
+def test_float_ranks_and_order_match_the_float_matrix(name):
+    assert_ranks_are_those_of_the_matrix(SPACES[name])
+    assert_order_is_the_float_argsort(SPACES[name])
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_float_spaces())
+def test_tied_float_ranks_and_order_match_the_float_matrix(space):
+    assert_ranks_are_those_of_the_matrix(space)
+    assert_order_is_the_float_argsort(space)
+
+
+def test_float_conditions_leave_the_meet_uncomputed(monkeypatch, tmp_path):
+    """The defects of a float space sort R but never take its (min, max)
+    product: not in ``condition2_report``, not in ``conditions``."""
+    def refuse(*args):
+        raise AssertionError("(min, max) product computed")
+
+    monkeypatch.setattr(metric, "_min_product", refuse)
+    space = oracles.random_point_space(random.Random(8), 30)
+    metric.condition2_report(space)
+    assert "_ranks" in space.__dict__ and "_meet_ranks" not in space.__dict__
+    out = tmp_path / "conditions-points-csv.csv"
+    assert main(_argv(["conditions", "--backend", "points", "--input", "points.csv",
+                       "--format", "csv"], out)) == 0
+    assert out.read_bytes() == (EXPECTED / out.name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
