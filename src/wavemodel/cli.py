@@ -240,18 +240,38 @@ def _write(parts: Iterable[str], path: str | None) -> None:
 
 
 def emit(report: dict, args, matrix_key: str | None = None) -> None:
-    """Write the report; csv format emits the named matrix, json everything."""
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        rows = report.get(matrix_key) if matrix_key else None
-        if rows is None:
-            w.writerows([k, json.dumps(v)] for k, v in jsonable(report).items())
-        else:
-            w.writerows(jsonable(rows))
-        _write((buf.getvalue(),), args.out)
-    else:
+    """Write the report; csv format emits the named matrix table, json everything."""
+    if args.format != "csv":
         _write(encode_report(report), args.out)
+    elif matrix_key in report:
+        _write((_csv_table(report[matrix_key]),), args.out)
+    else:
+        buf = io.StringIO()
+        csv.writer(buf).writerows([k, json.dumps(v)] for k, v in jsonable(report).items())
+        _write((buf.getvalue(),), args.out)
+
+
+def _csv_table(table: metric._Table) -> str:
+    """The text of ``csv.writer(...).writerows(jsonable(table))``: each
+    distinct value's field made once, as ``csv`` writes it in a row of
+    several fields, and the rows joined from the codes.  A row of one empty
+    field is written as ``""``, as ``csv`` writes it."""
+    values = list(map(jsonable, table.values))
+    fields = ["" if v is None else str(v) for v in values]  # what csv writes unquoted
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(fields)
+    if buf.getvalue() != ",".join(fields) + "\r\n":  # csv quoted a field: ask it for each
+        fields = []
+        for v in values:
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow((v, None))
+            fields.append(buf.getvalue()[:-3])  # the field, without ",\r\n"
+    if table.codes.shape[1] == 1:
+        fields = [f or '""' for f in fields]
+    rows = np.array(fields, dtype=object)[table.codes].tolist()
+    return "".join([",".join(row) + "\r\n" for row in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ def _number(text: str, row: int, col: int):
     """Parse a finite number, preferring exact rationals ('3/10', '2') over floats."""
     text = text.strip()
     try:
+        if text.isascii() and text.replace("/", "", 1).isdigit():  # 'p' or 'p/q', no regex
+            p, slash, q = text.partition("/")
+            return Fraction(int(p), int(q)) if slash else Fraction(int(p))
         if "/" in text or ("." not in text and "e" not in text.lower()):
             return Fraction(text)
         value = float(text)
@@ -108,26 +111,42 @@ def load_points_csv(path: str):
 
 
 def load_edges(path: str):
-    """Whitespace-separated `i j weight` triples, 0-based indices."""
+    """Whitespace-separated `i j weight` triples, 0-based indices; blank
+    lines and lines that start with '#' are skipped.  The file is read and
+    each line split once, the endpoints parsed by one ``int`` pass and each
+    distinct weight token once, to one object per token.  A file with no
+    edge or with an error is read row by row, which raises its first error."""
+    with open(path) as fh:
+        rows = [(r, parts) for r, parts in enumerate(map(str.split, fh.read().split("\n")), 1)
+                if parts and not parts[0].startswith("#")]
+    try:
+        if any(len(parts) != 3 for _, parts in rows):
+            raise ValueError
+        first, second, tokens = zip(*(parts for _, parts in rows))
+        i, j = list(map(int, first)), list(map(int, second))
+        if min(i) < 0 or min(j) < 0:
+            raise ValueError
+        value = {t: _number(t, 0, 0) for t in set(tokens)}
+    except ValueError:  # ParseError included: the row loop raises it in place
+        return _edges_by_row(rows)
+    return list(zip(i, j, map(value.__getitem__, tokens)))
+
+
+def _edges_by_row(rows) -> list:
+    """The edges of the split ``rows``, read one row after another, raising
+    the first error with its row."""
     edges = []
     number = _parser()
-    with open(path) as fh:
-        for r, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(f"expected 'i j weight', got {len(parts)} fields",
-                                 r, 1)
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError("endpoint indices must be integers", r, 1) from None
-            if i < 0 or j < 0:
-                raise ParseError("indices must be nonnegative", r, 1)
-            w = number(parts[2], r, 3)
-            edges.append((i, j, w))
+    for r, parts in rows:
+        if len(parts) != 3:
+            raise ParseError(f"expected 'i j weight', got {len(parts)} fields", r, 1)
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError("endpoint indices must be integers", r, 1) from None
+        if i < 0 or j < 0:
+            raise ParseError("indices must be nonnegative", r, 1)
+        edges.append((i, j, number(parts[2], r, 3)))
     if not edges:
         raise ParseError("no edges found", 1, 1)
     return edges

@@ -22,7 +22,8 @@ float64, and the exact ranks R of its values for the wave distance.
 Validation, balls, neighborhoods, the defects, the wave distance and
 grid brackets all run on that matrix; ``dist`` is read only at the API and
 report boundary (construction, validation messages, ``d``, the extreme
-distances and the report's ``d`` table).  Values leave this module only as
+distances and the report's ``d`` table), and a space built from its kernel
+makes ``dist`` only when it is read.  Values leave this module only as
 ``Fraction``, ``int`` or ``float``, and matrices of them as lists or as a
 ``_Table`` of codes into their distinct values.  The scalar loops the
 matrix paths are tested against (balls, neighborhoods, the pair defect,
@@ -198,17 +199,17 @@ class _Table:
         return values[self.codes].tolist()
 
 
-def _table(a: np.ndarray, scale) -> _Table:
-    """The kernel matrix ``a`` as API values: kernel values over ``scale``,
-    one ``Fraction`` per distinct value, or the values themselves when
-    ``scale`` is None.  Floats are told apart by their bits, so 0.0 and
-    -0.0 keep their own values."""
+def _table(a: np.ndarray, scale, zero=0) -> _Table:
+    """The kernel matrix ``a`` as API values, with ``zero`` on the diagonal:
+    kernel values over ``scale``, one ``Fraction`` per distinct value, or
+    the values themselves when ``scale`` is None.  Floats are told apart by
+    their bits, so 0.0 and -0.0 keep their own values."""
     floats = a.dtype == np.float64
     distinct, codes = np.unique(a.view(np.uint64) if floats else a, return_inverse=True)
     values = (distinct.view(np.float64) if floats else distinct).tolist()
     if scale is not None:
         values = [Fraction(v, scale) for v in values]
-    return _Table(codes.reshape(a.shape), values, (0,))
+    return _Table(codes.reshape(a.shape), values, (zero,))
 
 
 def _in_use(codes: np.ndarray, size: int) -> tuple:
@@ -234,13 +235,18 @@ def _dist_table(space: "FiniteMetricSpace") -> _Table:
     kernel value: a float by its rank in R, an int or ``Fraction`` on an
     exact space as the entry where the value first occurs (only 0 can first
     occur on the diagonal, which keeps its entries); entries of any other
-    kind or of mixed types get one code each."""
-    dist, n = space.dist, space.n
-    diagonal = tuple(row[i] for i, row in enumerate(dist))
-    kind = space._entry_type
+    kind or of mixed types get one code each.  A space built from its
+    kernel never reads ``dist``, which is that kernel's table."""
+    kind, zero = space._entry_type, space._zero
+    if zero is not None and kind is not float:
+        return _table(space._m, space._scale, zero)
     if kind is float:
         values, ranks = space._ranks
+        diagonal = (zero,) if zero is not None else tuple(
+            row[i] for i, row in enumerate(space.dist))
         return _Table(ranks.astype(np.intp), values.tolist(), diagonal)
+    dist, n = space.dist, space.n
+    diagonal = tuple(row[i] for i, row in enumerate(dist))
     if kind in (int, Fraction) and space.exact:
         _, first, codes = np.unique(space._m, return_index=True, return_inverse=True)
         values = [dist[k // n][k % n] for k in first.tolist()]
@@ -264,6 +270,10 @@ class FiniteMetricSpace:
 
     dist: tuple
 
+    #: The diagonal entry of a space built from its kernel, whose ``dist``
+    #: is made on first read; None when ``dist`` was given.
+    _zero = None
+
     def __post_init__(self):
         n = len(self.dist)
         if n == 0:
@@ -277,20 +287,30 @@ class FiniteMetricSpace:
         self._validate()
 
     @classmethod
-    def _of_kernel(cls, dist: tuple, m: np.ndarray, scale, entry_type: type
-                   ) -> "FiniteMetricSpace":
-        """The space of ``dist`` with the kernel matrix ``m`` and ``scale``
-        that ``FiniteMetricSpace(dist)`` would build (dtype included), taken
+    def _of_kernel(cls, m: np.ndarray, scale, entry_type: type, zero) -> "FiniteMetricSpace":
+        """The space with the kernel matrix ``m`` and ``scale`` that
+        ``FiniteMetricSpace(dist)`` would build (dtype included) from the
+        ``dist`` that is ``m``'s table with ``zero`` on the diagonal, taken
         as given: no ingest, and no validation unless the caller runs
         ``_validate`` (a metric by construction needs none).  ``entry_type``
         is the type of every entry off the diagonal, so ``_entry_type``
-        needs no scan."""
+        needs no scan.  ``dist`` is made when it is first read."""
         space = object.__new__(cls)
-        object.__setattr__(space, "dist", dist)
         object.__setattr__(space, "_m", m)
         object.__setattr__(space, "_scale", scale)
         object.__setattr__(space, "_entry_type", entry_type)
+        object.__setattr__(space, "_zero", zero)
         return space
+
+    def __getattr__(self, name):
+        """Runs only for an attribute the instance lacks: ``dist`` of a space
+        built from its kernel, made once from ``_m`` (nothing else is stored,
+        so the space pickles)."""
+        if name != "dist" or self._zero is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        dist = tuple(map(tuple, _table(self._m, self._scale, self._zero).tolist()))
+        object.__setattr__(self, "dist", dist)
+        return dist
 
     def _validate(self):
         """Raise on the first failure in the order of the scalar loops:
@@ -318,7 +338,8 @@ class FiniteMetricSpace:
                 raise AxiomViolation(f"d({i},{i}) = {dij} != 0", (i,))
             if asym[i, j]:
                 raise AxiomViolation(f"asymmetric: d({i},{j}) != d({j},{i})", (i, j))
-            raise AxiomViolation(f"d({i},{j}) = {dij} <= 0 for distinct points", (i, j))
+            rule = f"eta = {tol}" if tol else "0"
+            raise AxiomViolation(f"d({i},{j}) = {dij} <= {rule} for distinct points", (i, j))
         margin = 0 if self.exact else tol - 2.0 ** -48 * float(np.abs(m).max())
         if margin >= 0 and (m == m.T).all() and (m - _min_product(m, np.add) <= margin).all():
             return
@@ -358,19 +379,25 @@ class FiniteMetricSpace:
 
     @cached_property
     def _extremes(self) -> tuple:
-        """The entries ``dist[i][j]``, i < j, at the first minimum and the
-        first maximum over the upper triangle in row-major order."""
+        """The pairs (i, j), i < j, of the first minimum and the first
+        maximum over the upper triangle in row-major order."""
         rows, cols = np.triu_indices(self.n, 1)
         upper = self._m[rows, cols]
-        return tuple(self.dist[int(rows[k])][int(cols[k])]
-                     for k in (int(upper.argmin()), int(upper.argmax())))
+        return tuple((int(rows[k]), int(cols[k])) for k in (upper.argmin(), upper.argmax()))
+
+    def _entry(self, i: int, j: int):
+        """``dist[i][j]``, read off ``_m`` while a space built from its
+        kernel has not made ``dist``."""
+        if self._zero is None or "dist" in vars(self):
+            return self.dist[i][j]
+        return self._value(self._m[i, j])
 
     def min_positive_distance(self):
         """The least distance of two distinct points; None on one point."""
-        return self._extremes[0] if self.n > 1 else None
+        return self._entry(*self._extremes[0]) if self.n > 1 else None
 
     def diameter(self):
-        return self._extremes[1] if self.n > 1 else 0
+        return self._entry(*self._extremes[1]) if self.n > 1 else 0
 
     # -- matrix kernels (cached: the space is immutable) ---------------------
 
@@ -521,9 +548,8 @@ def build_from_points(coords: Sequence[Sequence[float]]) -> FiniteMetricSpace:
         raise MetricError(f"duplicate points {rows[near[0]]} and {cols[near[0]]}")
     m = np.zeros((len(coords),) * 2)
     m[rows, cols] = m[cols, rows] = upper
-    space = FiniteMetricSpace._of_kernel(tuple(map(tuple, m.tolist())), m, None, float)
-    _check_finite(m, space.dist)
-    return space
+    _check_finite(m, m)
+    return FiniteMetricSpace._of_kernel(m, None, float, 0.0)
 
 
 def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
@@ -536,37 +562,45 @@ def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
     space takes their kernel as it is; float rounding can break a triangle
     by ulps, so a float space is validated.
     """
-    weights = {}
-    nodes = set()
-    for i, j, w in edges:
-        if not _is_finite_real(w):
-            raise AxiomViolation(
-                f"weight {w!r} on edge ({i},{j}) is not a finite number", (i, j))
-        if w <= 0:
-            raise MetricError(f"nonpositive weight on edge ({i},{j})")
-        nodes.update((i, j))
-        if i != j:
-            weights[(i, j) if i < j else (j, i)] = w
-    if not nodes:
+    edges = [(i, j, w) for i, j, w in edges]
+    if not edges:
         raise MetricError("graph has no nodes")
+    first, second, ws = zip(*edges)
+    # each distinct weight object is checked, classified and scaled once
+    ids = np.fromiter(map(id, ws), dtype=np.uintp, count=len(ws))
+    _, at, codes = np.unique(ids, return_index=True, return_inverse=True)
+    weights = [ws[k] for k in at.tolist()]
+    if not all(_is_finite_real(w) and w > 0 for w in weights):
+        for i, j, w in edges:  # the first refused weight in edge order
+            if not _is_finite_real(w):
+                raise AxiomViolation(
+                    f"weight {w!r} on edge ({i},{j}) is not a finite number", (i, j))
+            if w <= 0:
+                raise MetricError(f"nonpositive weight on edge ({i},{j})")
+    nodes = {*first, *second}
     m = len(nodes)
     if sorted(nodes) != list(range(m)):
         raise MetricError("graph nodes must be 0-based consecutive indices")
-    exact = not any(isinstance(w, (float, np.floating)) for w in weights.values())
+    first, second = np.array(first, dtype=np.intp), np.array(second, dtype=np.intp)
+    lo, hi = np.minimum(first, second), np.maximum(first, second)
+    # the last weight given to each edge; a self-loop adds only its node
+    last = np.flatnonzero(lo != hi)[::-1]
+    last = last[np.unique(lo[last] * m + hi[last], return_index=True)[1]]
+    lo, hi = lo[last], hi[last]
+    used, codes = np.unique(codes[last], return_inverse=True)
+    weights = [weights[k] for k in used.tolist()]
+    exact = not any(isinstance(w, (float, np.floating)) for w in weights)
     # no edge: longer than any simple path (m - 1 edges), also after float rounding
     if exact:
         scaled, scale = _scaled([w if isinstance(w, (int, Fraction)) else Fraction(w)
-                                 for w in weights.values()])
+                                 for w in weights])
         top = m * max(scaled, default=0) + 1
         g = np.full((m, m), top, dtype=_int_dtype(2 * top))  # a relaxation adds two entries
-        if weights:
-            i, j = zip(*weights)
-            g[i, j] = g[j, i] = scaled
+        g[lo, hi] = g[hi, lo] = np.array(scaled, dtype=g.dtype)[codes]
     else:
-        rows = [[0] * m for _ in range(m)]
-        for (i, j), w in weights.items():
-            rows[i][j] = rows[j][i] = w
-        g = _float_matrix(rows)
+        rows = np.zeros((m, m), dtype=object)
+        rows[lo, hi] = rows[hi, lo] = np.array(weights, dtype=object)[codes]
+        g = _float_matrix(rows.tolist())
         top = m * g.max() + 1
         g[g == 0] = top
     np.fill_diagonal(g, 0)
@@ -583,17 +617,14 @@ def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
         g //= c
         scale //= c
     g = g.astype(_int_dtype(4 * g.max(keepdims=True).item()), copy=False)
-    return FiniteMetricSpace._of_kernel(tuple(map(tuple, _table(g, scale).tolist())), g, scale,
-                                        int if scale is None else Fraction)
+    return FiniteMetricSpace._of_kernel(g, scale, int if scale is None else Fraction, 0)
 
 
 def build_discrete(n: int) -> FiniteMetricSpace:
     """d(x,y) = 1 for x != y, 0 otherwise."""
     if n < 1:
         raise MetricError("n must be >= 1")
-    zero, one = Fraction(0), Fraction(1)
-    dist = tuple(tuple(zero if i == j else one for j in range(n)) for i in range(n))
-    return FiniteMetricSpace._of_kernel(dist, 1 - np.eye(n, dtype=np.int16), 1, Fraction)
+    return FiniteMetricSpace._of_kernel(1 - np.eye(n, dtype=np.int16), 1, Fraction, Fraction(0))
 
 
 def build_segment_sample(samples: int, length=Fraction(1)) -> FiniteMetricSpace:
@@ -605,11 +636,9 @@ def build_segment_sample(samples: int, length=Fraction(1)) -> FiniteMetricSpace:
     if length <= 0:
         raise MetricError("length must be positive")
     n, step = samples, length / (samples - 1)
-    at = [k * step for k in range(n)]
     k = np.arange(n, dtype=_int_dtype(4 * (n - 1) * step.numerator))
     m = np.abs(k[:, None] - k) * step.numerator
-    return FiniteMetricSpace._of_kernel(tuple(tuple(at[i::-1] + at[1:n - i]) for i in range(n)),
-                                        m, step.denominator, Fraction)
+    return FiniteMetricSpace._of_kernel(m, step.denominator, Fraction, Fraction(0))
 
 
 def build_from_matrix(rows: Sequence[Sequence]) -> FiniteMetricSpace:

@@ -190,8 +190,9 @@ def first_axiom_failure(dist, eta):
         for j in range(i + 1, n):
             if abs(dist[i][j] - dist[j][i]) > eta:
                 return f"asymmetric: d({i},{j}) != d({j},{i})", (i, j)
-            if dist[i][j] <= eta:
-                return f"d({i},{j}) = {dist[i][j]} <= 0 for distinct points", (i, j)
+            if dist[i][j] <= eta:  # a float space names its rule
+                rule = f"eta = {eta}" if eta else "0"
+                return f"d({i},{j}) = {dist[i][j]} <= {rule} for distinct points", (i, j)
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -224,6 +225,18 @@ def dijkstra_distances(edges, n: int) -> list:
                     heapq.heappush(heap, (d + w, v))
         rows.append([dist[v] for v in range(n)])
     return rows
+
+
+def first_weight_error(edges):
+    """(type, message, witness) of the first refused weight, checked edge
+    by edge as the old ``metric.build_from_graph`` loop did; None if none."""
+    for i, j, w in edges:
+        if not metric._is_finite_real(w):
+            return (metric.AxiomViolation,
+                    f"weight {w!r} on edge ({i},{j}) is not a finite number", (i, j))
+        if w <= 0:
+            return metric.MetricError, f"nonpositive weight on edge ({i},{j})", None
+    return None
 
 
 def random_rational_metric(rng: random.Random, n: int, denominators=(3, 7, 11, 13)):
@@ -280,6 +293,51 @@ def load_points_per_field(path: str):
     if not coords:
         raise formats.ParseError("no points found", 1, 1)
     return coords, (labels if len(labels) == len(coords) else None)
+
+
+def number(text: str, row: int, col: int):
+    """A finite number, exact ('3/10', '2') where the text has no '.' or
+    exponent, else a float: ``Fraction`` and ``float`` on the text, the old
+    ``formats._number``, the reference of its 'p/q' path without a regex."""
+    text = text.strip()
+    try:
+        if "/" in text or ("." not in text and "e" not in text.lower()):
+            return Fraction(text)
+        value = float(text)
+    except (ValueError, ZeroDivisionError):
+        raise formats.ParseError(f"not a number: {text!r}", row, col) from None
+    if not math.isfinite(value):
+        raise formats.ParseError(f"not a finite number: {text!r}", row, col)
+    return value
+
+
+def load_edges_by_row(path: str):
+    """The `i j weight` triples of an edge list, read line by line, each
+    distinct weight token parsed once (one object per token): the loop of
+    the old ``formats.load_edges``, the reference of its one-pass read."""
+    edges = []
+    parsed = {}
+    with open(path) as fh:
+        for r, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise formats.ParseError(f"expected 'i j weight', got {len(parts)} fields",
+                                         r, 1)
+            try:
+                i, j = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise formats.ParseError("endpoint indices must be integers", r, 1) from None
+            if i < 0 or j < 0:
+                raise formats.ParseError("indices must be nonnegative", r, 1)
+            if parts[2] not in parsed:
+                parsed[parts[2]] = number(parts[2], r, 3)
+            edges.append((i, j, parsed[parts[2]]))
+    if not edges:
+        raise formats.ParseError("no edges found", 1, 1)
+    return edges
 
 
 def to_values(a, scale) -> list:

@@ -1,9 +1,9 @@
 """Builders whose output is a metric by construction hand over their kernel.
 
 ``build_from_graph`` on exact weights, ``build_segment_sample``,
-``build_discrete`` and ``build_from_points`` set ``dist``, the kernel
-matrix ``_m`` and ``_scale`` together, without ingesting or validating
-``dist``.  Each space must equal its twin ``FiniteMetricSpace(space.dist)``,
+``build_discrete`` and ``build_from_points`` set the kernel matrix ``_m``
+and ``_scale`` together, without ingesting or validating a ``dist``; the
+space makes ``dist`` from its kernel when it is first read.  Each space must equal its twin ``FiniteMetricSpace(space.dist)``,
 which reads the same ``dist`` back through the full path: equal ``dist``,
 equal ``_m`` with its dtype, equal ``_scale`` (a point cloud wherever the
 twin accepts it).  ``build_from_matrix`` and graphs with a float weight
@@ -11,6 +11,7 @@ still validate.
 """
 
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,10 @@ from wavemodel import (
     build_segment_sample,
 )
 from wavemodel import metric
+from wavemodel.cli import main
+
+import oracles
+from test_golden import INPUTS
 
 F = Fraction
 
@@ -65,6 +70,32 @@ def graphs(draw, weights):
 @given(graphs(st.one_of(INTS, FRACTIONS)))
 def test_exact_graph_equals_its_twin(edges):
     assert_equals_its_twin(build_from_graph(edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(st.one_of(INTS, FRACTIONS)))
+def test_exact_graph_matches_dijkstra(edges):
+    """Repeated edges keep their last weight and self-loops add only their
+    node, as in the source-outward reference."""
+    s = build_from_graph(edges)
+    assert [list(row) for row in s.dist] == oracles.dijkstra_distances(edges, s.n)
+
+
+BAD_WEIGHTS = st.sampled_from([0, -1, F(-1, 2), F(0), 0.0, -0.5, math.inf, math.nan, "1",
+                               True, np.True_, None, np.float64(-2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(st.one_of(INTS, FRACTIONS, st.floats(0.25, 4), BAD_WEIGHTS)))
+def test_graph_refuses_the_first_bad_weight_in_edge_order(edges):
+    want = oracles.first_weight_error(edges)
+    try:
+        build_from_graph(edges)
+    except metric.MetricError as e:
+        got = type(e), str(e), getattr(e, "witness", None)
+        assert got == want or (want is None and "weight" not in str(e))
+    else:
+        assert want is None
 
 
 @settings(max_examples=50, deadline=None)
@@ -211,3 +242,95 @@ def test_only_builders_without_a_construction_guarantee_validate(monkeypatch):
                   lambda: build_from_graph([(0, 1, 0.5)])):
         with pytest.raises(AssertionError, match="validated"):
             build()
+
+
+BUILDERS = {
+    "segment": lambda: build_segment_sample(9, F(7, 3)),
+    "segment-object": lambda: build_segment_sample(5, F(10 ** 20, 3)),
+    "discrete": lambda: build_discrete(5),
+    "discrete-1": lambda: build_discrete(1),
+    "graph-scale": lambda: build_from_graph([(0, 1, F(1, 3)), (1, 2, 2), (2, 3, F(5, 2)),
+                                             (3, 0, F(1, 2))]),
+    "graph-int": lambda: build_from_graph([(0, 1, 1), (1, 2, 2), (0, 3, 7), (3, 3, 5)]),
+    "graph-one-node": lambda: build_from_graph([(0, 0, F(1, 2))]),
+    "graph-float": lambda: build_from_graph([(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.7)]),
+    "points": lambda: build_from_points([(0.0, 1.0), (2.0, -0.5), (-1.0, 3.0), (4.0, 4.0)]),
+    "matrix": lambda: build_from_matrix([[0, F(1, 2), 1], [F(1, 2), 0, 1], [1, 1, 0]]),
+}
+
+
+def eager_dist(name):
+    """The distances as the builders stored them before ``dist`` was made on
+    first read, computed here without the kernel."""
+    if name.startswith("segment"):
+        n, length = (9, F(7, 3)) if name == "segment" else (5, F(10 ** 20, 3))
+        step = length / (n - 1)
+        return [[abs(i - j) * step for j in range(n)] for i in range(n)]
+    if name.startswith("discrete"):
+        n = 5 if name == "discrete" else 1
+        return [[F(int(i != j)) for j in range(n)] for i in range(n)]
+    if name == "points":
+        coords = [(0.0, 1.0), (2.0, -0.5), (-1.0, 3.0), (4.0, 4.0)]
+        return [[0.0 if p == q else math.dist(p, q) for q in coords] for p in coords]
+    if name == "graph-one-node":
+        return [[0]]
+    edges = {"graph-scale": [(0, 1, F(1, 3)), (1, 2, 2), (2, 3, F(5, 2)), (3, 0, F(1, 2))],
+             "graph-int": [(0, 1, 1), (1, 2, 2), (0, 3, 7)]}[name]
+    kind = F if name == "graph-scale" else int  # every entry a Fraction with a scale
+    rows = oracles.dijkstra_distances(edges, 4)
+    return [[kind(v) if i != j else 0 for j, v in enumerate(row)] for i, row in enumerate(rows)]
+
+
+@pytest.mark.parametrize("name", ["segment", "segment-object", "discrete", "discrete-1",
+                                  "graph-scale", "graph-int", "graph-one-node", "points"])
+def test_first_read_of_dist_equals_the_eager_dist(name):
+    s = BUILDERS[name]()
+    assert "dist" not in vars(s)
+    dist = s.dist
+    assert vars(s)["dist"] is dist and s.dist is dist  # made once
+    want = eager_dist(name)
+    assert type(dist) is tuple and all(type(row) is tuple for row in dist)
+    assert repr([list(row) for row in dist]) == repr(want)  # values, types and zero signs
+    assert_equals_its_twin(s, shared=name != "points")
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_spaces_survive_a_pickle_round_trip(name):
+    s = BUILDERS[name]()
+    s.min_positive_distance()  # a cached kernel property goes along
+    copy = pickle.loads(pickle.dumps(s))
+    assert np.array_equal(copy._m, s._m) and copy._m.dtype == s._m.dtype
+    assert copy._scale == s._scale and copy._zero == s._zero
+    assert copy == s  # compares dist: made on both sides where it was not
+    again = pickle.loads(pickle.dumps(s))  # now with dist made
+    assert again == s and again.dist == s.dist
+
+
+def test_a_space_without_dist_refuses_other_missing_attributes():
+    s = build_discrete(3)
+    with pytest.raises(AttributeError, match="'missing'"):
+        s.missing
+    assert "dist" not in vars(s)
+    with pytest.raises(AttributeError, match="'dist'"):  # given, never made
+        object.__new__(FiniteMetricSpace).dist
+
+
+@pytest.mark.parametrize("argv", [
+    ["conditions", "--backend", "graph", "--input", str(INPUTS / "edges.txt")],
+    ["conditions", "--backend", "graph", "--input", str(INPUTS / "edges.txt"),
+     "--format", "csv"],
+    ["isometry", "--backend", "points", "--input", str(INPUTS / "points.csv")],
+    ["tau", "--backend", "segment", "--samples", "7"],
+    ["conditions", "--backend", "discrete", "--n", "4"],
+    ["validate", "--backend", "graph", "--input", str(INPUTS / "edges.txt")],
+    ["tau", "--backend", "points", "--input", str(INPUTS / "points.csv")],
+    ["nucleus-demo", "--backend", "segment", "--samples", "7", "--center", "3"],
+], ids=["conditions-graph", "conditions-graph-csv", "isometry-points", "tau-segment",
+        "conditions-discrete", "validate-graph", "tau-points", "nucleus-demo-segment"])
+def test_commands_on_kernel_spaces_never_make_dist(argv, tmp_path, monkeypatch):
+    """``__getattr__`` is what makes ``dist``: refusing it proves no read."""
+    def refuse(self, name):
+        raise AssertionError(f"read {name}")
+
+    monkeypatch.setattr(FiniteMetricSpace, "__getattr__", refuse)
+    assert main([*argv, "--out", str(tmp_path / "report")]) == 0

@@ -154,6 +154,22 @@ def test_non_finite_edge_weight_is_a_parse_error(tmp_path):
     assert main(["tau", "--backend", "graph", "--input", str(g)]) == 2
 
 
+def test_float_positivity_failure_names_eta(tmp_path, capsys):
+    """A float distance in (0, eta] is refused by the eta rule, and the
+    message says so; an exact space still refuses d <= 0."""
+    g = tmp_path / "g.txt"
+    g.write_text("0 1 1e-300\n1 2 1e300\n")
+    assert main(["validate", "--backend", "graph", "--input", str(g)]) == 1
+    assert "d(0,1) = 1e-300 <= eta = 1e-09 for distinct points" in capsys.readouterr().out
+    assert main(["conditions", "--backend", "graph", "--input", str(g)]) == 1
+    err = capsys.readouterr().err
+    assert err == "validation failure: d(0,1) = 1e-300 <= eta = 1e-09 for distinct points\n"
+    m = tmp_path / "m.csv"
+    m.write_text("0,0\n0,0\n")
+    assert main(["conditions", "--backend", "matrix", "--input", str(m)]) == 1
+    assert "d(0,1) = 0 <= 0 for distinct points" in capsys.readouterr().err
+
+
 def test_validate_exit_1_when_point_distances_overflow(tmp_path):
     p = tmp_path / "pts.csv"
     p.write_text("1e308,1e308\n-1e308,-1e308\n")

@@ -1,4 +1,4 @@
-"""The points loader's one-pass rows against the per-field reference.
+"""The loaders' one-pass reads against their row-by-row references.
 
 ``formats.load_points_csv`` reads each row with one ``float`` pass and
 keeps the values where that pass gives what ``_coordinate`` gives (no '_',
@@ -6,13 +6,22 @@ no zero, every value finite); every other row is read field by field.
 ``oracles.load_points_per_field`` reads every row field by field.  Values
 must match bit for bit, the sign of zero included; labels, and each
 ``ParseError``'s message, row and column, must match too.
+
+``formats.load_edges`` reads and splits the file once, parses the
+endpoints by one ``int`` pass and each distinct weight token once; a file
+with an error is read again row by row.  ``oracles.load_edges_by_row`` is
+the old line loop, with the old ``Fraction``-or-``float`` number parser.
+Edges must match in value and type, with one object per weight token, and
+so must each ``ParseError``.
 """
 
+from fractions import Fraction as F
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wavemodel import ParseError, formats, load_points_csv
+from wavemodel import ParseError, formats, load_edges, load_points_csv
 from wavemodel.cli import main
 
 import oracles
@@ -88,3 +97,82 @@ def test_points_tokens_report_matches_golden(tmp_path):
     args = ["isometry", "--backend", "points", "--input", "points_tokens.csv"]
     assert main(_argv(args, out)) == 0
     assert out.read_bytes() == (EXPECTED / out.name).read_bytes()
+
+
+# valid tokens are drawn more often than invalid ones, so that most files load
+ENDPOINTS = st.sampled_from(["0", "1", "2", "3", "4"] * 4 + ["+3", "1_0", "007", "-0", "٣", "-1",
+                            "1.0", "a", "1e1"] + ["0", "1", "2", "3", "4"] * 4)
+WEIGHTS = st.one_of(
+    st.integers(0, 40).map(str),
+    st.builds("{}/{}".format, st.integers(1, 12), st.integers(1, 6)),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),  # decimals, exponents
+    st.sampled_from(["+3", "1_0", "2/4", "-1/2", "0.5", "1e-3", "2E2", ".5", "5.", "-0", "0",
+                     "1_0/3", "٣/2", "12345678901234567890/3"] * 2
+                    + ["1/0", "/3", "3/", "1//2", "inf", "-inf", "nan", "1e400", "abc",
+                       "9" * 5000]
+                    + ["+3", "1_0", "2/4", "-1/2", "0.5", "1e-3", "2E2", ".5", "5.", "-0", "0"]),
+)
+SPACE = st.sampled_from([" ", "  ", "\t", "\x0c", " \t "])
+
+
+@st.composite
+def edge_lines(draw):
+    """Mostly three fields, sometimes two or four, between whitespace."""
+    fields = [draw(ENDPOINTS), draw(ENDPOINTS), draw(WEIGHTS)]
+    arity = draw(st.sampled_from([3] * 10 + [2, 4] + [3] * 10))  # rare ones inside
+    fields = fields[:arity] + [draw(WEIGHTS)] * (arity - 3)
+    line = draw(SPACE).join(fields) if draw(st.booleans()) else " ".join(fields)
+    lead = draw(st.sampled_from(["", "", " ", "\t", "\x0c"]))
+    tail = draw(st.sampled_from(["", " ", "\t", "\x0c"]))
+    return lead + line + tail
+
+
+LINES = st.one_of(
+    edge_lines(), edge_lines(), edge_lines(),
+    st.sampled_from(["", " ", "\t", "\x0c", "# comment", "  # indented 0 1 2", "#0 1 2",
+                     "0 1 2 # more fields, not a comment"]),
+)
+
+
+def edges_outcome(load, path):
+    """What an edge loader gives: each edge as reprs (value and type), the
+    weights' objects numbered by first occurrence, or the error."""
+    try:
+        edges = load(str(path))
+    except ParseError as e:
+        return "error", str(e), e.row, e.col
+    ids = {}
+    return [(repr(i), repr(j), repr(w), ids.setdefault(id(w), len(ids))) for i, j, w in edges]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LINES, max_size=8), st.sampled_from(["\n", "\r\n", "\r"]),
+       st.booleans())
+@example(["0 1 1/2", "1 -1 2"], "\n", True)  # one bad row in a file that parses in bulk
+@example(["0 1 1/2", "2 1 3/"], "\r\n", False)
+@example(["0 1 2", "", "1 2"], "\r", True)
+@example(["# only a comment", " "], "\n", True)
+def test_edge_loader_matches_the_row_by_row_reference(csv_path, lines, end, last_end):
+    csv_path.write_bytes((end.join(lines) + (end if last_end else "")).encode())
+    assert edges_outcome(load_edges, csv_path) == edges_outcome(oracles.load_edges_by_row,
+                                                                csv_path)
+
+
+def test_edge_loader_shares_one_object_per_weight_token(tmp_path):
+    p = tmp_path / "edges.txt"
+    p.write_text("0 1 1/2\n1 2 0.5\n# 9 9 9\n\n2 3 1/2\n 3\t0 0.5 \n0 2 2/4\n")
+    edges = load_edges(str(p))
+    assert edges == [(0, 1, F(1, 2)), (1, 2, 0.5), (2, 3, F(1, 2)), (3, 0, 0.5), (0, 2, F(1, 2))]
+    assert edges[0][2] is edges[2][2] and edges[1][2] is edges[3][2]
+    assert edges[4][2] is not edges[0][2]  # '2/4' is a token of its own
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(WEIGHTS, st.text(max_size=6)))
+def test_number_matches_the_reference_parser(text):
+    def outcome(parse):
+        try:
+            return repr(parse(text, 4, 3))
+        except ParseError as e:
+            return str(e)
+    assert outcome(formats._number) == outcome(oracles.number)

@@ -102,6 +102,41 @@ def test_csv_branch_writes_the_expanded_rows(table):
     assert written == [buf.getvalue()]
 
 
+def csv_reference(table) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(cli.jsonable(expanded(table)))
+    return buf.getvalue()
+
+
+QUOTED = ["", None, "a,b", 'q"', "x\ny", "\r", " lead", "trail ", ",", '"', "é漢"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+def test_csv_table_matches_the_csv_writer(table):
+    assert cli._csv_table(table) == csv_reference(table)
+
+
+@pytest.mark.parametrize("value", [*QUOTED, *TRICKY, (0, F(2, 3)), (0.5, INF)])
+@pytest.mark.parametrize("diagonal", ["", 0, None])
+def test_csv_table_of_one_column(value, diagonal):
+    """A row of one empty field is written as '""', as ``csv`` writes it."""
+    for codes in ([[0]], [[1]]):  # the diagonal's code or the value's
+        table = metric._Table(np.zeros((1, 1), dtype=np.intp), [value], (diagonal,))
+        table.codes[:] = codes
+        assert cli._csv_table(table) == csv_reference(table)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_csv_table_of_several_columns_quotes_as_csv_does(n):
+    values = [*QUOTED, *TRICKY]
+    codes = np.arange(n * n).reshape(n, n) % len(values)
+    table = metric._Table(codes, values, ("",))
+    assert cli._csv_table(table) == csv_reference(table)
+    plain = metric._Table(np.arange(n * n).reshape(n, n) % 3, [F(1, 3), 2, 0.5], (0,))
+    assert cli._csv_table(plain) == csv_reference(plain)  # no field quoted
+
+
 @pytest.mark.parametrize("values", [
     (0.0, -0.0, 1.5, 0),  # a float table with an int diagonal
     (0.25, INF, 0), (-INF, 0.5, 0.0), (math.nan, 0.5, 0),
@@ -183,8 +218,10 @@ def test_dist_table_of_every_backend(name):
     space = SPACES[name]
     table = metric._dist_table(space)
     assert _same(table.tolist(), [list(row) for row in space.dist])
-    # one value per distinct kernel value, then one per diagonal entry
-    assert len(table.values) == len(np.unique(space._m)) + space.n
+    # one value per distinct kernel value, then one per diagonal entry, or
+    # one for the whole diagonal of a space built from its kernel
+    diagonal = space.n if space._zero is None else 1
+    assert len(table.values) == len(np.unique(space._m)) + diagonal
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
