@@ -1,13 +1,13 @@
 """Finite metric-space backends, metric neighborhoods and ball arithmetic.
 
 Every backend reduces to a distance matrix, validated unless the builder
-makes a metric by construction (exact graph geodesics, the segment sample,
-the discrete metric, point clouds), and the matrix alone
-fixes the number system: a space with no float entry is exact (graph
-geodesics with rational weights, discrete metric, uniform segment samples,
-rational matrices) and compares exactly; a space with a float entry (the
-Euclidean backend, float matrices and float-weight graphs) compares with
-the single global tolerance ``eta`` = 1e-9.
+makes a metric by construction (graph geodesics, the segment sample, the
+discrete metric, point clouds), and the matrix alone fixes the number
+system: a space with no float entry is exact (graph geodesics with
+rational weights, discrete metric, uniform segment samples, rational
+matrices) and compares exactly; a space with a float entry (the Euclidean
+backend, float matrices and float-weight graphs) compares with the single
+global tolerance ``eta`` = 1e-9.
 
 Open sets are plain ``frozenset`` objects of point indices: a finite
 metric space carries the discrete topology, so every subset is clopen and
@@ -16,18 +16,18 @@ interior/closure are identity maps.
 Internally each space also holds one numpy matrix, built once at
 construction: exact spaces scale their distances by the LCM of the
 denominators, converting each distinct entry object once, into the
-narrowest of int16, int32 and int64 that holds four times the largest
-entry (Python ints in an object array beyond int64); float spaces use
-float64, and the exact ranks R of its values for the wave distance.
-Validation, balls, neighborhoods, the defects, the wave distance and
-grid brackets all run on that matrix; ``dist`` is read only at the API and
-report boundary (construction, validation messages, ``d``, the extreme
-distances and the report's ``d`` table), and a space built from its kernel
-makes ``dist`` only when it is read.  Values leave this module only as
-``Fraction``, ``int`` or ``float``, and matrices of them as lists or as a
-``_Table`` of codes into their distinct values.  The scalar loops the
-matrix paths are tested against (balls, neighborhoods, the pair defect,
-the wave distance per pair) live in the tests' ``oracles.py``.
+narrowest of int16, int32 and int64 that holds four times the largest entry
+(Python ints in an object array beyond int64); float spaces use float64.
+Every space also ranks its distinct values (R) for the wave distance and
+the tables.  Validation, balls, neighborhoods, the defects, the wave
+distance and grid brackets all run on that matrix; ``dist`` is read only at
+the API and report boundary (construction, validation messages, ``d``, the
+extreme distances and the report's ``d`` table), and a space built from its
+kernel makes ``dist`` only when it is read.  Values leave this module only
+as ``Fraction``, ``int`` or ``float``, and matrices of them as lists or as
+a ``_Table`` of codes into their distinct values.  The scalar loops the
+matrix paths are tested against (balls, neighborhoods, the pair defect, the
+wave distance per pair) live in the tests' ``oracles.py``.
 """
 
 from __future__ import annotations
@@ -110,18 +110,24 @@ def _kernel_matrix(rows) -> tuple:
     return _exact_matrix(rows)
 
 
+def _by_identity(objects: Iterable, count: int) -> tuple:
+    """(first, codes) of ``count`` objects, kept alive, keyed by ``id``: where
+    each distinct object first occurs, and each object's code into those."""
+    ids = np.fromiter(map(id, objects), dtype=np.uintp, count=count)
+    _, first, codes = np.unique(ids, return_index=True, return_inverse=True)
+    return first.tolist(), codes
+
+
 def _exact_matrix(dist) -> tuple:
-    """The scaled int matrix, converting each distinct entry object once:
-    the entries are keyed by ``id`` (``dist`` keeps them all alive), and the
-    scaled values are gathered back by the codes.  The dtype is the
+    """The scaled int matrix, converting each distinct entry object once and
+    gathering the scaled values back by the codes.  The dtype is the
     narrowest of int16, int32 and int64 that holds four times the largest
     scaled entry, else object (Python ints)."""
     n = len(dist)
-    ids = np.fromiter(map(id, chain.from_iterable(dist)), dtype=np.uintp, count=n * n)
-    _, first, codes = np.unique(ids, return_index=True, return_inverse=True)
+    first, codes = _by_identity(chain.from_iterable(dist), n * n)
     values = []
     bad = []
-    for k in first.tolist():
+    for k in first:
         v = dist[k // n][k % n]
         if type(v) is not int and not isinstance(v, Fraction):
             try:
@@ -199,17 +205,20 @@ class _Table:
         return values[self.codes].tolist()
 
 
-def _table(a: np.ndarray, scale, zero=0) -> _Table:
-    """The kernel matrix ``a`` as API values, with ``zero`` on the diagonal:
-    kernel values over ``scale``, one ``Fraction`` per distinct value, or
-    the values themselves when ``scale`` is None.  Floats are told apart by
-    their bits, so 0.0 and -0.0 keep their own values."""
+def _values(a: np.ndarray, scale) -> list:
+    """Kernel values as API values: ``Fraction``s over ``scale``, if not None."""
+    values = a.tolist()
+    return values if scale is None else [Fraction(v, scale) for v in values]
+
+
+def _table(a: np.ndarray, scale) -> _Table:
+    """The kernel matrix ``a`` (the defects) as API values, with 0 on the
+    diagonal, one per distinct value.  Floats are told apart by their bits,
+    so 0.0 and -0.0 keep their own values."""
     floats = a.dtype == np.float64
     distinct, codes = np.unique(a.view(np.uint64) if floats else a, return_inverse=True)
-    values = (distinct.view(np.float64) if floats else distinct).tolist()
-    if scale is not None:
-        values = [Fraction(v, scale) for v in values]
-    return _Table(codes.reshape(a.shape), values, (zero,))
+    distinct = distinct.view(np.float64) if floats else distinct
+    return _Table(codes.reshape(a.shape), _values(distinct, scale), (0,))
 
 
 def _in_use(codes: np.ndarray, size: int) -> tuple:
@@ -219,53 +228,39 @@ def _in_use(codes: np.ndarray, size: int) -> tuple:
 
 
 def _tau_table(space: "FiniteMetricSpace") -> _Table:
-    """tau = 2 ``_meet`` as a table; on a float space the codes are the
-    ranks of ``_meet`` compressed to those in use, with no second sort."""
-    if space.exact:
-        return _table(2 * space._meet, space._scale)
+    """tau = 2 ``_meet`` as a table: the codes are the ranks of ``_meet``
+    compressed to those in use, with no second sort."""
     values = space._ranks[0]
     codes, used = _in_use(space._meet_ranks, len(values))
-    return _Table(codes, (2 * values[used]).tolist(), (0,))
+    return _Table(codes, _values(2 * values[used], space._scale), (0,))
 
 
 def _dist_table(space: "FiniteMetricSpace") -> _Table:
-    """``space.dist`` as given, each entry with its own type and token.
-
-    Off the diagonal, entries of one type share one value per distinct
-    kernel value: a float by its rank in R, an int or ``Fraction`` on an
-    exact space as the entry where the value first occurs (only 0 can first
-    occur on the diagonal, which keeps its entries); entries of any other
-    kind or of mixed types get one code each.  A space built from its
-    kernel never reads ``dist``, which is that kernel's table."""
-    kind, zero = space._entry_type, space._zero
-    if zero is not None and kind is not float:
-        return _table(space._m, space._scale, zero)
-    if kind is float:
+    """``space.dist`` as a table.  A space built from its kernel never reads
+    ``dist``, which is R with a value per rank; a given ``dist`` keeps each
+    entry, with its own type and token, as one value per distinct entry
+    object."""
+    if space._zero is not None:
         values, ranks = space._ranks
-        diagonal = (zero,) if zero is not None else tuple(
-            row[i] for i, row in enumerate(space.dist))
-        return _Table(ranks.astype(np.intp), values.tolist(), diagonal)
+        return _Table(ranks.astype(np.intp), _values(values, space._scale), (space._zero,))
     dist, n = space.dist, space.n
-    diagonal = tuple(row[i] for i, row in enumerate(dist))
-    if kind in (int, Fraction) and space.exact:
-        _, first, codes = np.unique(space._m, return_index=True, return_inverse=True)
-        values = [dist[k // n][k % n] for k in first.tolist()]
-        return _Table(codes.reshape(n, n), values, diagonal)
-    codes = np.arange(n * n).reshape(n, n)
-    return _Table(codes, tuple(chain.from_iterable(dist)), diagonal)
+    entries = tuple(chain.from_iterable(dist))
+    first, codes = _by_identity(entries, n * n)
+    return _Table(codes.reshape(n, n), [entries[k] for k in first],
+                  [row[i] for i, row in enumerate(dist)])
 
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """n points with a symmetric, triangle-valid distance matrix.
 
-    Point clouds are the exception: their stored distances are ``math.dist``
-    within 2 ulps of the true Euclidean ones, so rounding may break a
-    triangle by more than eta, and ``FiniteMetricSpace(space.dist)`` may
-    refuse such a cloud's matrix.  The entries fix the number system: exact
-    without a float entry, float with tolerance ``eta`` = 1e-9 otherwise.  Immutable after construction;
-    all operations below are pure functions, so concurrent use needs no
-    synchronization.
+    Point clouds and float-weight graphs are the exception: their stored
+    distances lie within a few roundings of the true ones (README), which may
+    break a triangle by more than eta: ``FiniteMetricSpace(space.dist)`` may
+    refuse their matrix.  The entries fix the number system: exact without a
+    float entry, float with tolerance ``eta`` = 1e-9 otherwise.  Immutable
+    after construction; all operations below are pure functions, so
+    concurrent use needs no synchronization.
     """
 
     dist: tuple
@@ -287,28 +282,26 @@ class FiniteMetricSpace:
         self._validate()
 
     @classmethod
-    def _of_kernel(cls, m: np.ndarray, scale, entry_type: type, zero) -> "FiniteMetricSpace":
+    def _of_kernel(cls, m: np.ndarray, scale, zero) -> "FiniteMetricSpace":
         """The space with the kernel matrix ``m`` and ``scale`` that
         ``FiniteMetricSpace(dist)`` would build (dtype included) from the
         ``dist`` that is ``m``'s table with ``zero`` on the diagonal, taken
         as given: no ingest, and no validation unless the caller runs
-        ``_validate`` (a metric by construction needs none).  ``entry_type``
-        is the type of every entry off the diagonal, so ``_entry_type``
-        needs no scan.  ``dist`` is made when it is first read."""
+        ``_validate`` (a metric by construction needs none).  ``dist`` is
+        made when it is first read."""
         space = object.__new__(cls)
         object.__setattr__(space, "_m", m)
         object.__setattr__(space, "_scale", scale)
-        object.__setattr__(space, "_entry_type", entry_type)
         object.__setattr__(space, "_zero", zero)
         return space
 
     def __getattr__(self, name):
         """Runs only for an attribute the instance lacks: ``dist`` of a space
-        built from its kernel, made once from ``_m`` (nothing else is stored,
-        so the space pickles)."""
+        built from its kernel, made once from its table (nothing else is
+        stored, so the space pickles)."""
         if name != "dist" or self._zero is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        dist = tuple(map(tuple, _table(self._m, self._scale, self._zero).tolist()))
+        dist = tuple(map(tuple, _dist_table(self).tolist()))
         object.__setattr__(self, "dist", dist)
         return dist
 
@@ -408,18 +401,6 @@ class FiniteMetricSpace:
         return v if self._scale is None else Fraction(v, self._scale)
 
     @cached_property
-    def _entry_type(self):
-        """The type of every entry of ``dist`` off the diagonal, None if they
-        have several (on one point, the diagonal's); the builders that hand
-        over their kernel state it."""
-        kinds = set(map(type, chain.from_iterable(self.dist)))
-        if len(kinds) > 1:  # the diagonal may differ: read the rest alone
-            kinds = set()
-            for i, row in enumerate(self.dist):
-                kinds.update(map(type, row[:i]), map(type, row[i + 1:]))
-        return kinds.pop() if len(kinds) == 1 else None
-
-    @cached_property
     def _mirrored(self) -> bool:
         """d is exactly symmetric with a zero diagonal: a kernel may read
         one triangle and mirror it."""
@@ -434,32 +415,30 @@ class FiniteMetricSpace:
 
     @cached_property
     def _ranks(self) -> tuple:
-        """(values, R) of a float space: its distinct values, increasing, and
-        the int16 or int32 matrix R of their exact ranks (none merge within
-        eta; 0.0 is -0.0).  A mirrored d takes them from its upper triangle,
-        whose entries are positive, with 0 ranked first."""
+        """(values, R): the distinct kernel values, increasing, in its dtype,
+        and the int16 or int32 matrix R of their exact ranks (no float values
+        merge within eta; 0.0 is -0.0).  A mirrored d takes them from its
+        upper triangle, whose entries are positive, with 0 ranked first."""
         m, n = self._m, self.n
         if not self._mirrored:
             values, ranks = np.unique(m, return_inverse=True)
             return values, ranks.reshape(m.shape).astype(_int_dtype(len(values)))
-        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        upper = np.arange(n)[:, None] < np.arange(n)
         values, codes = np.unique(m[upper], return_inverse=True)
         ranks = np.zeros((n, n), dtype=_int_dtype(len(values) + 1))
         ranks[upper] = codes + 1
         ranks += ranks.T
-        return np.concatenate(([0.0], values)), ranks
+        return np.concatenate((np.zeros(1, m.dtype), values)), ranks
 
     @cached_property
     def _meet_ranks(self) -> np.ndarray:
-        """The ranks of ``_meet`` on a float space: R's (min, max) product."""
+        """The ranks of ``_meet``: R's (min, max) product."""
         return _min_product(self._ranks[1], np.maximum)
 
     @cached_property
     def _meet(self) -> np.ndarray:
-        """min_z max(d(x,z), d(y,z)): the (min, max) product, half of tau;
-        a float space takes it on R and gathers the values."""
-        if self.exact:
-            return _min_product(self._m, np.maximum)
+        """min_z max(d(x,z), d(y,z)), half of tau: the values of
+        ``_meet_ranks``."""
         return self._ranks[0][self._meet_ranks]
 
     @cached_property
@@ -549,7 +528,7 @@ def build_from_points(coords: Sequence[Sequence[float]]) -> FiniteMetricSpace:
     m = np.zeros((len(coords),) * 2)
     m[rows, cols] = m[cols, rows] = upper
     _check_finite(m, m)
-    return FiniteMetricSpace._of_kernel(m, None, float, 0.0)
+    return FiniteMetricSpace._of_kernel(m, None, 0.0)
 
 
 def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
@@ -558,18 +537,17 @@ def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
     Rational/integer weights give an exact space, float weights a float
     space.  A repeated edge keeps its last weight and a self-loop adds only
     its node.  Distances come from Floyd-Warshall on the kernel matrix of
-    the weights.  Exact geodesics are a metric by construction, so the
-    space takes their kernel as it is; float rounding can break a triangle
-    by ulps, so a float space is validated.
+    the weights, which the space takes as its kernel: geodesics are a
+    metric by construction, float ones within gamma_{n-1} (README).  A float
+    space is refused only for a distance within eta or past the float range.
     """
     edges = [(i, j, w) for i, j, w in edges]
     if not edges:
         raise MetricError("graph has no nodes")
     first, second, ws = zip(*edges)
     # each distinct weight object is checked, classified and scaled once
-    ids = np.fromiter(map(id, ws), dtype=np.uintp, count=len(ws))
-    _, at, codes = np.unique(ids, return_index=True, return_inverse=True)
-    weights = [ws[k] for k in at.tolist()]
+    at, codes = _by_identity(ws, len(ws))
+    weights = [ws[k] for k in at]
     if not all(_is_finite_real(w) and w > 0 for w in weights):
         for i, j, w in edges:  # the first refused weight in edge order
             if not _is_finite_real(w):
@@ -590,7 +568,7 @@ def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
     used, codes = np.unique(codes[last], return_inverse=True)
     weights = [weights[k] for k in used.tolist()]
     exact = not any(isinstance(w, (float, np.floating)) for w in weights)
-    # no edge: longer than any simple path (m - 1 edges), also after float rounding
+    # no edge: longer than any simple path (m - 1 edges)
     if exact:
         scaled, scale = _scaled([w if isinstance(w, (int, Fraction)) else Fraction(w)
                                  for w in weights])
@@ -601,15 +579,22 @@ def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
         rows = np.zeros((m, m), dtype=object)
         rows[lo, hi] = rows[hi, lo] = np.array(weights, dtype=object)[codes]
         g = _float_matrix(rows.tolist())
-        top = m * g.max() + 1
-        g[g == 0] = top
+        g[g == 0] = top = math.inf
     np.fill_diagonal(g, 0)
-    for k in range(m):
-        np.minimum(g, g[:, k, None] + g[None, k, :], out=g)
-    if (g == top).any():
-        raise MetricError("graph is disconnected: no finite metric")
+    with np.errstate(over="ignore"):  # a float path sum past the float range is inf
+        for k in range(m):
+            np.minimum(g, g[:, k, None] + g[None, k, :], out=g)
+    if (g == top).any():  # no path joins a pair, or a float path sum overflows
+        if not np.linalg.matrix_power(g < top, m).all():  # the pairs that paths join
+            raise MetricError("graph is disconnected: no finite metric")
+        _check_finite(g, g)
     if not exact:
-        return FiniteMetricSpace(tuple(map(tuple, _table(g, None).tolist())))
+        near = np.triu(g <= _FLOAT_ETA, 1)
+        if near.any():
+            i, j = divmod(int(np.argmax(near)), m)
+            raise AxiomViolation(
+                f"d({i},{j}) = {g[i, j]} <= eta = {_FLOAT_ETA} for distinct points", (i, j))
+        return FiniteMetricSpace._of_kernel(g, None, 0)
     # the kernel FiniteMetricSpace(dist) reads back: the scale of the reduced
     # distances (a weight on no shortest path leaves it) and the narrowest dtype
     if scale is not None:
@@ -617,14 +602,14 @@ def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
         g //= c
         scale //= c
     g = g.astype(_int_dtype(4 * g.max(keepdims=True).item()), copy=False)
-    return FiniteMetricSpace._of_kernel(g, scale, int if scale is None else Fraction, 0)
+    return FiniteMetricSpace._of_kernel(g, scale, 0)
 
 
 def build_discrete(n: int) -> FiniteMetricSpace:
     """d(x,y) = 1 for x != y, 0 otherwise."""
     if n < 1:
         raise MetricError("n must be >= 1")
-    return FiniteMetricSpace._of_kernel(1 - np.eye(n, dtype=np.int16), 1, Fraction, Fraction(0))
+    return FiniteMetricSpace._of_kernel(1 - np.eye(n, dtype=np.int16), 1, Fraction(0))
 
 
 def build_segment_sample(samples: int, length=Fraction(1)) -> FiniteMetricSpace:
@@ -638,7 +623,7 @@ def build_segment_sample(samples: int, length=Fraction(1)) -> FiniteMetricSpace:
     n, step = samples, length / (samples - 1)
     k = np.arange(n, dtype=_int_dtype(4 * (n - 1) * step.numerator))
     m = np.abs(k[:, None] - k) * step.numerator
-    return FiniteMetricSpace._of_kernel(m, step.denominator, Fraction, Fraction(0))
+    return FiniteMetricSpace._of_kernel(m, step.denominator, Fraction(0))
 
 
 def build_from_matrix(rows: Sequence[Sequence]) -> FiniteMetricSpace:

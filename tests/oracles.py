@@ -20,6 +20,8 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from wavemodel import formats, lattice, metric
 
 
@@ -432,6 +434,20 @@ def condition2_defect(space: metric.FiniteMetricSpace, x: int, y: int):
         if running == 0:
             break  # y already inside every larger ball around x
     return sup_rs - dx[y]
+
+
+def meet_on_values(space: metric.FiniteMetricSpace) -> np.ndarray:
+    """min_z max(d(x,z), d(y,z)) as the (min, max) product of the kernel
+    matrix itself: the old exact ``metric._meet``, the reference of the
+    product on the ranks R."""
+    return metric._min_product(space._m, np.maximum)
+
+
+def tau_table_on_values(space: metric.FiniteMetricSpace) -> metric._Table:
+    """tau as the table of 2 ``meet_on_values``, one value per distinct
+    kernel value: the old exact ``metric._tau_table``, the reference of the
+    table on R."""
+    return metric._table(2 * meet_on_values(space), space._scale)
 
 
 def wave_distance_points(space: metric.FiniteMetricSpace, x: int, y: int):

@@ -1,13 +1,13 @@
 """Builders whose output is a metric by construction hand over their kernel.
 
-``build_from_graph`` on exact weights, ``build_segment_sample``,
-``build_discrete`` and ``build_from_points`` set the kernel matrix ``_m``
-and ``_scale`` together, without ingesting or validating a ``dist``; the
-space makes ``dist`` from its kernel when it is first read.  Each space must equal its twin ``FiniteMetricSpace(space.dist)``,
-which reads the same ``dist`` back through the full path: equal ``dist``,
-equal ``_m`` with its dtype, equal ``_scale`` (a point cloud wherever the
-twin accepts it).  ``build_from_matrix`` and graphs with a float weight
-still validate.
+``build_from_graph``, ``build_segment_sample``, ``build_discrete`` and
+``build_from_points`` set the kernel matrix ``_m`` and ``_scale``
+together, without ingesting or validating a ``dist``; the space makes
+``dist`` from its kernel when it is first read.  Each space must equal its
+twin ``FiniteMetricSpace(space.dist)``, which reads the same ``dist`` back
+through the full path: equal ``dist``, equal ``_m`` with its dtype, equal
+``_scale`` (a point cloud or a float-weight graph wherever the twin
+accepts it).  ``build_from_matrix`` still validates.
 """
 
 import math
@@ -45,7 +45,6 @@ def assert_equals_its_twin(s, shared=True):
     assert s._m.dtype == twin._m.dtype
     assert np.array_equal(s._m, twin._m)
     assert s._scale == twin._scale and type(s._scale) is type(twin._scale)
-    assert s._entry_type is twin._entry_type  # stated by the builder, scanned by the twin
     entries = [v for row in s.dist for v in row]
     assert not shared or len(set(map(id, entries))) == len(set(entries))
 
@@ -147,7 +146,46 @@ def test_float_graph_equals_its_validated_twin():
                   [(0, 1, F(1, 3)), (1, 2, np.float64(0.25)), (0, 2, F(3, 2))]):
         s = build_from_graph(edges)
         assert not s.exact
+        try:
+            assert_equals_its_twin(s)
+        except AxiomViolation:  # a triangle broken by rounding beyond eta
+            pass
+
+
+#: u = 2^-53, the unit roundoff of float64.
+UNIT = F(1, 2 ** 53)
+
+
+def gamma(k):
+    """gamma_k = k u / (1 - k u), the bound of k roundings (Higham)."""
+    return k * UNIT / (1 - k * UNIT)
+
+
+@st.composite
+def scaled_float_graphs(draw):
+    """A connected graph of float weights in [1, 4) times 10^e, e from -3
+    to 12, with full-width significands."""
+    scale = 10.0 ** draw(st.integers(-3, 12))
+    return draw(graphs(st.floats(1, 4, exclude_max=True).map(lambda w: w * scale)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_float_graphs())
+def test_float_geodesics_are_within_gamma_of_the_exact_ones(edges):
+    """Each stored distance c of an n-node float graph satisfies
+    |c - d*| <= gamma_{n-1} d*, with d* the exact geodesic of the float
+    weights (Dijkstra on their exact ``Fraction`` values), and wherever the
+    validating path accepts the matrix it builds the same space."""
+    s = build_from_graph(edges)
+    exact = oracles.dijkstra_distances([(i, j, F(w)) for i, j, w in edges], s.n)
+    bound = gamma(s.n - 1)
+    for i in range(s.n):
+        for j in range(s.n):
+            assert abs(F(s.d(i, j)) - exact[i][j]) <= bound * exact[i][j]
+    try:
         assert_equals_its_twin(s)
+    except AxiomViolation:  # a triangle broken by rounding beyond eta
+        pass
 
 
 @pytest.mark.parametrize("length,dtype", [(F(3, 2), np.int16), (F(15000), np.int32),
@@ -169,21 +207,6 @@ def test_discrete_equals_its_twin(n):
     s = build_discrete(n)
     assert s._m.dtype == np.int16 and s._scale == 1
     assert_equals_its_twin(s)
-
-
-@pytest.mark.parametrize("build,stated", [
-    (lambda: build_segment_sample(9, F(7, 3)), Fraction),
-    (lambda: build_discrete(5), Fraction),
-    (lambda: build_from_graph([(0, 1, F(1, 3)), (1, 2, 2), (2, 3, F(5, 2))]), Fraction),
-    (lambda: build_from_graph([(0, 1, F(2)), (1, 2, F(3))]), Fraction),  # scale 1
-    (lambda: build_from_graph([(0, 1, 1), (1, 2, 2), (0, 3, 7)]), int),  # no scale
-    (lambda: build_from_points([(0.0, 1.0), (2.0, -0.5), (-1.0, 3.0), (4.0, 4.0)]), float),
-], ids=["segment", "discrete", "graph-scale", "graph-scale-1", "graph-int", "points"])
-def test_stated_entry_type_is_the_type_of_every_entry_off_the_diagonal(build, stated):
-    s = build()
-    assert s.__dict__["_entry_type"] is stated  # set at construction, not scanned
-    assert {type(v) for i, row in enumerate(s.dist)
-            for j, v in enumerate(row) if i != j} == {stated}
 
 
 #: Each stored point distance lies within this many ulps of the true one.
@@ -227,8 +250,8 @@ def test_point_distances_are_within_two_ulps_of_the_true_ones(coords):
 
 
 def test_only_builders_without_a_construction_guarantee_validate(monkeypatch):
-    """Exact graphs, segments, the discrete metric and point clouds never
-    ingest or validate; matrices and float-weight graphs do."""
+    """Graphs, segments, the discrete metric and point clouds never ingest
+    or validate; matrices do."""
     def refuse(*args):
         raise AssertionError("validated")
 
@@ -238,10 +261,9 @@ def test_only_builders_without_a_construction_guarantee_validate(monkeypatch):
     build_segment_sample(5, F(3, 2))
     build_discrete(4)
     build_from_points([(0.0,), (1.0,)])
-    for build in (lambda: build_from_matrix([[0, 1], [1, 0]]),
-                  lambda: build_from_graph([(0, 1, 0.5)])):
-        with pytest.raises(AssertionError, match="validated"):
-            build()
+    build_from_graph([(0, 1, 0.5), (1, 2, F(1, 3))])
+    with pytest.raises(AssertionError, match="validated"):
+        build_from_matrix([[0, 1], [1, 0]])
 
 
 BUILDERS = {
@@ -251,6 +273,7 @@ BUILDERS = {
     "discrete-1": lambda: build_discrete(1),
     "graph-scale": lambda: build_from_graph([(0, 1, F(1, 3)), (1, 2, 2), (2, 3, F(5, 2)),
                                              (3, 0, F(1, 2))]),
+    "graph-scale-1": lambda: build_from_graph([(0, 1, F(2)), (1, 2, F(3))]),
     "graph-int": lambda: build_from_graph([(0, 1, 1), (1, 2, 2), (0, 3, 7), (3, 3, 5)]),
     "graph-one-node": lambda: build_from_graph([(0, 0, F(1, 2))]),
     "graph-float": lambda: build_from_graph([(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.7)]),
@@ -274,15 +297,19 @@ def eager_dist(name):
         return [[0.0 if p == q else math.dist(p, q) for q in coords] for p in coords]
     if name == "graph-one-node":
         return [[0]]
+    if name == "graph-float":  # Floyd-Warshall's sums are Dijkstra's on this graph
+        return oracles.dijkstra_distances([(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.7)], 3)
     edges = {"graph-scale": [(0, 1, F(1, 3)), (1, 2, 2), (2, 3, F(5, 2)), (3, 0, F(1, 2))],
+             "graph-scale-1": [(0, 1, F(2)), (1, 2, F(3))],
              "graph-int": [(0, 1, 1), (1, 2, 2), (0, 3, 7)]}[name]
-    kind = F if name == "graph-scale" else int  # every entry a Fraction with a scale
-    rows = oracles.dijkstra_distances(edges, 4)
+    kind = int if name == "graph-int" else F  # every entry a Fraction with a scale
+    rows = oracles.dijkstra_distances(edges, 1 + max(max(i, j) for i, j, _ in edges))
     return [[kind(v) if i != j else 0 for j, v in enumerate(row)] for i, row in enumerate(rows)]
 
 
 @pytest.mark.parametrize("name", ["segment", "segment-object", "discrete", "discrete-1",
-                                  "graph-scale", "graph-int", "graph-one-node", "points"])
+                                  "graph-scale", "graph-scale-1", "graph-int", "graph-one-node",
+                                  "graph-float", "points"])
 def test_first_read_of_dist_equals_the_eager_dist(name):
     s = BUILDERS[name]()
     assert "dist" not in vars(s)

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -187,6 +188,47 @@ def test_validate_accepts_a_large_nearly_collinear_cloud(tmp_path):
     code, data = run(tmp_path, "validate", "--backend", "points", "--input", str(p))
     assert code == 0
     assert data["valid"] is True and data["n"] == 3
+
+
+def test_validate_accepts_a_two_edge_float_path(tmp_path):
+    """Floyd-Warshall's sum d(0,2) rounds past d(0,1) + d(1,2) by more than
+    eta, but each float geodesic lies within gamma_{n-1} of the exact one:
+    a float graph is a metric by construction."""
+    g = tmp_path / "g.txt"
+    g.write_text("0 1 5798099837.879883\n1 2 8379475785.850711\n")
+    code, data = run(tmp_path, "validate", "--backend", "graph", "--input", str(g))
+    assert code == 0
+    assert data["valid"] is True and data["n"] == 3
+
+
+@pytest.mark.parametrize("text,witness", [
+    ("0 1 1e308\n1 2 1e308\n", [0, 2]),
+    ("0 1 8e307\n1 2 8e307\n2 3 8e307\n", [0, 3]),
+], ids=["two-edges", "three-edges"])
+def test_float_path_sum_past_the_float_range_is_refused(tmp_path, capsys, text, witness):
+    """A connected graph whose path sum overflows is not disconnected: it is
+    refused as points are, naming the first such pair in row-major order,
+    and no overflow warning reaches stderr."""
+    g = tmp_path / "g.txt"
+    g.write_text(text)
+    error = f"d({witness[0]},{witness[1]}) = inf is not a finite number"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, data = run(tmp_path, "validate", "--backend", "graph", "--input", str(g))
+        assert code == 1
+        assert data == {"valid": False, "error": error, "witness": witness}
+        assert main(["conditions", "--backend", "graph", "--input", str(g)]) == 1
+    assert capsys.readouterr().err == f"validation failure: {error}\n"
+
+
+def test_float_graph_near_the_float_range_is_valid(tmp_path):
+    g = tmp_path / "g.txt"
+    g.write_text("0 1 1e308\n1 2 1e308\n0 2 1.5e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, data = run(tmp_path, "validate", "--backend", "graph", "--input", str(g))
+    assert code == 0
+    assert data["valid"] is True and data["min_positive_distance"] == 1e308
 
 
 def test_missing_required_option_exit_3():

@@ -688,6 +688,52 @@ def test_ranks_widen_past_int16():
     assert_order_is_the_float_argsort(space)
 
 
+#: Exact spaces with a kernel of every dtype, built from their kernel and from dist.
+EXACT_SPACES = ["discrete-9", "segment-17", "graph-25", "rational-30", "int16-top-12",
+                "int32-line-12", "int64-top-9", "python-int"]
+
+
+def test_exact_spaces_cover_every_kernel_dtype():
+    assert {SPACES[name]._m.dtype for name in EXACT_SPACES} == {*map(np.dtype, INT_DTYPES),
+                                                                np.dtype(object)}
+
+
+@pytest.mark.parametrize("name", EXACT_SPACES)
+def test_exact_meet_and_tau_on_ranks_match_the_kernel_values(name):
+    """On R, ``_meet`` is the (min, max) product of the kernel itself, and
+    the tau table holds the same values, type for type."""
+    s = SPACES[name]
+    assert s.exact
+    assert same_matrix(s._meet, oracles.meet_on_values(s))
+    want = oracles.tau_table_on_values(s).tolist()
+    assert repr(metric._tau_table(s).tolist()) == repr(want)
+    assert_ranks_are_those_of_the_matrix(s)
+
+
+def test_ranks_of_a_100_point_object_kernel_are_int16():
+    space = build_from_matrix(oracles.random_rational_metric(random.Random(4), 100, BIG_PRIMES))
+    values, ranks = space._ranks
+    assert space._m.dtype == object and values.dtype == object
+    assert ranks.dtype == np.int16
+    assert (values[ranks] == space._m).all()
+    assert same_matrix(space._meet, oracles.meet_on_values(space))
+
+
+def test_given_d_table_has_one_value_per_distinct_entry_object():
+    """Equal values in distinct objects stay apart, one object in many
+    places is one value, and every entry of the table is the entry given."""
+    one = F(1)  # distances in [1, 2]: every triangle holds
+    rows = [[0 if i == j else one if i + j == 5 else F(3 + (i + j) % 3, 3) for j in range(6)]
+            for i in range(6)]
+    space = build_from_matrix(rows)
+    table = metric._dist_table(space)
+    objects = {id(v) for row in space.dist for v in row}
+    assert len(table.values) == len(objects) + space.n  # then one per diagonal entry
+    assert {id(v) for v in table.values} == objects
+    assert all(a is b for got, row in zip(table.tolist(), space.dist)
+               for a, b in zip(got, row))
+
+
 FLOAT_SPACES = [name for name, s in SPACES.items() if not s.exact]
 
 

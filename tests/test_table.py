@@ -218,10 +218,13 @@ def test_dist_table_of_every_backend(name):
     space = SPACES[name]
     table = metric._dist_table(space)
     assert _same(table.tolist(), [list(row) for row in space.dist])
-    # one value per distinct kernel value, then one per diagonal entry, or
-    # one for the whole diagonal of a space built from its kernel
-    diagonal = space.n if space._zero is None else 1
-    assert len(table.values) == len(np.unique(space._m)) + diagonal
+    # a space built from its kernel: one value per distinct kernel value, then
+    # one for the whole diagonal; a given dist: one per distinct entry object,
+    # then one per diagonal entry
+    if space._zero is None:
+        assert len(table.values) == len({id(v) for row in space.dist for v in row}) + space.n
+    else:
+        assert len(table.values) == len(np.unique(space._m)) + 1
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
