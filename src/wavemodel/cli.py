@@ -78,8 +78,8 @@ def _token(v) -> str | None:
     t = type(v)
     if t is Fraction:  # digits, a sign and a slash: nothing to escape
         return '"' + str(v) + '"'
-    if t is float:
-        return '"inf"' if math.isinf(v) else "NaN" if v != v else repr(v)
+    if isinstance(v, float):  # as json writes a float subclass (numpy's too)
+        return '"inf"' if math.isinf(v) else "NaN" if v != v else float.__repr__(v)
     if t is int:
         return repr(v)
     if t is str:
@@ -205,7 +205,7 @@ def build_space(args) -> metric.FiniteMetricSpace:
 def resolve_grid(args, space) -> lattice.TimeGrid:
     grid = parse_grid_spec(args.grid) if args.grid else lattice.default_grid(space)
     if not space.exact:
-        lattice.check_float_range(grid.values)
+        lattice.check_float_range(grid._points)
     return grid
 
 

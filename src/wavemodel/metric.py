@@ -319,7 +319,7 @@ class FiniteMetricSpace:
         < 0) the ordered scan runs, to find the first failing triple."""
         m, n = self._m, self.n
         tol = 0 if self.exact else _FLOAT_ETA
-        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        upper = self._upper
         asym = (np.abs(m - m.T) > tol) & upper
         nonpos = (m <= tol) & upper
         bad = asym | nonpos
@@ -371,12 +371,18 @@ class FiniteMetricSpace:
         return frozenset(range(self.n))
 
     @cached_property
+    def _upper(self) -> np.ndarray:
+        """The mask of the pairs i < j: the upper triangle, read row-major."""
+        n = self.n
+        return np.arange(n)[:, None] < np.arange(n)
+
+    @cached_property
     def _extremes(self) -> tuple:
         """The pairs (i, j), i < j, of the first minimum and the first
         maximum over the upper triangle in row-major order."""
-        rows, cols = np.triu_indices(self.n, 1)
-        upper = self._m[rows, cols]
-        return tuple((int(rows[k]), int(cols[k])) for k in (upper.argmin(), upper.argmax()))
+        at = np.flatnonzero(self._upper)
+        upper = self._m.ravel()[at]
+        return tuple(divmod(int(at[k]), self.n) for k in (upper.argmin(), upper.argmax()))
 
     def _entry(self, i: int, j: int):
         """``dist[i][j]``, read off ``_m`` while a space built from its
@@ -423,7 +429,7 @@ class FiniteMetricSpace:
         if not self._mirrored:
             values, ranks = np.unique(m, return_inverse=True)
             return values, ranks.reshape(m.shape).astype(_int_dtype(len(values)))
-        upper = np.arange(n)[:, None] < np.arange(n)
+        upper = self._upper
         values, codes = np.unique(m[upper], return_inverse=True)
         ranks = np.zeros((n, n), dtype=_int_dtype(len(values) + 1))
         ranks[upper] = codes + 1
@@ -485,20 +491,22 @@ class FiniteMetricSpace:
         exact spaces, clamped to the largest value of an int kernel; d <= r +
         eta on float spaces, where open and closed balls coincide."""
         keys = []
-        exact, scale = self.exact, self._scale or 1
+        exact, scale, cut = self.exact, self._scale or 1, 0 if closed else 1
         top = np.iinfo(self._m.dtype).max if self._m.dtype.kind == "i" else math.inf
         for r in radii:
-            try:
-                q = r if isinstance(r, (int, Fraction)) else Fraction(r)
+            try:  # numpy ints have no integer ratio, and their Fraction keeps numpy parts
+                p, q = (r.as_integer_ratio() if hasattr(r, "as_integer_ratio")
+                        else map(int, Fraction(r).as_integer_ratio()))
             except (OverflowError, ValueError):
                 raise MetricError(f"radius must be a finite number, got {r}") from None
-            if q.numerator <= 0:
+            if p <= 0:
                 raise MetricError(f"radius must be positive, got {r}")
             if exact:
-                keys.append(min((q.numerator * scale - (not closed)) // q.denominator, top))
+                key = (p * scale - cut) // q
+                keys.append(key if key < top else top)
             else:
                 try:
-                    keys.append(float(r) + _FLOAT_ETA)  # what r + eta evaluates to
+                    keys.append(p / q + _FLOAT_ETA)  # float(r) + eta: p / q rounds once
                 except OverflowError:  # finite, but past the floats: every point
                     keys.append(math.inf)
         return np.array(keys, dtype=self._m.dtype)
@@ -578,8 +586,9 @@ def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
     else:
         rows = np.zeros((m, m), dtype=object)
         rows[lo, hi] = rows[hi, lo] = np.array(weights, dtype=object)[codes]
-        g = _float_matrix(rows.tolist())
-        g[g == 0] = top = math.inf
+        # no edge by position: a positive weight may round to 0.0
+        g = np.full((m, m), top := math.inf)
+        g[lo, hi] = g[hi, lo] = _float_matrix(rows.tolist())[lo, hi]
     np.fill_diagonal(g, 0)
     with np.errstate(over="ignore"):  # a float path sum past the float range is inf
         for k in range(m):
@@ -751,9 +760,8 @@ def isometry_fit(space: FiniteMetricSpace) -> tuple:
     changes, run in int64 while n^2 (4 max d)^2 fits it, else on Python ints."""
     if space.n == 1:
         return 0, None
-    rows, cols = np.triu_indices(space.n, 1)
-    d = space._m[rows, cols]
-    tau = 2 * space._meet[rows, cols]
+    d = space._m[space._upper]  # row-major pair order
+    tau = 2 * space._meet[space._upper]
     max_dev = space._value(np.abs(tau - d).max())
     kind = None  # int16 products overflow; int64 holds < n^2 terms tau d < (4 max d)^2
     if space.exact:

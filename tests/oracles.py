@@ -464,6 +464,17 @@ def wave_distance_points(space: metric.FiniteMetricSpace, x: int, y: int):
     return 2 * best
 
 
+def extremes(space: metric.FiniteMetricSpace) -> tuple:
+    """The pairs (i, j), i < j, of the first minimum and the first maximum of
+    ``space.dist`` in ``np.triu_indices`` order (row-major): the reference of
+    ``FiniteMetricSpace._extremes``.  One point has none (ValueError)."""
+    rows, cols = np.triu_indices(space.n, 1)
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    upper = [space.dist[i][j] for i, j in pairs]
+    at = range(len(pairs))
+    return pairs[min(at, key=upper.__getitem__)], pairs[max(at, key=upper.__getitem__)]
+
+
 def isometry_fit(space: metric.FiniteMetricSpace) -> tuple:
     """(max |tau - d|, c = sum tau d / sum d^2) by one loop over the pairs
     i < j in row-major order, adding one term at a time: the reference of

@@ -152,6 +152,17 @@ def test_float_graph_equals_its_validated_twin():
             pass
 
 
+@pytest.mark.parametrize("tiny,token", [(F(1, 10 ** 20), "1e-20"), (F(1, 10 ** 400), "0.0")])
+def test_a_positive_weight_that_rounds_to_zero_is_an_edge(tiny, token):
+    """A missing edge is marked by its position, not by the value 0.0: an
+    exact weight that rounds to 0.0 in a float graph is refused by the eta
+    rule, as any weight within eta is, not called disconnected."""
+    with pytest.raises(AxiomViolation) as ei:
+        build_from_graph([(0, 1, 0.5), (1, 2, tiny)])
+    assert str(ei.value) == f"d(1,2) = {token} <= eta = 1e-09 for distinct points"
+    assert ei.value.witness == (1, 2)
+
+
 #: u = 2^-53, the unit roundoff of float64.
 UNIT = F(1, 2 ** 53)
 

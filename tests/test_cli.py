@@ -171,6 +171,17 @@ def test_float_positivity_failure_names_eta(tmp_path, capsys):
     assert "d(0,1) = 0 <= 0 for distinct points" in capsys.readouterr().err
 
 
+def test_float_graph_weight_that_rounds_to_zero_is_refused_by_eta(tmp_path, capsys):
+    """1/10^400 is positive but rounds to 0.0 beside a float weight: the eta
+    rule refuses it (exit 1); the graph is connected, not disconnected (2)."""
+    g = tmp_path / "g.txt"
+    g.write_text("0 1 0.5\n1 2 1/1" + "0" * 400 + "\n")
+    code, data = run(tmp_path, "validate", "--backend", "graph", "--input", str(g))
+    assert code == 1
+    assert data == {"valid": False, "witness": [1, 2],
+                    "error": "d(1,2) = 0.0 <= eta = 1e-09 for distinct points"}
+
+
 def test_validate_exit_1_when_point_distances_overflow(tmp_path):
     p = tmp_path / "pts.csv"
     p.write_text("1e308,1e308\n-1e308,-1e308\n")

@@ -334,6 +334,68 @@ def test_radius_keys_follow_the_radii_passed(name):
     assert open_balls(s, 0, radii) == tuple(oracles.open_ball(s, 0, t) for t in doubled)
 
 
+#: Exact kernels in int16, int32, int64 and Python ints, and float spaces.
+KEY_SPACES = ["segment-17", "int16-top-12", "int32-line-12", "int64-top-9", "python-int",
+              "points-20", "float-graph-6", "float-asymmetric-12"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+                min_size=1, max_size=6))
+def test_radius_keys_of_a_float_are_those_of_its_fraction(radii):
+    """A float radius is keyed by its integer ratio, as its Fraction is, open
+    and closed, on every kernel dtype; the grid's points and the kernel
+    values (as floats) are among the radii."""
+    for name in KEY_SPACES:
+        s = SPACES[name]
+        values = s._ranks[0][1:].tolist()
+        at_values = [float(v if s._scale is None else F(v, s._scale)) for v in values[:4]]
+        floats = [*radii, *at_values, *default_grid(s)._points[1:-1]]
+        for closed in (False, True):
+            got = s._radius_keys(floats, closed)
+            assert got.dtype == s._m.dtype
+            assert same_matrix(got, s._radius_keys([F(r) for r in floats], closed))
+        assert open_balls(s, 0, floats) == tuple(oracles.open_ball(s, 0, r) for r in floats)
+
+
+@pytest.mark.parametrize("name", ["segment-17", "python-int", "points-20"])
+def test_radius_keys_refusals_and_other_number_types(name):
+    s = SPACES[name]
+    for r in (math.inf, -math.inf, math.nan, np.float64(math.nan), Decimal("NaN"),
+              Decimal("-Infinity")):
+        with pytest.raises(MetricError) as ei:
+            s._radius_keys([F(1, 2), r])
+        assert str(ei.value) == f"radius must be a finite number, got {r}"
+    for r in (0, 0.0, -0.0, F(0), F(-1, 3), -2, -1e300, np.int64(0), Decimal("-0.5")):
+        with pytest.raises(MetricError) as ei:
+            s._radius_keys([F(1, 2), r])
+        assert str(ei.value) == f"radius must be positive, got {r}"
+    # numpy ints (no integer ratio of their own), Decimals and bools
+    assert same_matrix(s._radius_keys([np.int64(2), Decimal("0.25"), True]),
+                       s._radius_keys([2, F(1, 4), 1]))
+
+
+@pytest.mark.parametrize("name", ["discrete-1", "one-point-float", "discrete-2", "discrete-9",
+                                  "segment-2", "segment-17", "graph-25", "python-int",
+                                  "points-20", "float-asymmetric-12", "float-diagonal-9",
+                                  "float-ties"])
+def test_extremes_match_the_triu_indices_reference(name):
+    """The first minimum and maximum pairs in row-major order: every distance
+    ties on the discrete metric, and one point has no pair."""
+    s = SPACES.get(name) or build_from_matrix([[0, 0.5, 0.25, 0.5], [0.5, 0, 0.5, 0.25],
+                                               [0.25, 0.5, 0, 0.5], [0.5, 0.25, 0.5, 0]])
+    if s.n == 1:
+        with pytest.raises(ValueError):
+            s._extremes
+        with pytest.raises(ValueError):
+            oracles.extremes(s)
+        assert (s.min_positive_distance(), s.diameter()) == (None, 0)
+        return
+    assert s._extremes == oracles.extremes(s)
+    (i, j), (k, l) = s._extremes
+    assert (s.min_positive_distance(), s.diameter()) == (s.dist[i][j], s.dist[k][l])
+
+
 def grid_through_distances(s):
     """A grid holding every positive distance and every half distance of s
     (n > 1), so that grid values test the open-ball boundary d < t."""

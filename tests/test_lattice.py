@@ -1,8 +1,12 @@
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wavemodel import (
     GridError,
@@ -17,6 +21,7 @@ from wavemodel import (
     make_grid,
     wave_model,
 )
+from wavemodel.cli import main
 from wavemodel.lattice import (
     DecreasingNet,
     LatticeFunction,
@@ -37,6 +42,7 @@ from wavemodel.metric import (
 )
 
 import oracles
+from test_golden import INPUTS
 
 F = Fraction
 
@@ -82,6 +88,88 @@ def test_grid_admissibility_refusals():
         check_grid_admissible(s, make_grid(F(1, 2), F(3), 4))  # lo too large
     with pytest.raises(GridError):
         check_grid_admissible(s, make_grid(F(1, 100), F(1, 2), 4))  # hi too small
+
+
+def eager_geometric_grid(lo, hi, count):
+    """``make_grid``'s geometric law with every value made a ``Fraction`` at
+    once, through the public constructor: the grid the law used to build."""
+    start = float(lo)
+    ratio = (float(hi) / start) ** (1.0 / (count - 1))
+    return TimeGrid((F(lo), *map(F, (start * ratio ** k for k in range(1, count - 1))), F(hi)))
+
+
+POSITIVE = st.fractions(min_value=F(1, 10 ** 12), max_value=10 ** 12).filter(lambda v: v > 0)
+#: hi - lo from about 1e-18 (interior floats that collide) up to 1e12
+GAPS = st.builds(lambda m, e: m * F(10) ** -e, st.integers(1, 999), st.integers(-9, 21))
+
+
+@settings(max_examples=300, deadline=None)
+@given(POSITIVE, GAPS, st.integers(2, 80))
+@example(F(1, 3), F(1, 10 ** 18), 40)  # interior floats that collide: refused
+@example(F(10 ** 12), F(1, 10 ** 9), 3)
+def test_geometric_grid_values_are_the_eager_fractions(lo, gap, count):
+    """``values``, made on first read, equals the eager grid in value and
+    type; equality, hash, len and iteration agree, and a grid the eager
+    constructor refuses is refused with the same message."""
+    hi = lo + gap
+    try:
+        want = eager_geometric_grid(lo, hi, count)
+    except GridError as exc:
+        with pytest.raises(GridError) as ei:
+            make_grid(lo, hi, count)
+        assert str(ei.value) == str(exc)
+        return
+    grid = make_grid(lo, hi, count)
+    doubled = grid._doubled(range(count))  # from the points: values unread
+    assert "values" not in vars(grid) and len(grid) == count
+    assert doubled == {k: 2 * v for k, v in enumerate(want.values)}
+    assert all(type(v) is F for v in doubled.values())
+    assert grid == want and hash(grid) == hash(want)  # reads values
+    assert grid.values == want.values and all(type(v) is F for v in grid.values)
+    assert list(grid) == list(want.values)
+    assert grid == TimeGrid(grid.values) and hash(grid) == hash(TimeGrid(grid.values))
+
+
+@pytest.mark.parametrize("lo,hi", [(F(1, 10), F(7, 3)), (1, 2), (0.1, 3.0), (F(1, 3), 5)])
+def test_a_geometric_grid_pickles_before_and_after_its_values_are_read(lo, hi):
+    grid = make_grid(lo, hi, 9)
+    copy = pickle.loads(pickle.dumps(grid))
+    assert "values" not in vars(copy) and len(copy) == 9
+    want = eager_geometric_grid(lo, hi, 9).values
+    assert copy.values == want and grid.values == want
+    again = pickle.loads(pickle.dumps(grid))  # now with values made
+    assert vars(again)["values"] == want and again == grid == copy
+
+
+def test_time_grid_keeps_its_given_values_and_one_field():
+    assert [f.name for f in dataclasses.fields(TimeGrid)] == ["values"]
+    for values in ((F(1, 4), F(1, 2)), (1, 2, 5), (0.25, 0.5)):
+        grid = TimeGrid(values)
+        assert grid.values is values and list(grid) == list(values)
+    with pytest.raises(AttributeError, match="'missing'"):
+        make_grid(F(1), F(2), 4).missing
+
+
+def test_brackets_of_a_given_int_grid_stay_ints():
+    """A bracket end is 2 t of the value as given: int grid values give ints."""
+    s = build_discrete(3)
+    res = wave_model(s, TimeGrid((F(1, 4), 1, 3)), include_brackets=True)
+    assert res.brackets[0][1] == (2, 6) and type(res.brackets[0][1][0]) is int
+
+
+@pytest.mark.parametrize("command", ["tau", "isometry"])
+@pytest.mark.parametrize("space", [
+    ["--backend", "segment", "--samples", "7", "--length", "3/2"],
+    ["--backend", "points", "--input", str(INPUTS / "points.csv")],
+    ["--backend", "graph", "--input", str(INPUTS / "edges.txt")],
+], ids=["segment", "points", "graph"])
+def test_wave_model_commands_never_make_grid_values(command, space, tmp_path, monkeypatch):
+    """``__getattr__`` is what makes ``values``: refusing it proves no read."""
+    def refuse(self, name):
+        raise AssertionError(f"read {name}")
+
+    monkeypatch.setattr(TimeGrid, "__getattr__", refuse)
+    assert main([command, *space, "--out", str(tmp_path / "report")]) == 0
 
 
 # ---------------------------------------------------------------------------

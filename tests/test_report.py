@@ -10,11 +10,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavemodel import cli
+from wavemodel import build_from_matrix, cli, metric
 
 import oracles
 
@@ -74,6 +75,30 @@ def test_rows_of_values_that_compare_equal(rows):
 ])
 def test_edge_cases(report):
     assert "".join(cli.encode_report(report)) == reference(report)
+
+
+class LoudFloat(float):
+    """A float subclass whose own repr json does not use."""
+
+    def __repr__(self):
+        return f"LoudFloat({float(self)!r})"
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), np.float64(-0.0), np.float64(1e-300),
+                                   np.float64(INF), np.float64(-INF), np.float64(math.nan),
+                                   LoudFloat(0.1), LoudFloat(INF)], ids=repr)
+def test_float_subclasses_are_written_as_json_writes_them(value):
+    """numpy's float64 and any float subclass: ``float.__repr__``, not the
+    subclass's repr (``np.float64(0.5)`` under numpy 2)."""
+    report = {"x": value, "row": [value, 1.5, value], "pair": (F(1, 2), value)}
+    assert "".join(cli.encode_report(report)) == reference(report)
+
+
+def test_a_d_table_of_numpy_floats_is_written():
+    s = build_from_matrix([[0, np.float64(0.5)], [np.float64(0.5), 0]])
+    report = {"d": metric._dist_table(s)}
+    assert "".join(cli.encode_report(report)) == reference(report)
+    assert json.loads(reference(report)) == {"d": [[0, 0.5], [0.5, 0]]}
 
 
 def test_unserializable_values_are_refused():
