@@ -205,7 +205,7 @@ def build_space(args) -> metric.FiniteMetricSpace:
 def resolve_grid(args, space) -> lattice.TimeGrid:
     grid = parse_grid_spec(args.grid) if args.grid else lattice.default_grid(space)
     if not space.exact:
-        lattice.check_float_range(grid._points)
+        lattice.check_float_range(grid.values)
     return grid
 
 

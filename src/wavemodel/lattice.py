@@ -51,52 +51,21 @@ class NetError(MetricError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing positive rationals t_1 < ... < t_m, m >= 2.
-
-    The package reads ``_points``: ``values`` as given, or the ``Fraction``
-    ends and interior floats (exact binary rationals) of ``make_grid``'s
-    geometric law, whose ``values`` are made on first read."""
+    """Strictly increasing positive rationals t_1 < ... < t_m, m >= 2."""
 
     values: tuple
 
     def __post_init__(self):
-        self._keep(self.values)
-
-    def _keep(self, points: tuple) -> None:
-        if len(points) < 2:
+        if len(self.values) < 2:
             raise GridError("grid needs at least 2 values")
-        if points[0] <= 0:
+        if self.values[0] <= 0:
             raise GridError("grid values must be positive")
-        for a, b in zip(points, points[1:]):
+        for a, b in zip(self.values, self.values[1:]):
             if b <= a:
                 raise GridError("grid values must be strictly increasing")
-        object.__setattr__(self, "_points", points)
-
-    @classmethod
-    def _of_points(cls, points: tuple) -> "TimeGrid":
-        """The grid of ``points``, whose ``values`` are made when first read."""
-        grid = object.__new__(cls)
-        grid._keep(points)
-        return grid
-
-    def __getattr__(self, name):
-        """Runs only for an attribute the instance lacks: ``values`` of a
-        grid made from its points, made once (so the grid pickles)."""
-        if name != "values":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        values = tuple(map(Fraction, self._points))
-        object.__setattr__(self, "values", values)
-        return values
-
-    def _doubled(self, ks) -> dict:
-        """{k: 2 t_k} for the indices ``ks``, as ``2 * values[k]`` gives them;
-        unread values double exactly from their points' integer ratios."""
-        if "values" in vars(self):
-            return {k: 2 * self.values[k] for k in ks}
-        return {k: Fraction(2 * p, q) for k in ks for p, q in [self._points[k].as_integer_ratio()]}
 
     def __len__(self):
-        return len(self._points)
+        return len(self.values)
 
     def __iter__(self):
         return iter(self.values)
@@ -105,10 +74,9 @@ class TimeGrid:
 def make_grid(lo, hi, count: int = 64, law: str = "geometric") -> TimeGrid:
     """Build a grid between lo and hi.
 
-    Geometric spacing goes through floats, kept as the exact binary
-    rationals they are, so grid values essentially never coincide with the
-    decimal rationals of the test spaces (which keeps grid brackets
-    unambiguous); their ``Fraction``s are made only when ``values`` is read.
+    Geometric spacing goes through floats and converts back to exact binary
+    rationals, so grid values essentially never coincide with the decimal
+    rationals of the test spaces (which keeps grid brackets unambiguous).
     """
     if count < 2:
         raise GridError("count must be >= 2")
@@ -117,16 +85,18 @@ def make_grid(lo, hi, count: int = 64, law: str = "geometric") -> TimeGrid:
     if law == "linear":
         lo, hi = Fraction(lo), Fraction(hi)
         step = (hi - lo) / (count - 1)
-        return TimeGrid(tuple(lo + k * step for k in range(count)))
-    if law != "geometric":
+        vals = tuple(lo + k * step for k in range(count))
+    elif law == "geometric":
+        check_float_range((lo, hi))
+        start = float(lo)
+        ratio = (float(hi) / start) ** (1.0 / (count - 1))
+        if ratio == INFINITY:
+            raise GridError(f"grid ratio {_sci(hi)}/{_sci(lo)} is outside the float range")
+        vals = [Fraction(start * ratio ** k) for k in range(1, count - 1)]
+        vals = tuple([Fraction(lo)] + vals + [Fraction(hi)])
+    else:
         raise GridError(f"unknown spacing law {law!r}")
-    check_float_range((lo, hi))
-    start = float(lo)
-    ratio = (float(hi) / start) ** (1.0 / (count - 1))
-    if ratio == INFINITY:
-        raise GridError(f"grid ratio {_sci(hi)}/{_sci(lo)} is outside the float range")
-    inner = [start * ratio ** k for k in range(1, count - 1)]
-    return TimeGrid._of_points((Fraction(lo), *inner, Fraction(hi)))
+    return TimeGrid(vals)
 
 
 def check_float_range(values) -> None:
@@ -279,7 +249,7 @@ def sandwich_check(space: FiniteMetricSpace, g: LatticeFunction) -> tuple:
 
 def b_star_lower(space: FiniteMetricSpace, x: int, grid: TimeGrid) -> LatticeFunction:
     """t -> open ball B_t(x)."""
-    return LatticeFunction(grid, open_balls(space, x, grid._points))
+    return LatticeFunction(grid, open_balls(space, x, grid.values))
 
 
 def b_star_upper(space: FiniteMetricSpace, x: int, grid: TimeGrid) -> LatticeFunction:
@@ -323,13 +293,13 @@ def check_grid_admissible(space: FiniteMetricSpace, grid: TimeGrid) -> None:
         return
     need_lo = Fraction(space.min_positive_distance()) / 2
     need_hi = space.diameter()
-    if not grid._points[0] < need_lo:  # the ends are the values
+    if not grid.values[0] < need_lo:
         raise GridError(
-            f"grid too coarse: smallest value {grid._points[0]} must be below "
+            f"grid too coarse: smallest value {grid.values[0]} must be below "
             f"half the minimum positive distance ({need_lo})")
-    if not grid._points[-1] > need_hi:
+    if not grid.values[-1] > need_hi:
         raise GridError(
-            f"grid too coarse: largest value {grid._points[-1]} must exceed "
+            f"grid too coarse: largest value {grid.values[-1]} must exceed "
             f"the diameter ({need_hi})")
 
 
@@ -379,7 +349,7 @@ def wave_model(space: FiniteMetricSpace, grid: TimeGrid,
     """
     check_grid_admissible(space, grid)
     # row x of d < t_1 (d <= t_1 + eta on float spaces) is the nucleus of x
-    inside = space._m <= space._radius_keys(grid._points[:1])
+    inside = space._m <= space._radius_keys(grid.values[:1])
     atoms = tuple(frozenset(row.nonzero()[0].tolist()) for row in inside)
     warnings = tuple(f"nucleus of point {x} is {sorted(core)}, not a singleton"
                      for x, core in enumerate(atoms) if core != {x})
@@ -388,8 +358,9 @@ def wave_model(space: FiniteMetricSpace, grid: TimeGrid,
     if include_brackets:
         # the bracket (2 t_{k-1}, 2 t_k) of each index k of the first grid value
         # where the balls meet, for the k in use; neighbours share their end
-        codes, used = _in_use(first_meeting(space, grid._points), len(grid) + 1)
-        doubled = grid._doubled({*used, *(k - 1 for k in used)} - {-1, len(grid)})
+        codes, used = _in_use(first_meeting(space, grid.values), len(grid) + 1)
+        ends = {*used, *(k - 1 for k in used)} - {-1, len(grid)}
+        doubled = {k: 2 * grid.values[k] for k in ends}
         bounds = [(doubled.get(k - 1, 0), doubled.get(k, INFINITY)) for k in used]
         brackets = _Table(codes, bounds, ((0, 0),))
     return WaveModelResult(

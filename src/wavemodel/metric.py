@@ -94,6 +94,11 @@ def _int_dtype(top: int):
     return next((t for t in (np.int16, np.int32, np.int64) if top <= np.iinfo(t).max), object)
 
 
+def _upper(n: int) -> np.ndarray:
+    """The n x n mask of the pairs i < j: the upper triangle, read row-major."""
+    return np.arange(n)[:, None] < np.arange(n)
+
+
 def _kernel_matrix(rows) -> tuple:
     """(matrix, scale), read off the entries: float64 with a float entry
     (numpy's float scalars included); otherwise the entries times the LCM
@@ -319,7 +324,7 @@ class FiniteMetricSpace:
         < 0) the ordered scan runs, to find the first failing triple."""
         m, n = self._m, self.n
         tol = 0 if self.exact else _FLOAT_ETA
-        upper = self._upper
+        upper = _upper(n)
         asym = (np.abs(m - m.T) > tol) & upper
         nonpos = (m <= tol) & upper
         bad = asym | nonpos
@@ -371,16 +376,10 @@ class FiniteMetricSpace:
         return frozenset(range(self.n))
 
     @cached_property
-    def _upper(self) -> np.ndarray:
-        """The mask of the pairs i < j: the upper triangle, read row-major."""
-        n = self.n
-        return np.arange(n)[:, None] < np.arange(n)
-
-    @cached_property
     def _extremes(self) -> tuple:
         """The pairs (i, j), i < j, of the first minimum and the first
         maximum over the upper triangle in row-major order."""
-        at = np.flatnonzero(self._upper)
+        at = np.flatnonzero(_upper(self.n))
         upper = self._m.ravel()[at]
         return tuple(divmod(int(at[k]), self.n) for k in (upper.argmin(), upper.argmax()))
 
@@ -429,7 +428,7 @@ class FiniteMetricSpace:
         if not self._mirrored:
             values, ranks = np.unique(m, return_inverse=True)
             return values, ranks.reshape(m.shape).astype(_int_dtype(len(values)))
-        upper = self._upper
+        upper = _upper(n)
         values, codes = np.unique(m[upper], return_inverse=True)
         ranks = np.zeros((n, n), dtype=_int_dtype(len(values) + 1))
         ranks[upper] = codes + 1
@@ -491,22 +490,21 @@ class FiniteMetricSpace:
         exact spaces, clamped to the largest value of an int kernel; d <= r +
         eta on float spaces, where open and closed balls coincide."""
         keys = []
-        exact, scale, cut = self.exact, self._scale or 1, 0 if closed else 1
+        exact, scale = self.exact, self._scale or 1
         top = np.iinfo(self._m.dtype).max if self._m.dtype.kind == "i" else math.inf
         for r in radii:
-            try:  # numpy ints have no integer ratio, and their Fraction keeps numpy parts
-                p, q = (r.as_integer_ratio() if hasattr(r, "as_integer_ratio")
-                        else map(int, Fraction(r).as_integer_ratio()))
+            try:
+                q = r if isinstance(r, (int, Fraction)) else Fraction(r)
             except (OverflowError, ValueError):
                 raise MetricError(f"radius must be a finite number, got {r}") from None
+            p, q = int(q.numerator), int(q.denominator)  # a numpy int's Fraction has numpy parts
             if p <= 0:
                 raise MetricError(f"radius must be positive, got {r}")
             if exact:
-                key = (p * scale - cut) // q
-                keys.append(key if key < top else top)
+                keys.append(min((p * scale - (not closed)) // q, top))
             else:
                 try:
-                    keys.append(p / q + _FLOAT_ETA)  # float(r) + eta: p / q rounds once
+                    keys.append(float(r) + _FLOAT_ETA)  # what r + eta evaluates to
                 except OverflowError:  # finite, but past the floats: every point
                     keys.append(math.inf)
         return np.array(keys, dtype=self._m.dtype)
@@ -760,8 +758,9 @@ def isometry_fit(space: FiniteMetricSpace) -> tuple:
     changes, run in int64 while n^2 (4 max d)^2 fits it, else on Python ints."""
     if space.n == 1:
         return 0, None
-    d = space._m[space._upper]  # row-major pair order
-    tau = 2 * space._meet[space._upper]
+    upper = _upper(space.n)
+    d = space._m[upper]  # row-major pair order
+    tau = 2 * space._meet[upper]
     max_dev = space._value(np.abs(tau - d).max())
     kind = None  # int16 products overflow; int64 holds < n^2 terms tau d < (4 max d)^2
     if space.exact:

@@ -343,14 +343,14 @@ KEY_SPACES = ["segment-17", "int16-top-12", "int32-line-12", "int64-top-9", "pyt
 @given(st.lists(st.floats(min_value=0, exclude_min=True, allow_infinity=False),
                 min_size=1, max_size=6))
 def test_radius_keys_of_a_float_are_those_of_its_fraction(radii):
-    """A float radius is keyed by its integer ratio, as its Fraction is, open
-    and closed, on every kernel dtype; the grid's points and the kernel
-    values (as floats) are among the radii."""
+    """A float radius is keyed as its Fraction is, open and closed, on every
+    kernel dtype; the grid's interior values and the kernel values (as
+    floats) are among the radii."""
     for name in KEY_SPACES:
         s = SPACES[name]
         values = s._ranks[0][1:].tolist()
         at_values = [float(v if s._scale is None else F(v, s._scale)) for v in values[:4]]
-        floats = [*radii, *at_values, *default_grid(s)._points[1:-1]]
+        floats = [*radii, *at_values, *map(float, default_grid(s).values[1:-1])]
         for closed in (False, True):
             got = s._radius_keys(floats, closed)
             assert got.dtype == s._m.dtype

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import pickle
 import random
 from fractions import Fraction
 
@@ -21,7 +20,6 @@ from wavemodel import (
     make_grid,
     wave_model,
 )
-from wavemodel.cli import main
 from wavemodel.lattice import (
     DecreasingNet,
     LatticeFunction,
@@ -42,7 +40,6 @@ from wavemodel.metric import (
 )
 
 import oracles
-from test_golden import INPUTS
 
 F = Fraction
 
@@ -90,12 +87,11 @@ def test_grid_admissibility_refusals():
         check_grid_admissible(s, make_grid(F(1, 100), F(1, 2), 4))  # hi too small
 
 
-def eager_geometric_grid(lo, hi, count):
-    """``make_grid``'s geometric law with every value made a ``Fraction`` at
-    once, through the public constructor: the grid the law used to build."""
-    start = float(lo)
-    ratio = (float(hi) / start) ** (1.0 / (count - 1))
-    return TimeGrid((F(lo), *map(F, (start * ratio ** k for k in range(1, count - 1))), F(hi)))
+def geometric_values(lo, hi, count):
+    """``make_grid``'s geometric law written out value by value: the ends
+    as given, each interior value the ``Fraction`` of ``float(lo) * ratio^k``."""
+    ratio = (float(hi) / float(lo)) ** (1.0 / (count - 1))
+    return (F(lo), *(F(float(lo) * ratio ** k) for k in range(1, count - 1)), F(hi))
 
 
 POSITIVE = st.fractions(min_value=F(1, 10 ** 12), max_value=10 ** 12).filter(lambda v: v > 0)
@@ -107,38 +103,22 @@ GAPS = st.builds(lambda m, e: m * F(10) ** -e, st.integers(1, 999), st.integers(
 @given(POSITIVE, GAPS, st.integers(2, 80))
 @example(F(1, 3), F(1, 10 ** 18), 40)  # interior floats that collide: refused
 @example(F(10 ** 12), F(1, 10 ** 9), 3)
-def test_geometric_grid_values_are_the_eager_fractions(lo, gap, count):
-    """``values``, made on first read, equals the eager grid in value and
-    type; equality, hash, len and iteration agree, and a grid the eager
-    constructor refuses is refused with the same message."""
+def test_geometric_grid_values_follow_the_law(lo, gap, count):
+    """The values equal the law's in value and type (all ``Fraction``s), and
+    a grid whose values do not increase is refused with the public
+    constructor's message."""
     hi = lo + gap
+    want = geometric_values(lo, hi, count)
     try:
-        want = eager_geometric_grid(lo, hi, count)
+        TimeGrid(want)
     except GridError as exc:
         with pytest.raises(GridError) as ei:
             make_grid(lo, hi, count)
         assert str(ei.value) == str(exc)
         return
     grid = make_grid(lo, hi, count)
-    doubled = grid._doubled(range(count))  # from the points: values unread
-    assert "values" not in vars(grid) and len(grid) == count
-    assert doubled == {k: 2 * v for k, v in enumerate(want.values)}
-    assert all(type(v) is F for v in doubled.values())
-    assert grid == want and hash(grid) == hash(want)  # reads values
-    assert grid.values == want.values and all(type(v) is F for v in grid.values)
-    assert list(grid) == list(want.values)
-    assert grid == TimeGrid(grid.values) and hash(grid) == hash(TimeGrid(grid.values))
-
-
-@pytest.mark.parametrize("lo,hi", [(F(1, 10), F(7, 3)), (1, 2), (0.1, 3.0), (F(1, 3), 5)])
-def test_a_geometric_grid_pickles_before_and_after_its_values_are_read(lo, hi):
-    grid = make_grid(lo, hi, 9)
-    copy = pickle.loads(pickle.dumps(grid))
-    assert "values" not in vars(copy) and len(copy) == 9
-    want = eager_geometric_grid(lo, hi, 9).values
-    assert copy.values == want and grid.values == want
-    again = pickle.loads(pickle.dumps(grid))  # now with values made
-    assert vars(again)["values"] == want and again == grid == copy
+    assert grid.values == want and all(type(v) is F for v in grid.values)
+    assert len(grid) == count and list(grid) == list(want)
 
 
 def test_time_grid_keeps_its_given_values_and_one_field():
@@ -146,8 +126,6 @@ def test_time_grid_keeps_its_given_values_and_one_field():
     for values in ((F(1, 4), F(1, 2)), (1, 2, 5), (0.25, 0.5)):
         grid = TimeGrid(values)
         assert grid.values is values and list(grid) == list(values)
-    with pytest.raises(AttributeError, match="'missing'"):
-        make_grid(F(1), F(2), 4).missing
 
 
 def test_brackets_of_a_given_int_grid_stay_ints():
@@ -155,21 +133,6 @@ def test_brackets_of_a_given_int_grid_stay_ints():
     s = build_discrete(3)
     res = wave_model(s, TimeGrid((F(1, 4), 1, 3)), include_brackets=True)
     assert res.brackets[0][1] == (2, 6) and type(res.brackets[0][1][0]) is int
-
-
-@pytest.mark.parametrize("command", ["tau", "isometry"])
-@pytest.mark.parametrize("space", [
-    ["--backend", "segment", "--samples", "7", "--length", "3/2"],
-    ["--backend", "points", "--input", str(INPUTS / "points.csv")],
-    ["--backend", "graph", "--input", str(INPUTS / "edges.txt")],
-], ids=["segment", "points", "graph"])
-def test_wave_model_commands_never_make_grid_values(command, space, tmp_path, monkeypatch):
-    """``__getattr__`` is what makes ``values``: refusing it proves no read."""
-    def refuse(self, name):
-        raise AssertionError(f"read {name}")
-
-    monkeypatch.setattr(TimeGrid, "__getattr__", refuse)
-    assert main([command, *space, "--out", str(tmp_path / "report")]) == 0
 
 
 # ---------------------------------------------------------------------------
