@@ -227,6 +227,10 @@ def _write(parts: Iterable[str], path: str | None) -> None:
         out = sys.stdout
         if out is None:
             raise OutputError("stdout is closed")
+        if not hasattr(out, "buffer"):  # a text-only stream, such as io.StringIO
+            out.writelines(parts)
+            out.flush()
+            return
         out.flush()
         for part in parts:
             data = memoryview(part.encode(out.encoding, out.errors))

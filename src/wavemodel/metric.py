@@ -1,13 +1,13 @@
 """Finite metric-space backends, metric neighborhoods and ball arithmetic.
 
-Every backend reduces to a distance matrix, validated unless the builder
-makes a metric by construction (graph geodesics, the segment sample, the
-discrete metric, point clouds), and the matrix alone fixes the number
-system: a space with no float entry is exact (graph geodesics with
-rational weights, discrete metric, uniform segment samples, rational
-matrices) and compares exactly; a space with a float entry (the Euclidean
-backend, float matrices and float-weight graphs) compares with the single
-global tolerance ``eta`` = 1e-9.
+Every backend reduces to a distance matrix, and the matrix alone fixes
+the number system: a space with no float entry is exact and compares
+exactly; a space with a float entry (points, float matrices and weights)
+compares with the single global tolerance ``eta`` = 1e-9.  A matrix is
+validated unless its builder makes a metric by construction (graph
+geodesics, the segment sample, the discrete metric, point clouds), and a
+refusal comes from the pass that finds it: the triangle scan reads only
+the rows that the (min, +) product flags.
 
 Open sets are plain ``frozenset`` objects of point indices: a finite
 metric space carries the discrete topology, so every subset is clopen and
@@ -311,47 +311,47 @@ class FiniteMetricSpace:
         return dist
 
     def _validate(self):
-        """Raise on the first failure in the order of the scalar loops:
-        row by row the diagonal, then symmetry and positivity for j > i;
-        then the triangle inequality over (i, j, k) in lexicographic order,
-        refusing (d(i,k) - d(i,j)) - d(j,k) > tol.  An exactly symmetric d
-        passes at once if d - P <= margin, P = d * d the (min, +) product:
-        margin 0 if exact, else eta - 2^-48 D with D = max |d|.  That covers
-        the gap between the scan's (a - b) - c and P's a - (b + c): two
-        roundings each, each off by at most 2^-53 of a result, |a - b| and
-        |b + c| <= 2D and eta <= D, so where the scan passes eta the product
-        passes eta - 6 * 2^-53 D > eta - 2^-50 D.  Otherwise (or with margin
-        < 0) the ordered scan runs, to find the first failing triple."""
+        """Raise on the first failure in the order of the scalar loops: the
+        pairs (``_check_pairs``), then the triangle inequality over (i, j, k)
+        in lexicographic order, refusing (d(i,k) - d(i,j)) - d(j,k) > tol, on
+        the rows with d - P > margin, P = d * d the (min, +) product, if d is
+        exactly symmetric and margin >= 0, else on every row.  margin is 0 if
+        exact, else eta - 2^-48 D, D = max |d|: the scan's (a - b) - c and P's
+        a - (b + c) take two roundings each, each off by at most 2^-53 of a
+        result, with |a - b|, |b + c| <= 2D and eta <= D, so where the scan
+        passes eta the product passes eta - 6 * 2^-53 D > margin."""
+        self._check_pairs()
         m, n = self._m, self.n
         tol = 0 if self.exact else _FLOAT_ETA
-        upper = _upper(n)
-        asym = (np.abs(m - m.T) > tol) & upper
-        nonpos = (m <= tol) & upper
-        bad = asym | nonpos
+        margin = 0 if self.exact else tol - 2.0 ** -48 * float(np.abs(m).max())
+        rows = range(n)
+        if margin >= 0 and (m == m.T).all():
+            rows = np.flatnonzero((m - _min_product(m, np.add) > margin).any(axis=1)).tolist()
+        for i in rows:
+            excess = m[i] - m[i, :, None]  # (d(i,k) - d(i,j)) - d(j,k) at (j, k)
+            excess -= m
+            if (fails := excess > tol).any():
+                j, k = divmod(int(np.argmax(fails)), n)
+                raise AxiomViolation(f"triangle inequality fails on ({i},{j},{k}): "
+                                     f"d({i},{k}) > d({i},{j}) + d({j},{k})", (i, j, k))
+
+    def _check_pairs(self):
+        """Raise on the first failure of the diagonal, then of symmetry and
+        positivity for j > i, row by row: the scalar loops' pair checks."""
+        m, n = self._m, self.n
+        tol = 0 if self.exact else _FLOAT_ETA
+        asym = np.abs(m - m.T) > tol
+        bad = (asym | (m <= tol)) & _upper(n)
         np.fill_diagonal(bad, np.abs(np.diagonal(m)) > tol)
         if bad.any():
             i, j = divmod(int(np.argmax(bad)), n)
-            dij = self.dist[i][j]
+            dij = self._entry(i, j)
             if i == j:
                 raise AxiomViolation(f"d({i},{i}) = {dij} != 0", (i,))
             if asym[i, j]:
                 raise AxiomViolation(f"asymmetric: d({i},{j}) != d({j},{i})", (i, j))
             rule = f"eta = {tol}" if tol else "0"
             raise AxiomViolation(f"d({i},{j}) = {dij} <= {rule} for distinct points", (i, j))
-        margin = 0 if self.exact else tol - 2.0 ** -48 * float(np.abs(m).max())
-        if margin >= 0 and (m == m.T).all() and (m - _min_product(m, np.add) <= margin).all():
-            return
-        for lo, hi in _slabs(n):
-            # (d(i,k) - d(i,j)) - d(j,k), evaluated in the scalar loop's order
-            excess = m[lo:hi, None, :] - m[lo:hi, :, None]
-            excess -= m
-            fails = excess > tol
-            if fails.any():
-                i, j, k = map(int, np.unravel_index(int(np.argmax(fails)), fails.shape))
-                i += lo
-                raise AxiomViolation(
-                    f"triangle inequality fails on ({i},{j},{k}): "
-                    f"d({i},{k}) > d({i},{j}) + d({j},{k})", (i, j, k))
 
     @property
     def n(self) -> int:
@@ -592,16 +592,16 @@ def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
         for k in range(m):
             np.minimum(g, g[:, k, None] + g[None, k, :], out=g)
     if (g == top).any():  # no path joins a pair, or a float path sum overflows
-        if not np.linalg.matrix_power(g < top, m).all():  # the pairs that paths join
+        reach = g[0] < top  # node 0's reach, grown over the finite entries: every edge
+        while (grown := (g[reach] < top).any(axis=0)).sum() > reach.sum():
+            reach = grown
+        if not reach.all():
             raise MetricError("graph is disconnected: no finite metric")
         _check_finite(g, g)
     if not exact:
-        near = np.triu(g <= _FLOAT_ETA, 1)
-        if near.any():
-            i, j = divmod(int(np.argmax(near)), m)
-            raise AxiomViolation(
-                f"d({i},{j}) = {g[i, j]} <= eta = {_FLOAT_ETA} for distinct points", (i, j))
-        return FiniteMetricSpace._of_kernel(g, None, 0)
+        space = FiniteMetricSpace._of_kernel(g, None, 0)
+        space._check_pairs()
+        return space
     # the kernel FiniteMetricSpace(dist) reads back: the scale of the reduced
     # distances (a weight on no shortest path leaves it) and the narrowest dtype
     if scale is not None:

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import pathlib
@@ -402,6 +404,25 @@ def test_stdout_pipe_closed_during_the_report():
     assert proc.stdout.readline() == "{\n"
     proc.stdout.close()
     _assert_clean_output_error(proc)
+
+
+def test_report_to_a_text_stream_without_a_buffer(capsys):
+    """stdout replaced by a text-only stream (``io.StringIO``, a notebook's):
+    the report is written as text, the golden bytes; a failed write is
+    still an output error (exit 4)."""
+    golden = pathlib.Path(__file__).parent / "golden" / "expected" / "tau-segment.json"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["tau", "--backend", "segment", "--samples", "7", "--length", "3/2"]) == 0
+    assert out.getvalue().encode() == golden.read_bytes()
+
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    with contextlib.redirect_stdout(Full()):
+        assert main(["validate", "--backend", "segment", "--samples", "3"]) == 4
+    assert capsys.readouterr().err.startswith("output error:")
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,9 @@ CASES = {
                               "--length", "5", "--format", "csv"], 0),
     "tau-points": (["tau", "--backend", "points", "--input", "points.csv"], 0),
     "isometry-points": (["isometry", "--backend", "points", "--input", "points.csv"], 0),
+    # -0, -0.0, ints, ratios and exponents: the loader's one-pass rows
+    "isometry-points-tokens": (["isometry", "--backend", "points", "--input",
+                                "points_tokens.csv"], 0),
     "conditions-points-csv": (["conditions", "--backend", "points", "--input",
                                "points.csv", "--format", "csv"], 0),
     "tau-graph": (["tau", "--backend", "graph", "--input", "edges.txt"], 0),
@@ -45,6 +48,9 @@ CASES = {
     "conditions-graph-csv": (["conditions", "--backend", "graph", "--input",
                               "edges.txt", "--format", "csv"], 0),
     "tau-graph-binary": (["tau", "--backend", "graph", "--input", "edges_binary.txt"], 0),
+    # 48 nodes: the kernels split into slabs at the default slab size
+    "conditions-graph-48": (["conditions", "--backend", "graph", "--input", "edges_48.txt"], 0),
+    "tau-graph-48": (["tau", "--backend", "graph", "--input", "edges_48.txt"], 0),
     "tau-discrete": (["tau", "--backend", "discrete", "--n", "5"], 0),
     "isometry-discrete": (["isometry", "--backend", "discrete", "--n", "6"], 0),
     "conditions-discrete-csv": (["conditions", "--backend", "discrete", "--n", "5",
@@ -53,6 +59,9 @@ CASES = {
     "conditions-matrix": (["conditions", "--backend", "matrix", "--input", "matrix.csv"], 0),
     "isometry-matrix-float": (["isometry", "--backend", "matrix", "--input",
                                "matrix_float.csv"], 0),
+    # a float matrix whose 0 and 1 are read as Fractions, reported as "0" and "1"
+    "isometry-matrix-mixed": (["isometry", "--backend", "matrix", "--input",
+                               "matrix_mixed.csv"], 0),
     "conditions-matrix-float-csv": (["conditions", "--backend", "matrix", "--input",
                                      "matrix_float.csv", "--format", "csv"], 0),
     "validate-matrix": (["validate", "--backend", "matrix", "--input", "matrix.csv"], 0),

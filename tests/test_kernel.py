@@ -30,6 +30,7 @@ from wavemodel import (
     build_segment_sample,
     condition2_report,
     default_grid,
+    load_edges,
     wave_distance_matrix,
     wave_model,
 )
@@ -39,7 +40,7 @@ from wavemodel.lattice import b_star_lower, make_grid, nucleus, wave_distance_cl
 from wavemodel.metric import open_balls
 
 import oracles
-from test_golden import EXPECTED, _argv
+from test_golden import CASES, EXPECTED, INPUTS, _argv
 
 F = Fraction
 #: Large primes: a metric with these denominators scales past int64.
@@ -243,15 +244,12 @@ def test_kernels_permute_with_the_points(name, monkeypatch):
 
 
 @pytest.mark.parametrize("case,args", [
-    ("conditions-graph-48", ["conditions", "--backend", "graph", "--input", "edges_48.txt"]),
-    ("tau-graph-48", ["tau", "--backend", "graph", "--input", "edges_48.txt"]),
-])
-def test_reports_larger_than_one_slab_match_golden(case, args, tmp_path):
-    """48 nodes: the kernels split into slabs at the default slab size."""
+    (case, CASES[case][0]) for case in ("conditions-graph-48", "tau-graph-48")])
+def test_reports_larger_than_one_slab_match_golden(case, args):
+    """48 nodes: the kernels split into slabs at the default slab size; the
+    reports are golden cases (``test_golden.CASES``)."""
     assert len(list(metric._slabs(48))) > 1
-    out = tmp_path / f"{case}.json"
-    assert main(_argv(args, out)) == 0
-    assert out.read_bytes() == (EXPECTED / out.name).read_bytes()
+    assert build_from_graph(load_edges(str(INPUTS / args[args.index("--input") + 1]))).n == 48
 
 
 @pytest.mark.parametrize("name", [k for k in sorted(SPACES) if SPACES[k].n <= 7])
@@ -612,26 +610,59 @@ def test_triangle_witness_in_each_int_dtype(dtype, monkeypatch):
 
 
 def test_ordered_scan_runs_only_when_the_exact_check_fails(monkeypatch):
-    """Valid exactly symmetric spaces, exact or float, are decided by the
-    half-slab (min, +) check alone; float spaces asymmetric within eta or
-    past the margin's range (max d >= 2^48 eta), and refused spaces, take
-    the ordered scan (full slabs)."""
+    """Exactly symmetric spaces with margin >= 0, exact or float, valid or
+    refused, take the (min, +) product once, and the ordered scan reads
+    only the rows it flags; float spaces asymmetric within eta or past the
+    margin's range (max d >= 2^48 eta) take no product and scan every row."""
     calls = []
-    slabs = metric._slabs
-    monkeypatch.setattr(metric, "_slabs", lambda n, half=False: calls.append(half) or
-                        slabs(n, half))
+    product = metric._min_product
+    monkeypatch.setattr(metric, "_min_product", lambda m, op: calls.append(op) or
+                        product(m, op))
     for name, s in SPACES.items():
         calls.clear()
         FiniteMetricSpace(s.dist)
-        assert calls == ([False] if name == "float-asymmetric-12" else [True]), name
+        assert calls == ([] if name == "float-asymmetric-12" else [np.add]), name
     calls.clear()
     build_from_matrix([[0.0, 1e6], [1e6, 0.0]])
-    assert calls == [False]
+    assert calls == []
     for rows in ([[0, 1, 3], [1, 0, 1], [3, 1, 0]], [[0.0, 1, 3], [1, 0, 1], [3, 1, 0]]):
         calls.clear()
         with pytest.raises(AxiomViolation):
             build_from_matrix(rows)
-        assert calls == [True, False]
+        assert calls == [np.add]
+
+
+#: The largest distance of a line metric per kernel kind: twice it still
+#: fits the int dtype, and passes int64 on object kernels.
+LINE_TOPS = {"int16": bound(np.int16) // 2, "int32": bound(np.int32) // 2,
+             "int64": bound(np.int64) // 2, "object": 2 ** 62, "float": 1000,
+             "float-asymmetric": 1000}
+
+
+@pytest.mark.parametrize("kind", sorted(LINE_TOPS))
+def test_refusal_in_the_last_rows_matches_scalar_loops(kind):
+    """A 40-point line metric with its last pair (38, 39) lengthened: the
+    (min, +) product flags rows 38 and 39 only, and the first failing triple
+    lies in row 38, the last one where a symmetric d can fail first.  The
+    float-asymmetric copy instead moves two entries of row 39 within eta off
+    symmetry, which breaks the tight (39, 1, 0) by 1.2 eta: every row is
+    scanned, and only row 39 fails."""
+    n, top = 40, LINE_TOPS[kind]
+    rows = on_a_line(random.Random(kind), n, top)
+    if kind.startswith("float"):
+        rows = [[float(v) for v in row] for row in rows]
+    if kind == "float-asymmetric":
+        rows[n - 1][0] += 6e-10
+        rows[n - 1][1] -= 6e-10
+    else:
+        rows[n - 2][n - 1] = rows[n - 1][n - 2] = 2 * top
+    want = np.float64 if kind.startswith("float") else kind
+    assert metric._kernel_matrix(rows)[0].dtype == want
+    failure = oracles.first_axiom_failure(rows, 1e-9 if kind.startswith("float") else 0)
+    assert failure[1][0] == (n - 1 if kind == "float-asymmetric" else n - 2)
+    with pytest.raises(AxiomViolation) as ei:
+        build_from_matrix(rows)
+    assert (str(ei.value), ei.value.witness) == failure
 
 
 def test_failing_triangle_witness():
@@ -889,6 +920,36 @@ def test_graph_disconnected_and_node_errors():
         build_from_graph([(0, 2, 1)])
     with pytest.raises(MetricError, match="no nodes"):
         build_from_graph([])
+
+
+PATH_400 = [(i, i + 1, 1) for i in range(399)]
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 3, 1), (1, 2, 1)],
+    [e for e in PATH_400 if e[0] != 199],
+    [(i, j, 0.5) for i, j, _ in PATH_400 if i != 199],
+    [(0, 1, 1e308), (1, 2, 1e308), (3, 4, 1.0)],
+    [(0, 1, 1.0), (2, 3, 1e308), (3, 4, 1e308)],
+], ids=["node-0-apart", "exact-path-400", "float-path-400",
+        "overflow-beside-a-component", "a-component-beside-overflow"])
+def test_graph_disconnected(edges):
+    """Node 0's reach over the finite geodesics misses a component (the
+    two-component graphs of ``test_graph_disconnected_and_node_errors``
+    too), also where a float path sum past the float range leaves inf
+    inside one: two components are disconnected, not overflowing."""
+    with pytest.raises(MetricError) as ei:
+        build_from_graph(edges)
+    assert str(ei.value) == "graph is disconnected: no finite metric"
+
+
+def test_graph_weight_past_the_float_range_is_refused_before_its_paths():
+    """An int weight past the float range on a float graph is refused as
+    the first such entry of the weight matrix in row-major order."""
+    with pytest.raises(AxiomViolation) as ei:
+        build_from_graph([(0, 1, 0.5), (2, 1, 10 ** 400), (0, 3, 10 ** 400)])
+    assert str(ei.value) == f"d(0,3) = {10 ** 400} is not a finite number"
+    assert ei.value.witness == (0, 3)
 
 
 def test_graph_with_python_int_scale():

@@ -11,6 +11,7 @@ in ``oracles.to_values``.
 import argparse
 import csv
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -25,13 +26,14 @@ from wavemodel import (
     build_segment_sample,
     condition2_report,
     default_grid,
+    load_matrix_csv,
     wave_distance_matrix,
     wave_model,
 )
 from wavemodel import cli, metric
 
 import oracles
-from test_golden import EXPECTED, _argv
+from test_golden import EXPECTED, INPUTS
 from test_kernel import SPACES
 from test_report import TRICKY, reference
 
@@ -251,10 +253,12 @@ def test_points_report_renders_float_tokens():
     assert "".join(cli.encode_report(report)) == reference(report)
 
 
-def test_mixed_matrix_report_matches_golden(tmp_path):
+def test_mixed_matrix_report_matches_golden():
     """The float matrix ``0,1,0.5 / 1,0,0.75 / 0.5,0.75,0`` reads its 0 and
-    1 as Fractions: ``d`` reports them as "0" and "1" beside 0.5."""
-    out = tmp_path / "isometry-matrix-mixed.json"
-    argv = ["isometry", "--backend", "matrix", "--input", "matrix_mixed.csv"]
-    assert cli.main(_argv(argv, out)) == 0
-    assert out.read_bytes() == (EXPECTED / out.name).read_bytes()
+    1 as Fractions: ``d`` reports them as "0" and "1" beside 0.5, as in the
+    golden case ``isometry-matrix-mixed``."""
+    space = build_from_matrix(load_matrix_csv(str(INPUTS / "matrix_mixed.csv")))
+    assert not space.exact
+    d = [["0", "1", 0.5], ["1", "0", 0.75], [0.5, 0.75, "0"]]
+    assert json.loads("".join(cli.encode_report({"d": metric._dist_table(space)}))) == {"d": d}
+    assert json.loads((EXPECTED / "isometry-matrix-mixed.json").read_text())["d"] == d
