@@ -198,7 +198,7 @@ def build_space(args) -> metric.FiniteMetricSpace:
     if backend == "points":
         return metric.build_from_points(formats.load_points_csv(args.input)[0])
     if backend == "graph":
-        return metric.build_from_graph(formats.load_edges(args.input))
+        return metric._graph_space(*formats._edge_columns(args.input))
     return metric.build_from_matrix(formats.load_matrix_csv(args.input))
 
 
@@ -303,6 +303,10 @@ def _verdict(space, max_defect) -> str:
 
 def cmd_conditions(args) -> int:
     space = build_space(args)
+    if args.format == "csv":  # the table alone: no verdict, no other key
+        table = metric._table(space._defects, space._scale)
+        emit({"condition2_defects": table}, args, matrix_key="condition2_defects")
+        return EXIT_OK
     cond2 = metric._condition2(space)
     report = {
         "condition1": metric.check_condition1(space),
@@ -311,7 +315,7 @@ def cmd_conditions(args) -> int:
         "verdict": _verdict(space, cond2["max_defect"]),
         **sample_spacing_note(space),
     }
-    emit(report, args, matrix_key="condition2_defects")
+    emit(report, args)
     return EXIT_OK
 
 
@@ -319,6 +323,10 @@ def cmd_wave_model(args, with_brackets: bool) -> int:
     """``tau`` (with the grid brackets) and ``isometry`` (without)."""
     space = build_space(args)
     grid = resolve_grid(args, space)
+    if args.format == "csv":  # the tau table alone, on a grid wave_model would take
+        lattice.check_grid_admissible(space, grid)
+        emit({"tau": metric._tau_table(space)}, args, matrix_key="tau")
+        return EXIT_OK
     result = lattice.wave_model(space, grid, include_brackets=with_brackets)
     report = {
         "n": space.n,
@@ -339,7 +347,7 @@ def cmd_wave_model(args, with_brackets: bool) -> int:
         report["discrepancy_cause"] = (
             "two-radii separation (Condition 2) fails: max defect "
             f"{max_defect}; tau need not equal d")
-    emit(report, args, matrix_key="tau")
+    emit(report, args)
     return EXIT_OK
 
 

@@ -49,9 +49,13 @@ PointSet = frozenset
 #: The comparison tolerance of every float space.
 _FLOAT_ETA = 1e-9
 
-#: Elements per temporary slab: a (rows, n, cols) block of the n^3 kernels,
-#: a (rows, cols) plane of the defect sweep.
+#: Elements per temporary slab: a (rows, n, cols) block of the n^3 kernels.
 _SLAB = 1 << 16
+#: Bytes per (rows, cols) plane of the defect sweep, whatever the dtype, and
+#: per chunk of planes that it gathers in one call: a chunk stays in cache
+#: and takes a few numpy calls for many sorted positions.
+_PLANE = 1 << 16
+_CHUNK = 1 << 19
 
 
 class MetricError(ValueError):
@@ -66,13 +70,15 @@ class AxiomViolation(MetricError):
         self.witness = witness
 
 
-def _slabs(n: int, half: bool = False, depth: int | None = None):
-    """Row ranges [lo, hi) whose (rows, depth, cols) temporaries stay within
-    ``_SLAB`` elements: depth is n unless given, and cols is n, or n - lo
-    when only the columns from lo are swept."""
+def _slabs(n: int, half: bool = False, cell: int | None = None):
+    """Row ranges [lo, hi) whose temporaries stay within budget, with cols
+    n, or n - lo when only the columns from lo are swept: (rows, n, cols)
+    blocks of at most ``_SLAB`` elements or, given the bytes of an entry
+    ``cell``, (rows, cols) planes of at most ``_PLANE`` bytes."""
+    budget, depth = (_SLAB, n) if cell is None else (_PLANE, cell)
     hi = 0
     while hi < n:
-        lo, hi = hi, min(n, hi + max(1, _SLAB // ((depth or n) * (n - hi if half else n))))
+        lo, hi = hi, min(n, hi + max(1, budget // (depth * (n - hi if half else n))))
         yield lo, hi
 
 
@@ -218,8 +224,12 @@ def _values(a: np.ndarray, scale) -> list:
 
 def _table(a: np.ndarray, scale) -> _Table:
     """The kernel matrix ``a`` (the defects) as API values, with 0 on the
-    diagonal, one per distinct value.  Floats are told apart by their bits,
-    so 0.0 and -0.0 keep their own values."""
+    diagonal, one per distinct value.  Ints whose range is no wider than
+    the matrix are counted, not sorted; floats are told apart by their
+    bits, so 0.0 and -0.0 keep their own values."""
+    if a.dtype.kind == "i" and (span := int(a.max()) - (low := int(a.min())) + 1) <= a.size:
+        codes, used = _in_use(a.astype(np.intp) - low, span)
+        return _Table(codes, _values(np.add(used, low), scale), (0,))
     floats = a.dtype == np.float64
     distinct, codes = np.unique(a.view(np.uint64) if floats else a, return_inverse=True)
     distinct = distinct.view(np.float64) if floats else distinct
@@ -324,14 +334,17 @@ class FiniteMetricSpace:
         m, n = self._m, self.n
         tol = 0 if self.exact else _FLOAT_ETA
         margin = 0 if self.exact else tol - 2.0 ** -48 * float(np.abs(m).max())
-        rows = range(n)
+        rows = np.arange(n)
         if margin >= 0 and (m == m.T).all():
-            rows = np.flatnonzero((m - _min_product(m, np.add) > margin).any(axis=1)).tolist()
-        for i in rows:
-            excess = m[i] - m[i, :, None]  # (d(i,k) - d(i,j)) - d(j,k) at (j, k)
-            excess -= m
+            rows = np.flatnonzero((m - _min_product(m, np.add) > margin).any(axis=1))
+        step = max(1, _SLAB // (n * n))  # rows per (rows, n, n) slab
+        for at in range(0, len(rows), step):
+            block = m[rows[at:at + step]]
+            excess = block[:, None, :] - block[:, :, None]  # (d(i,k) - d(i,j)) - d(j,k)
+            excess -= m  # at (i, j, k)
             if (fails := excess > tol).any():
-                j, k = divmod(int(np.argmax(fails)), n)
+                b, j, k = map(int, np.unravel_index(np.argmax(fails), fails.shape))
+                i = int(rows[at + b])
                 raise AxiomViolation(f"triangle inequality fails on ({i},{j},{k}): "
                                      f"d({i},{k}) > d({i},{j}) + d({j},{k})", (i, j, k))
 
@@ -451,33 +464,49 @@ class FiniteMetricSpace:
         """The defect sweep of ``condition2_defect`` for all pairs at once.
 
         Per block of rows x it walks the points z in order of d(x, .), whose
-        distances are the radii r, keeping two (rows, cols) planes: for every
-        y, ``running`` holds the largest admissible s = min d(y, z) over the z
-        passed so far and ``best`` the largest r + s.  Diagonal entries <= 0
-        of d^T hold a sentinel below -max d, so no r + s counts once y is
-        inside.  On a d exactly symmetric with a zero diagonal, block [lo, hi)
-        sweeps the columns from lo and mirrors the rest; otherwise (a float d
-        off symmetry within eta) it sweeps every column."""
+        distances are the radii r: for every y, the running minimum of
+        d(y, z) over the z before a sorted position is the largest
+        admissible s there, and ``best`` holds the largest r + s.  Diagonal
+        entries <= 0 of d^T hold a sentinel below -max d, so no r + s counts
+        once y is inside.  The positions go in chunks of at most ``_CHUNK``
+        bytes of (rows, cols) planes: one gather of their rows of d^T, the
+        running minimum down the chunk in place, carried into the next
+        chunk, one add of the radii and one max into ``best``.  These are
+        the per-position sweep's sums in the kernel dtype, and a max does
+        not round, so every defect is the same bit for bit.  On a d exactly
+        symmetric with a zero diagonal, block [lo, hi) sweeps the columns
+        from lo and mirrors the rest; otherwise (a float d off symmetry
+        within eta) it sweeps every column."""
         m, n = self._m, self.n
         dt = m.T.copy()
         low = np.flatnonzero(np.diagonal(m) <= 0)
         dt[low, low] = -np.inf if m.dtype == np.float64 else -(m.max() + 1)
         half = self._mirrored
         out = np.empty_like(m)
-        for lo, hi in _slabs(n, half, depth=1):
+        for lo, hi in _slabs(n, half, cell=m.itemsize):
             start = lo if half else 0
+            src = np.ascontiguousarray(dt[:, start:])  # np.take would copy a view per call
             order = self._order[lo:hi]
             radii = np.take_along_axis(m[lo:hi], order, axis=1)  # sorted d(x, .)
-            running = dt[order[:, 0], start:]
-            best = np.zeros_like(running)
-            cand = np.empty_like(running)
-            # candidate r + s at every sorted position q >= 1, before point q
-            # joins the ball; inside a group of equal r the running minimum
-            # only falls, so the group's start holds its largest candidate
-            for q in range(1, n):
-                np.add(running, radii[:, q, None], out=cand)
-                np.maximum(best, cand, out=best)
-                np.minimum(running, dt[order[:, q], start:], out=running)
+            best = np.zeros((hi - lo, n - start), m.dtype)
+            size = max(1, min(n - 1, _CHUNK // best.nbytes))  # positions per chunk
+            # chunk[j] becomes the running minimum over the points before
+            # sorted position p + j, whose candidate r + s is chunk[j] +
+            # radii[:, p + j], taken before its point joins the ball; inside
+            # a group of equal r the running minimum only falls, so the
+            # group's start holds its largest candidate
+            chunk = np.empty((size + 1, *best.shape), m.dtype)
+            planes = list(chunk)
+            chunk[0] = src[order[:, 0]]
+            for p in range(1, n, size):
+                k = min(size, n - p)
+                np.take(src, order[:, p:p + k].T, axis=0, out=chunk[1:k + 1], mode="clip")
+                for before, plane in zip(planes, planes[1:k + 1]):
+                    np.minimum(plane, before, out=plane)
+                candidates = chunk[:k]
+                candidates += radii[:, p:p + k].T[:, :, None]
+                np.maximum(best, candidates.max(axis=0), out=best)
+                chunk[0] = chunk[k]
             out[lo:hi, start:] = best - m[lo:hi, start:]
             if half:
                 out[hi:, lo:hi] = out[lo:hi, hi:].T
@@ -551,11 +580,17 @@ def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
     if not edges:
         raise MetricError("graph has no nodes")
     first, second, ws = zip(*edges)
-    # each distinct weight object is checked, classified and scaled once
     at, codes = _by_identity(ws, len(ws))
-    weights = [ws[k] for k in at]
+    return _graph_space(first, second, codes, [ws[k] for k in at])
+
+
+def _graph_space(first: Sequence, second: Sequence, codes, weights: list) -> FiniteMetricSpace:
+    """``build_from_graph`` of at least one edge, in columns: the endpoints,
+    and per edge the code of its weight in ``weights``, distinct objects
+    that are each checked, classified and scaled once."""
     if not all(_is_finite_real(w) and w > 0 for w in weights):
-        for i, j, w in edges:  # the first refused weight in edge order
+        for i, j, k in zip(first, second, codes):  # the first refused weight in edge order
+            w = weights[k]
             if not _is_finite_real(w):
                 raise AxiomViolation(
                     f"weight {w!r} on edge ({i},{j}) is not a finite number", (i, j))
@@ -571,7 +606,7 @@ def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
     last = np.flatnonzero(lo != hi)[::-1]
     last = last[np.unique(lo[last] * m + hi[last], return_index=True)[1]]
     lo, hi = lo[last], hi[last]
-    used, codes = np.unique(codes[last], return_inverse=True)
+    used, codes = np.unique(np.asarray(codes)[last], return_inverse=True)
     weights = [weights[k] for k in used.tolist()]
     exact = not any(isinstance(w, (float, np.floating)) for w in weights)
     # no edge: longer than any simple path (m - 1 edges)
@@ -713,10 +748,11 @@ def condition2_report(space: FiniteMetricSpace) -> dict:
     """Full defect matrix plus the max defect and a verdict.
 
     The matrix equals ``condition2_defect`` at every pair; it is computed by
-    one sweep per row x over the points in stable order of d(x, .), one
-    add, max and min over a plane of rows per point: candidates r + s from
-    the running minimum of d(y, .), then the point folded into that
-    minimum; each unordered pair once if d = d^T with a zero diagonal.
+    one sweep per row x over the points in stable order of d(x, .), on
+    planes of rows: candidates r + s from the running minimum of d(y, .)
+    over the points before, taken for a chunk of points at a time (one
+    gather, a running minimum, one add and one max); each unordered pair
+    once if d = d^T with a zero diagonal.
     """
     report = _condition2(space)
     return {**report, "defects": report["defects"].tolist()}

@@ -12,16 +12,31 @@ endpoints by one ``int`` pass and each distinct weight token once; a file
 with an error is read again row by row.  ``oracles.load_edges_by_row`` is
 the old line loop, with the old ``Fraction``-or-``float`` number parser.
 Edges must match in value and type, with one object per weight token, and
-so must each ``ParseError``.
+so must each ``ParseError``.  The command line reads an edge file as
+columns (``formats._edge_columns``) into the graph builder's core; it must
+build what ``build_from_graph(load_edges(path))`` builds, and refuse what
+it refuses, with the same message and exit code.
 """
 
+import contextlib
+import io
+import os
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wavemodel import ParseError, formats, load_edges, load_points_csv
+from wavemodel import (
+    MetricError,
+    ParseError,
+    build_from_graph,
+    cli,
+    formats,
+    load_edges,
+    load_points_csv,
+)
 
 import oracles
 from test_golden import CASES, INPUTS
@@ -172,3 +187,69 @@ def test_number_matches_the_reference_parser(text):
         except ParseError as e:
             return str(e)
     assert outcome(formats._number) == outcome(oracles.number)
+
+
+# mostly valid weights, exact and float, so that most graphs build
+GRAPH_WEIGHTS = st.sampled_from(["1", "2", "3", "7/2", "1/2", "2/4", "0.5", "2.5", "1e-3"] * 3
+                                + ["0", "3/0", "-1", "nan", "1e400", "x"])
+GRAPH_LINES = st.one_of(
+    st.builds("{} {} {}".format, st.integers(0, 4), st.integers(0, 4), GRAPH_WEIGHTS),
+    st.builds("{} {} {}".format, st.integers(0, 4), st.integers(0, 4), GRAPH_WEIGHTS),
+    LINES,  # blank lines, comments and malformed rows
+)
+
+
+def column_route(path):
+    """The space the command line builds from an edge file."""
+    return cli.build_space(cli.build_parser().parse_args(
+        ["validate", "--backend", "graph", "--input", path]))
+
+
+def api_route(path):
+    return build_from_graph(load_edges(path))
+
+
+def graph_outcome(build, path):
+    """The kernel's dtype, bits and scale, or the error's type and message."""
+    try:
+        s = build(path)
+    except (ParseError, MetricError) as e:
+        return type(e), str(e)
+    m = s._m
+    return m.dtype, m.tolist() if m.dtype == object else m.tobytes(), s._scale
+
+
+def validate_outcome(path):
+    """``wavemodel validate`` on the edge file: exit code, stderr, report."""
+    out = path + ".json"
+    if os.path.exists(out):
+        os.remove(out)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["validate", "--backend", "graph", "--input", path, "--out", out])
+    report = None
+    if os.path.exists(out):
+        with open(out) as fh:
+            report = fh.read()
+    return code, err.getvalue(), report
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(GRAPH_LINES, max_size=8))
+@example(["0 1 1/2", "1 2 1/2", "1 2 0.5", "2 2 7", "0 1 2", "2 0 0.5"])  # repeats, a loop
+@example(["0 1 0.5", "1 2 2.5", "0 2 1e-3", "1 2 0.5"])  # floats only
+@example(["0 1 3", "1 2 0", "2 0 1"])
+@example(["0 1 3/0", "1 2 1/2"])
+@example(["0 1 1/2", "2 3 1/2"])  # disconnected
+@example(["0 1 x", "1 2 -1"])
+@example(["0 1 2.5", "1 2 0", "2 0 -1", "0 2 0"])  # the first refused weight in edge order
+@example(["1 2 1"])  # no node 0
+def test_column_route_builds_what_the_api_builds(csv_path, lines):
+    path = str(csv_path)
+    csv_path.write_text("\n".join(lines) + "\n")
+    want = graph_outcome(api_route, path)
+    assert graph_outcome(column_route, path) == want
+    if isinstance(want[0], type):  # refused: the same exit code, stderr and report
+        with mock.patch.object(cli, "build_space", lambda args: api_route(args.input)):
+            api = validate_outcome(path)
+        assert validate_outcome(path) == api

@@ -196,14 +196,27 @@ def test_defect_matrix_matches_scalar_sweep(name):
     assert report["holds"] == (max(flat) <= 0)
 
 
+def test_spaces_hold_one_and_two_points():
+    assert {SPACES[k].n for k in ("one-point", "one-point-float", "discrete-1")} == {1}
+    assert {SPACES[k].n for k in ("discrete-2", "segment-2", "graph-2", "points-2")} == {2}
+
+
 @pytest.mark.parametrize("name", sorted(SPACES))
 def test_kernels_across_slab_boundaries(name, monkeypatch):
     """With 64-element slabs every n > 4 splits into slabs, with one-element
     slabs every block is one row, and slabs with lo > 0 sweep only part of
-    the columns; the scalar references hold at every pair, and validation
-    still finds the scalar loops' first failure."""
-    for slab in (64, 1):
+    the columns.  The defect sweep runs in its default planes and chunks,
+    then in one-row planes with chunks of 1, 2 and 3 sorted positions (in
+    the first block, and in every block of a full sweep; a mirrored block
+    with lo > 0 has fewer columns, so its chunks hold more positions).  The
+    scalar references hold at every pair, and validation still finds the
+    scalar loops' first failure."""
+    n, cell = SPACES[name].n, SPACES[name]._m.itemsize
+    for slab, plane, chunk in ((64, metric._PLANE, metric._CHUNK), (1, 1, 1),
+                               (1, 1, 2 * n * cell), (1, 1, 3 * n * cell)):
         monkeypatch.setattr(metric, "_SLAB", slab)
+        monkeypatch.setattr(metric, "_PLANE", plane)
+        monkeypatch.setattr(metric, "_CHUNK", chunk)
         s = FiniteMetricSpace(SPACES[name].dist)  # fresh: the kernels are cached
         assert condition2_report(s)["defects"] == by_pair(s, oracles.condition2_defect)
         assert wave_distance_matrix(s) == [
@@ -222,9 +235,11 @@ def same_matrix(a, b):
 def test_kernels_permute_with_the_points(name, monkeypatch):
     """Relabel s by a random permutation pi, so that point i of the copy is
     point pi[i] of s; with 64-element slabs, blocks straddle the relabelled
-    indices.  The defects, tau, the first meetings, the atoms and the
-    Condition-2 verdict of the copy are those of s, relabelled."""
+    indices, and so do the defect sweep's blocks of 256-byte planes.  The
+    defects, tau, the first meetings, the atoms and the Condition-2 verdict
+    of the copy are those of s, relabelled."""
     monkeypatch.setattr(metric, "_SLAB", 64)
+    monkeypatch.setattr(metric, "_PLANE", 256)
     s = SPACES[name]
     pi = list(range(s.n))
     random.Random(name).shuffle(pi)
@@ -1132,10 +1147,13 @@ def test_every_defect_is_at_least_the_separation_floor(name, monkeypatch):
 
 
 def test_segment_closed_forms_in_the_object_dtype(monkeypatch):
-    """A length whose scaled entries pass int64, with blocks of a few rows."""
+    """A length whose scaled entries pass int64, with blocks of a few rows
+    and defect chunks of a few positions."""
     monkeypatch.setattr(metric, "_SLAB", 64)
+    monkeypatch.setattr(metric, "_PLANE", 64 * 8)  # 64 object entries
+    monkeypatch.setattr(metric, "_CHUNK", 2 * 64 * 8)
     n = 17
-    assert len(list(metric._slabs(n, half=True, depth=1))) > 2
+    assert len(list(metric._slabs(n, half=True, cell=8))) > 2
     segment = build_segment_sample(n, F(10 ** 20, 3))
     assert segment._m.dtype == object
     assert_segment_closed_forms(segment, F(10 ** 20, 3) / (n - 1))
