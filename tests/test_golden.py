@@ -68,12 +68,16 @@ CASES = {
     "validate-points": (["validate", "--backend", "points", "--input", "points.csv"], 0),
     "validate-bad-triangle": (["validate", "--backend", "matrix", "--input",
                                "bad_triangle.csv"], 1),
+    # the key/value rows of a CSV report that holds no table
+    "validate-segment-csv": (["validate", "--backend", "segment", "--samples", "3",
+                              "--format", "csv"], 0),
     "nucleus-demo-segment": (["nucleus-demo", "--backend", "segment", "--samples", "7",
                               "--center", "3"], 0),
     "nucleus-demo-points": (["nucleus-demo", "--backend", "points", "--input", "points.csv",
                              "--center", "2"], 0),
     "nucleus-demo-matrix-float": (["nucleus-demo", "--backend", "matrix", "--input",
                                    "matrix_float.csv", "--center", "1"], 0),
+    "nucleus-demo-left-window": (["nucleus-demo", "--net", "left-window", "--x", "1/3"], 0),
 }
 
 
