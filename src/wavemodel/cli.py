@@ -243,12 +243,11 @@ def _write(parts: Iterable[str], path: str | None) -> None:
         raise OutputError(exc) from None
 
 
-def emit(report: dict, args, matrix_key: str | None = None) -> None:
-    """Write the report; csv format emits the named matrix table, json everything."""
+def emit(report: dict, args) -> None:
+    """Write the report: JSON, or with ``--format csv`` one key/value row per
+    key (a command's table alone is written by ``_csv_table``)."""
     if args.format != "csv":
         _write(encode_report(report), args.out)
-    elif matrix_key in report:
-        _write((_csv_table(report[matrix_key]),), args.out)
     else:
         buf = io.StringIO()
         csv.writer(buf).writerows([k, json.dumps(v)] for k, v in jsonable(report).items())
@@ -303,16 +302,16 @@ def _verdict(space, max_defect) -> str:
 
 def cmd_conditions(args) -> int:
     space = build_space(args)
+    table = metric._table(space._defects, space._scale)
     if args.format == "csv":  # the table alone: no verdict, no other key
-        table = metric._table(space._defects, space._scale)
-        emit({"condition2_defects": table}, args, matrix_key="condition2_defects")
+        _write((_csv_table(table),), args.out)
         return EXIT_OK
-    cond2 = metric._condition2(space)
+    max_defect = metric._max_defect(space)
     report = {
         "condition1": metric.check_condition1(space),
-        "condition2_defects": cond2["defects"],
-        "max_defect": cond2["max_defect"],
-        "verdict": _verdict(space, cond2["max_defect"]),
+        "condition2_defects": table,
+        "max_defect": max_defect,
+        "verdict": _verdict(space, max_defect),
         **sample_spacing_note(space),
     }
     emit(report, args)
@@ -325,7 +324,7 @@ def cmd_wave_model(args, with_brackets: bool) -> int:
     grid = resolve_grid(args, space)
     if args.format == "csv":  # the tau table alone, on a grid wave_model would take
         lattice.check_grid_admissible(space, grid)
-        emit({"tau": metric._tau_table(space)}, args, matrix_key="tau")
+        _write((_csv_table(metric._tau_table(space)),), args.out)
         return EXIT_OK
     result = lattice.wave_model(space, grid, include_brackets=with_brackets)
     report = {

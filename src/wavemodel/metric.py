@@ -15,9 +15,12 @@ interior/closure are identity maps.
 
 Internally each space also holds one numpy matrix, built once at
 construction: exact spaces scale their distances by the LCM of the
-denominators, converting each distinct entry object once, into the
+denominators, reading each distinct entry object once, into the
 narrowest of int16, int32 and int64 that holds four times the largest entry
 (Python ints in an object array beyond int64); float spaces use float64.
+One rule, ``_rational``, reads every entry, weight and radius: a Python int
+as itself, any other number by value (numpy scalars too) as a ``Fraction``
+of Python ints; a bool is no distance, but radii accept it.
 Every space also ranks its distinct values (R) for the wave distance and
 the tables.  Validation, balls, neighborhoods, the defects, the wave
 distance and grid brackets all run on that matrix; ``dist`` is read only at
@@ -105,20 +108,51 @@ def _upper(n: int) -> np.ndarray:
     return np.arange(n)[:, None] < np.arange(n)
 
 
+#: What numpy, ``float()`` or ``Fraction()`` would read as a number but is
+#: no distance: ``dist`` keeps an entry as given.  Radii accept bools.
+_NOT_NUMBERS = (str, bool, np.bool_)
+
+
+def _rational(v):
+    """The one reading of an API number as an exact value: a Python int as
+    itself, any other finite number as a ``Fraction`` with Python-int parts
+    (numpy ints and ``Fraction``s with numpy parts by value, numpy floats
+    through ``float``); None for a str, a NaN, an infinity or a non-number."""
+    if type(v) is int:
+        return v
+    if type(v) is not Fraction:
+        if isinstance(v, str):  # Fraction() would parse it
+            return None
+        try:
+            v = Fraction(float(v) if isinstance(v, np.floating) else v)
+        except (OverflowError, TypeError, ValueError):
+            return None
+    p, d = v.numerator, v.denominator
+    return v if type(p) is int and type(d) is int else Fraction(int(p), int(d))
+
+
+def _is_finite_real(v) -> bool:
+    """A finite number and none of ``_NOT_NUMBERS``: a distance if positive."""
+    return not isinstance(v, _NOT_NUMBERS) and _rational(v) is not None
+
+
 def _kernel_matrix(rows) -> tuple:
-    """(matrix, scale), read off the entries: float64 with a float entry
-    (numpy's float scalars included); otherwise the entries times the LCM
-    ``scale`` of their denominators, with ``scale`` None when every entry is
-    a Python int.  str and bool entries are refused: ``Fraction()`` and
-    numpy would read them as numbers, while ``dist`` keeps them as given."""
+    """(matrix, scale), read off the entries after refusing ``_NOT_NUMBERS``:
+    ``_exact_matrix`` without a float entry (numpy's float scalars count),
+    else float64, refusing its first entry (row-major) that is not finite."""
     types = set(chain.from_iterable(map(type, row) for row in rows))
-    if any(issubclass(t, (str, bool)) for t in types):
+    if any(issubclass(t, _NOT_NUMBERS) for t in types):
         i, j = next((i, j) for i, row in enumerate(rows) for j, v in enumerate(row)
-                    if isinstance(v, (str, bool)))
+                    if isinstance(v, _NOT_NUMBERS))
         raise AxiomViolation(f"d({i},{j}) = {rows[i][j]!r} is not a finite number", (i, j))
-    if any(issubclass(t, (float, np.floating)) for t in types):
-        return _float_matrix(rows), None
-    return _exact_matrix(rows)
+    if not any(issubclass(t, (float, np.floating)) for t in types):
+        return _exact_matrix(rows)
+    try:
+        m = np.array(rows, dtype=np.float64)
+    except (OverflowError, TypeError, ValueError):
+        m = np.array([[_as_float(v) for v in row] for row in rows])
+    _check_finite(m, rows)
+    return m, None
 
 
 def _by_identity(objects: Iterable, count: int) -> tuple:
@@ -130,24 +164,15 @@ def _by_identity(objects: Iterable, count: int) -> tuple:
 
 
 def _exact_matrix(dist) -> tuple:
-    """The scaled int matrix, converting each distinct entry object once and
-    gathering the scaled values back by the codes.  The dtype is the
-    narrowest of int16, int32 and int64 that holds four times the largest
-    scaled entry, else object (Python ints)."""
+    """The scaled int matrix, reading each distinct entry object once
+    (``_rational``) and gathering the scaled values back by the codes.  The
+    dtype is the narrowest of int16, int32 and int64 that holds four times
+    the largest scaled entry, else object (Python ints)."""
     n = len(dist)
     first, codes = _by_identity(chain.from_iterable(dist), n * n)
-    values = []
-    bad = []
-    for k in first:
-        v = dist[k // n][k % n]
-        if type(v) is not int and not isinstance(v, Fraction):
-            try:
-                v = Fraction(v)
-            except (ValueError, OverflowError, TypeError):
-                bad.append(k)
-        values.append(v)
-    if bad:
-        i, j = divmod(min(bad), n)  # the first bad entry in row-major order
+    values = [_rational(dist[k // n][k % n]) for k in first]
+    if any(v is None for v in values):  # refuse the first in row-major order
+        i, j = divmod(min(k for k, v in zip(first, values) if v is None), n)
         raise AxiomViolation(f"d({i},{j}) = {dist[i][j]} is not a finite number", (i, j))
     scaled, scale = _scaled(values)
     dtype = _int_dtype(4 * max(map(abs, scaled)))
@@ -165,15 +190,6 @@ def _scaled(values) -> tuple:
     return scaled, None if all(type(v) is int for v in values) else scale
 
 
-def _float_matrix(dist) -> np.ndarray:
-    try:
-        m = np.array(dist, dtype=np.float64)
-    except (OverflowError, TypeError, ValueError):
-        m = np.array([[_as_float(v) for v in row] for row in dist])
-    _check_finite(m, dist)
-    return m
-
-
 def _check_finite(m: np.ndarray, dist) -> None:
     """Refuse the first entry of ``m`` in row-major order that is not finite."""
     bad = ~np.isfinite(m)
@@ -187,13 +203,6 @@ def _as_float(v) -> float:
         return float(v)
     except (OverflowError, TypeError, ValueError):
         return math.nan
-
-
-def _is_finite_real(v) -> bool:
-    # float() reads str and bools as numbers, but none is a distance
-    if isinstance(v, (str, bool, np.bool_)):
-        return False
-    return isinstance(v, (int, Fraction)) or math.isfinite(_as_float(v))
 
 
 class _Table:
@@ -522,18 +531,15 @@ class FiniteMetricSpace:
         exact, scale = self.exact, self._scale or 1
         top = np.iinfo(self._m.dtype).max if self._m.dtype.kind == "i" else math.inf
         for r in radii:
-            try:
-                q = r if isinstance(r, (int, Fraction)) else Fraction(r)
-            except (OverflowError, ValueError):
-                raise MetricError(f"radius must be a finite number, got {r}") from None
-            p, q = int(q.numerator), int(q.denominator)  # a numpy int's Fraction has numpy parts
-            if p <= 0:
+            if (q := _rational(r)) is None:
+                raise MetricError(f"radius must be a finite number, got {r}")
+            if q.numerator <= 0:
                 raise MetricError(f"radius must be positive, got {r}")
             if exact:
-                keys.append(min((p * scale - (not closed)) // q, top))
+                keys.append(min((q.numerator * scale - (not closed)) // q.denominator, top))
             else:
                 try:
-                    keys.append(float(r) + _FLOAT_ETA)  # what r + eta evaluates to
+                    keys.append(float(q) + _FLOAT_ETA)  # what r + eta evaluates to
                 except OverflowError:  # finite, but past the floats: every point
                     keys.append(math.inf)
         return np.array(keys, dtype=self._m.dtype)
@@ -609,19 +615,22 @@ def _graph_space(first: Sequence, second: Sequence, codes, weights: list) -> Fin
     used, codes = np.unique(np.asarray(codes)[last], return_inverse=True)
     weights = [weights[k] for k in used.tolist()]
     exact = not any(isinstance(w, (float, np.floating)) for w in weights)
-    # no edge: longer than any simple path (m - 1 edges)
+    # no edge: longer than any simple path (m - 1 edges); a float space finds
+    # its edges by position, as a positive weight may round to 0.0
     if exact:
-        scaled, scale = _scaled([w if isinstance(w, (int, Fraction)) else Fraction(w)
-                                 for w in weights])
-        top = m * max(scaled, default=0) + 1
-        g = np.full((m, m), top, dtype=_int_dtype(2 * top))  # a relaxation adds two entries
-        g[lo, hi] = g[hi, lo] = np.array(scaled, dtype=g.dtype)[codes]
+        values, scale = _scaled(list(map(_rational, weights)))
+        top = m * max(values, default=0) + 1
+        dtype = _int_dtype(2 * top)  # a relaxation adds two entries
     else:
-        rows = np.zeros((m, m), dtype=object)
-        rows[lo, hi] = rows[hi, lo] = np.array(weights, dtype=object)[codes]
-        # no edge by position: a positive weight may round to 0.0
-        g = np.full((m, m), top := math.inf)
-        g[lo, hi] = g[hi, lo] = _float_matrix(rows.tolist())[lo, hi]
+        values = np.array([_as_float(w) for w in weights])
+        if not np.isfinite(values).all():  # the first such edge: they run in row-major order
+            e = int(np.argmax(~np.isfinite(values[codes])))
+            i, j = int(lo[e]), int(hi[e])
+            raise AxiomViolation(f"d({i},{j}) = {weights[codes[e]]} is not a finite number",
+                                 (i, j))
+        scale, top, dtype = None, math.inf, np.float64
+    g = np.full((m, m), top, dtype=dtype)
+    g[lo, hi] = g[hi, lo] = np.array(values, dtype=dtype)[codes]
     np.fill_diagonal(g, 0)
     with np.errstate(over="ignore"):  # a float path sum past the float range is inf
         for k in range(m):
@@ -754,15 +763,9 @@ def condition2_report(space: FiniteMetricSpace) -> dict:
     gather, a running minimum, one add and one max); each unordered pair
     once if d = d^T with a zero diagonal.
     """
-    report = _condition2(space)
-    return {**report, "defects": report["defects"].tolist()}
-
-
-def _condition2(space: FiniteMetricSpace) -> dict:
-    """``condition2_report`` with the defect matrix as a ``_Table``."""
     max_defect = _max_defect(space)
-    return {"defects": _table(space._defects, space._scale), "max_defect": max_defect,
-            "holds": max_defect <= 0}
+    return {"defects": _table(space._defects, space._scale).tolist(),
+            "max_defect": max_defect, "holds": max_defect <= 0}
 
 
 def _max_defect(space: FiniteMetricSpace):

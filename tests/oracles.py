@@ -255,19 +255,20 @@ def random_rational_metric(rng: random.Random, n: int, denominators=(3, 7, 11, 1
 def exact_matrix_per_entry(dist) -> tuple:
     """(scaled rows, scale): every entry converted on its own, in row-major
     order, refusing the first that is no finite number.  The loop of the old
-    ``metric._exact_matrix``, the reference of its per-distinct conversion."""
+    ``metric._exact_matrix``, the reference of its per-distinct conversion;
+    a ``Fraction``'s numpy parts are read by value, as Python ints."""
     flat = []
     ints = True
     for i, row in enumerate(dist):
         for j, v in enumerate(row):
             if type(v) is not int:
                 ints = False
-                if not isinstance(v, Fraction):
-                    try:
-                        v = Fraction(v)
-                    except (ValueError, OverflowError, TypeError):
-                        raise metric.AxiomViolation(
-                            f"d({i},{j}) = {v} is not a finite number", (i, j)) from None
+                try:
+                    v = Fraction(v)
+                except (ValueError, OverflowError, TypeError):
+                    raise metric.AxiomViolation(
+                        f"d({i},{j}) = {v} is not a finite number", (i, j)) from None
+                v = Fraction(int(v.numerator), int(v.denominator))
             flat.append(v)
     scale = math.lcm(*{v.denominator for v in flat})
     scaled = [v.numerator * (scale // v.denominator) for v in flat]

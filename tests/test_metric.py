@@ -152,6 +152,8 @@ def test_matrix_validation():
     ([[0, "1"], ["1", 0]], (0, 1)),
     ([[0, 1.0], ["1", 0.0]], (1, 0)),
     ([[0, True], [True, 0]], (0, 1)),
+    ([[0, np.True_], [np.True_, 0]], (0, 1)),
+    ([[0.0, np.True_], [np.True_, 0.0]], (0, 1)),
     ([[False, 1.0], [1.0, 0.0]], (0, 0)),
 ])
 def test_non_finite_matrix_is_refused_with_witness(rows, witness):

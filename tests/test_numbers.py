@@ -1,0 +1,208 @@
+"""One rule reads an API number: matrix entries, graph weights and radii.
+
+``metric._rational`` reads a Python int as itself and every other finite
+number as a ``Fraction`` with Python-int parts: numpy integers and
+``Fraction``s with numpy parts by value, numpy floats through ``float``.
+So a number given as a numpy scalar or a ``Decimal`` builds the space its
+Python twin builds, with no arithmetic in the scalar's own dtype.  Bools
+(Python's and numpy's) and strs are no distances; radii accept bools.
+"""
+
+import math
+import warnings
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wavemodel import (
+    AxiomViolation,
+    build_from_graph,
+    build_from_matrix,
+    wave_distance_matrix,
+)
+from wavemodel import metric
+
+import oracles
+from test_kernel import KEY_SPACES, SPACES, same_matrix
+
+F = Fraction
+
+#: numpy integer types, signed and unsigned.
+NP_INTS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+#: Denominators whose fractions a ``Decimal`` holds exactly.
+DENOMINATORS = (1, 2, 4, 5, 8)
+
+
+def as_kind(v, kind):
+    """The Python int or Fraction ``v`` given as a ``Decimal`` or, with
+    parts of a numpy int type, as a numpy int or a ``Fraction``."""
+    if kind is Decimal:
+        return Decimal(v) if type(v) is int else Decimal(v.numerator) / Decimal(v.denominator)
+    return kind(v) if type(v) is int else F(kind(v.numerator), kind(v.denominator))
+
+
+def same_scale(scale, twin_scale) -> bool:
+    """Equal, or 1 where the twin, every entry a Python int, has None."""
+    return scale == twin_scale or (twin_scale is None and scale == 1)
+
+
+def assert_same_space(s, twin):
+    """The same kernel bits and dtype, scale, tau and defects."""
+    assert same_matrix(s._m, twin._m) and same_scale(s._scale, twin._scale)
+    assert same_matrix(s._meet, twin._meet) and same_matrix(s._defects, twin._defects)
+    assert wave_distance_matrix(s) == wave_distance_matrix(twin)
+
+
+@st.composite
+def kinds(draw):
+    """A numpy int type or ``Decimal``, and the largest numerator it takes."""
+    kind = draw(st.sampled_from([*NP_INTS, Decimal]))
+    cap = 2 ** 40 if kind is Decimal else min(int(np.iinfo(kind).max), 2 ** 40)
+    return kind, draw(st.sampled_from([100, cap]))
+
+
+@st.composite
+def exact_metrics(draw, top):
+    """An n x n metric of k / D with k in [top/2, top]: every triangle holds."""
+    n = draw(st.integers(1, 6))
+    denominator = draw(st.sampled_from(DENOMINATORS))
+    k = st.integers(top // 2, top)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = draw(k)
+            rows[i][j] = rows[j][i] = v if denominator == 1 else F(v, denominator)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_numpy_and_decimal_matrices_build_their_python_twin(data):
+    kind, top = data.draw(kinds())
+    rows = data.draw(exact_metrics(top))
+    given_rows = [[as_kind(v, kind) for v in row] for row in rows]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow in a scalar's dtype
+        s = build_from_matrix(given_rows)
+    assert_same_space(s, build_from_matrix(rows))
+    # the per-entry reference reads them by value too
+    m, scale = oracles.exact_matrix_per_entry(given_rows)
+    twin_m, twin_scale = oracles.exact_matrix_per_entry(rows)
+    assert m == twin_m and same_scale(scale, twin_scale)
+    assert (s._m.tolist(), s._scale) == (m, scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_numpy_and_decimal_weights_build_their_python_twin(data):
+    kind, top = data.draw(kinds())
+    n = data.draw(st.integers(1, 8))
+    denominator = data.draw(st.sampled_from(DENOMINATORS))
+    weight = st.builds(lambda k: k if denominator == 1 else F(k, denominator),
+                       st.integers(1, top))
+    node = st.integers(0, n - 1)
+    edges = [(data.draw(st.integers(0, j - 1)), j, data.draw(weight)) for j in range(1, n)]
+    edges += data.draw(st.lists(st.tuples(node, node, weight), max_size=2 * n))
+    edges = edges or [(0, 0, data.draw(weight))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = build_from_graph([(i, j, as_kind(w, kind)) for i, j, w in edges])
+    assert_same_space(s, build_from_graph(edges))
+
+
+# ---------------------------------------------------------------------------
+# the inputs the four copies of the rule misread
+
+
+def test_numpy_int16_weights_do_not_wrap():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = build_from_graph([(0, 1, np.int16(20000)), (1, 2, np.int16(20000))])
+    assert s.d(0, 0) == 0 and s.d(0, 2) == 40000
+    assert wave_distance_matrix(s)[0][1] == 40000
+    assert_same_space(s, build_from_graph([(0, 1, 20000), (1, 2, 20000)]))
+
+
+def test_numpy_int16_matrix_is_read_by_value():
+    d = np.int16(30000)
+    s = build_from_matrix([[np.int16(0), d], [d, np.int16(0)]])
+    assert s._m.dtype == np.int32 and s.d(0, 1) == 30000
+    assert_same_space(s, build_from_matrix([[0, 30000], [30000, 0]]))
+
+
+def test_numpy_int32_past_int16_builds():
+    d = np.int32(600_000_000)
+    want = build_from_matrix([[0, 600_000_000], [600_000_000, 0]])
+    assert want._m.dtype == np.int64
+    assert_same_space(build_from_matrix([[np.int32(0), d], [d, np.int32(0)]]), want)
+    assert_same_space(build_from_graph([(0, 1, d)]), build_from_graph([(0, 1, 600_000_000)]))
+
+
+def test_a_huge_decimal_weight_is_a_finite_number():
+    """Decimal("1e400") is read as 10**400, as a matrix entry reads it; in a
+    float space it has no finite float, and is refused as 10**400 is."""
+    huge = Decimal("1e400")
+    s = build_from_graph([(0, 1, huge), (1, 2, 1)])
+    assert s.d(0, 2) == 10 ** 400 + 1
+    assert_same_space(s, build_from_graph([(0, 1, 10 ** 400), (1, 2, 1)]))
+    far = Decimal(10 ** 400 + 1)
+    assert_same_space(s, build_from_matrix([[0, huge, far], [huge, 0, 1], [far, 1, 0]]))
+    edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
+    for w in (huge, 10 ** 400):
+        with pytest.raises(AxiomViolation) as ei:
+            build_from_graph([*edges, (3, 0, w)])
+        assert (str(ei.value), ei.value.witness) == (f"d(0,3) = {w} is not a finite number",
+                                                     (0, 3))
+
+
+# ---------------------------------------------------------------------------
+# radii
+
+
+@st.composite
+def radii(draw):
+    """(given, twin): a positive radius as a numpy int, a ``Decimal``, a
+    numpy float or a ``Fraction`` with numpy parts, and its Python twin."""
+    form = draw(st.sampled_from(["int", "decimal", "float", "fraction"]))
+    if form == "float":
+        kind = draw(st.sampled_from([np.float16, np.float32, np.float64]))
+        r = kind(draw(st.floats(1e-3, 1e4)))
+        return r, float(r)
+    if form == "decimal":
+        twin = F(draw(st.integers(1, 10 ** 6)), draw(st.sampled_from(DENOMINATORS)))
+        return as_kind(twin, Decimal), twin
+    kind = draw(st.sampled_from(NP_INTS))
+    top = min(int(np.iinfo(kind).max), 10 ** 6)
+    if form == "int":
+        twin = draw(st.integers(1, top))
+    else:
+        twin = F(draw(st.integers(1, top)), draw(st.integers(1, min(top, 1000))))
+    return as_kind(twin, kind), twin
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(radii(), min_size=1, max_size=5))
+def test_radii_are_read_as_their_python_twins(pairs):
+    given_radii, twins = zip(*pairs)
+    for name in KEY_SPACES:
+        s = SPACES[name]
+        for closed in (False, True):
+            assert same_matrix(s._radius_keys(given_radii, closed),
+                               s._radius_keys(twins, closed))
+
+
+def test_rational_reads_every_number_by_value():
+    assert metric._rational(7) == 7 and type(metric._rational(7)) is int
+    for v, want in [(np.int16(-3), F(-3)), (F(np.int64(6), np.int64(4)), F(3, 2)),
+                    (np.float32(0.5), F(1, 2)), (Decimal("0.25"), F(1, 4)), (True, F(1)),
+                    (Decimal("1e400"), F(10 ** 400))]:
+        got = metric._rational(v)
+        assert got == want and type(got) is F
+        assert type(got.numerator) is int and type(got.denominator) is int
+    for v in (math.nan, math.inf, np.float64(-math.inf), Decimal("NaN"), Decimal("-Infinity"),
+              "1", None, 1j, np.True_, object()):
+        assert metric._rational(v) is None

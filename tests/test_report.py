@@ -112,8 +112,8 @@ def test_tau_report_leaves_one_table_row_at_a_time(monkeypatch):
     parts, reports = [], []
     monkeypatch.setattr(cli, "_write", lambda written, path: parts.extend(written))
     emit = cli.emit
-    monkeypatch.setattr(cli, "emit", lambda report, args, matrix_key=None: (
-        reports.append(report), emit(report, args, matrix_key)))
+    monkeypatch.setattr(cli, "emit", lambda report, args: (
+        reports.append(report), emit(report, args)))
     assert cli.main(["tau", "--backend", "segment", "--samples", "201"]) == 0
     [report] = reports
     assert "".join(parts) == reference(report)
@@ -163,8 +163,8 @@ def test_cli_reports_match_the_reference_encoder(tmp_path, monkeypatch, seed, co
     written, reports = [], []
     monkeypatch.setattr(cli, "_write", lambda parts, path: written.append("".join(parts)))
     emit = cli.emit
-    monkeypatch.setattr(cli, "emit", lambda report, args, matrix_key=None: (
-        reports.append(report), emit(report, args, matrix_key)))
+    monkeypatch.setattr(cli, "emit", lambda report, args: (
+        reports.append(report), emit(report, args)))
     backends = _inputs(tmp_path, random.Random(f"report/{seed}"))
     for argv in backends:
         assert cli.main([command, *argv]) == 0

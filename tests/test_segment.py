@@ -4,7 +4,7 @@ import pytest
 
 from wavemodel import IntervalError
 from wavemodel.interval1d import Interval, IntervalSet
-from wavemodel.segment import segment_example, verify_four_chain
+from wavemodel.segment import PiecewiseBallFunction, segment_example, verify_four_chain
 
 F = Fraction
 
@@ -142,6 +142,18 @@ def test_verify_reports_pass():
 def test_verify_other_ambient_length():
     rep = verify_four_chain(F(1, 3), length=2)
     assert rep.all_pass, rep.failures
+
+
+def test_verify_reports_a_failing_nucleus_certificate(monkeypatch):
+    """Values that never shrink onto x fail the closure certificate: one
+    line per function, at the first radius probed."""
+    monkeypatch.setattr(PiecewiseBallFunction, "evaluate",
+                        lambda f, t: IntervalSet.interval(f.length, F(0), f.length, True, True))
+    rep = verify_four_chain(X)
+    assert rep.nuclei_ok is False and not rep.all_pass
+    names = ("ball_lower", "atom_from_left", "atom_from_right", "ball_upper")
+    assert [m for m in rep.failures if "nucleus" in m] == [
+        f"nucleus certificate fails for {name} at t=3/20" for name in names]
 
 
 def test_verify_json_shape():

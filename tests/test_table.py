@@ -8,12 +8,12 @@ for tables built from kernel arrays, to the element-wise conversion kept
 in ``oracles.to_values``.
 """
 
-import argparse
 import csv
 import io
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,17 +91,18 @@ def test_table_reports_match_the_reference_encoder(table, extra):
 @settings(max_examples=100, deadline=None)
 @given(tables())
 def test_csv_branch_writes_the_expanded_rows(table):
+    """``tau``, ``isometry`` and ``conditions`` with ``--format csv`` write
+    their one table, here any table, as ``csv.writer`` writes its rows."""
     written = []
-    write = cli._write
-    cli._write = lambda parts, path: written.append("".join(parts))
-    try:
-        cli.emit({"tau": table, "n": 1}, argparse.Namespace(format="csv", out=None),
-                 matrix_key="tau")
-    finally:
-        cli._write = write
+    with mock.patch.object(cli, "_write", lambda parts, path: written.append("".join(parts))), \
+            mock.patch.object(metric, "_tau_table", lambda space: table), \
+            mock.patch.object(metric, "_table", lambda a, scale: table):
+        for command in ("tau", "isometry", "conditions"):
+            assert cli.main([command, "--backend", "discrete", "--n", "2",
+                             "--format", "csv"]) == 0
     buf = io.StringIO()
     csv.writer(buf).writerows(cli.jsonable(expanded(table)))
-    assert written == [buf.getvalue()]
+    assert written == [buf.getvalue()] * 3
 
 
 def csv_reference(table) -> str:
