@@ -14,13 +14,13 @@ metric space carries the discrete topology, so every subset is clopen and
 interior/closure are identity maps.
 
 Internally each space also holds one numpy matrix, built once at
-construction: exact spaces scale their distances by the LCM of the
-denominators, reading each distinct entry object once, into the
-narrowest of int16, int32 and int64 that holds four times the largest entry
-(Python ints in an object array beyond int64); float spaces use float64.
-One rule, ``_rational``, reads every entry, weight and radius: a Python int
-as itself, any other number by value (numpy scalars too) as a ``Fraction``
-of Python ints; a bool is no distance, but radii accept it.
+construction.  ``_kernel_values`` reads matrix entries, graph weights and
+the segment's length, one ``_rational`` per distinct object, and scales
+exact ones by the LCM of their denominators; ``_narrowed`` puts the kernel
+in the narrowest of int16, int32, int64 and object that holds four times
+its largest entry (float spaces use float64).  ``_rational`` reads radii
+too: a Python int as itself, any other number by value (numpy scalars too)
+as a ``Fraction`` of Python ints; a bool is no distance, but radii accept it.
 Every space also ranks its distinct values (R) for the wave distance and
 the tables.  Validation, balls, neighborhoods, the defects, the wave
 distance and grid brackets all run on that matrix; ``dist`` is read only at
@@ -103,6 +103,15 @@ def _int_dtype(top: int):
     return next((t for t in (np.int16, np.int32, np.int64) if top <= np.iinfo(t).max), object)
 
 
+def _narrowed(a) -> np.ndarray:
+    """The kernel ``a`` or the list of ints it gathers: float64 as it is, else
+    in the narrowest of int16, int32, int64 and object that holds 4 max |a|."""
+    if not isinstance(a, list) and a.dtype == np.float64:
+        return a
+    top = max(map(abs, a)) if isinstance(a, list) else max(-int(a.min()), int(a.max()))
+    return np.asarray(a, dtype=_int_dtype(4 * top))
+
+
 def _upper(n: int) -> np.ndarray:
     """The n x n mask of the pairs i < j: the upper triangle, read row-major."""
     return np.arange(n)[:, None] < np.arange(n)
@@ -131,9 +140,26 @@ def _rational(v):
     return v if type(p) is int and type(d) is int else Fraction(int(p), int(d))
 
 
-def _is_finite_real(v) -> bool:
-    """A finite number and none of ``_NOT_NUMBERS``: a distance if positive."""
-    return not isinstance(v, _NOT_NUMBERS) and _rational(v) is not None
+def _kernel_values(numbers: Sequence, kept=None) -> tuple:
+    """(values, scale, refused, nonpositive) of distinct API numbers, one
+    ``_rational`` each: the indices of those of ``_NOT_NUMBERS`` or no finite
+    number, and of those <= 0.  Unless one is refused, ``values`` holds the
+    numbers at ``kept`` (default all): float64 (inf past the float range) if
+    one is a float, numpy's too, else a list of them times the LCM ``scale``
+    of their denominators, Python ints (``scale`` None if all are)."""
+    read = [None if isinstance(v, _NOT_NUMBERS) else _rational(v) for v in numbers]
+    nonpositive = [k for k, q in enumerate(read) if q is not None and q.numerator <= 0]
+    if refused := [k for k, q in enumerate(read) if q is None]:
+        return None, None, refused, nonpositive
+    if kept is not None:
+        numbers, read = [numbers[k] for k in kept], [read[k] for k in kept]
+    if any(isinstance(v, (float, np.floating)) for v in numbers):
+        return np.array(list(map(_as_float, read))), None, refused, nonpositive
+    denominators = {q.denominator for q in read}
+    scale = math.lcm(*denominators)
+    factor = {q: scale // q for q in denominators}
+    values = [q.numerator * factor[q.denominator] for q in read]
+    return values, None if all(type(q) is int for q in read) else scale, refused, nonpositive
 
 
 def _kernel_matrix(rows) -> tuple:
@@ -164,30 +190,15 @@ def _by_identity(objects: Iterable, count: int) -> tuple:
 
 
 def _exact_matrix(dist) -> tuple:
-    """The scaled int matrix, reading each distinct entry object once
-    (``_rational``) and gathering the scaled values back by the codes.  The
-    dtype is the narrowest of int16, int32 and int64 that holds four times
-    the largest scaled entry, else object (Python ints)."""
+    """The ``_kernel_values`` of the distinct entry objects, gathered back by
+    their codes; the refused entry is the first in row-major order."""
     n = len(dist)
     first, codes = _by_identity(chain.from_iterable(dist), n * n)
-    values = [_rational(dist[k // n][k % n]) for k in first]
-    if any(v is None for v in values):  # refuse the first in row-major order
-        i, j = divmod(min(k for k, v in zip(first, values) if v is None), n)
+    values, scale, refused, _ = _kernel_values([dist[k // n][k % n] for k in first])
+    if refused:
+        i, j = divmod(min(first[k] for k in refused), n)
         raise AxiomViolation(f"d({i},{j}) = {dist[i][j]} is not a finite number", (i, j))
-    scaled, scale = _scaled(values)
-    dtype = _int_dtype(4 * max(map(abs, scaled)))
-    return np.array(scaled, dtype=dtype)[codes].reshape(n, n), scale
-
-
-def _scaled(values) -> tuple:
-    """(scaled, scale): the ints and ``Fraction``s ``values`` times the LCM
-    ``scale`` of their denominators, with ``scale`` None when every value is
-    a Python int."""
-    denominators = {v.denominator for v in values}
-    scale = math.lcm(*denominators)
-    factor = {q: scale // q for q in denominators}
-    scaled = [v.numerator * factor[v.denominator] for v in values]
-    return scaled, None if all(type(v) is int for v in values) else scale
+    return _narrowed(values)[codes].reshape(n, n), scale
 
 
 def _check_finite(m: np.ndarray, dist) -> None:
@@ -201,7 +212,9 @@ def _check_finite(m: np.ndarray, dist) -> None:
 def _as_float(v) -> float:
     try:
         return float(v)
-    except (OverflowError, TypeError, ValueError):
+    except OverflowError:  # finite, but past the floats
+        return math.inf
+    except (TypeError, ValueError):
         return math.nan
 
 
@@ -261,17 +274,18 @@ def _tau_table(space: "FiniteMetricSpace") -> _Table:
 
 def _dist_table(space: "FiniteMetricSpace") -> _Table:
     """``space.dist`` as a table.  A space built from its kernel never reads
-    ``dist``, which is R with a value per rank; a given ``dist`` keeps each
-    entry, with its own type and token, as one value per distinct entry
-    object."""
+    ``dist``, which is R with a value per rank; a given ``dist`` is one
+    value per distinct entry object: a Python int, float or ``Fraction`` as
+    given, any other number (numpy's, a ``Decimal``) as its kernel value."""
     if space._zero is not None:
         values, ranks = space._ranks
         return _Table(ranks.astype(np.intp), _values(values, space._scale), (space._zero,))
-    dist, n = space.dist, space.n
-    entries = tuple(chain.from_iterable(dist))
+    entries, n = tuple(chain.from_iterable(space.dist)), space.n
     first, codes = _by_identity(entries, n * n)
-    return _Table(codes.reshape(n, n), [entries[k] for k in first],
-                  [row[i] for i, row in enumerate(dist)])
+    at = [*first, *range(0, n * n, n + 1)]  # each distinct entry, then the diagonal
+    values = [v if type(v) in (int, Fraction) or isinstance(v, float) else
+              space._value(space._m.flat[k]) for k, v in zip(at, map(entries.__getitem__, at))]
+    return _Table(codes.reshape(n, n), values[:len(first)], values[len(first):])
 
 
 @dataclass(frozen=True)
@@ -281,10 +295,8 @@ class FiniteMetricSpace:
     Point clouds and float-weight graphs are the exception: their stored
     distances lie within a few roundings of the true ones (README), which may
     break a triangle by more than eta: ``FiniteMetricSpace(space.dist)`` may
-    refuse their matrix.  The entries fix the number system: exact without a
-    float entry, float with tolerance ``eta`` = 1e-9 otherwise.  Immutable
-    after construction; all operations below are pure functions, so
-    concurrent use needs no synchronization.
+    refuse their matrix.  Immutable after construction; all operations below
+    are pure functions, so concurrent use needs no synchronization.
     """
 
     dist: tuple
@@ -537,11 +549,8 @@ class FiniteMetricSpace:
                 raise MetricError(f"radius must be positive, got {r}")
             if exact:
                 keys.append(min((q.numerator * scale - (not closed)) // q.denominator, top))
-            else:
-                try:
-                    keys.append(float(q) + _FLOAT_ETA)  # what r + eta evaluates to
-                except OverflowError:  # finite, but past the floats: every point
-                    keys.append(math.inf)
+            else:  # what r + eta evaluates to; every point past the floats
+                keys.append(_as_float(q) + _FLOAT_ETA)
         return np.array(keys, dtype=self._m.dtype)
 
 
@@ -593,44 +602,38 @@ def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
 def _graph_space(first: Sequence, second: Sequence, codes, weights: list) -> FiniteMetricSpace:
     """``build_from_graph`` of at least one edge, in columns: the endpoints,
     and per edge the code of its weight in ``weights``, distinct objects
-    that are each checked, classified and scaled once."""
-    if not all(_is_finite_real(w) and w > 0 for w in weights):
-        for i, j, k in zip(first, second, codes):  # the first refused weight in edge order
-            w = weights[k]
-            if not _is_finite_real(w):
-                raise AxiomViolation(
-                    f"weight {w!r} on edge ({i},{j}) is not a finite number", (i, j))
-            if w <= 0:
-                raise MetricError(f"nonpositive weight on edge ({i},{j})")
+    read once each; the weights of the edges kept fix the number system."""
     nodes = {*first, *second}
     m = len(nodes)
-    if sorted(nodes) != list(range(m)):
+    lo = hi = last = np.zeros(0, dtype=np.intp)
+    if consecutive := nodes == set(range(m)):  # each edge's last weight; no self-loop
+        a, b = np.array(first, dtype=np.intp), np.array(second, dtype=np.intp)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        last = np.flatnonzero(lo != hi)[::-1]
+        last = last[np.unique(lo[last] * m + hi[last], return_index=True)[1]]
+        lo, hi = lo[last], hi[last]
+    used, kept = np.unique(np.asarray(codes)[last], return_inverse=True)
+    values, scale, refused, nonpositive = _kernel_values(weights, used.tolist())
+    if not consecutive or refused or nonpositive:
+        refused, nonpositive = set(refused), set(nonpositive)
+        for i, j, k in zip(first, second, codes):  # the first bad weight, then the nodes
+            if k in refused:
+                raise AxiomViolation(
+                    f"weight {weights[k]!r} on edge ({i},{j}) is not a finite number", (i, j))
+            if k in nonpositive:
+                raise MetricError(f"nonpositive weight on edge ({i},{j})")
         raise MetricError("graph nodes must be 0-based consecutive indices")
-    first, second = np.array(first, dtype=np.intp), np.array(second, dtype=np.intp)
-    lo, hi = np.minimum(first, second), np.maximum(first, second)
-    # the last weight given to each edge; a self-loop adds only its node
-    last = np.flatnonzero(lo != hi)[::-1]
-    last = last[np.unique(lo[last] * m + hi[last], return_index=True)[1]]
-    lo, hi = lo[last], hi[last]
-    used, codes = np.unique(np.asarray(codes)[last], return_inverse=True)
-    weights = [weights[k] for k in used.tolist()]
-    exact = not any(isinstance(w, (float, np.floating)) for w in weights)
+    exact = isinstance(values, list)
+    if not exact and not np.isfinite(values).all():  # the first such edge, in row-major order
+        e = int(np.argmax(~np.isfinite(values[kept])))
+        i, j, bad = int(lo[e]), int(hi[e]), weights[used[kept[e]]]
+        raise AxiomViolation(f"d({i},{j}) = {bad} is not a finite number", (i, j))
     # no edge: longer than any simple path (m - 1 edges); a float space finds
     # its edges by position, as a positive weight may round to 0.0
-    if exact:
-        values, scale = _scaled(list(map(_rational, weights)))
-        top = m * max(values, default=0) + 1
-        dtype = _int_dtype(2 * top)  # a relaxation adds two entries
-    else:
-        values = np.array([_as_float(w) for w in weights])
-        if not np.isfinite(values).all():  # the first such edge: they run in row-major order
-            e = int(np.argmax(~np.isfinite(values[codes])))
-            i, j = int(lo[e]), int(hi[e])
-            raise AxiomViolation(f"d({i},{j}) = {weights[codes[e]]} is not a finite number",
-                                 (i, j))
-        scale, top, dtype = None, math.inf, np.float64
-    g = np.full((m, m), top, dtype=dtype)
-    g[lo, hi] = g[hi, lo] = np.array(values, dtype=dtype)[codes]
+    w = _narrowed(values + [m * max([0, *values]) + 1]) if exact else np.append(values, math.inf)
+    top = w[-1]
+    g = np.full((m, m), top, dtype=w.dtype)
+    g[lo, hi] = g[hi, lo] = w[kept]
     np.fill_diagonal(g, 0)
     with np.errstate(over="ignore"):  # a float path sum past the float range is inf
         for k in range(m):
@@ -642,18 +645,13 @@ def _graph_space(first: Sequence, second: Sequence, codes, weights: list) -> Fin
         if not reach.all():
             raise MetricError("graph is disconnected: no finite metric")
         _check_finite(g, g)
-    if not exact:
-        space = FiniteMetricSpace._of_kernel(g, None, 0)
-        space._check_pairs()
-        return space
-    # the kernel FiniteMetricSpace(dist) reads back: the scale of the reduced
-    # distances (a weight on no shortest path leaves it) and the narrowest dtype
-    if scale is not None:
+    if scale is not None:  # as FiniteMetricSpace(dist) reads it: a weight on no path leaves it
         c = math.gcd(scale, int(np.gcd.reduce(g, axis=None)))
-        g //= c
-        scale //= c
-    g = g.astype(_int_dtype(4 * g.max(keepdims=True).item()), copy=False)
-    return FiniteMetricSpace._of_kernel(g, scale, 0)
+        g, scale = g // c, scale // c
+    space = FiniteMetricSpace._of_kernel(_narrowed(g), scale, 0)
+    if not exact:
+        space._check_pairs()
+    return space
 
 
 def build_discrete(n: int) -> FiniteMetricSpace:
@@ -664,16 +662,19 @@ def build_discrete(n: int) -> FiniteMetricSpace:
 
 
 def build_segment_sample(samples: int, length=Fraction(1)) -> FiniteMetricSpace:
-    """Uniform exact sample of the segment [0, length]: d(i, j) = |i - j| step,
-    whose kernel is |i - j| times the step's numerator over its denominator."""
+    """Uniform exact sample of the segment [0, length] (a float by its exact
+    value): d(i, j) = |i - j| step, the step's numerator times |i - j| over
+    its denominator."""
     if samples < 2:
         raise MetricError("need at least 2 samples")
-    length = Fraction(length)
-    if length <= 0:
+    values, scale, refused, nonpositive = _kernel_values((length,))
+    if refused:
+        raise MetricError(f"length must be a finite number, got {length!r}")
+    if nonpositive:
         raise MetricError("length must be positive")
-    n, step = samples, length / (samples - 1)
-    k = np.arange(n, dtype=_int_dtype(4 * (n - 1) * step.numerator))
-    m = np.abs(k[:, None] - k) * step.numerator
+    step = Fraction(values[0]) / ((scale or 1) * (samples - 1))
+    ramp = _narrowed([j * step.numerator for j in range(samples)])  # j steps, scaled
+    m = np.abs(ramp[:, None] - ramp)
     return FiniteMetricSpace._of_kernel(m, step.denominator, Fraction(0))
 
 
@@ -793,17 +794,15 @@ def isometry_fit(space: FiniteMetricSpace) -> tuple:
     c = sum tau d / sum d^2 the least-squares homothety factor (None for one
     point).  Sums run in row-major pair order, one term after another as a
     scalar loop adds them, on every Python version (``sum()`` compensates
-    float sums from 3.12 on, so it is not used); exact sums, which no order
-    changes, run in int64 while n^2 (4 max d)^2 fits it, else on Python ints."""
+    float sums from 3.12 on, so it is not used); exact terms, whose sum no
+    order changes, take the narrowest dtype that holds n^2 (4 max d)^2."""
     if space.n == 1:
         return 0, None
     upper = _upper(space.n)
     d = space._m[upper]  # row-major pair order
     tau = 2 * space._meet[upper]
     max_dev = space._value(np.abs(tau - d).max())
-    kind = None  # int16 products overflow; int64 holds < n^2 terms tau d < (4 max d)^2
-    if space.exact:
-        kind = np.int64 if (4 * space.n * int(d.max())) ** 2 <= np.iinfo(np.int64).max else object
+    kind = _int_dtype((4 * space.n * int(d.max())) ** 2) if space.exact else None
     # Python scalars, summed one after another in row-major pair order
     num = np.cumsum(np.multiply(tau, d, dtype=kind)).item(-1)
     den = np.cumsum(np.multiply(d, d, dtype=kind)).item(-1)

@@ -233,7 +233,7 @@ def first_weight_error(edges):
     """(type, message, witness) of the first refused weight, checked edge
     by edge as the old ``metric.build_from_graph`` loop did; None if none."""
     for i, j, w in edges:
-        if not metric._is_finite_real(w):
+        if isinstance(w, metric._NOT_NUMBERS) or metric._rational(w) is None:
             return (metric.AxiomViolation,
                     f"weight {w!r} on edge ({i},{j}) is not a finite number", (i, j))
         if w <= 0:

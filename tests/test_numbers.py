@@ -1,4 +1,5 @@
-"""One rule reads an API number: matrix entries, graph weights and radii.
+"""One rule reads an API number: matrix entries, graph weights, the
+segment's length and radii.
 
 ``metric._rational`` reads a Python int as itself and every other finite
 number as a ``Fraction`` with Python-int parts: numpy integers and
@@ -6,8 +7,11 @@ number as a ``Fraction`` with Python-int parts: numpy integers and
 So a number given as a numpy scalar or a ``Decimal`` builds the space its
 Python twin builds, with no arithmetic in the scalar's own dtype.  Bools
 (Python's and numpy's) and strs are no distances; radii accept bools.
+``metric._kernel_values`` reads each distinct number object once, and
+every exact kernel holds four times its largest entry in its dtype.
 """
 
+import json
 import math
 import warnings
 from decimal import Decimal
@@ -20,11 +24,14 @@ from hypothesis import strategies as st
 
 from wavemodel import (
     AxiomViolation,
+    MetricError,
+    build_discrete,
     build_from_graph,
     build_from_matrix,
+    build_segment_sample,
     wave_distance_matrix,
 )
-from wavemodel import metric
+from wavemodel import cli, metric
 
 import oracles
 from test_kernel import KEY_SPACES, SPACES, same_matrix
@@ -206,3 +213,157 @@ def test_rational_reads_every_number_by_value():
     for v in (math.nan, math.inf, np.float64(-math.inf), Decimal("NaN"), Decimal("-Infinity"),
               "1", None, 1j, np.True_, object()):
         assert metric._rational(v) is None
+
+
+# ---------------------------------------------------------------------------
+# one read per distinct number object
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The numbers ``metric._rational`` reads from here on."""
+    calls = []
+    read = metric._rational
+    monkeypatch.setattr(metric, "_rational", lambda v: calls.append(v) or read(v))
+    return calls
+
+
+def test_each_distinct_weight_object_is_read_once(reads):
+    """Dropped weights are read too (a repeated edge's first weight, a
+    self-loop's), as each must be a positive number."""
+    third, half = F(1, 3), F(1, 2)
+    edges = [(0, 1, third), (1, 2, third), (2, 0, 2), (0, 1, half), (1, 1, F(5, 7)),
+             (2, 3, third)]
+    s = build_from_graph(edges)
+    assert sorted(map(id, reads)) == sorted({id(w) for *_, w in edges})
+    assert s.d(0, 1) == half and s._scale == 6
+
+
+def test_each_distinct_entry_object_is_read_once(reads):
+    third, half = F(1, 3), Decimal("0.5")
+    build_from_matrix([[0, half, third], [half, 0, third], [third, third, 0]])
+    assert sorted(map(id, reads)) == sorted(map(id, (0, half, third)))
+    reads.clear()
+    build_segment_sample(5, np.int16(3))
+    assert len(reads) == 1
+
+
+# ---------------------------------------------------------------------------
+# the segment's length
+
+
+def test_numpy_int16_length_builds_the_int_kernel():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow in the scalar's dtype
+        s = build_segment_sample(5, np.int16(30000))
+    twin = build_segment_sample(5, 30000)
+    assert s._m.dtype == np.int32 and same_matrix(s._m, twin._m)
+    assert s._scale == twin._scale == 1 and type(s._scale) is int
+    assert wave_distance_matrix(s) == wave_distance_matrix(twin)
+
+
+@pytest.mark.parametrize("length", ["3/2", True, np.True_, None, 1j, math.nan, math.inf,
+                                    Decimal("NaN")])
+def test_a_length_that_is_no_number_is_refused(length):
+    with pytest.raises(MetricError) as ei:
+        build_segment_sample(5, length)
+    assert str(ei.value) == f"length must be a finite number, got {length!r}"
+
+
+def test_the_command_line_length_is_read_as_before():
+    args = cli.build_parser().parse_args(["validate", "--backend", "segment", "--samples",
+                                          "9", "--length", "3/2"])
+    s, twin = cli.build_space(args), build_segment_sample(9, F(3, 2))
+    assert same_matrix(s._m, twin._m) and s._scale == twin._scale == 16
+
+
+# ---------------------------------------------------------------------------
+# every exact kernel holds four times its largest entry in its dtype
+
+
+def narrowest_for_four_times_the_max(m: np.ndarray):
+    """The narrowest of int16, int32, int64 and object that holds
+    4 max |m|, worked out on Python ints."""
+    top = 4 * max(abs(int(v)) for v in m.ravel().tolist())
+    return next((t for t in (np.int16, np.int32, np.int64) if top <= np.iinfo(t).max), object)
+
+
+def path(w):
+    """A 5-node path with equal weights w: its kernel's largest entry is 4w."""
+    return build_from_graph([(i, i + 1, w) for i in range(4)])
+
+
+def two_points(d):
+    return build_from_matrix([[0, d], [d, 0]])
+
+
+I16, I32, I64 = (int(np.iinfo(t).max) for t in (np.int16, np.int32, np.int64))
+
+#: Builders whose kernels land in each dtype, with the Python twin of each
+#: space given numpy scalars, ``Decimal``s or ``Fraction``s with numpy parts.
+DTYPE_CASES = {
+    "discrete": (lambda: build_discrete(6), np.int16, None),
+    "matrix-int16": (lambda: two_points(np.int16(I16 // 4)), np.int16,
+                     lambda: two_points(I16 // 4)),
+    "matrix-int32": (lambda: two_points(np.uint16(I16 // 4 + 1)), np.int32,
+                     lambda: two_points(I16 // 4 + 1)),
+    "matrix-int64": (lambda: two_points(F(np.int64(I32), np.int64(3))), np.int64,
+                     lambda: two_points(F(I32, 3))),
+    "matrix-object": (lambda: two_points(Decimal(I64 // 4 + 1)), object,
+                      lambda: two_points(I64 // 4 + 1)),
+    "graph-int16": (lambda: path(np.int8(1)), np.int16, lambda: path(1)),
+    "graph-int32": (lambda: path(np.int16(I16 // 16 + 1)), np.int32,
+                    lambda: path(I16 // 16 + 1)),
+    "graph-int64": (lambda: path(F(np.int32(I32 // 16 + 1), np.int32(7))), np.int64,
+                    lambda: path(F(I32 // 16 + 1, 7))),
+    "graph-object": (lambda: path(np.int64(I64 // 16 + 1)), object,
+                     lambda: path(I64 // 16 + 1)),
+    "segment-int16": (lambda: build_segment_sample(5, F(np.int32(3), np.int32(2))), np.int16,
+                      lambda: build_segment_sample(5, F(3, 2))),
+    "segment-int32": (lambda: build_segment_sample(5, np.int16(30000)), np.int32,
+                      lambda: build_segment_sample(5, 30000)),
+    "segment-int64": (lambda: build_segment_sample(5, F(np.int64(10 ** 9), np.int64(7))),
+                      np.int64, lambda: build_segment_sample(5, F(10 ** 9, 7))),
+    "segment-object": (lambda: build_segment_sample(2, np.uint64(2 ** 63)), object,
+                       lambda: build_segment_sample(2, 2 ** 63)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DTYPE_CASES))
+def test_every_builder_holds_four_times_its_largest_entry(name):
+    build, dtype, twin = DTYPE_CASES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = build()
+    assert s._m.dtype == dtype == narrowest_for_four_times_the_max(s._m)
+    if twin is not None:
+        assert_same_space(s, twin())
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_every_exact_kernel_is_the_narrowest_for_four_times_its_max(name):
+    m = SPACES[name]._m
+    assert m.dtype == np.float64 or m.dtype == narrowest_for_four_times_the_max(m)
+
+
+# ---------------------------------------------------------------------------
+# the report's d table of a given matrix
+
+
+@pytest.mark.parametrize("rows,want", [
+    ([[np.int16(0), np.int16(3)], [np.int16(3), np.int16(0)]], [["0", "3"], ["3", "0"]]),
+    ([[0, np.uint8(3)], [np.uint8(3), 0]], [[0, "3"], ["3", 0]]),
+    ([[0, Decimal("1.5")], [Decimal("1.5"), 0]], [[0, "3/2"], ["3/2", 0]]),
+    ([[0, F(np.int64(1), np.int64(2))], [F(1, 2), 0]], [[0, "1/2"], ["1/2", 0]]),
+    ([[0.0, np.float32(0.1)], [np.float32(0.1), np.float16(0)]],
+     [[0.0, float(np.float32(0.1))], [float(np.float32(0.1)), 0.0]]),
+    ([[0.0, np.float64(0.1)], [0.1, 0.0]], [[0.0, 0.1], [0.1, 0.0]]),
+])
+def test_d_table_writes_each_entry_as_the_rule_reads_it(rows, want):
+    """A Python int, float (numpy's float64 too) or ``Fraction`` is written
+    as given; a numpy int or float, or a ``Decimal``, as its kernel value:
+    an int or ``Fraction`` on an exact space, a float on a float space."""
+    report = {"d": metric._dist_table(build_from_matrix(rows))}
+    text = "".join(cli.encode_report(report))
+    assert text == json.dumps(cli.jsonable(report), indent=2, sort_keys=True) + "\n"
+    assert json.loads(text) == {"d": want}
