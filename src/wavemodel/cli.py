@@ -198,7 +198,7 @@ def build_space(args) -> metric.FiniteMetricSpace:
     if backend == "points":
         return metric.build_from_points(formats.load_points_csv(args.input)[0])
     if backend == "graph":
-        return metric._graph_space(*formats._edge_columns(args.input))
+        return metric.build_from_graph(formats.load_edges(args.input))
     return metric.build_from_matrix(formats.load_matrix_csv(args.input))
 
 

@@ -1,7 +1,8 @@
 """Input parsing: point-cloud CSV, edge lists, distance-matrix CSV.
 
 Every parse error reports the row and column where it occurred.  Non-finite
-values (nan, inf, floats that overflow) are parse errors.
+values (nan, inf, floats that overflow) are parse errors.  The edge and
+matrix loaders parse each distinct number token once, to one object.
 """
 
 from __future__ import annotations
@@ -114,56 +115,25 @@ def load_edges(path: str):
     """Whitespace-separated `i j weight` triples, 0-based indices; blank
     lines and lines that start with '#' are skipped.  Each distinct weight
     token is parsed once, to one object that every edge with it holds."""
-    first, second, codes, weights = _edge_columns(path)
-    return list(zip(first, second, map(weights.__getitem__, codes)))
-
-
-def _edge_columns(path: str) -> tuple:
-    """``load_edges`` as columns (first, second, codes, weights): the
-    endpoints, and per edge the code of its weight among the distinct
-    weight objects, one per distinct token in order of first use.  The file
-    is read and each line split once, the endpoints parsed by one ``int``
-    pass.  A file with no edge or with an error is read row by row, which
-    raises its first error."""
+    edges = []
+    number = _parser()
     with open(path) as fh:
-        rows = [(r, parts) for r, parts in enumerate(map(str.split, fh.read().split("\n")), 1)
-                if parts and not parts[0].startswith("#")]
-    try:
-        if any(len(parts) != 3 for _, parts in rows):
-            raise ValueError
-        first, second, tokens = zip(*(parts for _, parts in rows))
-        i, j = list(map(int, first)), list(map(int, second))
-        if min(i) < 0 or min(j) < 0:
-            raise ValueError
-        code = {t: k for k, t in enumerate(dict.fromkeys(tokens))}
-        weights = [_number(t, 0, 0) for t in code]
-    except ValueError:  # ParseError included: the row loop raises it in place
-        return _edges_by_row(rows)
-    return i, j, list(map(code.__getitem__, tokens)), weights
-
-
-def _edges_by_row(rows) -> tuple:
-    """The columns of the split ``rows``, read one row after another,
-    raising the first error with its row."""
-    first, second, codes, code, weights = [], [], [], {}, []
-    for r, parts in rows:
-        if len(parts) != 3:
-            raise ParseError(f"expected 'i j weight', got {len(parts)} fields", r, 1)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("endpoint indices must be integers", r, 1) from None
-        if i < 0 or j < 0:
-            raise ParseError("indices must be nonnegative", r, 1)
-        if parts[2] not in code:
-            code[parts[2]] = len(weights)
-            weights.append(_number(parts[2], r, 3))
-        first.append(i)
-        second.append(j)
-        codes.append(code[parts[2]])
-    if not codes:
+        for r, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) != 3:
+                raise ParseError(f"expected 'i j weight', got {len(parts)} fields", r, 1)
+            try:
+                i, j = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError("endpoint indices must be integers", r, 1) from None
+            if i < 0 or j < 0:
+                raise ParseError("indices must be nonnegative", r, 1)
+            edges.append((i, j, number(parts[2], r, 3)))
+    if not edges:
         raise ParseError("no edges found", 1, 1)
-    return first, second, codes, weights
+    return edges
 
 
 def load_matrix_csv(path: str):

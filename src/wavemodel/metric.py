@@ -97,10 +97,14 @@ def _min_product(m: np.ndarray, op) -> np.ndarray:
     return out
 
 
+#: The int dtypes of an exact kernel, narrowest first, with their maxima.
+_INT_DTYPES = tuple((t, int(np.iinfo(t).max)) for t in (np.int16, np.int32, np.int64))
+
+
 def _int_dtype(top: int):
     """The narrowest of int16, int32 and int64 that holds ``top``, else
     object (Python ints)."""
-    return next((t for t in (np.int16, np.int32, np.int64) if top <= np.iinfo(t).max), object)
+    return next((t for t, most in _INT_DTYPES if top <= most), object)
 
 
 def _narrowed(a) -> np.ndarray:
@@ -584,25 +588,20 @@ def build_from_points(coords: Sequence[Sequence[float]]) -> FiniteMetricSpace:
 def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
     """Geodesic backend: all-pairs shortest paths of a weighted graph.
 
-    Rational/integer weights give an exact space, float weights a float
-    space.  A repeated edge keeps its last weight and a self-loop adds only
-    its node.  Distances come from Floyd-Warshall on the kernel matrix of
-    the weights, which the space takes as its kernel: geodesics are a
-    metric by construction, float ones within gamma_{n-1} (README).  A float
-    space is refused only for a distance within eta or past the float range.
+    The weights of the edges kept fix the number system: rational/integer
+    ones give an exact space, float ones a float space.  A repeated edge
+    keeps its last weight and a self-loop adds only its node.  Distances
+    come from Floyd-Warshall on the kernel matrix of the weights, which the
+    space takes as its kernel: geodesics are a metric by construction, float
+    ones within gamma_{n-1} (README).  A float space is refused only for a
+    distance within eta or past the float range.
     """
     edges = [(i, j, w) for i, j, w in edges]
     if not edges:
         raise MetricError("graph has no nodes")
     first, second, ws = zip(*edges)
-    at, codes = _by_identity(ws, len(ws))
-    return _graph_space(first, second, codes, [ws[k] for k in at])
-
-
-def _graph_space(first: Sequence, second: Sequence, codes, weights: list) -> FiniteMetricSpace:
-    """``build_from_graph`` of at least one edge, in columns: the endpoints,
-    and per edge the code of its weight in ``weights``, distinct objects
-    read once each; the weights of the edges kept fix the number system."""
+    at, codes = _by_identity(ws, len(ws))  # distinct weight objects, read once each
+    weights = [ws[k] for k in at]
     nodes = {*first, *second}
     m = len(nodes)
     lo = hi = last = np.zeros(0, dtype=np.intp)

@@ -317,7 +317,7 @@ def number(text: str, row: int, col: int):
 def load_edges_by_row(path: str):
     """The `i j weight` triples of an edge list, read line by line, each
     distinct weight token parsed once (one object per token): the loop of
-    the old ``formats.load_edges``, the reference of its one-pass read."""
+    the old ``formats.load_edges``, the reference of its row loop."""
     edges = []
     parsed = {}
     with open(path) as fh:

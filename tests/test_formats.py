@@ -7,15 +7,14 @@ no zero, every value finite); every other row is read field by field.
 must match bit for bit, the sign of zero included; labels, and each
 ``ParseError``'s message, row and column, must match too.
 
-``formats.load_edges`` reads and splits the file once, parses the
-endpoints by one ``int`` pass and each distinct weight token once; a file
-with an error is read again row by row.  ``oracles.load_edges_by_row`` is
-the old line loop, with the old ``Fraction``-or-``float`` number parser.
-Edges must match in value and type, with one object per weight token, and
-so must each ``ParseError``.  The command line reads an edge file as
-columns (``formats._edge_columns``) into the graph builder's core; it must
-build what ``build_from_graph(load_edges(path))`` builds, and refuse what
-it refuses, with the same message and exit code.
+``formats.load_edges`` reads the file line by line and parses each
+distinct weight token once.  ``oracles.load_edges_by_row`` is the old line
+loop, with the old ``Fraction``-or-``float`` number parser.  Edges must
+match in value and type, with one object per weight token, and so must
+each ``ParseError``.  The command line builds a graph with
+``build_from_graph(load_edges(path))``; it must build what
+``build_from_graph(load_edges_by_row(path))`` builds, and refuse what that
+refuses, with the same message, exit code and stderr.
 """
 
 import contextlib
@@ -159,7 +158,7 @@ def edges_outcome(load, path):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(LINES, max_size=8), st.sampled_from(["\n", "\r\n", "\r"]),
        st.booleans())
-@example(["0 1 1/2", "1 -1 2"], "\n", True)  # one bad row in a file that parses in bulk
+@example(["0 1 1/2", "1 -1 2"], "\n", True)  # one bad row after a good one
 @example(["0 1 1/2", "2 1 3/"], "\r\n", False)
 @example(["0 1 2", "", "1 2"], "\r", True)
 @example(["# only a comment", " "], "\n", True)
@@ -199,14 +198,14 @@ GRAPH_LINES = st.one_of(
 )
 
 
-def column_route(path):
+def cli_route(path):
     """The space the command line builds from an edge file."""
     return cli.build_space(cli.build_parser().parse_args(
         ["validate", "--backend", "graph", "--input", path]))
 
 
-def api_route(path):
-    return build_from_graph(load_edges(path))
+def reference_route(path):
+    return build_from_graph(oracles.load_edges_by_row(path))
 
 
 def graph_outcome(build, path):
@@ -244,12 +243,12 @@ def validate_outcome(path):
 @example(["0 1 x", "1 2 -1"])
 @example(["0 1 2.5", "1 2 0", "2 0 -1", "0 2 0"])  # the first refused weight in edge order
 @example(["1 2 1"])  # no node 0
-def test_column_route_builds_what_the_api_builds(csv_path, lines):
+def test_cli_builds_what_the_row_reference_builds(csv_path, lines):
     path = str(csv_path)
     csv_path.write_text("\n".join(lines) + "\n")
-    want = graph_outcome(api_route, path)
-    assert graph_outcome(column_route, path) == want
+    want = graph_outcome(reference_route, path)
+    assert graph_outcome(cli_route, path) == want
     if isinstance(want[0], type):  # refused: the same exit code, stderr and report
-        with mock.patch.object(cli, "build_space", lambda args: api_route(args.input)):
-            api = validate_outcome(path)
-        assert validate_outcome(path) == api
+        with mock.patch.object(cli, "build_space", lambda args: reference_route(args.input)):
+            reference = validate_outcome(path)
+        assert validate_outcome(path) == reference

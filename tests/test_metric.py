@@ -14,6 +14,7 @@ from wavemodel import (
     build_from_matrix,
     build_from_points,
     build_segment_sample,
+    wave_distance_matrix,
 )
 from wavemodel.metric import (
     INFINITY,
@@ -424,6 +425,20 @@ def test_wave_distance_path_graph():
     s = build_from_graph([(0, 1, 1), (1, 2, 1)])
     assert oracles.wave_distance_points(s, 0, 2) == 2 == s.d(0, 2)
     assert oracles.wave_distance_points(s, 0, 1) == 2 != s.d(0, 1)
+
+
+@pytest.mark.parametrize("space, unit", [
+    (build_from_graph([(0, 1, 3), (1, 2, 1), (2, 3, 4), (3, 4, 4)]), int),
+    (build_from_points([[0], [3], [4], [8], [12]]), float),
+], ids=["path-graph", "points"])
+def test_wave_distance_breaks_a_triangle(space, unit):
+    """The smallest known case where tau is no metric: on the points
+    {0, 3, 4, 8, 12}, and on the path graph of their gaps 3, 1, 4, 4,
+    tau(0, 4) = 16 > tau(0, 2) + tau(2, 4) = 6 + 8."""
+    tau = wave_distance_matrix(space)
+    assert [(tau[x][y], type(tau[x][y])) for x, y in ((0, 4), (0, 2), (2, 4))] == [
+        (16, unit), (6, unit), (8, unit)]
+    assert tau[0][4] > tau[0][2] + tau[2][4]
 
 
 def test_wave_distance_matches_brute_force_scan():

@@ -77,7 +77,7 @@ def exact_metrics(draw, top):
     """An n x n metric of k / D with k in [top/2, top]: every triangle holds."""
     n = draw(st.integers(1, 6))
     denominator = draw(st.sampled_from(DENOMINATORS))
-    k = st.integers(top // 2, top)
+    k = st.integers((top + 1) // 2, top)
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
