@@ -13,24 +13,24 @@ Open sets are plain ``frozenset`` objects of point indices: a finite
 metric space carries the discrete topology, so every subset is clopen and
 interior/closure are identity maps.
 
-Internally each space also holds one numpy matrix, built once at
-construction.  ``_kernel_values`` reads matrix entries, graph weights and
-the segment's length, one ``_rational`` per distinct object, and scales
-exact ones by the LCM of their denominators; ``_narrowed`` puts the kernel
-in the narrowest of int16, int32, int64 and object that holds four times
-its largest entry (float spaces use float64).  ``_rational`` reads radii
-too: a Python int as itself, any other number by value (numpy scalars too)
-as a ``Fraction`` of Python ints; a bool is no distance, but radii accept it.
-Every space also ranks its distinct values (R) for the wave distance and
-the tables.  Validation, balls, neighborhoods, the defects, the wave
-distance and grid brackets all run on that matrix; ``dist`` is read only at
-the API and report boundary (construction, validation messages, ``d``, the
-extreme distances and the report's ``d`` table), and a space built from its
-kernel makes ``dist`` only when it is read.  Values leave this module only
-as ``Fraction``, ``int`` or ``float``, and matrices of them as lists or as
-a ``_Table`` of codes into their distinct values.  The scalar loops the
-matrix paths are tested against (balls, neighborhoods, the pair defect, the
-wave distance per pair) live in the tests' ``oracles.py``.
+Internally each space holds one numpy matrix, built once at construction,
+and nothing else of its distances.  ``_kernel_values`` reads matrix
+entries, graph weights and the segment's length, one ``_rational`` per
+distinct object, and scales exact ones by the LCM of their denominators;
+``_narrowed`` puts the kernel in the narrowest of int16, int32, int64 and
+object that holds four times its largest entry (float spaces use float64).
+``_rational`` reads radii too: a Python int as itself, any other number by
+value (numpy scalars too) as a ``Fraction`` of Python ints; a bool is no
+distance, but radii accept it.  Every space also ranks its distinct values
+(R) for the wave distance and the tables.  Validation, balls,
+neighborhoods, the defects, the wave distance and grid brackets all run on
+that matrix; a given ``dist`` is read only by the constructor, which drops
+it once validated, and every space makes ``dist`` from the matrix when it
+is read.  Values leave this module only as ``Fraction``, ``int`` or
+``float``, one type per space, and matrices of them as lists or as a
+``_Table`` of codes into their distinct values.  The scalar loops the
+matrix paths are tested against (balls, neighborhoods, the pair defect,
+the wave distance per pair) live in the tests' ``oracles.py``.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def _upper(n: int) -> np.ndarray:
 
 
 #: What numpy, ``float()`` or ``Fraction()`` would read as a number but is
-#: no distance: ``dist`` keeps an entry as given.  Radii accept bools.
+#: no distance: the kernel would hold its number.  Radii accept bools.
 _NOT_NUMBERS = (str, bool, np.bool_)
 
 
@@ -224,15 +224,18 @@ def _as_float(v) -> float:
 
 class _Table:
     """An n x n matrix of API values: an int array of ``codes`` into the
-    tuple of distinct ``values``, with codes of their own on the diagonal.
-    Reports render it once per distinct value (``cli.encode_report``)."""
+    tuple of distinct ``values``, with codes of their own on the diagonal if
+    given a diagonal.  Reports render it once per distinct value
+    (``cli.encode_report``)."""
 
     __slots__ = ("codes", "values")
 
-    def __init__(self, codes: np.ndarray, values, diagonal):
-        """``diagonal`` holds one value for the whole diagonal or one per row."""
+    def __init__(self, codes: np.ndarray, values, diagonal=()):
+        """``diagonal`` holds one value for the whole diagonal or one per row;
+        without one, the diagonal keeps the codes it has."""
         k = len(values)
-        np.fill_diagonal(codes, range(k, k + len(diagonal)))
+        if diagonal:
+            np.fill_diagonal(codes, range(k, k + len(diagonal)))
         self.codes = codes
         self.values = (*values, *diagonal)
 
@@ -277,19 +280,10 @@ def _tau_table(space: "FiniteMetricSpace") -> _Table:
 
 
 def _dist_table(space: "FiniteMetricSpace") -> _Table:
-    """``space.dist`` as a table.  A space built from its kernel never reads
-    ``dist``, which is R with a value per rank; a given ``dist`` is one
-    value per distinct entry object: a Python int, float or ``Fraction`` as
-    given, any other number (numpy's, a ``Decimal``) as its kernel value."""
-    if space._zero is not None:
-        values, ranks = space._ranks
-        return _Table(ranks.astype(np.intp), _values(values, space._scale), (space._zero,))
-    entries, n = tuple(chain.from_iterable(space.dist)), space.n
-    first, codes = _by_identity(entries, n * n)
-    at = [*first, *range(0, n * n, n + 1)]  # each distinct entry, then the diagonal
-    values = [v if type(v) in (int, Fraction) or isinstance(v, float) else
-              space._value(space._m.flat[k]) for k, v in zip(at, map(entries.__getitem__, at))]
-    return _Table(codes.reshape(n, n), values[:len(first)], values[len(first):])
+    """``space.dist`` as a table, made without reading ``dist``: R with the
+    API value of each rank, the diagonal included."""
+    values, ranks = space._ranks
+    return _Table(ranks.astype(np.intp), _values(values, space._scale))
 
 
 @dataclass(frozen=True)
@@ -299,15 +293,14 @@ class FiniteMetricSpace:
     Point clouds and float-weight graphs are the exception: their stored
     distances lie within a few roundings of the true ones (README), which may
     break a triangle by more than eta: ``FiniteMetricSpace(space.dist)`` may
-    refuse their matrix.  Immutable after construction; all operations below
-    are pure functions, so concurrent use needs no synchronization.
+    refuse their matrix.  The space keeps only its kernel: the given ``dist``
+    is dropped once validated, and ``dist`` is made again from the kernel
+    when read, in the space's one type.  Immutable after construction; all
+    operations below are pure functions, so concurrent use needs no
+    synchronization.
     """
 
     dist: tuple
-
-    #: The diagonal entry of a space built from its kernel, whose ``dist``
-    #: is made on first read; None when ``dist`` was given.
-    _zero = None
 
     def __post_init__(self):
         n = len(self.dist)
@@ -320,26 +313,24 @@ class FiniteMetricSpace:
         object.__setattr__(self, "_m", m)
         object.__setattr__(self, "_scale", scale)
         self._validate()
+        object.__delattr__(self, "dist")  # made again from the kernel when read
 
     @classmethod
-    def _of_kernel(cls, m: np.ndarray, scale, zero) -> "FiniteMetricSpace":
+    def _of_kernel(cls, m: np.ndarray, scale) -> "FiniteMetricSpace":
         """The space with the kernel matrix ``m`` and ``scale`` that
-        ``FiniteMetricSpace(dist)`` would build (dtype included) from the
-        ``dist`` that is ``m``'s table with ``zero`` on the diagonal, taken
-        as given: no ingest, and no validation unless the caller runs
-        ``_validate`` (a metric by construction needs none).  ``dist`` is
-        made when it is first read."""
+        ``FiniteMetricSpace(dist)`` would build (dtype included) from its
+        own ``dist``: no ingest, and no validation unless the caller runs
+        ``_validate`` (a metric by construction needs none)."""
         space = object.__new__(cls)
         object.__setattr__(space, "_m", m)
         object.__setattr__(space, "_scale", scale)
-        object.__setattr__(space, "_zero", zero)
         return space
 
     def __getattr__(self, name):
-        """Runs only for an attribute the instance lacks: ``dist`` of a space
-        built from its kernel, made once from its table (nothing else is
-        stored, so the space pickles)."""
-        if name != "dist" or self._zero is None:
+        """Runs only for an attribute the instance lacks: ``dist``, made once
+        from the kernel's table (nothing else is stored, so the space
+        pickles)."""
+        if name != "dist" or "_m" not in vars(self):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         dist = tuple(map(tuple, _dist_table(self).tolist()))
         object.__setattr__(self, "dist", dist)
@@ -383,7 +374,7 @@ class FiniteMetricSpace:
         np.fill_diagonal(bad, np.abs(np.diagonal(m)) > tol)
         if bad.any():
             i, j = divmod(int(np.argmax(bad)), n)
-            dij = self._entry(i, j)
+            dij = self.dist[i][j]  # as given while the constructor validates
             if i == j:
                 raise AxiomViolation(f"d({i},{i}) = {dij} != 0", (i,))
             if asym[i, j]:
@@ -407,12 +398,6 @@ class FiniteMetricSpace:
         """The comparison tolerance: 0 on exact spaces."""
         return 0.0 if self.exact else _FLOAT_ETA
 
-    def points(self) -> range:
-        return range(self.n)
-
-    def universe(self) -> PointSet:
-        return frozenset(range(self.n))
-
     @cached_property
     def _extremes(self) -> tuple:
         """The pairs (i, j), i < j, of the first minimum and the first
@@ -421,19 +406,12 @@ class FiniteMetricSpace:
         upper = self._m.ravel()[at]
         return tuple(divmod(int(at[k]), self.n) for k in (upper.argmin(), upper.argmax()))
 
-    def _entry(self, i: int, j: int):
-        """``dist[i][j]``, read off ``_m`` while a space built from its
-        kernel has not made ``dist``."""
-        if self._zero is None or "dist" in vars(self):
-            return self.dist[i][j]
-        return self._value(self._m[i, j])
-
     def min_positive_distance(self):
         """The least distance of two distinct points; None on one point."""
-        return self._entry(*self._extremes[0]) if self.n > 1 else None
+        return self._value(self._m[self._extremes[0]]) if self.n > 1 else None
 
     def diameter(self):
-        return self._entry(*self._extremes[1]) if self.n > 1 else 0
+        return self._value(self._m[self._extremes[1]]) if self.n > 1 else 0
 
     # -- matrix kernels (cached: the space is immutable) ---------------------
 
@@ -582,7 +560,7 @@ def build_from_points(coords: Sequence[Sequence[float]]) -> FiniteMetricSpace:
     m = np.zeros((len(coords),) * 2)
     m[rows, cols] = m[cols, rows] = upper
     _check_finite(m, m)
-    return FiniteMetricSpace._of_kernel(m, None, 0.0)
+    return FiniteMetricSpace._of_kernel(m, None)
 
 
 def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
@@ -647,7 +625,7 @@ def build_from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
     if scale is not None:  # as FiniteMetricSpace(dist) reads it: a weight on no path leaves it
         c = math.gcd(scale, int(np.gcd.reduce(g, axis=None)))
         g, scale = g // c, scale // c
-    space = FiniteMetricSpace._of_kernel(_narrowed(g), scale, 0)
+    space = FiniteMetricSpace._of_kernel(_narrowed(g), scale)
     if not exact:
         space._check_pairs()
     return space
@@ -657,7 +635,7 @@ def build_discrete(n: int) -> FiniteMetricSpace:
     """d(x,y) = 1 for x != y, 0 otherwise."""
     if n < 1:
         raise MetricError("n must be >= 1")
-    return FiniteMetricSpace._of_kernel(1 - np.eye(n, dtype=np.int16), 1, Fraction(0))
+    return FiniteMetricSpace._of_kernel(1 - np.eye(n, dtype=np.int16), 1)
 
 
 def build_segment_sample(samples: int, length=Fraction(1)) -> FiniteMetricSpace:
@@ -674,7 +652,7 @@ def build_segment_sample(samples: int, length=Fraction(1)) -> FiniteMetricSpace:
     step = Fraction(values[0]) / ((scale or 1) * (samples - 1))
     ramp = _narrowed([j * step.numerator for j in range(samples)])  # j steps, scaled
     m = np.abs(ramp[:, None] - ramp)
-    return FiniteMetricSpace._of_kernel(m, step.denominator, Fraction(0))
+    return FiniteMetricSpace._of_kernel(m, step.denominator)
 
 
 def build_from_matrix(rows: Sequence[Sequence]) -> FiniteMetricSpace:

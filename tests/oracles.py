@@ -416,7 +416,7 @@ def condition2_defect(space: metric.FiniteMetricSpace, x: int, y: int):
         return 0
     dx = space.dist[x]
     dy = space.dist[y]
-    order = sorted(space.points(), key=dx.__getitem__)
+    order = sorted(range(space.n), key=dx.__getitem__)
     sup_rs = 0
     running = None  # min of dy over points strictly inside B_r(x)
     i = 0

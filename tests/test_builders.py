@@ -2,12 +2,14 @@
 
 ``build_from_graph``, ``build_segment_sample``, ``build_discrete`` and
 ``build_from_points`` set the kernel matrix ``_m`` and ``_scale``
-together, without ingesting or validating a ``dist``; the space makes
-``dist`` from its kernel when it is first read.  Each space must equal its
-twin ``FiniteMetricSpace(space.dist)``, which reads the same ``dist`` back
-through the full path: equal ``dist``, equal ``_m`` with its dtype, equal
-``_scale`` (a point cloud or a float-weight graph wherever the twin
-accepts it).  ``build_from_matrix`` still validates.
+together, without ingesting or validating a ``dist``.  ``build_from_matrix``
+still validates, and then drops the ``dist`` it was given.  Every space
+makes ``dist`` from its kernel when it is first read, in one type: ints
+without a scale, ``Fraction``s with one, floats on a float space.  Each
+space must equal its twin ``FiniteMetricSpace(space.dist)``, which reads
+the same ``dist`` back through the full path: equal ``dist``, equal ``_m``
+with its dtype, equal ``_scale`` (a point cloud or a float-weight graph
+wherever the twin accepts it).
 """
 
 import math
@@ -294,8 +296,9 @@ BUILDERS = {
 
 
 def eager_dist(name):
-    """The distances as the builders stored them before ``dist`` was made on
-    first read, computed here without the kernel."""
+    """The distances of each builder, computed here without the kernel, in
+    one type each: ints without a scale, ``Fraction``s with one, floats on a
+    float space, the diagonal included."""
     if name.startswith("segment"):
         n, length = (9, F(7, 3)) if name == "segment" else (5, F(10 ** 20, 3))
         step = length / (n - 1)
@@ -309,13 +312,14 @@ def eager_dist(name):
     if name == "graph-one-node":
         return [[0]]
     if name == "graph-float":  # Floyd-Warshall's sums are Dijkstra's on this graph
-        return oracles.dijkstra_distances([(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.7)], 3)
+        rows = oracles.dijkstra_distances([(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.7)], 3)
+        return [[float(v) for v in row] for row in rows]
     edges = {"graph-scale": [(0, 1, F(1, 3)), (1, 2, 2), (2, 3, F(5, 2)), (3, 0, F(1, 2))],
              "graph-scale-1": [(0, 1, F(2)), (1, 2, F(3))],
              "graph-int": [(0, 1, 1), (1, 2, 2), (0, 3, 7)]}[name]
     kind = int if name == "graph-int" else F  # every entry a Fraction with a scale
     rows = oracles.dijkstra_distances(edges, 1 + max(max(i, j) for i, j, _ in edges))
-    return [[kind(v) if i != j else 0 for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    return [[kind(v) for v in row] for row in rows]
 
 
 @pytest.mark.parametrize("name", ["segment", "segment-object", "discrete", "discrete-1",
@@ -338,7 +342,8 @@ def test_spaces_survive_a_pickle_round_trip(name):
     s.min_positive_distance()  # a cached kernel property goes along
     copy = pickle.loads(pickle.dumps(s))
     assert np.array_equal(copy._m, s._m) and copy._m.dtype == s._m.dtype
-    assert copy._scale == s._scale and copy._zero == s._zero
+    assert copy._scale == s._scale and type(copy._scale) is type(s._scale)
+    assert "dist" not in vars(copy)  # the kernel alone goes along
     assert copy == s  # compares dist: made on both sides where it was not
     again = pickle.loads(pickle.dumps(s))  # now with dist made
     assert again == s and again.dist == s.dist
@@ -363,12 +368,26 @@ def test_a_space_without_dist_refuses_other_missing_attributes():
     ["validate", "--backend", "graph", "--input", str(INPUTS / "edges.txt")],
     ["tau", "--backend", "points", "--input", str(INPUTS / "points.csv")],
     ["nucleus-demo", "--backend", "segment", "--samples", "7", "--center", "3"],
+    *([*command, "--backend", "matrix", "--input", str(INPUTS / name)]
+      for name in ("matrix.csv", "matrix_float.csv")
+      for command in (["isometry"], ["conditions"], ["tau", "--format", "csv"], ["validate"])),
 ], ids=["conditions-graph", "conditions-graph-csv", "isometry-points", "tau-segment",
-        "conditions-discrete", "validate-graph", "tau-points", "nucleus-demo-segment"])
+        "conditions-discrete", "validate-graph", "tau-points", "nucleus-demo-segment",
+        *(f"{command}-{name}" for name in ("matrix", "matrix-float")
+          for command in ("isometry", "conditions", "tau-csv", "validate"))])
 def test_commands_on_kernel_spaces_never_make_dist(argv, tmp_path, monkeypatch):
-    """``__getattr__`` is what makes ``dist``: refusing it proves no read."""
+    """``__getattr__`` is what makes ``dist``: refusing it proves no read.
+    A given matrix is read by ``__post_init__``, which then drops it."""
     def refuse(self, name):
         raise AssertionError(f"read {name}")
 
+    given, post_init = [], FiniteMetricSpace.__post_init__
+
+    def keep(self):
+        post_init(self)
+        given.append(self)
+
     monkeypatch.setattr(FiniteMetricSpace, "__getattr__", refuse)
+    monkeypatch.setattr(FiniteMetricSpace, "__post_init__", keep)
     assert main([*argv, "--out", str(tmp_path / "report")]) == 0
+    assert not any("dist" in vars(s) for s in given)

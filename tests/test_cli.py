@@ -449,6 +449,21 @@ def test_conditions_fails_verdict(tmp_path):
     assert data["verdict"] == "fails"
 
 
+@pytest.mark.parametrize("heavy,max_defect,verdict", [
+    ("2", "2", "holds within sample tolerance"),  # max_defect = 2 min_positive_distance
+    ("3", "3", "fails"),
+])
+def test_conditions_verdict_at_twice_the_minimum_spacing(tmp_path, heavy, max_defect, verdict):
+    """The path 0 - 1 - 2 with weights 1 and ``heavy``: the sample-tolerance
+    rule admits a max defect of exactly twice the minimum spacing 1."""
+    g = tmp_path / "g.txt"
+    g.write_text(f"0 1 1\n1 2 {heavy}\n")
+    code, data = run(tmp_path, "conditions", "--backend", "graph", "--input", str(g))
+    assert code == 0
+    assert data["max_defect"] == max_defect
+    assert data["verdict"] == verdict
+
+
 def test_conditions_segment_within_tolerance(tmp_path):
     code, data = run(tmp_path, "conditions", "--backend", "segment",
                      "--samples", "21")

@@ -1,9 +1,10 @@
 """Byte-identity of CLI reports against stored golden files.
 
-The golden reports under ``tests/golden/expected`` were written by the pure
-``Fraction`` implementation that preceded the numpy kernel.  Every case runs
-one CLI command on a small input and compares the written report byte for
-byte, together with the exit code.
+The golden reports under ``tests/golden/expected`` were first written by the
+pure ``Fraction`` implementation that preceded the numpy kernel; CHANGES.md
+names each regeneration since and why (the last wrote every ``d`` table in
+its space's one type).  Every case runs one CLI command on a small input and
+compares the written report byte for byte, together with the exit code.
 
 Regenerate (only from a commit whose reports are known good)::
 
@@ -12,6 +13,7 @@ Regenerate (only from a commit whose reports are known good)::
 
 from __future__ import annotations
 
+import json
 import pathlib
 import sys
 
@@ -59,7 +61,7 @@ CASES = {
     "conditions-matrix": (["conditions", "--backend", "matrix", "--input", "matrix.csv"], 0),
     "isometry-matrix-float": (["isometry", "--backend", "matrix", "--input",
                                "matrix_float.csv"], 0),
-    # a float matrix whose 0 and 1 are read as Fractions, reported as "0" and "1"
+    # a float matrix whose 0 and 1 are read as Fractions, reported as 0.0 and 1.0
     "isometry-matrix-mixed": (["isometry", "--backend", "matrix", "--input",
                                "matrix_mixed.csv"], 0),
     "conditions-matrix-float-csv": (["conditions", "--backend", "matrix", "--input",
@@ -96,6 +98,17 @@ def test_cli_report_matches_golden(name, tmp_path):
     out = tmp_path / f"{name}{_suffix(args)}"
     assert main(_argv(args, out)) == code
     assert out.read_bytes() == (EXPECTED / out.name).read_bytes()
+
+
+def test_every_golden_d_table_holds_one_kind():
+    """A report's ``d`` table is written in its space's one type: all
+    strings (``Fraction``s), all ints or all floats."""
+    kinds = {}
+    for path in sorted(EXPECTED.glob("*.json")):
+        report = json.loads(path.read_text())
+        if isinstance(report, dict) and "d" in report:
+            kinds[path.stem] = {type(v).__name__ for row in report["d"] for v in row}
+    assert len(kinds) > 5 and {k: v for k, v in kinds.items() if len(v) != 1} == {}
 
 
 def regenerate() -> None:

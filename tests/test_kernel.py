@@ -515,10 +515,12 @@ def test_isometry_fit_is_the_row_major_loop_on_float_spaces(cells, jitter, scale
 
 @pytest.mark.parametrize("name", [k for k in sorted(SPACES) if SPACES[k].n > 1])
 def test_extreme_distances_are_the_matrix_entries(name):
+    """The extreme distances are entries of ``dist`` in value and type: ints,
+    ``Fraction``s or floats, the one type of every entry."""
     s = SPACES[name]
     upper = [s.d(i, j) for i in range(s.n) for j in range(i + 1, s.n)]
-    assert s.min_positive_distance() is min(upper)
-    assert s.diameter() is max(upper)
+    for got, want in ((s.min_positive_distance(), min(upper)), (s.diameter(), max(upper))):
+        assert got == want and {type(v) for v in upper} == {type(got)}
 
 
 def test_discrete_metric_tau_is_twice_d():
@@ -828,19 +830,20 @@ def test_ranks_of_a_100_point_object_kernel_are_int16():
     assert same_matrix(space._meet, oracles.meet_on_values(space))
 
 
-def test_given_d_table_has_one_value_per_distinct_entry_object():
-    """Equal values in distinct objects stay apart, one object in many
-    places is one value, and every entry of the table is the entry given."""
+def test_given_d_table_has_one_value_per_distinct_kernel_value():
+    """Equal values in distinct objects are one value, the int diagonal
+    too, and every entry of the table is its kernel value: a ``Fraction``
+    over the scale, equal to the entry given, as in ``dist``."""
     one = F(1)  # distances in [1, 2]: every triangle holds
     rows = [[0 if i == j else one if i + j == 5 else F(3 + (i + j) % 3, 3) for j in range(6)]
             for i in range(6)]
     space = build_from_matrix(rows)
     table = metric._dist_table(space)
-    objects = {id(v) for row in space.dist for v in row}
-    assert len(table.values) == len(objects) + space.n  # then one per diagonal entry
-    assert {id(v) for v in table.values} == objects
-    assert all(a is b for got, row in zip(table.tolist(), space.dist)
-               for a, b in zip(got, row))
+    got = table.tolist()
+    assert got == rows and all(type(v) is F for row in got for v in row)
+    assert len(table.values) == len({v for row in rows for v in row}) == 4
+    assert {id(v) for row in got for v in row} == {id(v) for v in table.values}
+    assert repr(space.dist) == repr(tuple(map(tuple, got)))
 
 
 FLOAT_SPACES = [name for name, s in SPACES.items() if not s.exact]

@@ -147,8 +147,8 @@ def test_isotony_of_empty_set_is_bottom():
 
 def test_isotony_of_whole_space_is_top():
     s = build_segment_sample(11)
-    g = isotony_apply(s, s.universe(), fine_grid(s))
-    assert all(v == s.universe() for v in g.sets)
+    g = isotony_apply(s, frozenset(range(s.n)), fine_grid(s))
+    assert all(v == frozenset(range(s.n)) for v in g.sets)
 
 
 def test_isotony_segment_example():
@@ -270,7 +270,7 @@ def test_nucleus_of_point_isotony_image():
 def test_nucleus_of_constant_functions():
     s = build_segment_sample(11)
     grid = fine_grid(s)
-    assert nucleus(isotony_apply(s, s.universe(), grid)) == s.universe()
+    assert nucleus(isotony_apply(s, frozenset(range(s.n)), grid)) == frozenset(range(s.n))
     assert nucleus(isotony_apply(s, frozenset(), grid)) == frozenset()
 
 
@@ -401,7 +401,7 @@ def test_b_star_discrete():
     lower = b_star_lower(s, 1, grid)
     upper = b_star_upper(s, 1, grid)
     assert lower.sets[1] == frozenset({1})       # open unit ball
-    assert upper.sets[1] == s.universe()         # closed unit ball
+    assert upper.sets[1] == frozenset(range(s.n))         # closed unit ball
     assert oracles.leq(lower, upper)
 
 
@@ -452,7 +452,7 @@ def test_is_atom():
     # atoms are the classes with a singleton nucleus; the empty nucleus is
     # the least class, not an atom
     assert len(nucleus(b_star_lower(s, 4, grid))) == 1
-    assert len(nucleus(isotony_apply(s, s.universe(), grid))) != 1
+    assert len(nucleus(isotony_apply(s, frozenset(range(s.n)), grid))) != 1
     assert len(nucleus(isotony_apply(s, frozenset(), grid))) != 1
 
 

@@ -74,10 +74,10 @@ def test_the_entries_fix_the_number_system():
 
 def test_rational_graph_shares_one_fraction_per_value():
     s = build_from_graph([(0, 1, F(1, 3)), (1, 2, F(1, 3)), (2, 3, F(2, 3)), (3, 0, 1)])
-    off = [v for i, row in enumerate(s.dist) for j, v in enumerate(row) if i != j]
-    assert all(type(v) is F for v in off)
-    assert len({id(v) for v in off}) == len(set(off)) == 3
-    assert all(s.d(i, i) == 0 and type(s.d(i, i)) is int for i in range(4))
+    entries = [v for row in s.dist for v in row]
+    assert all(type(v) is F for v in entries)  # the diagonal too: Fraction(0)
+    assert len({id(v) for v in entries}) == len(set(entries)) == 4
+    assert all(s.d(i, i) == 0 for i in range(4))
 
 
 def test_point_cloud_errors():
@@ -232,7 +232,7 @@ def test_neighborhood_strict_inequality():
 
 def test_neighborhood_whole_space_absorbs():
     s = build_segment_sample(11)
-    assert neighborhood(s, s.universe(), F(1, 100)) == s.universe()
+    assert neighborhood(s, frozenset(range(s.n)), F(1, 100)) == frozenset(range(s.n))
 
 
 def test_neighborhood_rejects_nonpositive_radius():
@@ -244,7 +244,7 @@ def test_neighborhood_rejects_nonpositive_radius():
 def test_balls_discrete():
     s = build_discrete(4)
     assert open_ball(s, 2, 1) == frozenset({2})
-    assert closed_ball(s, 2, 1) == s.universe()
+    assert closed_ball(s, 2, 1) == frozenset(range(s.n))
 
 
 def test_balls_segment():
@@ -256,7 +256,7 @@ def test_balls_segment():
 
 def test_closed_ball_with_radius_at_least_diameter():
     s = build_segment_sample(11)
-    assert closed_ball(s, 3, 1) == s.universe()
+    assert closed_ball(s, 3, 1) == frozenset(range(s.n))
 
 
 @pytest.mark.parametrize("bad", [-1, -5, 5, 99])
@@ -300,7 +300,7 @@ def test_non_finite_radius_is_refused(space, r):
 def test_radius_past_the_floats_covers_a_float_space(r):
     """A finite radius that no float holds is a ball of every point."""
     s = build_from_points([(0, 0), (1, 0), (0, 2)])
-    whole = s.universe()
+    whole = frozenset(range(s.n))
     assert open_ball(s, 0, r) == closed_ball(s, 2, r) == whole
     assert open_balls(s, 1, [F(1, 2), r]) == (frozenset({1}), whole)
     assert neighborhood(s, frozenset({0}), r) == whole
@@ -399,8 +399,8 @@ def test_semigroup_path_graph_strict_inclusion():
 
 def test_semigroup_whole_space():
     s = build_discrete(5)
-    lhs, rhs = oracles.semigroup_defect(s, s.universe(), F(1, 2), F(1, 2))
-    assert lhs == rhs == s.universe()
+    lhs, rhs = oracles.semigroup_defect(s, frozenset(range(s.n)), F(1, 2), F(1, 2))
+    assert lhs == rhs == frozenset(range(s.n))
 
 
 def test_semigroup_rejects_bad_input():

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from wavemodel import (
     AxiomViolation,
+    FiniteMetricSpace,
     MetricError,
     build_discrete,
     build_from_graph,
@@ -347,22 +348,67 @@ def test_every_exact_kernel_is_the_narrowest_for_four_times_its_max(name):
 
 
 # ---------------------------------------------------------------------------
-# the report's d table of a given matrix
+# dist and the report's d table of a given matrix: the kernel's values
+
+
+FRACTIONS_1_2 = st.fractions(1, 2, max_denominator=12)
+#: Per kind of given matrix: (off-diagonal entries, diagonal entries), each
+#: off-diagonal entry in [a, 2a], so that every triangle holds.
+GIVEN_ENTRIES = {
+    "ints": (st.integers(10, 20), st.just(0)),
+    "fractions": (FRACTIONS_1_2, st.sampled_from([0, F(0)])),
+    "numpy-ints": (st.builds(lambda t, v: t(v), st.sampled_from(NP_INTS), st.integers(10, 20)),
+                   st.sampled_from([0, np.int16(0), np.uint64(0)])),
+    "decimals": (st.decimals(1, 2, places=3), st.sampled_from([0, Decimal(0)])),
+    "floats": (st.floats(1, 2), st.sampled_from([0, 0.0, -0.0])),
+    "floats-and-fractions": (st.one_of(st.floats(1, 2), FRACTIONS_1_2),
+                             st.sampled_from([0, 0.0, F(0)])),
+    "float-diagonal-within-eta": (st.floats(1, 2), st.floats(-5e-10, 5e-10)),
+}
+
+
+@st.composite
+def given_matrices(draw):
+    """A symmetric matrix of 1..6 points of one kind of ``GIVEN_ENTRIES``,
+    each off-diagonal object at (i, j) and (j, i)."""
+    off, diagonal = GIVEN_ENTRIES[draw(st.sampled_from(sorted(GIVEN_ENTRIES)))]
+    n = draw(st.integers(1, 6))
+    rows = [[draw(diagonal) if i == j else None for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(off)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(given_matrices())
+def test_dist_of_a_given_matrix_round_trips_through_its_kernel(rows):
+    """``dist`` holds one type, that of the kernel (floats on a float space,
+    ints without a scale, ``Fraction``s with one), rebuilds the same kernel
+    (signed zeros tie), and is the report's ``d`` table."""
+    s = build_from_matrix(rows)
+    assert "dist" not in vars(s)
+    kind = float if not s.exact else int if s._scale is None else F
+    assert {type(v) for row in s.dist for v in row} == {kind}
+    twin = FiniteMetricSpace(s.dist)
+    assert np.array_equal(twin._m, s._m) and twin._m.dtype == s._m.dtype
+    assert twin._scale == s._scale
+    assert metric._dist_table(s).tolist() == [list(row) for row in s.dist]
 
 
 @pytest.mark.parametrize("rows,want", [
     ([[np.int16(0), np.int16(3)], [np.int16(3), np.int16(0)]], [["0", "3"], ["3", "0"]]),
-    ([[0, np.uint8(3)], [np.uint8(3), 0]], [[0, "3"], ["3", 0]]),
-    ([[0, Decimal("1.5")], [Decimal("1.5"), 0]], [[0, "3/2"], ["3/2", 0]]),
-    ([[0, F(np.int64(1), np.int64(2))], [F(1, 2), 0]], [[0, "1/2"], ["1/2", 0]]),
+    ([[0, np.uint8(3)], [np.uint8(3), 0]], [["0", "3"], ["3", "0"]]),
+    ([[0, Decimal("1.5")], [Decimal("1.5"), 0]], [["0", "3/2"], ["3/2", "0"]]),
+    ([[0, F(np.int64(1), np.int64(2))], [F(1, 2), 0]], [["0", "1/2"], ["1/2", "0"]]),
     ([[0.0, np.float32(0.1)], [np.float32(0.1), np.float16(0)]],
      [[0.0, float(np.float32(0.1))], [float(np.float32(0.1)), 0.0]]),
     ([[0.0, np.float64(0.1)], [0.1, 0.0]], [[0.0, 0.1], [0.1, 0.0]]),
 ])
 def test_d_table_writes_each_entry_as_the_rule_reads_it(rows, want):
-    """A Python int, float (numpy's float64 too) or ``Fraction`` is written
-    as given; a numpy int or float, or a ``Decimal``, as its kernel value:
-    an int or ``Fraction`` on an exact space, a float on a float space."""
+    """Every entry, the int diagonal included, is written as its kernel
+    value: all ``Fraction``s on an exact space with a scale (a numpy int or
+    a ``Decimal`` is read as one), all floats on a float space."""
     report = {"d": metric._dist_table(build_from_matrix(rows))}
     text = "".join(cli.encode_report(report))
     assert text == json.dumps(cli.jsonable(report), indent=2, sort_keys=True) + "\n"

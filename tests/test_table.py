@@ -221,13 +221,12 @@ def test_dist_table_of_every_backend(name):
     space = SPACES[name]
     table = metric._dist_table(space)
     assert _same(table.tolist(), [list(row) for row in space.dist])
-    # a space built from its kernel: one value per distinct kernel value, then
-    # one for the whole diagonal; a given dist: one per distinct entry object,
-    # then one per diagonal entry
-    if space._zero is None:
-        assert len(table.values) == len({id(v) for row in space.dist for v in row}) + space.n
-    else:
-        assert len(table.values) == len(np.unique(space._m)) + 1
+    # one value per rank of R, the diagonal included, each the kernel value
+    # in the one type of the space
+    kind = float if not space.exact else int if space._scale is None else F
+    values, _ = space._ranks
+    assert _same(list(table.values), [space._value(v) for v in values])
+    assert {type(v) for v in table.values} == {kind}
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
@@ -256,10 +255,10 @@ def test_points_report_renders_float_tokens():
 
 def test_mixed_matrix_report_matches_golden():
     """The float matrix ``0,1,0.5 / 1,0,0.75 / 0.5,0.75,0`` reads its 0 and
-    1 as Fractions: ``d`` reports them as "0" and "1" beside 0.5, as in the
-    golden case ``isometry-matrix-mixed``."""
+    1 as Fractions, but a float space reports floats: ``d`` writes them as
+    0.0 and 1.0 beside 0.5, as in the golden case ``isometry-matrix-mixed``."""
     space = build_from_matrix(load_matrix_csv(str(INPUTS / "matrix_mixed.csv")))
     assert not space.exact
-    d = [["0", "1", 0.5], ["1", "0", 0.75], [0.5, 0.75, "0"]]
+    d = [[0.0, 1.0, 0.5], [1.0, 0.0, 0.75], [0.5, 0.75, 0.0]]
     assert json.loads("".join(cli.encode_report({"d": metric._dist_table(space)}))) == {"d": d}
     assert json.loads((EXPECTED / "isometry-matrix-mixed.json").read_text())["d"] == d
