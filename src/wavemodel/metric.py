@@ -272,8 +272,8 @@ def _in_use(codes: np.ndarray, size: int) -> tuple:
 
 
 def _tau_table(space: "FiniteMetricSpace") -> _Table:
-    """tau = 2 ``_meet`` as a table: the codes are the ranks of ``_meet``
-    compressed to those in use, with no second sort."""
+    """tau as a table: the codes are ``_meet_ranks`` compressed to the ranks
+    in use, with no second sort."""
     values = space._ranks[0]
     codes, used = _in_use(space._meet_ranks, len(values))
     return _Table(codes, _values(2 * values[used], space._scale), (0,))
@@ -281,9 +281,11 @@ def _tau_table(space: "FiniteMetricSpace") -> _Table:
 
 def _dist_table(space: "FiniteMetricSpace") -> _Table:
     """``space.dist`` as a table, made without reading ``dist``: R with the
-    API value of each rank, the diagonal included."""
+    API value of each rank, the diagonal included.  The table holds R
+    itself, no copy: it is given no diagonal, which ``_Table`` would write
+    into its codes."""
     values, ranks = space._ranks
-    return _Table(ranks.astype(np.intp), _values(values, space._scale))
+    return _Table(ranks, _values(values, space._scale))
 
 
 @dataclass(frozen=True)
@@ -429,12 +431,6 @@ class FiniteMetricSpace:
         return not np.diagonal(m).any() and bool((m == m.T).all())
 
     @cached_property
-    def _order(self) -> np.ndarray:
-        """Per row x, the points in stable order of d(x, .); a float space
-        sorts its exact ranks R, which tie exactly where the floats do."""
-        return np.argsort(self._m if self.exact else self._ranks[1], axis=1, kind="stable")
-
-    @cached_property
     def _ranks(self) -> tuple:
         """(values, R): the distinct kernel values, increasing, in its dtype,
         and the int16 or int32 matrix R of their exact ranks (no float values
@@ -453,34 +449,31 @@ class FiniteMetricSpace:
 
     @cached_property
     def _meet_ranks(self) -> np.ndarray:
-        """The ranks of ``_meet``: R's (min, max) product."""
+        """The ranks of min_z max(d(x,z), d(y,z)), half of tau: R's (min,
+        max) product."""
         return _min_product(self._ranks[1], np.maximum)
-
-    @cached_property
-    def _meet(self) -> np.ndarray:
-        """min_z max(d(x,z), d(y,z)), half of tau: the values of
-        ``_meet_ranks``."""
-        return self._ranks[0][self._meet_ranks]
 
     @cached_property
     def _defects(self) -> np.ndarray:
         """The defect sweep of ``condition2_defect`` for all pairs at once.
 
-        Per block of rows x it walks the points z in order of d(x, .), whose
-        distances are the radii r: for every y, the running minimum of
-        d(y, z) over the z before a sorted position is the largest
-        admissible s there, and ``best`` holds the largest r + s.  Diagonal
-        entries <= 0 of d^T hold a sentinel below -max d, so no r + s counts
-        once y is inside.  The positions go in chunks of at most ``_CHUNK``
-        bytes of (rows, cols) planes: one gather of their rows of d^T, the
-        running minimum down the chunk in place, carried into the next
-        chunk, one add of the radii and one max into ``best``.  These are
-        the per-position sweep's sums in the kernel dtype, and a max does
-        not round, so every defect is the same bit for bit.  On a d exactly
-        symmetric with a zero diagonal, block [lo, hi) sweeps the columns
-        from lo and mirrors the rest; otherwise (a float d off symmetry
-        within eta) it sweeps every column."""
+        Per block of rows x it walks the points z in order of d(x, .), a
+        stable sort of the block's rows (of R on a float space, whose exact
+        ranks tie where the floats do), whose distances are the radii r: for
+        every y, the running minimum of d(y, z) over the z before a sorted
+        position is the largest admissible s there, and ``best`` holds the
+        largest r + s.  Diagonal entries <= 0 of d^T hold a sentinel below
+        -max d, so no r + s counts once y is inside.  The positions go in
+        chunks of at most ``_CHUNK`` bytes of (rows, cols) planes: one
+        gather of their rows of d^T, the running minimum down the chunk in
+        place, carried into the next chunk, one add of the radii and one max
+        into ``best``.  These are the per-position sweep's sums in the
+        kernel dtype, and a max does not round, so every defect is the same
+        bit for bit.  On a d exactly symmetric with a zero diagonal, block
+        [lo, hi) sweeps the columns from lo and mirrors the rest; otherwise
+        (a float d off symmetry within eta) it sweeps every column."""
         m, n = self._m, self.n
+        keys = m if self.exact else self._ranks[1]
         dt = m.T.copy()
         low = np.flatnonzero(np.diagonal(m) <= 0)
         dt[low, low] = -np.inf if m.dtype == np.float64 else -(m.max() + 1)
@@ -489,7 +482,7 @@ class FiniteMetricSpace:
         for lo, hi in _slabs(n, half, cell=m.itemsize):
             start = lo if half else 0
             src = np.ascontiguousarray(dt[:, start:])  # np.take would copy a view per call
-            order = self._order[lo:hi]
+            order = np.argsort(keys[lo:hi], axis=1, kind="stable")
             radii = np.take_along_axis(m[lo:hi], order, axis=1)  # sorted d(x, .)
             best = np.zeros((hi - lo, n - start), m.dtype)
             size = max(1, min(n - 1, _CHUNK // best.nbytes))  # positions per chunk
@@ -688,8 +681,9 @@ def open_balls(space: FiniteMetricSpace, x: int, radii: Sequence) -> tuple:
     """The open balls B_r(x) for r in ``radii``, read off the row of x
     sorted once; radii giving the same ball share one frozenset."""
     _check_points(space, (x,))
-    order = space._order[x]
-    ends = np.searchsorted(space._m[x, order], space._radius_keys(radii), side="right")
+    row = space._m[x]
+    order = np.argsort(row, kind="stable")  # floats tie exactly where R does
+    ends = np.searchsorted(row[order], space._radius_keys(radii), side="right")
     order, ends = order.tolist(), ends.tolist()
     balls = {k: frozenset(order[:k]) for k in set(ends)}
     return tuple(balls[k] for k in ends)
@@ -772,14 +766,16 @@ def isometry_fit(space: FiniteMetricSpace) -> tuple:
     point).  Sums run in row-major pair order, one term after another as a
     scalar loop adds them, on every Python version (``sum()`` compensates
     float sums from 3.12 on, so it is not used); exact terms, whose sum no
-    order changes, take the narrowest dtype that holds n^2 (4 max d)^2."""
+    order changes, take the narrowest dtype that holds n (n - 1) max d^2:
+    tau <= 2 d, so each of the n (n - 1) / 2 terms tau d is at most 2 max d^2
+    and d^2 half that."""
     if space.n == 1:
         return 0, None
     upper = _upper(space.n)
     d = space._m[upper]  # row-major pair order
-    tau = 2 * space._meet[upper]
+    tau = 2 * space._ranks[0][space._meet_ranks[upper]]
     max_dev = space._value(np.abs(tau - d).max())
-    kind = _int_dtype((4 * space.n * int(d.max())) ** 2) if space.exact else None
+    kind = _int_dtype(space.n * (space.n - 1) * int(d.max()) ** 2) if space.exact else None
     # Python scalars, summed one after another in row-major pair order
     num = np.cumsum(np.multiply(tau, d, dtype=kind)).item(-1)
     den = np.cumsum(np.multiply(d, d, dtype=kind)).item(-1)
@@ -796,4 +792,5 @@ def first_meeting(space: FiniteMetricSpace, radii: Sequence) -> np.ndarray:
     The balls meet exactly when some z lies in both, i.e. when
     min_z max(d(x,z), d(y,z)) lies inside radius r; ``radii`` must increase.
     """
-    return np.searchsorted(space._radius_keys(radii), space._meet, side="left")
+    keys, values = space._radius_keys(radii), space._ranks[0]
+    return np.searchsorted(keys, values, side="left")[space._meet_ranks]

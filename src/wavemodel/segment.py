@@ -94,9 +94,7 @@ def _overrides(x: Fraction, length: Fraction, formula) -> tuple:
     ts = sorted({x, length - x})
     base = lambda t: iv_ball(length, x, t)
     out = []
-    for t in ts:
-        if t <= 0:
-            continue
+    for t in ts:  # both positive: segment_example refuses x outside (0, length)
         val = formula(t)
         if val != base(t):
             out.append((t, val))

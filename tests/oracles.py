@@ -437,11 +437,24 @@ def condition2_defect(space: metric.FiniteMetricSpace, x: int, y: int):
     return sup_rs - dx[y]
 
 
+def meet(space: metric.FiniteMetricSpace) -> np.ndarray:
+    """min_z max(d(x,z), d(y,z)), half of tau, as the kernel values of the
+    space's ``_meet_ranks``: the (min, max) product on R that the tests
+    compare with its references."""
+    return space._ranks[0][space._meet_ranks]
+
+
 def meet_on_values(space: metric.FiniteMetricSpace) -> np.ndarray:
     """min_z max(d(x,z), d(y,z)) as the (min, max) product of the kernel
-    matrix itself: the old exact ``metric._meet``, the reference of the
-    product on the ranks R."""
+    matrix itself: the reference of the product on the ranks R."""
     return metric._min_product(space._m, np.maximum)
+
+
+def sweep_order(space: metric.FiniteMetricSpace) -> np.ndarray:
+    """Per row x, the points in the order the defect sweep walks them: the
+    stable argsort of R's rows on a float space, of the kernel's rows on an
+    exact one (``FiniteMetricSpace._defects``)."""
+    return np.argsort(space._m if space.exact else space._ranks[1], axis=1, kind="stable")
 
 
 def tau_table_on_values(space: metric.FiniteMetricSpace) -> metric._Table:

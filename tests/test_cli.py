@@ -644,3 +644,74 @@ def test_cli_import_does_not_load_networkx():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "--backend", "segment"], "--backend segment requires --samples"),
+    (["validate", "--backend", "points"], "--backend points requires --input"),
+    (["conditions", "--backend", "graph"], "--backend graph requires --input"),
+    (["tau", "--backend", "matrix"], "--backend matrix requires --input"),
+    (["segment-demo"], "segment-demo requires --x"),
+    (["nucleus-demo", "--net", "left-window"], "--net left-window requires --x"),
+    (["nucleus-demo", "--net", "right-window"], "--net right-window requires --x"),
+    (["nucleus-demo", "--net", "left-window", "--x", "1"],
+     "--x must lie strictly inside (0, 1), got 1"),
+    (["nucleus-demo", "--net", "right-window", "--x=-1/2"],
+     "--x must lie strictly inside (0, 1), got -1/2"),
+    (["nucleus-demo", "--backend", "segment", "--samples", "5"],
+     "--net shrinking-ball requires --center"),
+])
+def test_a_missing_or_bad_flag_is_refused_by_name(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"configuration refused: {message}\n"
+    assert not out.exists()
+
+
+def test_a_closed_stdout_is_an_output_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["validate", "--backend", "segment", "--samples", "3"]) == 4
+    assert capsys.readouterr().err == "output error: stdout is closed\n"
+
+
+def test_conditions_on_one_point_hold(tmp_path):
+    code, data = run(tmp_path, "conditions", "--backend", "discrete", "--n", "1")
+    assert code == 0
+    assert (data["max_defect"], data["verdict"]) == (0, "holds")
+    assert data["min_positive_distance"] is None
+
+
+def test_shrinking_ball_net_that_never_stabilizes_exits_1(tmp_path):
+    """A path graph whose node i > 0 lies at 2^(i - 66) from node 0: each
+    halving of eps, from the diameter 1, drops one node from the ball about
+    0, so 64 halvings do not stabilize it."""
+    g = tmp_path / "g.txt"
+    g.write_text(f"0 1 1/{2 ** 65}\n" + "".join(f"{i} {i + 1} 1/{2 ** (66 - i)}\n"
+                                                for i in range(1, 66)))
+    code, data = run(tmp_path, "nucleus-demo", "--backend", "graph", "--input", str(g),
+                     "--center", "0")
+    assert code == 1
+    assert data == {"error": "non-stabilizing net: family did not stabilize within 64 halvings"}
+
+
+@pytest.mark.parametrize("text", ["0,1\n\n,\n1,0\n", " , \n0,1\n1,0\n\n"])
+def test_matrix_csv_skips_blank_rows(tmp_path, text):
+    m = tmp_path / "m.csv"
+    m.write_text(text)
+    assert load_matrix_csv(str(m)) == [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", ",,\n"])
+def test_matrix_csv_without_rows_exit_2(tmp_path, capsys, text):
+    m = tmp_path / "m.csv"
+    m.write_text(text)
+    with pytest.raises(ParseError) as ei:
+        load_matrix_csv(str(m))
+    assert (str(ei.value), ei.value.row, ei.value.col) == ("row 1, col 1: no matrix rows found",
+                                                          1, 1)
+    assert main(["validate", "--backend", "matrix", "--input", str(m)]) == 2
+    assert capsys.readouterr().err == "ingestion error: row 1, col 1: no matrix rows found\n"

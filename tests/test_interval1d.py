@@ -223,6 +223,37 @@ def test_family_rejects_growing_slopes():
         AffineIntervalFamily(F(1), F(1, 4), F(0), F(1, 8), F(0))
 
 
+@pytest.mark.parametrize("t", [0, F(-1, 3)])
+def test_radii_and_eps_must_be_positive(t):
+    fam = AffineIntervalFamily.shrinking_ball(1, F(1, 2))
+    radius = f"radius must be positive, got {t}"
+    for refuse, message in ((lambda: iv_neighborhood(IntervalSet.full(1), t), radius),
+                            (lambda: iv_ball(1, F(1, 2), t), radius),
+                            (lambda: iv_family_neighborhood_limit(fam, t), radius),
+                            (lambda: fam.at(t), "eps must be positive")):
+        with pytest.raises(IntervalError) as ei:
+            refuse()
+        assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("lo_closed, hi_closed", [(False, False), (True, False),
+                                                  (False, True)])
+def test_a_constant_point_family_that_is_not_closed_is_empty(lo_closed, hi_closed):
+    with pytest.raises(IntervalError, match=r"^family is empty for small eps$"):
+        AffineIntervalFamily(F(1), F(1, 2), F(0), F(1, 2), F(0), lo_closed, hi_closed)
+    with pytest.raises(IntervalError, match=r"^family is empty for small eps$"):
+        AffineIntervalFamily(F(1), F(3, 4), F(-1), F(1, 4), F(1), lo_closed, hi_closed)
+    closed = AffineIntervalFamily(F(1), F(1, 2), F(0), F(1, 2), F(0), True, True)
+    assert closed.at(F(1, 8)) == IntervalSet.point(1, F(1, 2))
+
+
+def test_the_empty_set_prints_as_braces():
+    empty = iv_intersect(iset((0, True, F(1, 4), False)), iset((F(1, 2), True, 1, True)))
+    assert empty.is_empty() and str(empty) == "{}"
+    assert str(iset((0, True, F(1, 4), False), (F(1, 2), False, 1, True))) == \
+        "[0, 1/4) u (1/2, 1]"
+
+
 def test_family_core():
     fam = AffineIntervalFamily.left_window(1, F(1, 2))
     assert iv_family_core(fam) == IntervalSet.point(1, F(1, 2))

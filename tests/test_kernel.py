@@ -169,7 +169,7 @@ def test_first_meeting_clamps_radii_beyond_the_dtype(name):
     s = SPACES[name]
     top = int(np.iinfo(s._m.dtype).max)
     scale = s._scale or 1
-    radii = sorted({F(1, 2 * scale), F(int(s._meet.max()), scale), F(top - 1, scale),
+    radii = sorted({F(1, 2 * scale), F(int(oracles.meet(s).max()), scale), F(top - 1, scale),
                     F(top, scale), F(top + 1, scale), F(top + 2, scale), F(10 ** 30)})
     got = metric.first_meeting(s, radii)
     for x in range(s.n):
@@ -247,7 +247,7 @@ def test_kernels_permute_with_the_points(name, monkeypatch):
     t = FiniteMetricSpace(tuple(tuple(s.dist[p][q] for q in pi) for p in pi))
     at = np.ix_(pi, pi)
     assert same_matrix(t._defects, s._defects[at])
-    assert same_matrix(2 * t._meet, (2 * s._meet)[at])
+    assert same_matrix(2 * oracles.meet(t), (2 * oracles.meet(s))[at])
     grid = default_grid(s)
     assert same_matrix(metric.first_meeting(t, grid.values),
                        metric.first_meeting(s, grid.values)[at])
@@ -497,6 +497,18 @@ def test_isometry_fit_on_each_side_of_the_int64_bound(top, denominator, dtype, i
     got, want = metric.isometry_fit(s), oracles.isometry_fit(s)
     assert got == want
     assert [type(v) for v in got] == [type(v) for v in want]
+
+
+@pytest.mark.parametrize("d,dtype", [(2 ** 7, np.int16), (2 ** 15, np.int32),
+                                     (2 ** 31, np.int64)])
+def test_isometry_fit_sums_hold_their_bound_at_each_dtype_edge(d, dtype):
+    """Two points at distance d: sum tau d = 2 d^2 = n (n - 1) max d^2 is
+    one past the maximum of ``dtype`` and d^2 is not, so the sums take the
+    next wider dtype and c is exactly 2; any tighter bound wraps sum tau d."""
+    assert d * d <= np.iinfo(dtype).max == 2 * d * d - 1
+    s = build_from_matrix([[0, d], [d, 0]])
+    assert metric.isometry_fit(s) == (d, 2)
+    assert wave_model(s, default_grid(s)).homothety_c == 2
 
 
 @settings(max_examples=100, deadline=None)
@@ -764,16 +776,17 @@ def tied_float_spaces(draw):
 @settings(max_examples=150, deadline=None)
 @given(tied_float_spaces())
 def test_float_kernels_on_ranks_match_the_scalar_loops(space):
-    """``_meet``, ``first_meeting`` and the tau, d and defect tables of a
+    """The meet, ``first_meeting`` and the tau, d and defect tables of a
     float space, which run on its ranks R, are bit-identical to the scalar
     float loops of ``oracles``."""
     n = space.n
     tau = by_pair(space, lambda s, x, y: 0 if x == y else oracles.wave_distance_points(s, x, y))
     off = ~np.eye(n, dtype=bool)
     # bit for bit off the diagonal; on it, 0.0 and -0.0 share one rank
-    assert (2 * space._meet[off]).tobytes() == np.array(tau)[off].tobytes()
-    assert (np.diagonal(space._meet) == np.diagonal(space._m)).all()
-    radii = sorted({*map(F, space._meet[off].tolist()), *default_grid(space, 8).values})
+    meet = oracles.meet(space)
+    assert (2 * meet[off]).tobytes() == np.array(tau)[off].tobytes()
+    assert (np.diagonal(meet) == np.diagonal(space._m)).all()
+    radii = sorted({*map(F, meet[off].tolist()), *default_grid(space, 8).values})
     got = metric.first_meeting(space, radii)
     for x in range(n):
         for y in range(n):
@@ -794,7 +807,7 @@ def test_ranks_widen_past_int16():
     values, ranks = space._ranks
     assert len(values) > 2 ** 15 and ranks.dtype == np.int32
     assert (values[ranks] == space._m).all()
-    assert space._meet.tobytes() == metric._min_product(space._m, np.maximum).tobytes()
+    assert oracles.meet(space).tobytes() == metric._min_product(space._m, np.maximum).tobytes()
     assert_ranks_are_those_of_the_matrix(space)
     assert_order_is_the_float_argsort(space)
 
@@ -811,11 +824,11 @@ def test_exact_spaces_cover_every_kernel_dtype():
 
 @pytest.mark.parametrize("name", EXACT_SPACES)
 def test_exact_meet_and_tau_on_ranks_match_the_kernel_values(name):
-    """On R, ``_meet`` is the (min, max) product of the kernel itself, and
+    """On R, the meet is the (min, max) product of the kernel itself, and
     the tau table holds the same values, type for type."""
     s = SPACES[name]
     assert s.exact
-    assert same_matrix(s._meet, oracles.meet_on_values(s))
+    assert same_matrix(oracles.meet(s), oracles.meet_on_values(s))
     want = oracles.tau_table_on_values(s).tolist()
     assert repr(metric._tau_table(s).tolist()) == repr(want)
     assert_ranks_are_those_of_the_matrix(s)
@@ -827,7 +840,7 @@ def test_ranks_of_a_100_point_object_kernel_are_int16():
     assert space._m.dtype == object and values.dtype == object
     assert ranks.dtype == np.int16
     assert (values[ranks] == space._m).all()
-    assert same_matrix(space._meet, oracles.meet_on_values(space))
+    assert same_matrix(oracles.meet(space), oracles.meet_on_values(space))
 
 
 def test_given_d_table_has_one_value_per_distinct_kernel_value():
@@ -846,12 +859,40 @@ def test_given_d_table_has_one_value_per_distinct_kernel_value():
     assert repr(space.dist) == repr(tuple(map(tuple, got)))
 
 
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_d_table_codes_are_r_itself(name):
+    """The ``d`` table holds R, not a copy, and making its lists and its
+    report leaves R as it was."""
+    s = SPACES[name]
+    ranks = s._ranks[1]
+    before = ranks.copy()
+    table = metric._dist_table(s)
+    assert table.codes is ranks
+    table.tolist()
+    "".join(cli.encode_report({"d": table}))
+    assert same_matrix(s._ranks[1], before)
+
+
 FLOAT_SPACES = [name for name, s in SPACES.items() if not s.exact]
 
 
 def assert_order_is_the_float_argsort(space):
-    """``_order``, a stable sort of R, is the stable sort of the floats."""
-    assert np.array_equal(space._order, np.argsort(space._m, axis=1, kind="stable"))
+    """The defect sweep's order, a stable sort of R, is the stable sort of
+    the floats."""
+    assert np.array_equal(oracles.sweep_order(space),
+                          np.argsort(space._m, axis=1, kind="stable"))
+
+
+def assert_open_balls_are_the_scalar_balls(space):
+    """``open_balls``, which stable-sorts its row of the floats, gives the
+    balls of ``oracles.open_ball`` at each distinct |d(x, .)| > 0, at half
+    of it, and one and two eta below it, where d <= r + eta rounds to d."""
+    eta = space.eta
+    for x in range(space.n):
+        values = {abs(v) for v in space.dist[x]} - {0.0}
+        radii = sorted({r for v in values for r in (v, v / 2, v - eta, v - 2 * eta) if r > 0})
+        assert open_balls(space, x, radii) == tuple(oracles.open_ball(space, x, r)
+                                                    for r in radii)
 
 
 def assert_ranks_are_those_of_the_matrix(space):
@@ -872,13 +913,18 @@ def test_float_spaces_cover_mirrored_and_full_ranks():
 def test_float_ranks_and_order_match_the_float_matrix(name):
     assert_ranks_are_those_of_the_matrix(SPACES[name])
     assert_order_is_the_float_argsort(SPACES[name])
+    assert_open_balls_are_the_scalar_balls(SPACES[name])
 
 
 @settings(max_examples=150, deadline=None)
 @given(tied_float_spaces())
 def test_tied_float_ranks_and_order_match_the_float_matrix(space):
+    """On tied floats, -0.0 and 0.0 on the diagonal included, the sweep's
+    sort of R and the balls' sort of a float row order the points as the
+    stable sort of the floats does."""
     assert_ranks_are_those_of_the_matrix(space)
     assert_order_is_the_float_argsort(space)
+    assert_open_balls_are_the_scalar_balls(space)
 
 
 def test_float_conditions_leave_the_meet_uncomputed(monkeypatch, tmp_path):
@@ -1206,7 +1252,7 @@ def assert_segment_closed_forms(s, h):
     off = np.abs(np.subtract.outer(np.arange(s.n), np.arange(s.n))).astype(s._m.dtype)
     assert s._defects.dtype == s._m.dtype
     assert np.array_equal(s._defects, np.where(off > 0, hk, 0))
-    assert np.array_equal(2 * s._meet, 2 * ((off + 1) // 2) * hk)
+    assert np.array_equal(2 * oracles.meet(s), 2 * ((off + 1) // 2) * hk)
     report = condition2_report(s)
     assert report["max_defect"] == h and type(report["max_defect"]) is type(h)
     assert sorted(set(chain.from_iterable(report["defects"]))) == [0, h]

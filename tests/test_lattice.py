@@ -74,6 +74,12 @@ def test_make_grid_laws():
         make_grid(F(1, 10), F(1), 10, "sorted")
 
 
+@pytest.mark.parametrize("law", ["linear", "geometric"])
+def test_make_grid_refuses_a_single_value(law):
+    with pytest.raises(GridError, match=r"^count must be >= 2$"):
+        make_grid(F(1, 10), F(1), 1, law)
+
+
 def test_default_grid_is_admissible():
     for s in (build_discrete(5), build_segment_sample(21)):
         check_grid_admissible(s, default_grid(s))
@@ -179,8 +185,25 @@ def test_lattice_function_must_be_monotone():
         LatticeFunction(grid, (frozenset({1}), frozenset()))
 
 
+def test_lattice_function_takes_one_set_per_grid_value():
+    grid = TimeGrid((F(1, 2), F(1)))
+    g = LatticeFunction(grid, (frozenset({0}), frozenset({0, 1})))
+    assert (g(0), g(1)) == (frozenset({0}), frozenset({0, 1}))
+    for sets in ((frozenset({0}),), (frozenset(),) * 3):
+        with pytest.raises(GridError, match=r"^one set per grid value required$"):
+            LatticeFunction(grid, sets)
+
+
 # ---------------------------------------------------------------------------
 # Net limits
+
+
+def test_nets_refuse_an_empty_chain_and_a_nonpositive_eps0():
+    with pytest.raises(NetError, match=r"^empty chain$"):
+        DecreasingNet.from_chain([])
+    for eps0 in (0, F(-1, 2)):
+        with pytest.raises(NetError, match=r"^eps0 must be positive$"):
+            DecreasingNet.from_family(lambda e: frozenset(), eps0=eps0)
 
 
 def test_net_limit_of_constant_net_is_isotony_image():

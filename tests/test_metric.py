@@ -16,6 +16,7 @@ from wavemodel import (
     build_segment_sample,
     wave_distance_matrix,
 )
+from wavemodel import metric
 from wavemodel.metric import (
     INFINITY,
     check_condition1,
@@ -190,6 +191,26 @@ def test_non_finite_points_are_refused():
         build_from_points([(0.0, 0.0), (1.0, 0.0), (1e308, 1e308), (-1e308, -1e308)])
     assert ei.value.witness == (2, 3)
     assert str(ei.value) == "d(2,3) = inf is not a finite number"
+
+
+def test_empty_and_ragged_spaces_are_refused():
+    with pytest.raises(MetricError, match=r"^a metric space needs at least one point$"):
+        FiniteMetricSpace(())
+    with pytest.raises(AxiomViolation) as ei:
+        build_from_matrix([[0, 1], [1]])
+    assert (str(ei.value), ei.value.witness) == ("row 1 has length 1, expected 2", (1,))
+    with pytest.raises(MetricError, match=r"^empty point cloud$"):
+        build_from_points([])
+
+
+@pytest.mark.parametrize("v", [None, 1j, object()])
+def test_a_non_number_beside_a_float_entry_is_refused(v):
+    """The float path reads what numpy refuses one entry at a time, as NaN."""
+    assert math.isnan(metric._as_float(v))
+    with pytest.raises(AxiomViolation) as ei:
+        build_from_matrix([[0.0, 1.0], [v, 0.0]])
+    assert (str(ei.value), ei.value.witness) == (f"d(1,0) = {v} is not a finite number",
+                                                 (1, 0))
 
 
 @pytest.mark.parametrize("w", [math.inf, math.nan, -math.inf, "1", True, np.True_])

@@ -61,7 +61,8 @@ def same_scale(scale, twin_scale) -> bool:
 def assert_same_space(s, twin):
     """The same kernel bits and dtype, scale, tau and defects."""
     assert same_matrix(s._m, twin._m) and same_scale(s._scale, twin._scale)
-    assert same_matrix(s._meet, twin._meet) and same_matrix(s._defects, twin._defects)
+    assert same_matrix(oracles.meet(s), oracles.meet(twin))
+    assert same_matrix(s._defects, twin._defects)
     assert wave_distance_matrix(s) == wave_distance_matrix(twin)
 
 
