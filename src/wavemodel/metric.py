@@ -73,15 +73,15 @@ class AxiomViolation(MetricError):
         self.witness = witness
 
 
-def _slabs(n: int, half: bool = False, cell: int | None = None):
-    """Row ranges [lo, hi) whose temporaries stay within budget, with cols
-    n, or n - lo when only the columns from lo are swept: (rows, n, cols)
-    blocks of at most ``_SLAB`` elements or, given the bytes of an entry
-    ``cell``, (rows, cols) planes of at most ``_PLANE`` bytes."""
+def _slabs(n: int, cell: int | None = None):
+    """Row ranges [lo, hi) whose temporaries stay within budget, with the
+    n - lo columns from lo swept: (rows, n, cols) blocks of at most
+    ``_SLAB`` elements or, given the bytes of an entry ``cell``, (rows,
+    cols) planes of at most ``_PLANE`` bytes."""
     budget, depth = (_SLAB, n) if cell is None else (_PLANE, cell)
     hi = 0
     while hi < n:
-        lo, hi = hi, min(n, hi + max(1, budget // (depth * (n - hi if half else n))))
+        lo, hi = hi, min(n, hi + max(1, budget // (depth * (n - hi))))
         yield lo, hi
 
 
@@ -91,7 +91,7 @@ def _min_product(m: np.ndarray, op) -> np.ndarray:
     ``np.add``.  Exactly symmetric, as it reads rows x and y alike: slab
     [lo, hi) computes the columns from lo and mirrors the rest."""
     out = np.empty_like(m)
-    for lo, hi in _slabs(len(m), half=True):
+    for lo, hi in _slabs(len(m)):
         out[lo:hi, lo:] = op(m[lo:hi, None, :], m[None, lo:, :]).min(axis=2)
         out[hi:, lo:hi] = out[lo:hi, hi:].T
     return out
@@ -266,9 +266,11 @@ def _table(a: np.ndarray, scale) -> _Table:
 
 
 def _in_use(codes: np.ndarray, size: int) -> tuple:
-    """``codes`` into ``size`` values, renumbered to those in use, and their indices."""
+    """``codes`` into ``size`` values, renumbered to those in use in the
+    narrowest int dtype that holds ``size`` (a ``_Table`` diagonal code
+    too), and their indices."""
     used = np.bincount(codes.ravel(), minlength=size) > 0
-    return (np.cumsum(used) - 1)[codes], np.flatnonzero(used).tolist()
+    return (np.cumsum(used, dtype=_int_dtype(size)) - 1)[codes], np.flatnonzero(used).tolist()
 
 
 def _tau_table(space: "FiniteMetricSpace") -> _Table:
@@ -292,11 +294,13 @@ def _dist_table(space: "FiniteMetricSpace") -> _Table:
 class FiniteMetricSpace:
     """n points with a symmetric, triangle-valid distance matrix.
 
-    Point clouds and float-weight graphs are the exception: their stored
-    distances lie within a few roundings of the true ones (README), which may
-    break a triangle by more than eta: ``FiniteMetricSpace(space.dist)`` may
-    refuse their matrix.  The space keeps only its kernel: the given ``dist``
-    is dropped once validated, and ``dist`` is made again from the kernel
+    Every kernel is exactly symmetric with a zero diagonal: a float matrix,
+    which validates within eta of both, keeps its upper triangle, mirrored.
+    That snap, point clouds and float-weight graphs (whose stored distances
+    lie within a few roundings of the true ones, README) may break a
+    triangle by more than eta: ``FiniteMetricSpace(space.dist)`` may refuse
+    their matrix.  The space keeps only its kernel: the given ``dist`` is
+    dropped once validated, and ``dist`` is made again from the kernel
     when read, in the space's one type.  Immutable after construction; all
     operations below are pure functions, so concurrent use needs no
     synchronization.
@@ -315,6 +319,9 @@ class FiniteMetricSpace:
         object.__setattr__(self, "_m", m)
         object.__setattr__(self, "_scale", scale)
         self._validate()
+        if not self.exact:  # an exact kernel that validates has this shape
+            m = np.triu(m, 1)
+            object.__setattr__(self, "_m", m + m.T)
         object.__delattr__(self, "dist")  # made again from the kernel when read
 
     @classmethod
@@ -424,22 +431,12 @@ class FiniteMetricSpace:
         return v if self._scale is None else Fraction(v, self._scale)
 
     @cached_property
-    def _mirrored(self) -> bool:
-        """d is exactly symmetric with a zero diagonal: a kernel may read
-        one triangle and mirror it."""
-        m = self._m
-        return not np.diagonal(m).any() and bool((m == m.T).all())
-
-    @cached_property
     def _ranks(self) -> tuple:
         """(values, R): the distinct kernel values, increasing, in its dtype,
         and the int16 or int32 matrix R of their exact ranks (no float values
-        merge within eta; 0.0 is -0.0).  A mirrored d takes them from its
-        upper triangle, whose entries are positive, with 0 ranked first."""
+        merge within eta), taken from the upper triangle, whose entries are
+        positive, with the diagonal's 0 ranked first."""
         m, n = self._m, self.n
-        if not self._mirrored:
-            values, ranks = np.unique(m, return_inverse=True)
-            return values, ranks.reshape(m.shape).astype(_int_dtype(len(values)))
         upper = _upper(n)
         values, codes = np.unique(m[upper], return_inverse=True)
         ranks = np.zeros((n, n), dtype=_int_dtype(len(values) + 1))
@@ -462,29 +459,25 @@ class FiniteMetricSpace:
         ranks tie where the floats do), whose distances are the radii r: for
         every y, the running minimum of d(y, z) over the z before a sorted
         position is the largest admissible s there, and ``best`` holds the
-        largest r + s.  Diagonal entries <= 0 of d^T hold a sentinel below
-        -max d, so no r + s counts once y is inside.  The positions go in
-        chunks of at most ``_CHUNK`` bytes of (rows, cols) planes: one
-        gather of their rows of d^T, the running minimum down the chunk in
+        largest r + s.  ``dy``, a copy of d, holds a sentinel below -max d
+        on its diagonal, so no r + s counts once y is inside.  The positions
+        go in chunks of at most ``_CHUNK`` bytes of (rows, cols) planes: one
+        gather of their rows of ``dy``, the running minimum down the chunk in
         place, carried into the next chunk, one add of the radii and one max
         into ``best``.  These are the per-position sweep's sums in the
         kernel dtype, and a max does not round, so every defect is the same
-        bit for bit.  On a d exactly symmetric with a zero diagonal, block
-        [lo, hi) sweeps the columns from lo and mirrors the rest; otherwise
-        (a float d off symmetry within eta) it sweeps every column."""
+        bit for bit.  Block [lo, hi) sweeps the columns from lo and mirrors
+        the rest."""
         m, n = self._m, self.n
         keys = m if self.exact else self._ranks[1]
-        dt = m.T.copy()
-        low = np.flatnonzero(np.diagonal(m) <= 0)
-        dt[low, low] = -np.inf if m.dtype == np.float64 else -(m.max() + 1)
-        half = self._mirrored
+        dy = m.copy()
+        np.fill_diagonal(dy, -np.inf if m.dtype == np.float64 else -(m.max() + 1))
         out = np.empty_like(m)
-        for lo, hi in _slabs(n, half, cell=m.itemsize):
-            start = lo if half else 0
-            src = np.ascontiguousarray(dt[:, start:])  # np.take would copy a view per call
+        for lo, hi in _slabs(n, cell=m.itemsize):
+            src = np.ascontiguousarray(dy[:, lo:])  # np.take would copy a view per call
             order = np.argsort(keys[lo:hi], axis=1, kind="stable")
             radii = np.take_along_axis(m[lo:hi], order, axis=1)  # sorted d(x, .)
-            best = np.zeros((hi - lo, n - start), m.dtype)
+            best = np.zeros((hi - lo, n - lo), m.dtype)
             size = max(1, min(n - 1, _CHUNK // best.nbytes))  # positions per chunk
             # chunk[j] becomes the running minimum over the points before
             # sorted position p + j, whose candidate r + s is chunk[j] +
@@ -503,9 +496,8 @@ class FiniteMetricSpace:
                 candidates += radii[:, p:p + k].T[:, :, None]
                 np.maximum(best, candidates.max(axis=0), out=best)
                 chunk[0] = chunk[k]
-            out[lo:hi, start:] = best - m[lo:hi, start:]
-            if half:
-                out[hi:, lo:hi] = out[lo:hi, hi:].T
+            out[lo:hi, lo:] = best - m[lo:hi, lo:]
+            out[hi:, lo:hi] = out[lo:hi, hi:].T
         np.fill_diagonal(out, 0)
         return out
 
@@ -733,7 +725,7 @@ def condition2_report(space: FiniteMetricSpace) -> dict:
     planes of rows: candidates r + s from the running minimum of d(y, .)
     over the points before, taken for a chunk of points at a time (one
     gather, a running minimum, one add and one max); each unordered pair
-    once if d = d^T with a zero diagonal.
+    once.
     """
     max_defect = _max_defect(space)
     return {"defects": _table(space._defects, space._scale).tolist(),

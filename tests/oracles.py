@@ -505,6 +505,35 @@ def isometry_fit(space: metric.FiniteMetricSpace) -> tuple:
     return max(abs(tau - d) for d, tau in pairs), num / den
 
 
+# ---------------------------------------------------------------------------
+# Continuum references on the line: Omega a finite union of closed intervals
+# [a, b], sorted and disjoint, with d = |x - y|
+
+
+def line_sample(intervals, h) -> list:
+    """The points of each interval [a, b] at a, a + h, ..., b (h divides b - a)."""
+    return [a + k * h for a, b in intervals for k in range(int((b - a) / h) + 1)]
+
+
+def line_tau(intervals, x, y):
+    """tau_Omega(x, y) = 2 min(d, d/2 + dist(m, Omega & [x, y])), m = (x + y)/2:
+    for z in [x, y], max(|x - z|, |y - z|) = d/2 + |z - m|, and any z
+    outside [x, y] gives at least d."""
+    x, y = min(x, y), max(x, y)
+    d, m = y - x, (x + y) / 2
+    near = min(max(0, max(a, x) - m, m - min(b, y)) for a, b in intervals if a <= y and x <= b)
+    return 2 * min(d, d / 2 + near)
+
+
+def line_defect(intervals, x, y):
+    """defect_Omega(x, y): the longest gap of Omega inside [x, y], or 0.
+    If r + s > d, the real interval (y - s, x + r) lies in a gap, so
+    r + s - d is at most the gap's length, and the sup attains it."""
+    x, y = min(x, y), max(x, y)
+    gaps = [a - b for (_, b), (a, _) in zip(intervals, intervals[1:]) if x <= b and a <= y]
+    return max(gaps, default=0)
+
+
 def set_distance(space: metric.FiniteMetricSpace, x: int, a: frozenset):
     """d(x, A) = inf over A; ``metric.INFINITY`` for the empty set."""
     metric._check_points(space, (x, *a))

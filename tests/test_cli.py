@@ -464,6 +464,21 @@ def test_conditions_verdict_at_twice_the_minimum_spacing(tmp_path, heavy, max_de
     assert data["verdict"] == verdict
 
 
+@pytest.mark.parametrize("d33", ["4e-10", "0.0"])
+def test_conditions_of_a_line_with_a_diagonal_within_eta(tmp_path, d33):
+    """The 8-point unit line metric with d(3,3) = 4e-10 validates, and its
+    kernel holds 0.0 there: its defects are the exact-zero twin's.  A ball
+    B_s(3) with s <= d(3,3) would not hold its centre."""
+    m = tmp_path / "line.csv"
+    m.write_text("".join(",".join(d33 if i == j == 3 else f"{abs(i - j)}.0" for j in range(8))
+                         + "\n" for i in range(8)))
+    assert run(tmp_path, "validate", "--backend", "matrix", "--input", str(m))[1]["valid"]
+    code, data = run(tmp_path, "conditions", "--backend", "matrix", "--input", str(m))
+    assert code == 0
+    assert data["max_defect"] == 1.0
+    assert data["verdict"] == "holds within sample tolerance"
+
+
 def test_conditions_segment_within_tolerance(tmp_path):
     code, data = run(tmp_path, "conditions", "--backend", "segment",
                      "--samples", "21")

@@ -13,6 +13,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -80,8 +81,10 @@ def random_float_graph(rng, n):
     return build_from_graph(edges)
 
 
-def spaces():
-    """(id, space) pairs covering every kernel dtype and backend, n <= 40."""
+def spaces(given):
+    """(id, space) pairs covering every kernel dtype and backend, n <= 40;
+    ``given`` receives the rows of the float matrices given off symmetry or
+    off a zero diagonal."""
     rng = random.Random(20240517)
     yield "one-point", build_from_matrix([[0]])
     yield "one-point-float", build_from_matrix([[0.0]])
@@ -100,10 +103,12 @@ def spaces():
         yield f"rational-{n}", build_from_matrix(oracles.random_rational_metric(rng, n))
     yield "python-int", build_from_matrix(
         oracles.random_rational_metric(rng, 12, BIG_PRIMES))
-    # float matrices off exact symmetry within eta: the defect kernel sweeps
-    # them in full instead of mirroring one triangle
-    yield "float-asymmetric-12", build_from_matrix(within_eta(rng, 12, off_diagonal=True))
-    yield "float-diagonal-9", build_from_matrix(within_eta(rng, 9, off_diagonal=False))
+    # float matrices given off exact symmetry or off a zero diagonal within
+    # eta: the space keeps their upper triangle, mirrored, with a 0.0 diagonal
+    for name, n, off_diagonal in (("float-asymmetric-12", 12, True),
+                                  ("float-diagonal-9", 9, False)):
+        given[name] = within_eta(rng, n, off_diagonal)
+        yield name, build_from_matrix(given[name])
     # the largest entry at each int dtype's bound: the kernels' sums reach
     # 2 * max and the defect sentinel -(max + 1)
     yield "int16-top-12", build_from_matrix(near_top(rng, 12, bound(np.int16)))
@@ -125,7 +130,10 @@ def within_eta(rng, n, off_diagonal):
     return rows
 
 
-SPACES = dict(spaces())
+#: The rows given for the spaces that ``spaces`` builds off symmetry or
+#: off a zero diagonal.
+GIVEN = {}
+SPACES = dict(spaces(GIVEN))
 
 
 def by_pair(space, fn):
@@ -180,10 +188,15 @@ def test_first_meeting_clamps_radii_beyond_the_dtype(name):
 
 
 def test_float_spaces_within_eta_are_not_exactly_symmetric():
-    m = SPACES["float-asymmetric-12"]._m
+    """As given; each space holds the given upper triangle, mirrored, with a
+    0.0 diagonal, bit for bit."""
+    m = np.array(GIVEN["float-asymmetric-12"])
     assert (m != m.T).any() and not m.diagonal().any()
-    m = SPACES["float-diagonal-9"]._m
+    m = np.array(GIVEN["float-diagonal-9"])
     assert (m == m.T).all() and (m.diagonal() > 0).any() and (m.diagonal() < 0).any()
+    for name, rows in GIVEN.items():
+        upper = np.triu(rows, 1)
+        assert same_matrix(SPACES[name]._m, upper + upper.T)
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
@@ -208,10 +221,9 @@ def test_kernels_across_slab_boundaries(name, monkeypatch):
     slabs every block is one row, and slabs with lo > 0 sweep only part of
     the columns.  The defect sweep runs in its default planes and chunks,
     then in one-row planes with chunks of 1, 2 and 3 sorted positions (in
-    the first block, and in every block of a full sweep; a mirrored block
-    with lo > 0 has fewer columns, so its chunks hold more positions).  The
-    scalar references hold at every pair, and validation still finds the
-    scalar loops' first failure."""
+    the first block; a block with lo > 0 has fewer columns, so its chunks
+    hold more positions).  The scalar references hold at every pair, and
+    validation still finds the scalar loops' first failure."""
     n, cell = SPACES[name].n, SPACES[name]._m.itemsize
     for slab, plane, chunk in ((64, metric._PLANE, metric._CHUNK), (1, 1, 1),
                                (1, 1, 2 * n * cell), (1, 1, 3 * n * cell)):
@@ -472,8 +484,8 @@ def test_isometry_fit_matches_pairwise_sums(name):
 
 
 #: The largest kernel maximum whose fit on 9 points runs in int64:
-#: 9^2 (4 max)^2 <= the int64 maximum.
-INT64_FIT_TOP = math.isqrt(int(np.iinfo(np.int64).max) // 81) // 4
+#: n (n - 1) max^2 = 72 max^2 <= the int64 maximum.
+INT64_FIT_TOP = math.isqrt(int(np.iinfo(np.int64).max) // 72)
 
 
 @pytest.mark.parametrize("top,denominator,dtype,in_int64", [
@@ -489,11 +501,11 @@ INT64_FIT_TOP = math.isqrt(int(np.iinfo(np.int64).max) // 81) // 4
 ])
 def test_isometry_fit_on_each_side_of_the_int64_bound(top, denominator, dtype, in_int64):
     """9 points with the largest kernel entry ``top``: the fit equals the
-    scalar loop's in value and Python type, whether n^2 (4 max)^2 fits
+    scalar loop's in value and Python type, whether n (n - 1) max^2 fits
     int64 (int64 products and sum) or not (Python ints)."""
     s = build_from_matrix(near_top(random.Random(top), 9, top, denominator))
     assert s._m.dtype == dtype and s._m.max() == top
-    assert (81 * (4 * top) ** 2 <= np.iinfo(np.int64).max) is in_int64
+    assert (72 * top ** 2 <= np.iinfo(np.int64).max) is in_int64
     got, want = metric.isometry_fit(s), oracles.isometry_fit(s)
     assert got == want
     assert [type(v) for v in got] == [type(v) for v in want]
@@ -616,7 +628,7 @@ def test_min_plus_check_across_half_slabs(name, monkeypatch):
     first failing triple."""
     monkeypatch.setattr(metric, "_SLAB", 64)
     s = FiniteMetricSpace(SPACES[name].dist)
-    assert len(list(metric._slabs(s.n, half=True))) > 2
+    assert len(list(metric._slabs(s.n))) > 2
     assert build_broken_copies(s, random.Random(name), 30, symmetric_breaks) > 0
 
 
@@ -643,14 +655,15 @@ def test_ordered_scan_runs_only_when_the_exact_check_fails(monkeypatch):
     """Exactly symmetric spaces with margin >= 0, exact or float, valid or
     refused, take the (min, +) product once, and the ordered scan reads
     only the rows it flags; float spaces asymmetric within eta or past the
-    margin's range (max d >= 2^48 eta) take no product and scan every row."""
+    margin's range (max d >= 2^48 eta) take no product and scan every row.
+    The rows are those given, not the snapped ``dist`` of the space."""
     calls = []
     product = metric._min_product
     monkeypatch.setattr(metric, "_min_product", lambda m, op: calls.append(op) or
                         product(m, op))
     for name, s in SPACES.items():
         calls.clear()
-        FiniteMetricSpace(s.dist)
+        FiniteMetricSpace(tuple(map(tuple, GIVEN.get(name, s.dist))))
         assert calls == ([] if name == "float-asymmetric-12" else [np.add]), name
     calls.clear()
     build_from_matrix([[0.0, 1e6], [1e6, 0.0]])
@@ -723,6 +736,91 @@ def test_float_margin_covers_the_rounding_gap():
         build_from_matrix(rows)
     assert ei.value.witness == (0, 1, 2)
     assert (str(ei.value), ei.value.witness) == oracles.first_axiom_failure(rows, 1e-9)
+
+
+def test_snapped_matrix_may_break_a_triangle_by_up_to_twice_eta():
+    """The given rows pass within eta; their upper triangle, mirrored, breaks
+    (0, 2, 1) by 1.9e-9, so the space's own ``dist`` is refused."""
+    rows = [[0, 3, 1], [3 - 0.9e-9, 0, 2 - 1.9e-9], [1, 2 - 0.95e-9, 0]]
+    assert oracles.first_axiom_failure(rows, 1e-9) is None
+    space = build_from_matrix(rows)
+    assert space.dist == ((0.0, 3.0, 1.0), (3.0, 0.0, 2 - 1.9e-9), (1.0, 2 - 1.9e-9, 0.0))
+    with pytest.raises(AxiomViolation) as ei:
+        FiniteMetricSpace(space.dist)
+    assert ei.value.witness == (0, 2, 1)
+    assert (str(ei.value), ei.value.witness) == oracles.first_axiom_failure(space.dist, 1e-9)
+
+
+@st.composite
+def moved_float_rows(draw):
+    """(rows, off_diagonal): the float matrix of distinct points of a 4 x 4
+    integer grid or of a line, scaled, whose lines hold tight triangles,
+    with the entries off the diagonal moved by up to 4e-10 each, its
+    diagonal moved, or both.  Three moves of 4e-10 break a tight triangle by
+    more than eta, and one more move of 1.2e-9 may put a pair off symmetry
+    or the diagonal past eta."""
+    n = draw(st.integers(2, 8))
+    pts = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)) if draw(st.booleans())
+                        else st.tuples(st.integers(0, 9), st.just(0)),
+                        min_size=n, max_size=n, unique=True))
+    scale = draw(st.sampled_from([1.0, 0.1, 7.3]))
+    off_symmetry, off_diagonal = draw(st.sampled_from([(True, False), (False, True),
+                                                       (True, True)]))
+    rows = [[math.dist(p, q) * scale for q in pts] for p in pts]
+    for i in range(n):
+        if off_diagonal:
+            rows[i][i] = draw(st.sampled_from([-4e-10, -0.0, 0.0, 3e-10, 4e-10]))
+        for j in range(n):
+            if off_symmetry and j != i:
+                rows[i][j] += draw(st.sampled_from([-4e-10, 4e-10, 0.0, -2e-10, 1e-10]))
+    if draw(st.integers(0, 4)) == 0:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if (off_diagonal if i == j else off_symmetry):
+            rows[i][j] += 1.2e-9
+    return rows, off_diagonal
+
+
+#: The rounding margin of the comparison with the given rows: the kernel and
+#: the scalar reference each round r + s and its difference with d once,
+#: each by at most 2^-53 of a value <= 2 max d.
+SNAP_ROUNDING = 2.0 ** -50
+
+
+@settings(max_examples=200, deadline=None)
+@given(moved_float_rows())
+def test_float_matrix_snaps_to_its_upper_triangle(case):
+    """A float matrix off symmetry or off a zero diagonal is refused or
+    accepted on its given rows, with the scalar loops' message and witness;
+    an accepted one holds its upper triangle, mirrored, with a +0.0
+    diagonal.  Off symmetry by at most delta, with a zero diagonal, each
+    tau and defect is within 3 delta of the scalar references on the given
+    rows, plus ``SNAP_ROUNDING`` of max d."""
+    rows, off_diagonal = case
+    n = len(rows)
+    failure = oracles.first_axiom_failure(rows, 1e-9)
+    if failure is not None:
+        with pytest.raises(AxiomViolation) as ei:
+            build_from_matrix(rows)
+        assert (str(ei.value), ei.value.witness) == failure
+        return
+    space = build_from_matrix(rows)
+    want = tuple(tuple(rows[min(i, j)][max(i, j)] if i != j else 0.0 for j in range(n))
+                 for i in range(n))
+    assert space.dist == want
+    assert all(type(v) is float for row in space.dist for v in row)
+    assert not any(math.copysign(1, space.dist[i][i]) < 0 for i in range(n))
+    if off_diagonal:
+        return
+    delta = max(abs(rows[i][j] - rows[j][i]) for i in range(n) for j in range(n))
+    slack = 3 * delta + SNAP_ROUNDING * max(map(max, rows))
+    given = SimpleNamespace(dist=rows, n=n, eta=1e-9)
+    tau = wave_distance_matrix(space)
+    defects = condition2_report(space)["defects"]
+    for x in range(n):
+        for y in range(n):
+            if x != y:
+                assert abs(tau[x][y] - oracles.wave_distance_points(given, x, y)) <= slack
+            assert abs(defects[x][y] - oracles.condition2_defect(given, x, y)) <= slack
 
 
 @settings(max_examples=300, deadline=None)
@@ -905,8 +1003,14 @@ def assert_ranks_are_those_of_the_matrix(space):
     assert got_ranks.dtype == metric._int_dtype(len(values))
 
 
-def test_float_spaces_cover_mirrored_and_full_ranks():
-    assert {SPACES[name]._mirrored for name in FLOAT_SPACES} == {True, False}
+def test_every_kernel_is_mirrored():
+    """Every space, the float matrices given off symmetry or off a zero
+    diagonal included, holds d = d^T with a +0 diagonal, and so does R."""
+    assert set(GIVEN) < set(FLOAT_SPACES)
+    for name, s in SPACES.items():
+        for m in (s._m, s._ranks[1]):
+            assert (m == m.T).all() and not m.diagonal().any(), name
+        assert not np.signbit(s._m.diagonal().astype(float)).any(), name
 
 
 @pytest.mark.parametrize("name", FLOAT_SPACES)
@@ -1129,7 +1233,7 @@ def test_closed_forms_at_slab_scale(n):
     distinct points, with lengths 3/2, 15000 and 10^9/7 putting the kernel
     in int16, int32 and int64; the unit-weight path graph is the segment
     with h = 1."""
-    assert next(metric._slabs(n, half=True)) == (0, 1)
+    assert next(metric._slabs(n)) == (0, 1)
     off = [[abs(i - j) for j in range(n)] for i in range(n)]
 
     discrete = build_discrete(n)
@@ -1203,7 +1307,7 @@ def test_segment_closed_forms_in_the_object_dtype(monkeypatch):
     monkeypatch.setattr(metric, "_PLANE", 64 * 8)  # 64 object entries
     monkeypatch.setattr(metric, "_CHUNK", 2 * 64 * 8)
     n = 17
-    assert len(list(metric._slabs(n, half=True, cell=8))) > 2
+    assert len(list(metric._slabs(n, cell=8))) > 2
     segment = build_segment_sample(n, F(10 ** 20, 3))
     assert segment._m.dtype == object
     assert_segment_closed_forms(segment, F(10 ** 20, 3) / (n - 1))

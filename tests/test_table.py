@@ -262,3 +262,13 @@ def test_mixed_matrix_report_matches_golden():
     d = [[0.0, 1.0, 0.5], [1.0, 0.0, 0.75], [0.5, 0.75, 0.0]]
     assert json.loads("".join(cli.encode_report({"d": metric._dist_table(space)}))) == {"d": d}
     assert json.loads((EXPECTED / "isometry-matrix-mixed.json").read_text())["d"] == d
+
+
+def test_segment_tau_and_bracket_codes_are_int16():
+    """``_in_use`` renumbers a 45-point segment's tau, bracket and defect
+    codes in int16, which holds their count and the diagonal's code."""
+    s = build_segment_sample(45, F(7, 3))
+    result = wave_model(s, default_grid(s), include_brackets=True)
+    assert result.tau_table.codes.dtype == np.int16
+    assert result.bracket_table.codes.dtype == np.int16
+    assert metric._table(s._defects, s._scale).codes.dtype == np.int16
