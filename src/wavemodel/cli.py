@@ -209,8 +209,14 @@ def resolve_grid(args, space) -> lattice.TimeGrid:
     return grid
 
 
-def sample_spacing_note(space) -> dict:
-    return {"min_positive_distance": space.min_positive_distance()}
+def _unit_point(args, reader: str) -> Fraction:
+    """``--x``, which ``reader`` requires, as a rational inside (0, 1)."""
+    if args.x is None:
+        raise ConfigError(f"{reader} requires --x")
+    x = _parse_rational(args.x)
+    if not 0 < x < 1:
+        raise ConfigError(f"--x must lie strictly inside (0, 1), got {x}")
+    return x
 
 
 def _write(parts: Iterable[str], path: str | None) -> None:
@@ -288,7 +294,7 @@ def cmd_validate(args) -> int:
         emit({"valid": False, "error": str(exc), "witness": list(exc.witness)}, args)
         return EXIT_VALIDATION
     emit({"valid": True, "n": space.n, "exact": space.exact,
-          **sample_spacing_note(space)}, args)
+          "min_positive_distance": space.min_positive_distance()}, args)
     return EXIT_OK
 
 
@@ -312,7 +318,7 @@ def cmd_conditions(args) -> int:
         "condition2_defects": table,
         "max_defect": max_defect,
         "verdict": _verdict(space, max_defect),
-        **sample_spacing_note(space),
+        "min_positive_distance": space.min_positive_distance(),
     }
     emit(report, args)
     return EXIT_OK
@@ -337,7 +343,7 @@ def cmd_wave_model(args, with_brackets: bool) -> int:
         "max_defect": result.max_defect,
         "atom_count": len(set(result.atoms)),
         "warnings": list(result.warnings),
-        **sample_spacing_note(space),
+        "min_positive_distance": space.min_positive_distance(),
     }
     if with_brackets:
         report["tau_brackets"] = result.bracket_table
@@ -351,11 +357,7 @@ def cmd_wave_model(args, with_brackets: bool) -> int:
 
 
 def cmd_segment_demo(args) -> int:
-    if args.x is None:
-        raise ConfigError("segment-demo requires --x")
-    x = _parse_rational(args.x)
-    if not 0 < x < 1:
-        raise ConfigError(f"--x must lie strictly inside (0, 1), got {x}")
+    x = _unit_point(args, "segment-demo")
     chain = segment.segment_example(x)
     report = segment.verify_four_chain(x)
     traces = io.StringIO()
@@ -384,11 +386,7 @@ def cmd_nucleus_demo(args) -> int:
     # one subparser serves every net; refuse the flags the chosen net ignores
     if args.net in ("left-window", "right-window"):
         _refuse_unread(args, (*_SPACE_FLAGS, "grid", "center"), f"--net {args.net}")
-        if args.x is None:
-            raise ConfigError(f"--net {args.net} requires --x")
-        x = _parse_rational(args.x)
-        if not 0 < x < 1:
-            raise ConfigError(f"--x must lie strictly inside (0, 1), got {x}")
+        x = _unit_point(args, f"--net {args.net}")
         fam = (interval1d.AffineIntervalFamily.left_window(1, x)
                if args.net == "left-window"
                else interval1d.AffineIntervalFamily.right_window(1, x))
@@ -413,9 +411,9 @@ def cmd_nucleus_demo(args) -> int:
         raise ConfigError(f"--center {args.center} out of range")
     grid = resolve_grid(args, space)
     eps0 = (Fraction(space.diameter()) if space.n > 1 else Fraction(1))
-    net = lattice.DecreasingNet.from_family(
-        lambda e: metric.open_ball(space, args.center, e), eps0=eps0)
     try:
+        net = lattice.DecreasingNet.from_family(
+            lambda e: metric.open_ball(space, args.center, e), eps0=eps0)
         g = lattice.net_limit(space, net, grid)
     except lattice.NetError as exc:
         emit({"error": f"non-stabilizing net: {exc}"}, args)

@@ -1,13 +1,13 @@
 """Lattice-valued functions of a radius, order limits, nuclei and atoms.
 
 A function t -> open set is realized on a finite strictly increasing grid
-of positive rationals.  Decreasing nets are either explicit finite chains
-or parametric families sampled on the geometric schedule eps_0 * 2^-k
-with stabilization detection.  On finite backends interior and closure
-are identity maps, which collapses several of the continuum-side bounds
-to set equalities.  Nuclei and net limits use the resulting closed forms
-(the first grid set, the image of the last net member); the full
-intersections they replace are kept as test oracles.
+of positive rationals and read on the whole grid in one call.  A
+decreasing net is a finite chain; a parametric family is sampled into one
+on the geometric schedule eps_0 * 2^-k until it stabilizes.  On finite
+backends interior and closure are identity maps, which collapses several
+of the continuum-side bounds to set equalities.  Nuclei and net limits use
+the resulting closed forms (the first grid set, the image of the last net
+member); the full intersections they replace are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -25,17 +25,16 @@ from .metric import (
     PointSet,
     _Table,
     _as_float,
+    _balls,
     _check_points,
     _in_use,
     _max_defect,
+    _neighborhoods,
     _tau_table,
-    closed_ball,
     check_condition1,
     condition2_report,
     first_meeting,
     isometry_fit,
-    neighborhood,
-    open_balls,
 )
 # unused here: the bench tracer wraps lattice.open_ball and lattice.wave_distance_matrix
 from .metric import open_ball, wave_distance_matrix  # noqa: F401
@@ -147,17 +146,15 @@ class LatticeFunction:
         }
 
 
+#: The most samples a parametric family takes to stabilize.
+_MAX_HALVINGS = 64
+
+
 @dataclass(frozen=True)
 class DecreasingNet:
-    """A decreasing chain of open sets, or a parametric family G_eps.
+    """A decreasing chain of open sets."""
 
-    Families must shrink as eps decreases; they are sampled at
-    eps_0 * 2^-k until two successive samples coincide.
-    """
-
-    chain: tuple | None = None
-    family: Callable | None = None
-    eps0: Fraction = Fraction(1)
+    chain: tuple
 
     @classmethod
     def from_chain(cls, sets: Sequence[PointSet]) -> "DecreasingNet":
@@ -167,53 +164,43 @@ class DecreasingNet:
         for a, b in zip(sets, sets[1:]):
             if not b <= a:
                 raise NetError("chain is not decreasing")
-        return cls(chain=sets)
+        return cls(sets)
 
     @classmethod
     def from_family(cls, family: Callable, eps0=Fraction(1)) -> "DecreasingNet":
-        eps0 = Fraction(eps0)
-        if eps0 <= 0:
+        """The chain of G_eps sampled at eps0 * 2^-k until two successive
+        samples coincide; refused if a sample grows or none coincide."""
+        eps = Fraction(eps0)
+        if eps <= 0:
             raise NetError("eps0 must be positive")
-        return cls(family=family, eps0=eps0)
-
-
-_MAX_HALVINGS = 64
-
-
-def _sample_family(net: DecreasingNet) -> tuple:
-    """Sample G_eps on the geometric schedule until it stabilizes."""
-    sets = []
-    eps = net.eps0
-    prev = None
-    for _ in range(_MAX_HALVINGS):
-        cur = frozenset(net.family(eps))
-        if prev is not None and not cur <= prev:
-            raise NetError(f"family is not decreasing at eps={eps}")
-        sets.append(cur)
-        if prev is not None and cur == prev:
-            return tuple(sets)
-        prev = cur
-        eps /= 2
-    raise NetError(f"family did not stabilize within {_MAX_HALVINGS} halvings")
+        sets, prev = [], None
+        for _ in range(_MAX_HALVINGS):
+            cur = frozenset(family(eps))
+            if prev is not None and not cur <= prev:
+                raise NetError(f"family is not decreasing at eps={eps}")
+            sets.append(cur)
+            if cur == prev:
+                return cls(tuple(sets))
+            prev = cur
+            eps /= 2
+        raise NetError(f"family did not stabilize within {_MAX_HALVINGS} halvings")
 
 
 def isotony_apply(space: FiniteMetricSpace, g: PointSet, grid: TimeGrid) -> LatticeFunction:
     """The image of an open set under the metric isotony: t -> G^t."""
-    g = frozenset(g)
-    return LatticeFunction(grid, tuple(neighborhood(space, g, t) for t in grid))
+    return LatticeFunction(grid, _neighborhoods(space, frozenset(g), grid.values))
 
 
 def net_limit(space: FiniteMetricSpace, net: DecreasingNet, grid: TimeGrid) -> LatticeFunction:
     """Order limit of the decreasing net of isotony images.
 
     Per grid point: interior of the intersection of G_alpha^t over the
-    (sampled) net.  Interior is the identity on finite backends, and
+    chain.  Interior is the identity on finite backends, and
     neighborhoods are monotone in the set, so the intersection over a
     decreasing chain is the image of its last member.
     """
-    members = net.chain if net.chain is not None else _sample_family(net)
-    _check_points(space, members[0])  # the first member holds all the others
-    return isotony_apply(space, members[-1], grid)
+    _check_points(space, net.chain[0])  # the first member holds all the others
+    return isotony_apply(space, net.chain[-1], grid)
 
 
 def nucleus(g: LatticeFunction) -> PointSet:
@@ -239,22 +226,18 @@ def sandwich_check(space: FiniteMetricSpace, g: LatticeFunction) -> tuple:
     so with a nonempty nucleus the check collapses to set equality.
     Failures are reported, never raised.
     """
-    core = nucleus(g)
-    records = []
-    for t, s in zip(g.grid, g.sets):
-        core_t = neighborhood(space, core, t)
-        records.append(SandwichRecord(t, core_t <= s, s <= core_t))
-    return tuple(records)
+    core_t = _neighborhoods(space, nucleus(g), g.grid.values)
+    return tuple(SandwichRecord(t, c <= s, s <= c) for t, s, c in zip(g.grid, g.sets, core_t))
 
 
 def b_star_lower(space: FiniteMetricSpace, x: int, grid: TimeGrid) -> LatticeFunction:
     """t -> open ball B_t(x)."""
-    return LatticeFunction(grid, open_balls(space, x, grid.values))
+    return LatticeFunction(grid, _balls(space, x, grid.values))
 
 
 def b_star_upper(space: FiniteMetricSpace, x: int, grid: TimeGrid) -> LatticeFunction:
     """t -> interior of the closed ball B_t[x] (the ball itself here)."""
-    return LatticeFunction(grid, tuple(closed_ball(space, x, t) for t in grid))
+    return LatticeFunction(grid, _balls(space, x, grid.values, closed=True))
 
 
 # ---------------------------------------------------------------------------

@@ -459,19 +459,19 @@ class FiniteMetricSpace:
         ranks tie where the floats do), whose distances are the radii r: for
         every y, the running minimum of d(y, z) over the z before a sorted
         position is the largest admissible s there, and ``best`` holds the
-        largest r + s.  ``dy``, a copy of d, holds a sentinel below -max d
-        on its diagonal, so no r + s counts once y is inside.  The positions
-        go in chunks of at most ``_CHUNK`` bytes of (rows, cols) planes: one
-        gather of their rows of ``dy``, the running minimum down the chunk in
-        place, carried into the next chunk, one add of the radii and one max
-        into ``best``.  These are the per-position sweep's sums in the
-        kernel dtype, and a max does not round, so every defect is the same
-        bit for bit.  Block [lo, hi) sweeps the columns from lo and mirrors
-        the rest."""
+        largest r + s.  ``dy``, a copy of d, holds -max d on its diagonal,
+        so once y is inside r + s <= r - max d <= 0, the initial ``best``.
+        The positions go in chunks of at most ``_CHUNK`` bytes of (rows,
+        cols) planes: one gather of their rows of ``dy``, the running minimum
+        down the chunk in place, carried into the next chunk, one add of the
+        radii and one max into ``best``.  These are the per-position sweep's
+        sums in the kernel dtype, and a max does not round, so every defect
+        is the same bit for bit.  Block [lo, hi) sweeps the columns from lo
+        and mirrors the rest."""
         m, n = self._m, self.n
         keys = m if self.exact else self._ranks[1]
         dy = m.copy()
-        np.fill_diagonal(dy, -np.inf if m.dtype == np.float64 else -(m.max() + 1))
+        np.fill_diagonal(dy, -m.max())
         out = np.empty_like(m)
         for lo, hi in _slabs(n, cell=m.itemsize):
             src = np.ascontiguousarray(dy[:, lo:])  # np.take would copy a view per call
@@ -654,38 +654,49 @@ def _check_points(space: FiniteMetricSpace, points: Iterable[int]) -> None:
         raise MetricError("point index out of range")
 
 
+def _prefix_sets(row: np.ndarray, keys: np.ndarray) -> tuple:
+    """{y : row[y] <= key} per key, read off ``row`` sorted once; keys
+    giving the same set share one frozenset."""
+    order = np.argsort(row, kind="stable")
+    ends = np.searchsorted(row[order], keys, side="right").tolist()
+    sets = {k: frozenset(order[:k].tolist()) for k in set(ends)}
+    return tuple(sets[k] for k in ends)
+
+
+def _balls(space: FiniteMetricSpace, x: int, radii: Sequence, closed: bool = False) -> tuple:
+    """The open (``closed``) balls about x: the point is refused first."""
+    _check_points(space, (x,))
+    return _prefix_sets(space._m[x], space._radius_keys(radii, closed))
+
+
+def _neighborhoods(space: FiniteMetricSpace, a: PointSet, radii: Sequence) -> tuple:
+    """A^t per t in ``radii``: the radii are refused first, even for an
+    empty A, which maps to itself."""
+    keys = space._radius_keys(radii)
+    if not a:
+        return (frozenset(),) * len(keys)
+    _check_points(space, a)
+    return _prefix_sets(space._m[:, list(a)].min(axis=1), keys)
+
+
 def neighborhood(space: FiniteMetricSpace, a: PointSet, t) -> PointSet:
     """A^t = {x : d(x, A) < t}; the empty set maps to itself."""
-    key, = space._radius_keys((t,))
-    if not a:
-        return frozenset()
-    _check_points(space, a)
-    near = space._m[:, list(a)].min(axis=1) <= key
-    return frozenset(np.flatnonzero(near).tolist())
+    return _neighborhoods(space, a, (t,))[0]
 
 
 def open_ball(space: FiniteMetricSpace, x: int, r) -> PointSet:
     """B_r(x) = {y : d(x, y) < r}."""
-    return open_balls(space, x, (r,))[0]
+    return _balls(space, x, (r,))[0]
 
 
 def open_balls(space: FiniteMetricSpace, x: int, radii: Sequence) -> tuple:
-    """The open balls B_r(x) for r in ``radii``, read off the row of x
-    sorted once; radii giving the same ball share one frozenset."""
-    _check_points(space, (x,))
-    row = space._m[x]
-    order = np.argsort(row, kind="stable")  # floats tie exactly where R does
-    ends = np.searchsorted(row[order], space._radius_keys(radii), side="right")
-    order, ends = order.tolist(), ends.tolist()
-    balls = {k: frozenset(order[:k]) for k in set(ends)}
-    return tuple(balls[k] for k in ends)
+    """B_r(x) per r in ``radii``; radii giving one ball share its frozenset."""
+    return _balls(space, x, radii)
 
 
 def closed_ball(space: FiniteMetricSpace, x: int, r) -> PointSet:
     """B_r[x] = {y : d(x, y) <= r}."""
-    _check_points(space, (x,))
-    key, = space._radius_keys((r,), closed=True)
-    return frozenset(np.flatnonzero(space._m[x] <= key).tolist())
+    return _balls(space, x, (r,), closed=True)[0]
 
 
 # ---------------------------------------------------------------------------

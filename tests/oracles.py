@@ -161,7 +161,7 @@ def intersection_net_limit(space: metric.FiniteMetricSpace, net: lattice.Decreas
                            grid: lattice.TimeGrid) -> lattice.LatticeFunction:
     """The order limit of a decreasing net: per grid value t, the
     intersection of G^t over every member G of the (sampled) net."""
-    members = net.chain if net.chain is not None else lattice._sample_family(net)
+    members = net.chain
     sets = []
     for t in grid:
         cur = None

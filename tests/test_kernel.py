@@ -38,7 +38,14 @@ from wavemodel import (
 )
 from wavemodel import cli, metric
 from wavemodel.cli import main
-from wavemodel.lattice import b_star_lower, make_grid, nucleus, wave_distance_classes
+from wavemodel.lattice import (
+    b_star_lower,
+    b_star_upper,
+    isotony_apply,
+    make_grid,
+    nucleus,
+    wave_distance_classes,
+)
 from wavemodel.metric import open_balls
 
 import oracles
@@ -110,7 +117,7 @@ def spaces(given):
         given[name] = within_eta(rng, n, off_diagonal)
         yield name, build_from_matrix(given[name])
     # the largest entry at each int dtype's bound: the kernels' sums reach
-    # 2 * max and the defect sentinel -(max + 1)
+    # 2 * max and the defect sentinel -max
     yield "int16-top-12", build_from_matrix(near_top(rng, 12, bound(np.int16)))
     yield "int32-line-12", build_from_matrix(on_a_line(rng, 12, bound(np.int32)))
     yield "int64-top-9", build_from_matrix(near_top(rng, 9, bound(np.int64), 3))
@@ -458,13 +465,25 @@ def test_atoms_are_the_nuclei_of_the_ball_functions(name, grid_kind):
     assert len(result.warnings) == sum(a != {x} for x, a in enumerate(result.atoms))
 
 
-@pytest.mark.parametrize("name", ["segment-17", "discrete-9", "python-int"])
+#: A float space whose distances tie: two values, each taken four times.
+FLOAT_TIES = [[0, 0.5, 0.25, 0.5], [0.5, 0, 0.5, 0.25],
+              [0.25, 0.5, 0, 0.5], [0.5, 0.25, 0.5, 0]]
+
+
+@pytest.mark.parametrize("name", ["segment-17", "discrete-9", "python-int", "float-ties"])
 def test_balls_and_brackets_on_a_grid_through_the_distances(name):
-    s = SPACES[name]
+    """Every grid-wide read at t = d exactly, on exact and tied float
+    spaces: open and closed balls, neighbourhoods and the brackets."""
+    s = SPACES.get(name) or build_from_matrix(FLOAT_TIES)
     grid = grid_through_distances(s)
     reps = [b_star_lower(s, x, grid) for x in range(s.n)]
     for x in range(s.n):
         assert reps[x].sets == tuple(oracles.open_ball(s, x, t) for t in grid)
+        assert b_star_upper(s, x, grid).sets == tuple(oracles.closed_ball(s, x, t) for t in grid)
+    rng = random.Random(name)
+    for a in [frozenset(), frozenset({0}), *(oracles.random_subset(rng, s.n) for _ in range(4))]:
+        assert isotony_apply(s, a, grid).sets == tuple(oracles.neighborhood(s, a, t)
+                                                       for t in grid)
     brackets = wave_model(s, grid, include_brackets=True).brackets
     for x in range(s.n):
         for y in range(x + 1, s.n):

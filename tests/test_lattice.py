@@ -280,6 +280,46 @@ def test_net_limit_reports_non_stabilizing_family():
         net_limit(s, DecreasingNet.from_family(family), fine_grid(s))
 
 
+def test_from_family_refuses_a_growing_or_unstable_family_when_built():
+    """The family is sampled when the net is built, so ``from_family``
+    raises before any space or grid is read."""
+    def growing(eps):
+        return frozenset(range(int(1 / eps)))  # {0}, then {0, 1}, ...
+
+    with pytest.raises(NetError, match=r"^family is not decreasing at eps=1/2$"):
+        DecreasingNet.from_family(growing)
+    calls = []
+
+    def shrinking(eps):
+        calls.append(eps)
+        return frozenset(range(len(calls), 100))  # a new set at every halving
+
+    with pytest.raises(NetError, match=r"^family did not stabilize within 64 halvings$"):
+        DecreasingNet.from_family(shrinking, eps0=F(3))
+    assert calls == [F(3, 2 ** k) for k in range(64)]
+    net = DecreasingNet.from_family(lambda e: frozenset({0}) if e < 1 else frozenset({0, 1}))
+    assert net.chain == (frozenset({0, 1}), frozenset({0}), frozenset({0}))
+
+
+def test_grid_wide_reads_refuse_a_bad_point_and_a_bad_grid_value_in_order():
+    """b_star_lower and b_star_upper refuse the point before the grid, as
+    the balls do; isotony_apply and sandwich_check refuse the grid values
+    before the points, as neighborhood does."""
+    s = build_segment_sample(5)
+    grid = TimeGrid((F(1, 2), math.inf))
+    for bad in (-1, s.n):
+        for fn in (b_star_lower, b_star_upper):
+            with pytest.raises(MetricError, match="^point index out of range$"):
+                fn(s, bad, grid)
+        with pytest.raises(MetricError, match="^radius must be a finite number, got inf$"):
+            isotony_apply(s, frozenset({0, bad}), grid)
+        g = LatticeFunction(grid, (frozenset({bad}),) * 2)
+        with pytest.raises(MetricError, match="^radius must be a finite number, got inf$"):
+            sandwich_check(s, g)
+        with pytest.raises(MetricError, match="^point index out of range$"):
+            sandwich_check(s, LatticeFunction(fine_grid(s), (frozenset({bad}),) * 12))
+
+
 # ---------------------------------------------------------------------------
 # Nucleus and the sandwich bound
 

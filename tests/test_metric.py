@@ -317,6 +317,23 @@ def test_non_finite_radius_is_refused(space, r):
             call()
 
 
+@pytest.mark.parametrize("space", [build_segment_sample(5),
+                                   build_from_points([(0, 0), (1, 0), (0, 2)])],
+                         ids=["exact", "float"])
+def test_a_bad_radius_and_a_bad_point_are_refused_in_order(space):
+    """Given both, a ball refuses its point first; a neighbourhood refuses
+    its radius first, also for the empty set, which has no point."""
+    for r in (0, -1, math.inf):
+        for bad in (-1, space.n):
+            for call in (lambda: open_ball(space, bad, r), lambda: closed_ball(space, bad, r),
+                         lambda: open_balls(space, bad, [F(1, 2), r])):
+                with pytest.raises(MetricError, match="^point index out of range$"):
+                    call()
+            for a in (frozenset({bad}), frozenset({0, bad}), frozenset()):
+                with pytest.raises(MetricError, match="^radius must be "):
+                    neighborhood(space, a, r)
+
+
 @pytest.mark.parametrize("r", [F(10 ** 400), 10 ** 400], ids=["fraction", "int"])
 def test_radius_past_the_floats_covers_a_float_space(r):
     """A finite radius that no float holds is a ball of every point."""
