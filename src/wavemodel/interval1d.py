@@ -3,7 +3,9 @@
 Sets are finite unions of subintervals with open/closed endpoint flags,
 normalized to a canonical component list so equality is structural.  The
 topology is relative to the ambient segment: 0 and L are interior points
-of sets containing a one-sided neighborhood of them.
+of sets containing a one-sided neighborhood of them.  Each endpoint with
+its flag is one ordered key, so emptiness, membership, union, intersection
+and clipping to the segment are comparisons of keys.
 
 All arithmetic is exact Fractions; no floats enter this module.
 """
@@ -23,28 +25,35 @@ def _frac(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Interval:
-    """One component: endpoints with openness flags; may be a single point."""
+    """One component: endpoints with openness flags; may be a single point.
+
+    Each end is an ordered key: ``start = (lo, not lo_closed)`` is smaller
+    the further left the component starts (a closed end before an open one
+    at the same value), ``end = (hi, hi_closed)`` larger the further right it
+    ends.  It is empty iff not start < end, and holds v iff start <= (v, False)
+    and (v, True) <= end.
+    """
 
     lo: Fraction
     lo_closed: bool
     hi: Fraction
     hi_closed: bool
 
+    @property
+    def start(self) -> tuple:
+        return (self.lo, not self.lo_closed)
+
+    @property
+    def end(self) -> tuple:
+        return (self.hi, self.hi_closed)
+
     def is_empty(self) -> bool:
-        if self.lo > self.hi:
-            return True
-        return self.lo == self.hi and not (self.lo_closed and self.hi_closed)
+        return not self.start < self.end
 
     def contains(self, v: Fraction) -> bool:
-        if v < self.lo or v > self.hi:
-            return False
-        if v == self.lo and not self.lo_closed:
-            return False
-        if v == self.hi and not self.hi_closed:
-            return False
-        return True
+        return self.start <= (v, False) and (v, True) <= self.end
 
     def __str__(self):
         l = "[" if self.lo_closed else "("
@@ -52,13 +61,15 @@ class Interval:
         return f"{l}{self.lo}, {self.hi}{r}"
 
 
-def _touches(a: Interval, b: Interval) -> bool:
-    # a.lo <= b.lo assumed; do a and b overlap or touch without a gap?
-    if b.lo < a.hi:
-        return True
-    if b.lo == a.hi:
-        return a.hi_closed or b.lo_closed
-    return False
+def _between(start: tuple, end: tuple) -> Interval:
+    """The component from a start key to an end key."""
+    return Interval(start[0], not start[1], end[0], end[1])
+
+
+def _clipped(length, start: tuple, end: tuple) -> Interval:
+    """The component from start to end, clipped to [0, L]: an ambient end
+    passed strictly becomes closed, one reached exactly keeps its flag."""
+    return _between(max(start, (Fraction(0), False)), min(end, (length, True)))
 
 
 @dataclass(frozen=True)
@@ -80,29 +91,17 @@ class IntervalSet:
             if iv.lo < 0 or iv.hi > length:
                 raise IntervalError(f"component {iv} leaves the segment [0, {length}]")
             kept.append(iv)
-        kept.sort()
         merged: list[Interval] = []
-        for iv in kept:
-            if merged and _touches(merged[-1], iv):
-                last = merged[-1]
-                if iv.hi > last.hi:
-                    hi, hic = iv.hi, iv.hi_closed
-                elif iv.hi == last.hi:
-                    hi, hic = last.hi, last.hi_closed or iv.hi_closed
-                else:
-                    hi, hic = last.hi, last.hi_closed
-                lo, loc = last.lo, last.lo_closed
-                if iv.lo == last.lo:
-                    loc = loc or iv.lo_closed
-                merged[-1] = Interval(lo, loc, hi, hic)
+        for iv in sorted(kept, key=lambda iv: iv.start):
+            if merged and iv.start <= merged[-1].end:
+                merged[-1] = _between(merged[-1].start, max(merged[-1].end, iv.end))
             else:
                 merged.append(iv)
         return cls(length, tuple(merged))
 
     @classmethod
     def full(cls, length) -> "IntervalSet":
-        length = _frac(length)
-        return cls.build(length, [Interval(Fraction(0), True, length, True)])
+        return cls.interval(length, 0, length, True, True)
 
     @classmethod
     def interval(cls, length, lo, hi, lo_closed: bool, hi_closed: bool) -> "IntervalSet":
@@ -110,8 +109,7 @@ class IntervalSet:
 
     @classmethod
     def point(cls, length, v) -> "IntervalSet":
-        v = _frac(v)
-        return cls.build(length, [Interval(v, True, v, True)])
+        return cls.interval(length, v, v, True, True)
 
     def is_empty(self) -> bool:
         return not self.components
@@ -140,16 +138,8 @@ class IntervalSet:
 
 def iv_intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     a._check_ambient(b)
-    out = []
-    for p in a.components:
-        for q in b.components:
-            lo, loc = (p.lo, p.lo_closed) if p.lo > q.lo else \
-                      (q.lo, q.lo_closed) if q.lo > p.lo else \
-                      (p.lo, p.lo_closed and q.lo_closed)
-            hi, hic = (p.hi, p.hi_closed) if p.hi < q.hi else \
-                      (q.hi, q.hi_closed) if q.hi < p.hi else \
-                      (p.hi, p.hi_closed and q.hi_closed)
-            out.append(Interval(lo, loc, hi, hic))
+    out = [_between(max(p.start, q.start), min(p.end, q.end))
+           for p in a.components for q in b.components]
     return IntervalSet.build(a.length, out)
 
 
@@ -177,12 +167,7 @@ def iv_neighborhood(a: IntervalSet, t) -> IntervalSet:
     t = _frac(t)
     if t <= 0:
         raise IntervalError(f"radius must be positive, got {t}")
-    out = []
-    for c in a.components:
-        lo, hi = c.lo - t, c.hi + t
-        lo, loc = (Fraction(0), True) if lo < 0 else (lo, False)
-        hi, hic = (a.length, True) if hi > a.length else (hi, False)
-        out.append(Interval(lo, loc, hi, hic))
+    out = [_clipped(a.length, (c.lo - t, True), (c.hi + t, False)) for c in a.components]
     return IntervalSet.build(a.length, out)
 
 
@@ -227,10 +212,9 @@ class AffineIntervalFamily:
     def __post_init__(self):
         if self.lo_slope > 0 or self.hi_slope < 0:
             raise IntervalError("family is not decreasing in eps")
-        if self.lo_const > self.hi_const:
-            raise IntervalError("family is empty for small eps")
-        if self.lo_const == self.hi_const and self.lo_slope == 0 \
-                and self.hi_slope == 0 and not (self.lo_closed and self.hi_closed):
+        # as eps -> 0 the ends compare by constant, then by slope, then by flag
+        if not (self.lo_const, self.lo_slope, not self.lo_closed) \
+                < (self.hi_const, self.hi_slope, self.hi_closed):
             raise IntervalError("family is empty for small eps")
 
     @classmethod
@@ -255,18 +239,15 @@ class AffineIntervalFamily:
         eps = _frac(eps)
         if eps <= 0:
             raise IntervalError("eps must be positive")
-        lo = self.lo_const + self.lo_slope * eps
-        hi = self.hi_const + self.hi_slope * eps
-        lo, loc = (Fraction(0), True) if lo < 0 else (lo, self.lo_closed)
-        hi, hic = (self.length, True) if hi > self.length else (hi, self.hi_closed)
-        return IntervalSet.interval(self.length, lo, hi, loc, hic)
+        return IntervalSet.build(self.length, [_clipped(
+            self.length, (self.lo_const + self.lo_slope * eps, not self.lo_closed),
+            (self.hi_const + self.hi_slope * eps, self.hi_closed))])
 
 
 def iv_family_core(fam: AffineIntervalFamily) -> IntervalSet:
     """Intersection over eps of closure(G_eps): the closed limit interval."""
-    lo = max(Fraction(0), fam.lo_const)
-    hi = min(fam.length, fam.hi_const)
-    return IntervalSet.interval(fam.length, lo, hi, True, True)
+    return IntervalSet.build(fam.length, [_clipped(
+        fam.length, (fam.lo_const, False), (fam.hi_const, True))])
 
 
 def iv_family_neighborhood_limit(fam: AffineIntervalFamily, t) -> IntervalSet:
@@ -274,21 +255,14 @@ def iv_family_neighborhood_limit(fam: AffineIntervalFamily, t) -> IntervalSet:
 
     Endpoint-limit rule: a strictly moving open endpoint closes at its
     limit value (e.g. the intersection of (a - eps, b) over eps is [a, b));
-    a stationary endpoint keeps its flag.  Ambient endpoints strictly
-    passed are closed, exactly reached keep the computed flag.
+    a stationary endpoint stays open.  Both ends clip as ``_clipped`` says.
     """
     t = _frac(t)
     if t <= 0:
         raise IntervalError(f"radius must be positive, got {t}")
-    lo = fam.lo_const - t
-    lo_flag = fam.lo_slope != 0
-    hi = fam.hi_const + t
-    hi_flag = fam.hi_slope != 0
-    if lo < 0:
-        lo, lo_flag = Fraction(0), True
-    if hi > fam.length:
-        hi, hi_flag = fam.length, True
-    return IntervalSet.interval(fam.length, lo, hi, lo_flag, hi_flag)
+    return IntervalSet.build(fam.length, [_clipped(
+        fam.length, (fam.lo_const - t, fam.lo_slope == 0),
+        (fam.hi_const + t, fam.hi_slope != 0))])
 
 
 def iv_net_limit(fam: AffineIntervalFamily, t) -> IntervalSet:

@@ -57,10 +57,11 @@ class TimeGrid:
     def __post_init__(self):
         if len(self.values) < 2:
             raise GridError("grid needs at least 2 values")
-        if self.values[0] <= 0:
+        # NaN fails each test; a last value of +inf passes, and reads refuse it as a radius
+        if not self.values[0] > 0:
             raise GridError("grid values must be positive")
         for a, b in zip(self.values, self.values[1:]):
-            if b <= a:
+            if not a < b:
                 raise GridError("grid values must be strictly increasing")
 
     def __len__(self):

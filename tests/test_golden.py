@@ -80,7 +80,13 @@ CASES = {
     "nucleus-demo-matrix-float": (["nucleus-demo", "--backend", "matrix", "--input",
                                    "matrix_float.csv", "--center", "1"], 0),
     "nucleus-demo-left-window": (["nucleus-demo", "--net", "left-window", "--x", "1/3"], 0),
+    "nucleus-demo-right-window": (["nucleus-demo", "--net", "right-window", "--x", "1/3"], 0),
 }
+
+# segment-demo writes three files into a directory: directory name -> --x;
+# 3/10 has two exceptional radii, 1/2 has them merged into one
+SEGMENT_DEMOS = {"segment-demo-3-10": "3/10", "segment-demo-1-2": "1/2"}
+SEGMENT_DEMO_FILES = ("four_functions.json", "chain_report.json", "traces.csv")
 
 
 def _argv(args, out):
@@ -98,6 +104,13 @@ def test_cli_report_matches_golden(name, tmp_path):
     out = tmp_path / f"{name}{_suffix(args)}"
     assert main(_argv(args, out)) == code
     assert out.read_bytes() == (EXPECTED / out.name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SEGMENT_DEMOS))
+def test_segment_demo_matches_golden(name, tmp_path):
+    assert main(["segment-demo", "--x", SEGMENT_DEMOS[name], "--out", str(tmp_path)]) == 0
+    for file in SEGMENT_DEMO_FILES:
+        assert (tmp_path / file).read_bytes() == (EXPECTED / name / file).read_bytes()
 
 
 def test_every_golden_d_table_holds_one_kind():
@@ -119,6 +132,9 @@ def regenerate() -> None:
         if got != code:
             raise SystemExit(f"{name}: exit {got}, expected {code}")
         print(f"wrote {out.relative_to(HERE)}")
+    for name, x in sorted(SEGMENT_DEMOS.items()):
+        if main(["segment-demo", "--x", x, "--out", str(EXPECTED / name)]) != 0:
+            raise SystemExit(f"{name}: segment-demo failed")
 
 
 if __name__ == "__main__":

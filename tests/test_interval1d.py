@@ -58,6 +58,13 @@ def test_normalization_keeps_gap():
     assert not a.contains(F(1, 2))
 
 
+def test_normalization_merges_a_closed_start_after_an_open_one():
+    # (0, 1/2) u (1/2, 1) u [1/2, 1/2] = (0, 1): the closed start at 1/2 joins all three
+    a = iset((0, False, F(1, 2), False), (F(1, 2), False, 1, False),
+             (F(1, 2), True, F(1, 2), True))
+    assert a == iset((0, False, 1, False))
+
+
 def test_empty_components_dropped():
     a = iset((F(1, 2), False, F(1, 2), False), (F(1, 4), True, F(1, 8), True))
     assert a.is_empty()
@@ -312,3 +319,67 @@ def test_ball_limits_give_open_ball_and_interior_closed_ball():
 def test_family_at_clips_to_segment():
     fam = AffineIntervalFamily.shrinking_ball(1, F(1, 10))
     assert fam.at(F(1, 2)) == iset((0, True, F(6, 10), False))
+
+
+# ---------------------------------------------------------------------------
+# A pointwise oracle: two finite unions of intervals are equal iff they agree
+# on every endpoint and on one point between each pair of consecutive endpoints
+
+
+def rand_components(rng, length):
+    """Raw components drawn on a coarse grid as ``rand_set`` draws them; some
+    are reversed or a point (empty unless closed), and many start where the
+    one before starts or ends.  The list is shuffled."""
+    pts = sorted(length * F(rng.randint(0, 12), 12) for _ in range(2 * rng.randint(0, 4)))
+    comps = []
+    for lo, hi in zip(pts[::2], pts[1::2]):
+        kind = rng.random()
+        if kind < 0.15:
+            lo, hi = hi, lo
+        elif kind < 0.3:
+            hi = lo
+        elif kind < 0.7 and comps:
+            lo = rng.choice([comps[-1].lo, comps[-1].hi])
+        comps.append(Interval(lo, rng.random() < 0.5, hi, rng.random() < 0.5))
+    rng.shuffle(comps)
+    return comps
+
+
+def inside(p, c) -> bool:
+    return (c.lo < p or c.lo == p and c.lo_closed) and (p < c.hi or p == c.hi and c.hi_closed)
+
+
+def nonempty(c) -> bool:
+    return c.lo < c.hi or c.lo == c.hi and c.lo_closed and c.hi_closed
+
+
+def probes(length, comps, t):
+    ends = {F(0), length}
+    for c in comps:
+        ends |= {c.lo, c.hi, c.lo - t, c.hi + t}
+    ends = sorted(e for e in ends if 0 <= e <= length)
+    return ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+
+
+def test_set_operations_agree_with_a_pointwise_oracle():
+    rng = random.Random(30)
+    for _ in range(400):
+        length = rng.choice([F(1), F(3, 2)])
+        raw_a, raw_b = rand_components(rng, length), rand_components(rng, length)
+        a, b = IntervalSet.build(length, raw_a), IntervalSet.build(length, raw_b)
+        t = F(rng.randint(1, 12), 12)
+        meet, nbhd = iv_intersect(a, b), iv_neighborhood(a, t)
+        for c, d in zip(a.components, a.components[1:]):
+            assert c.hi < d.lo or c.hi == d.lo and not (c.hi_closed or d.lo_closed)
+        assert all(nonempty(c) for c in a.components)
+        outs = [*a.components, *b.components, *meet.components, *nbhd.components]
+        implies = True
+        for p in probes(length, [*raw_a, *raw_b, *outs], t):
+            in_a = any(inside(p, c) for c in raw_a)
+            in_b = any(inside(p, c) for c in raw_b)
+            assert any(inside(p, c) for c in a.components) == a.contains(p) == in_a
+            assert meet.contains(p) == (in_a and in_b)
+            near = any(max(c.lo - p, p - c.hi) < t for c in raw_a if nonempty(c))
+            assert nbhd.contains(p) == near
+            implies = implies and (in_b or not in_a)
+        assert a.is_subset(b) == implies

@@ -62,6 +62,16 @@ def test_time_grid_validation():
         TimeGrid((F(1, 2), F(1, 2)))
 
 
+@pytest.mark.parametrize("values, message", [
+    ((math.nan, 0.5, 1.0), "positive"),
+    ((0.25, math.nan, 1.0), "strictly increasing"),
+    ((0.25, 0.5, math.nan), "strictly increasing"),
+])
+def test_time_grid_refuses_nan(values, message):
+    with pytest.raises(GridError, match=f"^grid values must be {message}$"):
+        TimeGrid(values)
+
+
 def test_make_grid_laws():
     lin = make_grid(F(1, 10), F(1), 10, "linear")
     assert lin.values[0] == F(1, 10) and lin.values[-1] == F(1)
