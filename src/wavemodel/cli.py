@@ -261,25 +261,11 @@ def emit(report: dict, args) -> None:
 
 
 def _csv_table(table: metric._Table) -> str:
-    """The text of ``csv.writer(...).writerows(jsonable(table))``: each
-    distinct value's field made once, as ``csv`` writes it in a row of
-    several fields, and the rows joined from the codes.  A row of one empty
-    field is written as ``""``, as ``csv`` writes it."""
-    values = list(map(jsonable, table.values))
-    fields = ["" if v is None else str(v) for v in values]  # what csv writes unquoted
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(fields)
-    if buf.getvalue() != ",".join(fields) + "\r\n":  # csv quoted a field: ask it for each
-        fields = []
-        for v in values:
-            buf.seek(0)
-            buf.truncate()
-            writer.writerow((v, None))
-            fields.append(buf.getvalue()[:-3])  # the field, without ",\r\n"
-    if table.codes.shape[1] == 1:
-        fields = [f or '""' for f in fields]
-    rows = np.array(fields, dtype=object)[table.codes].tolist()
+    """The text of ``csv.writer(...).writerows(table.tolist())`` for a table
+    of ints, floats and Fractions, which ``csv`` writes unquoted as ``str``
+    does: each distinct value's field made once, and the rows joined from
+    the codes."""
+    rows = np.array(list(map(str, table.values)), dtype=object)[table.codes].tolist()
     return "".join([",".join(row) + "\r\n" for row in rows])
 
 
@@ -301,7 +287,7 @@ def cmd_validate(args) -> int:
 def _verdict(space, max_defect) -> str:
     if max_defect <= 0:
         return "holds"
-    if space.n > 1 and max_defect <= 2 * space.min_positive_distance():
+    if max_defect <= 2 * space.min_positive_distance():
         return "holds within sample tolerance"
     return "fails"
 

@@ -50,19 +50,20 @@ class NetError(MetricError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing positive rationals t_1 < ... < t_m, m >= 2."""
+    """Strictly increasing positive finite rationals t_1 < ... < t_m, m >= 2."""
 
     values: tuple
 
     def __post_init__(self):
         if len(self.values) < 2:
             raise GridError("grid needs at least 2 values")
-        # NaN fails each test; a last value of +inf passes, and reads refuse it as a radius
         if not self.values[0] > 0:
             raise GridError("grid values must be positive")
         for a, b in zip(self.values, self.values[1:]):
             if not a < b:
                 raise GridError("grid values must be strictly increasing")
+        if not self.values[-1] < INFINITY:
+            raise GridError("grid values must be finite")
 
     def __len__(self):
         return len(self.values)
@@ -341,12 +342,14 @@ def wave_model(space: FiniteMetricSpace, grid: TimeGrid,
     brackets = None
     if include_brackets:
         # the bracket (2 t_{k-1}, 2 t_k) of each index k of the first grid value
-        # where the balls meet, for the k in use; neighbours share their end
+        # where the balls meet, for the k in use; neighbours share their end,
+        # and the diagonal holds a code of its own, for (0, 0)
         codes, used = _in_use(first_meeting(space, grid.values), len(grid) + 1)
         ends = {*used, *(k - 1 for k in used)} - {-1, len(grid)}
         doubled = {k: 2 * grid.values[k] for k in ends}
         bounds = [(doubled.get(k - 1, 0), doubled.get(k, INFINITY)) for k in used]
-        brackets = _Table(codes, bounds, ((0, 0),))
+        codes.flat[::len(codes) + 1] = len(bounds)
+        brackets = _Table(codes, [*bounds, (0, 0)])
     return WaveModelResult(
         space=space, atoms=atoms, tau_table=_tau_table(space),
         max_abs_tau_minus_d=max_dev, homothety_c=c, condition1=check_condition1(space),

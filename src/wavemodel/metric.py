@@ -224,20 +224,14 @@ def _as_float(v) -> float:
 
 class _Table:
     """An n x n matrix of API values: an int array of ``codes`` into the
-    tuple of distinct ``values``, with codes of their own on the diagonal if
-    given a diagonal.  Reports render it once per distinct value
-    (``cli.encode_report``)."""
+    tuple of distinct ``values``, the diagonal's too.  Reports render it
+    once per distinct value (``cli.encode_report``)."""
 
     __slots__ = ("codes", "values")
 
-    def __init__(self, codes: np.ndarray, values, diagonal=()):
-        """``diagonal`` holds one value for the whole diagonal or one per row;
-        without one, the diagonal keeps the codes it has."""
-        k = len(values)
-        if diagonal:
-            np.fill_diagonal(codes, range(k, k + len(diagonal)))
+    def __init__(self, codes: np.ndarray, values):
         self.codes = codes
-        self.values = (*values, *diagonal)
+        self.values = tuple(values)
 
     def tolist(self) -> list:
         """Nested lists of the values, sharing one object per code."""
@@ -252,40 +246,39 @@ def _values(a: np.ndarray, scale) -> list:
 
 
 def _table(a: np.ndarray, scale) -> _Table:
-    """The kernel matrix ``a`` (the defects) as API values, with 0 on the
-    diagonal, one per distinct value.  Ints whose range is no wider than
+    """The kernel matrix ``a`` (the defects) as API values, one per distinct
+    value, the diagonal's kernel 0 too.  Ints whose range is no wider than
     the matrix are counted, not sorted; floats are told apart by their
     bits, so 0.0 and -0.0 keep their own values."""
     if a.dtype.kind == "i" and (span := int(a.max()) - (low := int(a.min())) + 1) <= a.size:
         codes, used = _in_use(a.astype(np.intp) - low, span)
-        return _Table(codes, _values(np.add(used, low), scale), (0,))
+        return _Table(codes, _values(np.add(used, low), scale))
     floats = a.dtype == np.float64
     distinct, codes = np.unique(a.view(np.uint64) if floats else a, return_inverse=True)
     distinct = distinct.view(np.float64) if floats else distinct
-    return _Table(codes.reshape(a.shape), _values(distinct, scale), (0,))
+    return _Table(codes.reshape(a.shape), _values(distinct, scale))
 
 
 def _in_use(codes: np.ndarray, size: int) -> tuple:
     """``codes`` into ``size`` values, renumbered to those in use in the
-    narrowest int dtype that holds ``size`` (a ``_Table`` diagonal code
-    too), and their indices."""
+    narrowest int dtype that holds ``size``, so that one code past them
+    fits too (the bracket diagonal's), and their indices."""
     used = np.bincount(codes.ravel(), minlength=size) > 0
     return (np.cumsum(used, dtype=_int_dtype(size)) - 1)[codes], np.flatnonzero(used).tolist()
 
 
 def _tau_table(space: "FiniteMetricSpace") -> _Table:
     """tau as a table: the codes are ``_meet_ranks`` compressed to the ranks
-    in use, with no second sort."""
+    in use, with no second sort, the diagonal's rank 0 among them."""
     values = space._ranks[0]
     codes, used = _in_use(space._meet_ranks, len(values))
-    return _Table(codes, _values(2 * values[used], space._scale), (0,))
+    return _Table(codes, _values(2 * values[used], space._scale))
 
 
 def _dist_table(space: "FiniteMetricSpace") -> _Table:
     """``space.dist`` as a table, made without reading ``dist``: R with the
     API value of each rank, the diagonal included.  The table holds R
-    itself, no copy: it is given no diagonal, which ``_Table`` would write
-    into its codes."""
+    itself, no copy."""
     values, ranks = space._ranks
     return _Table(ranks, _values(values, space._scale))
 
@@ -409,18 +402,17 @@ class FiniteMetricSpace:
 
     @cached_property
     def _extremes(self) -> tuple:
-        """The pairs (i, j), i < j, of the first minimum and the first
-        maximum over the upper triangle in row-major order."""
-        at = np.flatnonzero(_upper(self.n))
-        upper = self._m.ravel()[at]
-        return tuple(divmod(int(at[k]), self.n) for k in (upper.argmin(), upper.argmax()))
+        """The least distance of two distinct points (None on one point) and
+        the largest distance (the kernel's 0 on one point), as API values."""
+        upper = self._m[_upper(self.n)]
+        return self._value(upper.min()) if len(upper) else None, self._value(self._m.max())
 
     def min_positive_distance(self):
         """The least distance of two distinct points; None on one point."""
-        return self._value(self._m[self._extremes[0]]) if self.n > 1 else None
+        return self._extremes[0]
 
     def diameter(self):
-        return self._value(self._m[self._extremes[1]]) if self.n > 1 else 0
+        return self._extremes[1]
 
     # -- matrix kernels (cached: the space is immutable) ---------------------
 
@@ -716,16 +708,16 @@ def condition2_defect(space: FiniteMetricSpace, x: int, y: int):
     """Worst violation of the two-radii separation property for a pair.
 
     defect(x, y) = sup{r + s : B_r(x) and B_s(y) disjoint, r, s > 0} - d(x, y),
-    taking the sup over the empty set as 0 and defect(x, x) = 0 (balls about
-    one center always intersect).  The property holds for the pair iff the
-    defect is <= 0.
+    taking the sup over the empty set as 0 and defect(x, x) = 0, the
+    kernel's 0 (balls about one center always intersect).  The property
+    holds for the pair iff the defect is <= 0.
 
     For a fixed r the largest admissible s is min{d(y,z) : d(x,z) < r}, and
     the sup over r is attained at values present in the distance matrix, so
     a single sweep over points sorted by d(x, .) suffices.
     """
     _check_points(space, (x, y))
-    return 0 if x == y else space._value(space._defects[x, y])
+    return space._value(space._defects[x, y])
 
 
 def condition2_report(space: FiniteMetricSpace) -> dict:
@@ -744,9 +736,8 @@ def condition2_report(space: FiniteMetricSpace) -> dict:
 
 
 def _max_defect(space: FiniteMetricSpace):
-    """The largest defect, or 0 when no defect is positive."""
-    top = space._defects.max()
-    return space._value(top) if top > 0 else 0
+    """The largest defect: the diagonal's 0 when no defect is positive."""
+    return space._value(space._defects.max())
 
 
 # ---------------------------------------------------------------------------
@@ -765,15 +756,15 @@ def wave_distance_matrix(space: FiniteMetricSpace) -> list:
 
 def isometry_fit(space: FiniteMetricSpace) -> tuple:
     """(max |tau - d|, c) over the pairs i < j, with tau the closed form and
-    c = sum tau d / sum d^2 the least-squares homothety factor (None for one
-    point).  Sums run in row-major pair order, one term after another as a
-    scalar loop adds them, on every Python version (``sum()`` compensates
-    float sums from 3.12 on, so it is not used); exact terms, whose sum no
-    order changes, take the narrowest dtype that holds n (n - 1) max d^2:
-    tau <= 2 d, so each of the n (n - 1) / 2 terms tau d is at most 2 max d^2
-    and d^2 half that."""
+    c = sum tau d / sum d^2 the least-squares homothety factor (on one point,
+    the kernel's 0 and None).  Sums run in row-major pair order, one term
+    after another as a scalar loop adds them, on every Python version
+    (``sum()`` compensates float sums from 3.12 on, so it is not used);
+    exact terms, whose sum no order changes, take the narrowest dtype that
+    holds n (n - 1) max d^2: tau <= 2 d, so each of the n (n - 1) / 2 terms
+    tau d is at most 2 max d^2 and d^2 half that."""
     if space.n == 1:
-        return 0, None
+        return space._value(space._m[0, 0]), None
     upper = _upper(space.n)
     d = space._m[upper]  # row-major pair order
     tau = 2 * space._ranks[0][space._meet_ranks[upper]]

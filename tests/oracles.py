@@ -344,17 +344,15 @@ def load_edges_by_row(path: str):
 
 
 def to_values(a, scale) -> list:
-    """Nested lists of API values with the int 0 on the diagonal: kernel
-    values over ``scale``, one ``Fraction`` per distinct value, or the
-    values themselves when ``scale`` is None.  The element-wise conversion
-    of the old ``metric._to_values``, the reference of ``metric._table``."""
+    """Nested lists of API values, the diagonal's too: kernel values over
+    ``scale``, one ``Fraction`` per distinct value, or the values themselves
+    when ``scale`` is None.  The element-wise conversion of the old
+    ``metric._to_values``, the reference of ``metric._table``."""
     rows = a.tolist()
     if scale is not None:
         memo = {}
         rows = [[memo[v] if v in memo else memo.setdefault(v, Fraction(v, scale))
                  for v in row] for row in rows]
-    for i, row in enumerate(rows):
-        row[i] = 0
     return rows
 
 
@@ -410,10 +408,10 @@ def neighborhood(space: metric.FiniteMetricSpace, a: frozenset, t) -> frozenset:
 def condition2_defect(space: metric.FiniteMetricSpace, x: int, y: int):
     """The separation defect of one pair by a sweep over the points sorted
     by d(x, .): the reference of ``metric.condition2_defect`` and of the
-    defect matrix."""
+    defect matrix.  On the diagonal it is d(x, x), the kernel's 0."""
     metric._check_points(space, (x, y))
     if x == y:
-        return 0
+        return space.dist[x][y]
     dx = space.dist[x]
     dy = space.dist[y]
     order = sorted(range(space.n), key=dx.__getitem__)
@@ -479,23 +477,22 @@ def wave_distance_points(space: metric.FiniteMetricSpace, x: int, y: int):
 
 
 def extremes(space: metric.FiniteMetricSpace) -> tuple:
-    """The pairs (i, j), i < j, of the first minimum and the first maximum of
-    ``space.dist`` in ``np.triu_indices`` order (row-major): the reference of
-    ``FiniteMetricSpace._extremes``.  One point has none (ValueError)."""
+    """The least and the largest entry of ``space.dist`` over the pairs in
+    ``np.triu_indices`` order: the reference of
+    ``FiniteMetricSpace._extremes``.  One point has no pair: None, and its
+    d(0, 0), the kernel's 0."""
     rows, cols = np.triu_indices(space.n, 1)
-    pairs = list(zip(rows.tolist(), cols.tolist()))
-    upper = [space.dist[i][j] for i, j in pairs]
-    at = range(len(pairs))
-    return pairs[min(at, key=upper.__getitem__)], pairs[max(at, key=upper.__getitem__)]
+    upper = [space.dist[i][j] for i, j in zip(rows.tolist(), cols.tolist())]
+    return min(upper, default=None), max(upper, default=space.dist[0][0])
 
 
 def isometry_fit(space: metric.FiniteMetricSpace) -> tuple:
     """(max |tau - d|, c = sum tau d / sum d^2) by one loop over the pairs
     i < j in row-major order, adding one term at a time: the reference of
-    ``metric.isometry_fit``.  Not ``sum()``, which compensates float sums
-    from Python 3.12 on."""
+    ``metric.isometry_fit``; (d(0, 0), None) on one point.  Not ``sum()``,
+    which compensates float sums from Python 3.12 on."""
     if space.n == 1:
-        return 0, None
+        return space.d(0, 0), None
     pairs = [(space.d(i, j), wave_distance_points(space, i, j))
              for i in range(space.n) for j in range(i + 1, space.n)]
     num = den = 0

@@ -694,10 +694,18 @@ def test_a_closed_stdout_is_an_output_error(monkeypatch, capsys):
 
 
 def test_conditions_on_one_point_hold(tmp_path):
+    """The defect and the max defect of one point are the kernel's 0 in the
+    space's one type: "0" on the discrete metric, 0.0 on a float matrix."""
     code, data = run(tmp_path, "conditions", "--backend", "discrete", "--n", "1")
     assert code == 0
-    assert (data["max_defect"], data["verdict"]) == (0, "holds")
+    assert (data["condition2_defects"], data["max_defect"], data["verdict"]) == (
+        [["0"]], "0", "holds")
     assert data["min_positive_distance"] is None
+    one = tmp_path / "one.csv"
+    one.write_text("0.0\n")
+    code, data = run(tmp_path, "conditions", "--backend", "matrix", "--input", str(one))
+    assert code == 0
+    assert repr((data["condition2_defects"], data["max_defect"])) == repr(([[0.0]], 0.0))
 
 
 def test_shrinking_ball_net_that_never_stabilizes_exits_1(tmp_path):

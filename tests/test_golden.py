@@ -2,8 +2,9 @@
 
 The golden reports under ``tests/golden/expected`` were first written by the
 pure ``Fraction`` implementation that preceded the numpy kernel; CHANGES.md
-names each regeneration since and why (the last wrote every ``d`` table in
-its space's one type).  Every case runs one CLI command on a small input and
+names each regeneration since and why (the last two wrote every ``d``
+table, and then the zeros on the ``tau`` and defect diagonals, in the
+space's one type).  Every case runs one CLI command on a small input and
 compares the written report byte for byte, together with the exit code.
 
 Regenerate (only from a commit whose reports are known good)::
@@ -122,6 +123,25 @@ def test_every_golden_d_table_holds_one_kind():
         if isinstance(report, dict) and "d" in report:
             kinds[path.stem] = {type(v).__name__ for row in report["d"] for v in row}
     assert len(kinds) > 5 and {k: v for k, v in kinds.items() if len(v) != 1} == {}
+
+
+def test_every_golden_table_holds_one_kind_and_brackets_a_zero_diagonal():
+    """Each ``tau``, ``d`` and ``condition2_defects`` table holds one JSON
+    kind, its diagonal's zeros included; a ``tau_brackets`` table holds grid
+    values, and its diagonal is [0, 0]."""
+    kinds, diagonals = {}, {}
+    for path in sorted(EXPECTED.glob("*.json")):
+        report = json.loads(path.read_text())
+        if not isinstance(report, dict):
+            continue
+        for key in ("tau", "d", "condition2_defects"):
+            if key in report:
+                kinds[path.stem, key] = {type(v).__name__ for row in report[key] for v in row}
+        if "tau_brackets" in report:
+            brackets = report["tau_brackets"]
+            diagonals[path.stem] = frozenset(json.dumps(row[i]) for i, row in enumerate(brackets))
+    assert len(kinds) > 20 and {k: v for k, v in kinds.items() if len(v) != 1} == {}
+    assert len(diagonals) > 5 and set(diagonals.values()) == {frozenset({"[0, 0]"})}
 
 
 def regenerate() -> None:

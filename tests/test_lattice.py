@@ -72,6 +72,17 @@ def test_time_grid_refuses_nan(values, message):
         TimeGrid(values)
 
 
+@pytest.mark.parametrize("values, message", [
+    ((F(1, 4), math.inf), "finite"),
+    ((0.25, 0.5, math.inf), "finite"),
+    ((0.25, math.inf, math.inf), "strictly increasing"),
+    ((math.inf, math.inf), "strictly increasing"),
+])
+def test_time_grid_refuses_inf(values, message):
+    with pytest.raises(GridError, match=f"^grid values must be {message}$"):
+        TimeGrid(values)
+
+
 def test_make_grid_laws():
     lin = make_grid(F(1, 10), F(1), 10, "linear")
     assert lin.values[0] == F(1, 10) and lin.values[-1] == F(1)
@@ -316,7 +327,8 @@ def test_grid_wide_reads_refuse_a_bad_point_and_a_bad_grid_value_in_order():
     the balls do; isotony_apply and sandwich_check refuse the grid values
     before the points, as neighborhood does."""
     s = build_segment_sample(5)
-    grid = TimeGrid((F(1, 2), math.inf))
+    grid = object.__new__(TimeGrid)  # a grid TimeGrid refuses: its last value is inf
+    object.__setattr__(grid, "values", (F(1, 2), math.inf))
     for bad in (-1, s.n):
         for fn in (b_star_lower, b_star_upper):
             with pytest.raises(MetricError, match="^point index out of range$"):
