@@ -227,7 +227,7 @@ def _write(parts: Iterable[str], path: str | None) -> None:
     ``path`` is left holding the parts before it."""
     try:
         if path is not None:
-            with open(path, "w", newline="", buffering=1 << 16) as fh:
+            with open(path, "w", encoding="utf-8", newline="", buffering=1 << 16) as fh:
                 fh.writelines(parts)
             return
         out = sys.stdout
@@ -373,11 +373,11 @@ def cmd_nucleus_demo(args) -> int:
     if args.net in ("left-window", "right-window"):
         _refuse_unread(args, (*_SPACE_FLAGS, "grid", "center"), f"--net {args.net}")
         x = _unit_point(args, f"--net {args.net}")
-        fam = (interval1d.AffineIntervalFamily.left_window(1, x)
+        fam = (interval1d.AffineIntervalFamily.left_window(x)
                if args.net == "left-window"
-               else interval1d.AffineIntervalFamily.right_window(1, x))
+               else interval1d.AffineIntervalFamily.right_window(x))
         probes = [Fraction(k, 8) for k in range(1, 12)]
-        core = interval1d.iv_family_core(fam)
+        core = interval1d.IntervalSet.point(x)
         trace = []
         for t in probes:
             g_t = interval1d.iv_net_limit(fam, t)

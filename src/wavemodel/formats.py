@@ -1,14 +1,17 @@
 """Input parsing: point-cloud CSV, edge lists, distance-matrix CSV.
 
-Every parse error reports the row and column where it occurred.  Non-finite
-values (nan, inf, floats that overflow) are parse errors.  The edge and
-matrix loaders parse each distinct number token once, to one object.
+Every parse error reports the row and column where it occurred.  Files are
+read as UTF-8, with or without a byte-order mark; a byte that does not
+decode is a parse error.  Non-finite values (nan, inf, floats that
+overflow) are parse errors.  The edge and matrix loaders parse each
+distinct number token once, to one object.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 
@@ -19,6 +22,27 @@ class ParseError(ValueError):
         super().__init__(f"row {row}, col {col}: {message}")
         self.row = row
         self.col = col
+
+
+@contextmanager
+def _text(path: str, sep: str | None):
+    """``path`` open as UTF-8 text, a leading byte-order mark dropped, lines
+    untranslated.  A byte that does not decode is a ``ParseError`` at its
+    row and at its field, the fields split on ``sep`` (None: whitespace)."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:  # the file's first bad byte
+            # "?" stands for the bad byte, so the last line and field hold it
+            lines = (data[:exc.start] + b"?").splitlines()
+            raise ParseError(f"not UTF-8: byte 0x{data[exc.start]:02x}", len(lines),
+                             len(lines[-1].decode("utf-8").split(sep))) from None
+        raise
 
 
 def _number(text: str, row: int, col: int):
@@ -88,7 +112,7 @@ def _float_row(rec: list) -> list | None:
 def load_points_csv(path: str):
     """One point per row; a non-numeric first field is taken as the label."""
     coords, labels = [], []
-    with open(path, newline="") as fh:
+    with _text(path, ",") as fh:
         for r, rec in enumerate(csv.reader(fh), start=1):
             row = _float_row(rec)
             if row is not None:
@@ -117,7 +141,7 @@ def load_edges(path: str):
     token is parsed once, to one object that every edge with it holds."""
     edges = []
     number = _parser()
-    with open(path) as fh:
+    with _text(path, None) as fh:
         for r, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts or parts[0].startswith("#"):
@@ -140,7 +164,7 @@ def load_matrix_csv(path: str):
     """n x n distance matrix, one row per line."""
     rows = []
     number = _parser()
-    with open(path, newline="") as fh:
+    with _text(path, ",") as fh:
         for r, rec in enumerate(csv.reader(fh), start=1):
             if not rec or all(not f.strip() for f in rec):
                 continue

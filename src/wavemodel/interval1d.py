@@ -1,9 +1,9 @@
-"""Exact open-set arithmetic on the segment [0, L] with rational endpoints.
+"""Exact open-set arithmetic on the segment [0, 1] with rational endpoints.
 
 Sets are finite unions of subintervals with open/closed endpoint flags,
 normalized to a canonical component list so equality is structural.  The
-topology is relative to the ambient segment: 0 and L are interior points
-of sets containing a one-sided neighborhood of them.  Each endpoint with
+topology is relative to the segment: 0 and 1 are interior points of sets
+containing a one-sided neighborhood of them.  Each endpoint with
 its flag is one ordered key, so emptiness, membership, union, intersection
 and clipping to the segment are comparisons of keys.
 
@@ -18,7 +18,8 @@ from typing import Sequence
 
 
 class IntervalError(ValueError):
-    """Malformed interval data or mismatched ambient segments."""
+    """Malformed interval data: a component off the segment, a radius or an
+    eps that is not positive, a point not inside the segment."""
 
 
 def _frac(v) -> Fraction:
@@ -66,30 +67,26 @@ def _between(start: tuple, end: tuple) -> Interval:
     return Interval(start[0], not start[1], end[0], end[1])
 
 
-def _clipped(length, start: tuple, end: tuple) -> Interval:
-    """The component from start to end, clipped to [0, L]: an ambient end
-    passed strictly becomes closed, one reached exactly keeps its flag."""
-    return _between(max(start, (Fraction(0), False)), min(end, (length, True)))
+def _clipped(start: tuple, end: tuple) -> Interval:
+    """The component from start to end, clipped to [0, 1]: an end of the
+    segment passed strictly becomes closed, one reached exactly keeps its flag."""
+    return _between(max(start, (Fraction(0), False)), min(end, (Fraction(1), True)))
 
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Canonical finite union of disjoint, non-adjacent components in [0, L]."""
+    """Canonical finite union of disjoint, non-adjacent components in [0, 1]."""
 
-    length: Fraction
     components: tuple
 
     @classmethod
-    def build(cls, length, intervals: Sequence[Interval]) -> "IntervalSet":
-        length = _frac(length)
-        if length <= 0:
-            raise IntervalError("ambient length must be positive")
+    def build(cls, intervals: Sequence[Interval]) -> "IntervalSet":
         kept = []
         for iv in intervals:
             if iv.is_empty():
                 continue
-            if iv.lo < 0 or iv.hi > length:
-                raise IntervalError(f"component {iv} leaves the segment [0, {length}]")
+            if iv.lo < 0 or iv.hi > 1:
+                raise IntervalError(f"component {iv} leaves the segment [0, 1]")
             kept.append(iv)
         merged: list[Interval] = []
         for iv in sorted(kept, key=lambda iv: iv.start):
@@ -97,19 +94,19 @@ class IntervalSet:
                 merged[-1] = _between(merged[-1].start, max(merged[-1].end, iv.end))
             else:
                 merged.append(iv)
-        return cls(length, tuple(merged))
+        return cls(tuple(merged))
 
     @classmethod
-    def full(cls, length) -> "IntervalSet":
-        return cls.interval(length, 0, length, True, True)
+    def full(cls) -> "IntervalSet":
+        return cls.interval(0, 1, True, True)
 
     @classmethod
-    def interval(cls, length, lo, hi, lo_closed: bool, hi_closed: bool) -> "IntervalSet":
-        return cls.build(length, [Interval(_frac(lo), lo_closed, _frac(hi), hi_closed)])
+    def interval(cls, lo, hi, lo_closed: bool, hi_closed: bool) -> "IntervalSet":
+        return cls.build([Interval(_frac(lo), lo_closed, _frac(hi), hi_closed)])
 
     @classmethod
-    def point(cls, length, v) -> "IntervalSet":
-        return cls.interval(length, v, v, True, True)
+    def point(cls, v) -> "IntervalSet":
+        return cls.interval(v, v, True, True)
 
     def is_empty(self) -> bool:
         return not self.components
@@ -119,12 +116,7 @@ class IntervalSet:
         return any(c.contains(v) for c in self.components)
 
     def is_subset(self, other: "IntervalSet") -> bool:
-        self._check_ambient(other)
         return iv_intersect(self, other) == self
-
-    def _check_ambient(self, other: "IntervalSet") -> None:
-        if self.length != other.length:
-            raise IntervalError("ambient segment lengths differ")
 
     def __str__(self):
         if not self.components:
@@ -137,46 +129,39 @@ class IntervalSet:
 
 
 def iv_intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    a._check_ambient(b)
     out = [_between(max(p.start, q.start), min(p.end, q.end))
            for p in a.components for q in b.components]
-    return IntervalSet.build(a.length, out)
+    return IntervalSet.build(out)
 
 
 def iv_interior(a: IntervalSet) -> IntervalSet:
-    """Interior relative to [0, L]: endpoints open except at the ambient
-    boundary, where a closed endpoint stays closed."""
-    out = []
-    for c in a.components:
-        out.append(Interval(c.lo, c.lo_closed and c.lo == 0,
-                            c.hi, c.hi_closed and c.hi == a.length))
-    return IntervalSet.build(a.length, out)
+    """Interior relative to [0, 1]: endpoints open except at the ends of
+    the segment, where a closed endpoint stays closed."""
+    return IntervalSet.build([Interval(c.lo, c.lo_closed and c.lo == 0,
+                                       c.hi, c.hi_closed and c.hi == 1)
+                              for c in a.components])
 
 
 def iv_closure(a: IntervalSet) -> IntervalSet:
-    out = [Interval(c.lo, True, c.hi, True) for c in a.components]
-    return IntervalSet.build(a.length, out)
+    return IntervalSet.build([Interval(c.lo, True, c.hi, True) for c in a.components])
 
 
 def iv_neighborhood(a: IntervalSet, t) -> IntervalSet:
-    """A^t inside [0, L]: each component [lo, hi] widens to (lo-t, hi+t),
-    clipped; an ambient endpoint strictly passed becomes closed (it then
+    """A^t inside [0, 1]: each component [lo, hi] widens to (lo-t, hi+t),
+    clipped; an end of the segment strictly passed becomes closed (it then
     lies at distance < t from A).  Depends only on closure(A), so
     A^t = (closure A)^t holds by construction.
     """
     t = _frac(t)
     if t <= 0:
         raise IntervalError(f"radius must be positive, got {t}")
-    out = [_clipped(a.length, (c.lo - t, True), (c.hi + t, False)) for c in a.components]
-    return IntervalSet.build(a.length, out)
+    return IntervalSet.build([_clipped((c.lo - t, True), (c.hi + t, False))
+                              for c in a.components])
 
 
-def iv_ball(length, x, t) -> IntervalSet:
-    """Open metric ball B_t(x) inside [0, L]."""
-    length, x, t = _frac(length), _frac(x), _frac(t)
-    if t <= 0:
-        raise IntervalError(f"radius must be positive, got {t}")
-    return iv_neighborhood(IntervalSet.point(length, x), t)
+def iv_ball(x, t) -> IntervalSet:
+    """Open metric ball B_t(x) inside [0, 1]."""
+    return iv_neighborhood(IntervalSet.point(x), t)
 
 
 # ---------------------------------------------------------------------------
@@ -190,64 +175,41 @@ def iv_to_json(a: IntervalSet) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Parametric decreasing families with endpoints affine in eps
+# The window families over a point x: decreasing in eps, open at both ends
 
 
 @dataclass(frozen=True)
 class AffineIntervalFamily:
-    """G_eps = interval with endpoints affine in eps, inside [0, L].
+    """G_eps = (x + lo_slope eps, x + hi_slope eps) inside [0, 1], with
+    lo_slope <= 0 <= hi_slope, not both 0: the sets shrink onto x as eps
+    drops to 0, so {x} is the family's core, the intersection over eps of
+    closure(G_eps)."""
 
-    Decreasing in eps: the lower endpoint slope is <= 0 and the upper
-    slope is >= 0, so the sets shrink as eps drops to 0.
-    """
-
-    length: Fraction
-    lo_const: Fraction
-    lo_slope: Fraction
-    hi_const: Fraction
-    hi_slope: Fraction
-    lo_closed: bool = False
-    hi_closed: bool = False
-
-    def __post_init__(self):
-        if self.lo_slope > 0 or self.hi_slope < 0:
-            raise IntervalError("family is not decreasing in eps")
-        # as eps -> 0 the ends compare by constant, then by slope, then by flag
-        if not (self.lo_const, self.lo_slope, not self.lo_closed) \
-                < (self.hi_const, self.hi_slope, self.hi_closed):
-            raise IntervalError("family is empty for small eps")
+    x: Fraction
+    lo_slope: int
+    hi_slope: int
 
     @classmethod
-    def left_window(cls, length, x) -> "AffineIntervalFamily":
+    def left_window(cls, x) -> "AffineIntervalFamily":
         """(x - eps, x): approaches x from the left."""
-        length, x = _frac(length), _frac(x)
-        return cls(length, x, Fraction(-1), x, Fraction(0))
+        return cls(_frac(x), -1, 0)
 
     @classmethod
-    def right_window(cls, length, x) -> "AffineIntervalFamily":
+    def right_window(cls, x) -> "AffineIntervalFamily":
         """(x, x + eps): approaches x from the right."""
-        length, x = _frac(length), _frac(x)
-        return cls(length, x, Fraction(0), x, Fraction(1))
+        return cls(_frac(x), 0, 1)
 
     @classmethod
-    def shrinking_ball(cls, length, x) -> "AffineIntervalFamily":
+    def shrinking_ball(cls, x) -> "AffineIntervalFamily":
         """(x - eps, x + eps): the two-sided approximation of x."""
-        length, x = _frac(length), _frac(x)
-        return cls(length, x, Fraction(-1), x, Fraction(1))
+        return cls(_frac(x), -1, 1)
 
     def at(self, eps) -> IntervalSet:
         eps = _frac(eps)
         if eps <= 0:
             raise IntervalError("eps must be positive")
-        return IntervalSet.build(self.length, [_clipped(
-            self.length, (self.lo_const + self.lo_slope * eps, not self.lo_closed),
-            (self.hi_const + self.hi_slope * eps, self.hi_closed))])
-
-
-def iv_family_core(fam: AffineIntervalFamily) -> IntervalSet:
-    """Intersection over eps of closure(G_eps): the closed limit interval."""
-    return IntervalSet.build(fam.length, [_clipped(
-        fam.length, (fam.lo_const, False), (fam.hi_const, True))])
+        return IntervalSet.build([_clipped((self.x + self.lo_slope * eps, True),
+                                           (self.x + self.hi_slope * eps, False))])
 
 
 def iv_family_neighborhood_limit(fam: AffineIntervalFamily, t) -> IntervalSet:
@@ -260,9 +222,8 @@ def iv_family_neighborhood_limit(fam: AffineIntervalFamily, t) -> IntervalSet:
     t = _frac(t)
     if t <= 0:
         raise IntervalError(f"radius must be positive, got {t}")
-    return IntervalSet.build(fam.length, [_clipped(
-        fam.length, (fam.lo_const - t, fam.lo_slope == 0),
-        (fam.hi_const + t, fam.hi_slope != 0))])
+    return IntervalSet.build([_clipped((fam.x - t, fam.lo_slope == 0),
+                                       (fam.x + t, fam.hi_slope != 0))])
 
 
 def iv_net_limit(fam: AffineIntervalFamily, t) -> IntervalSet:

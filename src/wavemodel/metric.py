@@ -36,6 +36,7 @@ the wave distance per pair) live in the tests' ``oracles.py``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -389,7 +390,8 @@ class FiniteMetricSpace:
         return len(self._m)
 
     def d(self, i: int, j: int):
-        return self.dist[i][j]
+        """``dist[i][j]``, read from the kernel: ``dist`` is not made."""
+        return self._value(self._m[operator.index(i), operator.index(j)])
 
     @property
     def exact(self) -> bool:

@@ -8,8 +8,8 @@ all four share the singleton nucleus {x}, and after factorization by
 nucleus equality they collapse to a single class.
 
 Each function equals the open-ball family B_t(x) except at finitely many
-exceptional radii (t = x and t = L - x, where the ball hits an ambient
-endpoint), so it is stored as the ball formula plus exact overrides.
+exceptional radii (t = x and t = 1 - x, where the ball hits an end of the
+segment), so it is stored as the ball formula plus exact overrides.
 """
 
 from __future__ import annotations
@@ -30,19 +30,18 @@ from .interval1d import (
 
 @dataclass(frozen=True)
 class PiecewiseBallFunction:
-    """t -> B_t(center) in [0, L], with exact overrides at exceptional radii.
+    """t -> B_t(center) in [0, 1], with exact overrides at exceptional radii.
 
     Monotone in t, including across the overrides; evaluation is exact for
     every positive rational t, not only on a grid.
     """
 
     center: Fraction
-    length: Fraction
     exceptions: tuple  # ((t, IntervalSet), ...) sorted by t
     name: str = ""
 
     def base(self, t) -> IntervalSet:
-        return iv_ball(self.length, self.center, t)
+        return iv_ball(self.center, t)
 
     def evaluate(self, t) -> IntervalSet:
         t = Fraction(t)
@@ -54,9 +53,9 @@ class PiecewiseBallFunction:
     __call__ = evaluate
 
     def leq(self, other: "PiecewiseBallFunction") -> bool:
-        """Pointwise order; defined within one chain (same center/ambient),
-        where the functions can differ only at the exceptional radii."""
-        if (self.center, self.length) != (other.center, other.length):
+        """Pointwise order; defined within one chain (same center), where
+        the functions can differ only at the exceptional radii."""
+        if self.center != other.center:
             raise IntervalError("functions belong to different chains")
         ts = {t for t, _ in self.exceptions} | {t for t, _ in other.exceptions}
         return all(self.evaluate(t).is_subset(other.evaluate(t)) for t in ts)
@@ -64,13 +63,13 @@ class PiecewiseBallFunction:
     def nucleus(self) -> IntervalSet:
         """The single point {center}: every value contains it and shrinks
         onto it as t drops below the smallest exceptional radius."""
-        return IntervalSet.point(self.length, self.center)
+        return IntervalSet.point(self.center)
 
     def to_json(self) -> dict:
         return {
             "name": self.name,
             "center": str(self.center),
-            "length": str(self.length),
+            "length": "1",  # the segment [0, 1]: a key of the segment-demo goldens
             "base": "open ball of radius t about the center",
             "exceptions": [{"t": str(t), "set": iv_to_json(v)}
                            for t, v in self.exceptions],
@@ -89,42 +88,31 @@ class FourChain:
                 self.atom_from_right, self.ball_upper)
 
 
-def _overrides(x: Fraction, length: Fraction, formula) -> tuple:
-    """Collect the values at the exceptional radii that differ from the ball."""
-    ts = sorted({x, length - x})
-    base = lambda t: iv_ball(length, x, t)
-    out = []
-    for t in ts:  # both positive: segment_example refuses x outside (0, length)
-        val = formula(t)
-        if val != base(t):
-            out.append((t, val))
-    return tuple(out)
+def _overrides(fam: AffineIntervalFamily) -> tuple:
+    """The net limits of ``fam`` at the exceptional radii that differ from
+    the ball about its point (both radii positive: x lies in (0, 1))."""
+    out = [(t, iv_net_limit(fam, t)) for t in sorted({fam.x, 1 - fam.x})]
+    return tuple((t, val) for t, val in out if val != iv_ball(fam.x, t))
 
 
-def segment_example(x, length=Fraction(1)) -> FourChain:
-    """Build the four functions over an interior point x of [0, length].
+def segment_example(x) -> FourChain:
+    """Build the four functions over an interior point x of [0, 1].
 
     The one-sided atoms are constructed directly from their window nets via
-    exact endpoint-limit arithmetic, which covers every x in (0, length)
-    uniformly (the reflection x -> length - x swaps the two atoms).
+    exact endpoint-limit arithmetic, which covers every x in (0, 1)
+    uniformly (the reflection x -> 1 - x swaps the two atoms).
     """
-    x, length = Fraction(x), Fraction(length)
-    if not 0 < x < length:
-        raise IntervalError(f"x must lie strictly inside (0, {length})")
-    left = AffineIntervalFamily.left_window(length, x)
-    right = AffineIntervalFamily.right_window(length, x)
-    two_sided = AffineIntervalFamily.shrinking_ball(length, x)
-    lower = PiecewiseBallFunction(x, length, (), name="ball_lower")
-    a_left = PiecewiseBallFunction(
-        x, length, _overrides(x, length, lambda t: iv_net_limit(left, t)),
-        name="atom_from_left")
-    a_right = PiecewiseBallFunction(
-        x, length, _overrides(x, length, lambda t: iv_net_limit(right, t)),
-        name="atom_from_right")
-    upper = PiecewiseBallFunction(
-        x, length, _overrides(x, length, lambda t: iv_net_limit(two_sided, t)),
-        name="ball_upper")
-    return FourChain(lower, a_left, a_right, upper)
+    x = Fraction(x)
+    if not 0 < x < 1:
+        raise IntervalError("x must lie strictly inside (0, 1)")
+    return FourChain(
+        PiecewiseBallFunction(x, (), name="ball_lower"),
+        PiecewiseBallFunction(x, _overrides(AffineIntervalFamily.left_window(x)),
+                              name="atom_from_left"),
+        PiecewiseBallFunction(x, _overrides(AffineIntervalFamily.right_window(x)),
+                              name="atom_from_right"),
+        PiecewiseBallFunction(x, _overrides(AffineIntervalFamily.shrinking_ball(x)),
+                              name="ball_upper"))
 
 
 @dataclass(frozen=True)
@@ -157,15 +145,14 @@ class FourChainReport:
         }
 
 
-def _probe_radii(x: Fraction, length: Fraction) -> tuple:
-    ts = {x / 2, x, length / 2, length - x, length, length * 2}
-    lo, hi = min(x, length - x), max(x, length - x)
-    ts.add((lo + hi) / 2 if lo != hi else hi + Fraction(1, 7))
-    ts.add((hi + length) / 2)
-    return tuple(sorted(t for t in ts if t > 0))
+def _probe_radii(x: Fraction) -> tuple:
+    lo, hi = min(x, 1 - x), max(x, 1 - x)
+    ts = {x / 2, x, Fraction(1, 2), 1 - x, Fraction(1), Fraction(2), (hi + 1) / 2,
+          (lo + hi) / 2 if lo != hi else hi + Fraction(1, 7)}
+    return tuple(sorted(ts))
 
 
-def verify_four_chain(x, length=Fraction(1)) -> FourChainReport:
+def verify_four_chain(x) -> FourChainReport:
     """Exact desk check of the four-function chain at probe radii.
 
     Verifies the pointwise order (lower <= one-sided atoms <= upper),
@@ -174,8 +161,8 @@ def verify_four_chain(x, length=Fraction(1)) -> FourChainReport:
     singleton nucleus {x}: at shrinking radii t, the closure of each value
     holds x and lies in [x - t, x + t].
     """
-    x, length = Fraction(x), Fraction(length)
-    chain = segment_example(x, length)
+    x = Fraction(x)
+    chain = segment_example(x)
     failures = []
     lower, a1, a2, upper = chain.functions()
 
@@ -189,9 +176,9 @@ def verify_four_chain(x, length=Fraction(1)) -> FourChainReport:
     if not incomparable_ok:
         failures.append("one-sided atoms are comparable")
 
-    probes = _probe_radii(x, length)
-    left = AffineIntervalFamily.left_window(length, x)
-    right = AffineIntervalFamily.right_window(length, x)
+    probes = _probe_radii(x)
+    left = AffineIntervalFamily.left_window(x)
+    right = AffineIntervalFamily.right_window(x)
     limits_ok = True
     for t in probes:
         if iv_net_limit(left, t) != a1.evaluate(t):
@@ -202,13 +189,12 @@ def verify_four_chain(x, length=Fraction(1)) -> FourChainReport:
             failures.append(f"right window limit differs at t={t}")
 
     nuclei_ok = True
-    t0 = min(x, length - x) / 2
+    t0 = min(x, 1 - x) / 2
     for f in chain.functions():
         t = t0
         for _ in range(5):
             c = iv_closure(f.evaluate(t))
-            hull = IntervalSet.interval(length, max(Fraction(0), x - t),
-                                        min(length, x + t), True, True)
+            hull = IntervalSet.interval(max(0, x - t), min(1, x + t), True, True)
             if not (c.contains(x) and c.is_subset(hull)):
                 nuclei_ok = False
                 failures.append(f"nucleus certificate fails for {f.name} at t={t}")
@@ -218,4 +204,4 @@ def verify_four_chain(x, length=Fraction(1)) -> FourChainReport:
     return FourChainReport(
         x=x, probes=probes, order_ok=order_ok, incomparable_ok=incomparable_ok,
         limits_ok=limits_ok, nuclei_ok=nuclei_ok,
-        merged_exception=(x * 2 == length), failures=tuple(failures))
+        merged_exception=(x * 2 == 1), failures=tuple(failures))

@@ -281,7 +281,7 @@ def load_points_per_field(path: str):
     ``formats._coordinate`` after the label test: the loop of the old
     ``formats.load_points_csv``, the reference of its one-pass row path."""
     coords, labels = [], []
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         for r, rec in enumerate(csv.reader(fh), start=1):
             if not rec or all(not f.strip() for f in rec):
                 continue
@@ -320,7 +320,7 @@ def load_edges_by_row(path: str):
     the old ``formats.load_edges``, the reference of its row loop."""
     edges = []
     parsed = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for r, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -96,10 +96,9 @@ def test_acceptance_4_four_function_chain(capsys):
     lower, a1, a2, upper = chain.functions()
 
     def iset(*comps):
-        return IntervalSet.build(1, [Interval(F(a), la, F(b), lb)
-                                     for a, la, b, lb in comps])
+        return IntervalSet.build([Interval(F(a), la, F(b), lb) for a, la, b, lb in comps])
 
-    full = IntervalSet.full(1)
+    full = IntervalSet.full()
     expected = {
         F(1, 10): [iset((F(1, 5), False, F(2, 5), False))] * 4,
         F(3, 10): [iset((0, False, F(3, 5), False)),
@@ -115,12 +114,12 @@ def test_acceptance_4_four_function_chain(capsys):
                     for t, row in expected.items()
                     for f, want in zip(chain.functions(), row))
     incomparable = not a1.leq(a2) and not a2.leq(a1)
-    left = AffineIntervalFamily.left_window(1, x)
-    right = AffineIntervalFamily.right_window(1, x)
+    left = AffineIntervalFamily.left_window(x)
+    right = AffineIntervalFamily.right_window(x)
     limits_ok = all(iv_net_limit(left, t) == a1.evaluate(t)
                     and iv_net_limit(right, t) == a2.evaluate(t)
                     for t in expected)
-    point = IntervalSet.point(1, x)
+    point = IntervalSet.point(x)
     nuclei_ok = all(f.nucleus() == point for f in chain.functions())
     ok = values_ok and incomparable and limits_ok and nuclei_ok
     verdict(capsys, 4,
@@ -169,7 +168,7 @@ def test_acceptance_5_property_suites(capsys):
     for _ in range(100):
         lo = F(rng.randint(0, 50), 60)
         hi = lo + F(rng.randint(1, 9), 60)
-        cont = IntervalSet.interval(1, lo, hi, False, False)
+        cont = IntervalSet.interval(lo, hi, False, False)
         r = F(rng.randint(1, 30), 60)
         t = F(rng.randint(1, 30), 60)
         ok &= iv_neighborhood(iv_neighborhood(cont, r), t) == \
@@ -180,9 +179,8 @@ def test_acceptance_5_property_suites(capsys):
     for _ in range(200):
         x = F(rng.randint(0, 60), 60)
         r = F(rng.randint(1, 40), 60)
-        want = IntervalSet.interval(1, max(F(0), x - r), min(F(1), x + r),
-                                    True, True)
-        ok &= iv_closure(iv_ball(1, x, r)) == want
+        want = IntervalSet.interval(max(F(0), x - r), min(F(1), x + r), True, True)
+        ok &= iv_closure(iv_ball(x, r)) == want
 
     # (e) two-sided nucleus sandwich and (f) nucleus with/without closures
     # on 200 random decreasing nets; (g) nonempty nets keep nonempty nuclei

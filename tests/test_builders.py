@@ -337,6 +337,26 @@ def test_first_read_of_dist_equals_the_eager_dist(name):
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_d_reads_the_kernel_without_making_dist(name):
+    """``d(i, j)`` is ``dist[i][j]`` in value and type, zero signs, negative
+    indices and refusals included, and leaves ``dist`` unmade."""
+    s, reference = BUILDERS[name](), BUILDERS[name]()
+    n = s.n
+    got = [[s.d(i, j) for j in range(-n, n)] for i in range(-n, n)]
+    assert "dist" not in vars(s)
+    assert repr(got) == repr([[reference.dist[i][j] for j in range(-n, n)]
+                              for i in range(-n, n)])
+    assert repr(s.d(np.int64(n - 1), False)) == repr(reference.dist[n - 1][0])
+    for i, j in ((n, 0), (0, n), (-n - 1, 0), (0, -n - 1)):
+        with pytest.raises(IndexError):
+            s.d(i, j)
+    for i, j in ((0.0, 0), (0, "0"), (0, None)):
+        with pytest.raises(TypeError):
+            s.d(i, j)
+    assert "dist" not in vars(s)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_spaces_survive_a_pickle_round_trip(name):
     s = BUILDERS[name]()
     s.min_positive_distance()  # a cached kernel property goes along

@@ -372,11 +372,13 @@ def test_segment_demo_unwritable_directory_is_an_output_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("output error:")
 
 
+_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
 def _cli(argv, **kwargs):
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     return subprocess.Popen([sys.executable, "-m", "wavemodel.cli", *argv],
                             stderr=subprocess.PIPE, text=True,
-                            env=dict(os.environ, PYTHONPATH=src), **kwargs)
+                            env=dict(os.environ, PYTHONPATH=_SRC), **kwargs)
 
 
 def _assert_clean_output_error(proc):
@@ -384,6 +386,23 @@ def _assert_clean_output_error(proc):
     assert proc.wait(timeout=60) == 4
     assert err.startswith("output error:")
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_every_open_names_its_encoding(tmp_path):
+    """No file is opened in the locale's encoding: each loader, the report
+    writer and ``segment-demo`` run in a child that turns Python's
+    ``EncodingWarning`` into an error."""
+    inputs = pathlib.Path(__file__).parent / "golden" / "inputs"
+    for argv in (["validate", "--backend", "matrix", "--input", str(inputs / "matrix.csv")],
+                 ["isometry", "--backend", "points", "--input", POINTS],
+                 ["conditions", "--backend", "graph", "--input", str(inputs / "edges.txt"),
+                  "--format", "csv"],
+                 ["segment-demo", "--x", "1/3"]):
+        proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-m", "wavemodel.cli", *argv,
+                               "--out", str(tmp_path / argv[0])], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=_SRC), timeout=60)
+        assert (proc.returncode, "Traceback" in proc.stderr) == (0, False), proc.stderr
 
 
 def test_stdout_pipe_closed_before_writing():
@@ -654,10 +673,9 @@ def test_one_parser_serves_successive_calls_without_leaking_flags(tmp_path):
 
 
 def test_cli_import_does_not_load_networkx():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = "import sys, wavemodel.cli; print('networkx' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src), check=True)
+                         env=dict(os.environ, PYTHONPATH=_SRC), check=True)
     assert out.stdout.strip() == "False"
 
 

@@ -19,6 +19,7 @@ refuses, with the same message, exit code and stderr.
 
 import contextlib
 import io
+import json
 import os
 from fractions import Fraction as F
 from unittest import mock
@@ -252,3 +253,57 @@ def test_cli_builds_what_the_row_reference_builds(csv_path, lines):
         with mock.patch.object(cli, "build_space", lambda args: reference_route(args.input)):
             reference = validate_outcome(path)
         assert validate_outcome(path) == reference
+
+
+# ---------------------------------------------------------------------------
+# Encoding: every loader reads UTF-8, with or without a byte-order mark; a
+# byte that does not decode is an ingestion error at its row and field
+
+LOADERS = {"points": load_points_csv, "graph": load_edges, "matrix": formats.load_matrix_csv}
+VALID = {"points": "0.1\n0.5\n", "graph": "0 1 1\n1 2 1\n", "matrix": "0,1\n1,0\n"}
+
+
+def validate_file(backend, path):
+    """``wavemodel validate`` on ``path``: exit code, stderr, report."""
+    out = path.with_suffix(".json")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["validate", "--backend", backend, "--input", str(path),
+                         "--out", str(out)])
+    return code, err.getvalue(), out.read_text() if out.exists() else None
+
+
+@pytest.mark.parametrize("backend", sorted(LOADERS))
+def test_a_byte_order_mark_is_dropped(tmp_path, backend):
+    """Excel and Windows editors start a UTF-8 file with a BOM: the file
+    loads, and validates, as it does without one."""
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(VALID[backend].encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + VALID[backend].encode())
+    assert LOADERS[backend](str(marked)) == LOADERS[backend](str(plain))
+    code, err, report = validate_file(backend, marked)
+    assert (code, err, report) == validate_file(backend, plain)
+    assert code == 0 and json.loads(report)["valid"] is True
+
+
+UNDECODABLE = [
+    ("points", b"0,0\n\xff\xfe,1\n", "row 2, col 1: not UTF-8: byte 0xff"),
+    ("points", b"1,2\n" * 3000 + b"3,\xe94\n", "row 3001, col 2: not UTF-8: byte 0xe9"),
+    ("graph", b"0 1 1\n1 2 \xff\n", "row 2, col 3: not UTF-8: byte 0xff"),
+    ("graph", b"\xef\xbb\xbf0 1 1\r\n1\t\xc32 1\r\n", "row 2, col 2: not UTF-8: byte 0xc3"),
+    ("matrix", b"0,1\r\n1,\xc3", "row 2, col 2: not UTF-8: byte 0xc3"),
+]
+
+
+@pytest.mark.parametrize("backend, data, message", UNDECODABLE,
+                         ids=["points", "points-late", "graph", "graph-bom", "matrix"])
+def test_an_undecodable_byte_is_an_ingestion_error(tmp_path, backend, data, message):
+    """A byte that is not UTF-8 is a ``ParseError`` at its row and field,
+    past the first block the reader decodes too: exit 2, no report and no
+    traceback."""
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as ei:
+        LOADERS[backend](str(path))
+    assert str(ei.value) == message
+    assert validate_file(backend, path) == (2, f"ingestion error: {message}\n", None)

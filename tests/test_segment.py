@@ -9,9 +9,8 @@ from wavemodel.segment import PiecewiseBallFunction, segment_example, verify_fou
 F = Fraction
 
 
-def iset(*comps, length=1):
-    return IntervalSet.build(length, [Interval(F(a), la, F(b), lb)
-                                      for a, la, b, lb in comps])
+def iset(*comps):
+    return IntervalSet.build([Interval(F(a), la, F(b), lb) for a, la, b, lb in comps])
 
 
 X = F(3, 10)
@@ -56,13 +55,13 @@ def test_second_exceptional_radius(chain):
     t = F(7, 10)
     assert chain.ball_lower(t) == iset((0, True, 1, False))
     assert chain.atom_from_left(t) == iset((0, True, 1, False))
-    assert chain.atom_from_right(t) == IntervalSet.full(1)
-    assert chain.ball_upper(t) == IntervalSet.full(1)
+    assert chain.atom_from_right(t) == IntervalSet.full()
+    assert chain.ball_upper(t) == IntervalSet.full()
 
 
 def test_large_radius_all_reach_the_whole_segment(chain):
     for f in chain.functions():
-        assert f.evaluate(F(9, 10)) == IntervalSet.full(1)
+        assert f.evaluate(F(9, 10)) == IntervalSet.full()
 
 
 def test_pointwise_order(chain):
@@ -80,7 +79,7 @@ def test_one_sided_atoms_incomparable(chain):
 
 
 def test_all_nuclei_are_the_point(chain):
-    point = IntervalSet.point(1, X)
+    point = IntervalSet.point(X)
     for f in chain.functions():
         assert f.nucleus() == point
 
@@ -114,7 +113,7 @@ def test_midpoint_merges_the_two_exceptional_radii():
     assert chain.atom_from_left(t) == iset((0, True, 1, False))
     assert chain.atom_from_right(t) == iset((0, False, 1, True))
     assert chain.ball_lower(t) == iset((0, False, 1, False))
-    assert chain.ball_upper(t) == IntervalSet.full(1)
+    assert chain.ball_upper(t) == IntervalSet.full()
     assert len(chain.atom_from_left.exceptions) == 1
 
 
@@ -123,9 +122,8 @@ def test_reflection_swaps_the_one_sided_atoms():
     b = segment_example(F(7, 10))
 
     def mirror(s):
-        return IntervalSet.build(1, [Interval(1 - c.hi, c.hi_closed,
-                                              1 - c.lo, c.lo_closed)
-                                     for c in s.components])
+        return IntervalSet.build([Interval(1 - c.hi, c.hi_closed, 1 - c.lo, c.lo_closed)
+                                  for c in s.components])
 
     for t in (F(3, 10), F(1, 2), F(7, 10)):
         assert mirror(a.atom_from_left(t)) == b.atom_from_right(t)
@@ -139,16 +137,11 @@ def test_verify_reports_pass():
         assert rep.merged_exception == (x == F(1, 2))
 
 
-def test_verify_other_ambient_length():
-    rep = verify_four_chain(F(1, 3), length=2)
-    assert rep.all_pass, rep.failures
-
-
 def test_verify_reports_a_failing_nucleus_certificate(monkeypatch):
     """Values that never shrink onto x fail the closure certificate: one
     line per function, at the first radius probed."""
     monkeypatch.setattr(PiecewiseBallFunction, "evaluate",
-                        lambda f, t: IntervalSet.interval(f.length, F(0), f.length, True, True))
+                        lambda f, t: IntervalSet.full())
     rep = verify_four_chain(X)
     assert rep.nuclei_ok is False and not rep.all_pass
     names = ("ball_lower", "atom_from_left", "atom_from_right", "ball_upper")
