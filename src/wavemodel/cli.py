@@ -142,6 +142,8 @@ def _parts(v, indent: str) -> Iterator[str]:
 
 def _parse_rational(text: str) -> Fraction:
     try:
+        if "_" in text:  # refused on every Python, as formats._number refuses it
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"not a rational number: {text!r}") from None

@@ -46,9 +46,12 @@ def _text(path: str, sep: str | None):
 
 
 def _number(text: str, row: int, col: int):
-    """Parse a finite number, preferring exact rationals ('3/10', '2') over floats."""
+    """Parse a finite number, preferring exact rationals ('3/10', '2') over floats;
+    '_' is refused on every Python (``Fraction`` reads '1_0' from 3.11 on)."""
     text = text.strip()
     try:
+        if "_" in text:
+            raise ValueError(text)
         if text.isascii() and text.replace("/", "", 1).isdigit():  # 'p' or 'p/q', no regex
             p, slash, q = text.partition("/")
             return Fraction(int(p), int(q)) if slash else Fraction(int(p))
@@ -84,10 +87,11 @@ def _coordinate(text: str, row: int, col: int) -> float:
 
 
 def _is_label(text: str) -> bool:
-    """A field that does not parse as a number, not even as nan or inf."""
+    """A field that does not parse as a number, not even as nan or inf, nor
+    with its '_' dropped: '1_0/3' is a number that ``_number`` refuses."""
     for parse in (float, Fraction):
         try:
-            parse(text.strip())
+            parse(text.strip().replace("_", ""))
             return False
         except (ValueError, ZeroDivisionError):
             pass
@@ -98,7 +102,7 @@ def _float_row(rec: list) -> list | None:
     """The fields of a row that holds no label, each read by one ``float``
     pass, where that gives ``_coordinate``'s values: every value finite and
     nonzero (``_number`` reads '-0' as 0.0, ``float`` as -0.0) and no '_'
-    (``Fraction`` reads none before Python 3.11).  None for any other row."""
+    (which ``_number`` refuses).  None for any other row."""
     try:
         row = list(map(float, rec))
     except ValueError:

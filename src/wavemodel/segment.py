@@ -1,15 +1,14 @@
 """The four-function chain over a point of the segment [0, 1].
 
-For an interior point x of the segment, the interval between the open-ball
-function and the interior-of-closed-ball function contains exactly four
-monotone functions.  Two of them arise as order limits of one-sided window
-nets (x - eps, x) and (x, x + eps); they are incomparable to each other,
-all four share the singleton nucleus {x}, and after factorization by
-nucleus equality they collapse to a single class.
-
-Each function equals the open-ball family B_t(x) except at finitely many
-exceptional radii (t = x and t = 1 - x, where the ball hits an end of the
-segment), so it is stored as the ball formula plus exact overrides.
+For an interior point x of the segment, int B_t[x] exceeds the open ball
+B_t(x) only by the end 0 at t = x and by the end 1 at t = 1 - x, the radii
+where the ball reaches them.  So exactly four functions lie between the two:
+the open ball with each choice of those ends.  The two one-sided choices
+are the order limits of the window nets (x - eps, x) and (x, x + eps); they
+are incomparable, all four share the singleton nucleus {x}, and after
+factorization by nucleus equality they collapse to a single class.  The
+order is decided at x and 1 - x; ``_probe_radii`` says which radii decide
+each net's limit.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from fractions import Fraction
 
 from .interval1d import (
     AffineIntervalFamily,
+    Interval,
     IntervalError,
     IntervalSet,
     iv_ball,
@@ -30,35 +30,39 @@ from .interval1d import (
 
 @dataclass(frozen=True)
 class PiecewiseBallFunction:
-    """t -> B_t(center) in [0, 1], with exact overrides at exceptional radii.
-
-    Monotone in t, including across the overrides; evaluation is exact for
-    every positive rational t, not only on a grid.
-    """
+    """t -> B_t(center) in [0, 1], joined by the end 0 at t = center if
+    ``holds_0`` and by the end 1 at t = 1 - center if ``holds_1``.  Monotone
+    in t (a larger ball holds the end already); exact at every rational t."""
 
     center: Fraction
-    exceptions: tuple  # ((t, IntervalSet), ...) sorted by t
+    holds_0: bool = False
+    holds_1: bool = False
     name: str = ""
-
-    def base(self, t) -> IntervalSet:
-        return iv_ball(self.center, t)
 
     def evaluate(self, t) -> IntervalSet:
         t = Fraction(t)
-        for te, val in self.exceptions:
-            if te == t:
-                return val
-        return self.base(t)
+        ends = [Interval(e, True, e, True) for e, held, radius in
+                ((Fraction(0), self.holds_0, self.center),
+                 (Fraction(1), self.holds_1, 1 - self.center))
+                if held and t == radius]
+        return IntervalSet.build([*iv_ball(self.center, t).components, *ends])
 
     __call__ = evaluate
 
+    @property
+    def exceptions(self) -> tuple:
+        """((t, value), ...) in order of t, at the radii where the value is
+        not the open ball."""
+        out = ((t, self.evaluate(t)) for t in sorted({self.center, 1 - self.center}))
+        return tuple((t, v) for t, v in out if v != iv_ball(self.center, t))
+
     def leq(self, other: "PiecewiseBallFunction") -> bool:
         """Pointwise order; defined within one chain (same center), where
-        the functions can differ only at the exceptional radii."""
+        the functions can differ only at the radii x and 1 - x."""
         if self.center != other.center:
             raise IntervalError("functions belong to different chains")
-        ts = {t for t, _ in self.exceptions} | {t for t, _ in other.exceptions}
-        return all(self.evaluate(t).is_subset(other.evaluate(t)) for t in ts)
+        return all(self.evaluate(t).is_subset(other.evaluate(t))
+                   for t in {self.center, 1 - self.center})
 
     def nucleus(self) -> IntervalSet:
         """The single point {center}: every value contains it and shrinks
@@ -78,41 +82,25 @@ class PiecewiseBallFunction:
 
 @dataclass(frozen=True)
 class FourChain:
-    ball_lower: PiecewiseBallFunction    # t -> B_t(x)
-    atom_from_left: PiecewiseBallFunction   # limit of (x - eps, x)
-    atom_from_right: PiecewiseBallFunction  # limit of (x, x + eps)
-    ball_upper: PiecewiseBallFunction    # t -> int B_t[x]
+    ball_lower: PiecewiseBallFunction    # t -> B_t(x): neither end
+    atom_from_left: PiecewiseBallFunction   # limit of (x - eps, x): the end 0
+    atom_from_right: PiecewiseBallFunction  # limit of (x, x + eps): the end 1
+    ball_upper: PiecewiseBallFunction    # t -> int B_t[x]: both ends
 
     def functions(self) -> tuple:
         return (self.ball_lower, self.atom_from_left,
                 self.atom_from_right, self.ball_upper)
 
 
-def _overrides(fam: AffineIntervalFamily) -> tuple:
-    """The net limits of ``fam`` at the exceptional radii that differ from
-    the ball about its point (both radii positive: x lies in (0, 1))."""
-    out = [(t, iv_net_limit(fam, t)) for t in sorted({fam.x, 1 - fam.x})]
-    return tuple((t, val) for t, val in out if val != iv_ball(fam.x, t))
-
-
 def segment_example(x) -> FourChain:
-    """Build the four functions over an interior point x of [0, 1].
-
-    The one-sided atoms are constructed directly from their window nets via
-    exact endpoint-limit arithmetic, which covers every x in (0, 1)
-    uniformly (the reflection x -> 1 - x swaps the two atoms).
-    """
+    """The four functions over an interior point x of [0, 1]: the open ball
+    with each choice of the ends 0 and 1 (x -> 1 - x swaps the two atoms)."""
     x = Fraction(x)
     if not 0 < x < 1:
         raise IntervalError("x must lie strictly inside (0, 1)")
-    return FourChain(
-        PiecewiseBallFunction(x, (), name="ball_lower"),
-        PiecewiseBallFunction(x, _overrides(AffineIntervalFamily.left_window(x)),
-                              name="atom_from_left"),
-        PiecewiseBallFunction(x, _overrides(AffineIntervalFamily.right_window(x)),
-                              name="atom_from_right"),
-        PiecewiseBallFunction(x, _overrides(AffineIntervalFamily.shrinking_ball(x)),
-                              name="ball_upper"))
+    return FourChain(*(PiecewiseBallFunction(x, h0, h1, name) for h0, h1, name in (
+        (False, False, "ball_lower"), (True, False, "atom_from_left"),
+        (False, True, "atom_from_right"), (True, True, "ball_upper"))))
 
 
 @dataclass(frozen=True)
@@ -128,8 +116,7 @@ class FourChainReport:
 
     @property
     def all_pass(self) -> bool:
-        return self.order_ok and self.incomparable_ok and self.limits_ok \
-            and self.nuclei_ok
+        return self.order_ok and self.incomparable_ok and self.limits_ok and self.nuclei_ok
 
     def to_json(self) -> dict:
         return {
@@ -146,8 +133,13 @@ class FourChainReport:
 
 
 def _probe_radii(x: Fraction) -> tuple:
+    """Radii that decide ``limits_ok`` at every t > 0: both breakpoints
+    lo = min(x, 1 - x) and hi = max(x, 1 - x), and a radius inside each
+    piece (0, lo), (lo, hi) and (hi, oo).  Inside a piece both sides of the
+    check are one interval with ends x - t and x + t, clipped to [0, 1],
+    and end flags that do not change with t, so one radius decides it."""
     lo, hi = min(x, 1 - x), max(x, 1 - x)
-    ts = {x / 2, x, Fraction(1, 2), 1 - x, Fraction(1), Fraction(2), (hi + 1) / 2,
+    ts = {lo / 2, x, Fraction(1, 2), 1 - x, Fraction(1), Fraction(2), (hi + 1) / 2,
           (lo + hi) / 2 if lo != hi else hi + Fraction(1, 7)}
     return tuple(sorted(ts))
 
@@ -157,9 +149,10 @@ def verify_four_chain(x) -> FourChainReport:
 
     Verifies the pointwise order (lower <= one-sided atoms <= upper),
     incomparability of the two atoms as functions, exact reproduction of
-    both atoms by their window nets at every probe radius, and the common
-    singleton nucleus {x}: at shrinking radii t, the closure of each value
-    holds x and lies in [x - t, x + t].
+    both atoms by their window nets and of the upper ball by the shrinking
+    ball's net at every probe radius, and the common singleton nucleus {x}:
+    at shrinking radii t, the closure of each value holds x and lies in
+    [x - t, x + t].
     """
     x = Fraction(x)
     chain = segment_example(x)
@@ -177,16 +170,15 @@ def verify_four_chain(x) -> FourChainReport:
         failures.append("one-sided atoms are comparable")
 
     probes = _probe_radii(x)
-    left = AffineIntervalFamily.left_window(x)
-    right = AffineIntervalFamily.right_window(x)
+    nets = (("left window", AffineIntervalFamily.left_window(x), a1),
+            ("right window", AffineIntervalFamily.right_window(x), a2),
+            ("shrinking ball", AffineIntervalFamily.shrinking_ball(x), upper))
     limits_ok = True
     for t in probes:
-        if iv_net_limit(left, t) != a1.evaluate(t):
-            limits_ok = False
-            failures.append(f"left window limit differs at t={t}")
-        if iv_net_limit(right, t) != a2.evaluate(t):
-            limits_ok = False
-            failures.append(f"right window limit differs at t={t}")
+        for name, net, f in nets:
+            if iv_net_limit(net, t) != f.evaluate(t):
+                limits_ok = False
+                failures.append(f"{name} limit differs at t={t}")
 
     nuclei_ok = True
     t0 = min(x, 1 - x) / 2

@@ -301,9 +301,12 @@ def load_points_per_field(path: str):
 def number(text: str, row: int, col: int):
     """A finite number, exact ('3/10', '2') where the text has no '.' or
     exponent, else a float: ``Fraction`` and ``float`` on the text, the old
-    ``formats._number``, the reference of its 'p/q' path without a regex."""
+    ``formats._number``, the reference of its 'p/q' path without a regex.
+    A token with '_' is not a number, on every Python."""
     text = text.strip()
     try:
+        if "_" in text:
+            raise ValueError(text)
         if "/" in text or ("." not in text and "e" not in text.lower()):
             return Fraction(text)
         value = float(text)

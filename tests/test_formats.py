@@ -307,3 +307,44 @@ def test_an_undecodable_byte_is_an_ingestion_error(tmp_path, backend, data, mess
         LOADERS[backend](str(path))
     assert str(ei.value) == message
     assert validate_file(backend, path) == (2, f"ingestion error: {message}\n", None)
+
+
+# ---------------------------------------------------------------------------
+# A number token that holds '_' is refused on every Python: ``Fraction``
+# reads '1_0' from Python 3.11 on only, ``float`` reads '1_0.5' everywhere
+
+UNDERSCORED = ["1_0", "1_0/3", "1_0.5", "1e1_0"]
+WITH_TOKEN = {"points": ("0.1\n{}\n", 2, 1), "points-coordinate": ("0.1,2\n3,{}\n", 2, 2),
+              "graph": ("0 1 1\n1 2 {}\n", 2, 3), "matrix": ("0,{}\n1,0\n", 1, 2)}
+
+
+@pytest.mark.parametrize("token", UNDERSCORED)
+@pytest.mark.parametrize("case", sorted(WITH_TOKEN))
+def test_a_number_with_an_underscore_is_refused(tmp_path, case, token):
+    """In a points, edge or matrix file: a ``ParseError`` "not a number" at
+    the token's row and column, exit 2; a first points field such as
+    '1_0/3' is a refused number, not a label."""
+    text, row, col = WITH_TOKEN[case]
+    backend = case.partition("-")[0]
+    path = tmp_path / "input.txt"
+    path.write_text(text.format(token))
+    message = f"row {row}, col {col}: not a number: {token!r}"
+    with pytest.raises(ParseError) as ei:
+        LOADERS[backend](str(path))
+    assert str(ei.value) == message
+    assert validate_file(backend, path) == (2, f"ingestion error: {message}\n", None)
+
+
+@pytest.mark.parametrize("argv", [
+    *(["validate", "--backend", "segment", "--samples", "3", "--length", t]
+      for t in UNDERSCORED),
+    ["segment-demo", "--x", "1/1_0"],
+    ["tau", "--backend", "segment", "--samples", "3", "--grid", "1/1_0,1,5,linear"],
+], ids=[*(f"length-{t}" for t in UNDERSCORED), "x", "grid"])
+def test_a_rational_flag_with_an_underscore_is_refused(tmp_path, capsys, argv):
+    """``--length``, ``--x`` and ``--grid``: exit 3, nothing written."""
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 3
+    token = next(a for a in argv if "_" in a).split(",")[0]
+    assert capsys.readouterr().err == f"configuration refused: not a rational number: {token!r}\n"
+    assert not out.exists()

@@ -1,10 +1,26 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavemodel import IntervalError
-from wavemodel.interval1d import Interval, IntervalSet
-from wavemodel.segment import PiecewiseBallFunction, segment_example, verify_four_chain
+from wavemodel.interval1d import (
+    AffineIntervalFamily,
+    Interval,
+    IntervalSet,
+    iv_ball,
+    iv_closure,
+    iv_interior,
+    iv_net_limit,
+)
+from wavemodel.segment import (
+    PiecewiseBallFunction,
+    _probe_radii,
+    segment_example,
+    verify_four_chain,
+)
 
 F = Fraction
 
@@ -154,3 +170,72 @@ def test_verify_json_shape():
     assert data["all_pass"] is True
     assert data["x"] == "3/10"
     assert data["failures"] == []
+
+
+@pytest.mark.parametrize("x", [F(1, 1000), F(1, 2), F(3, 4), F(5, 6), F(9, 10), F(999, 1000)],
+                         ids=str)
+def test_probes_reach_every_piece(x):
+    """Both breakpoints min(x, 1 - x) and max(x, 1 - x) are probes, and each
+    piece (0, lo), (lo, hi), (hi, oo) holds one, so the probes decide
+    ``limits_ok`` at every radius."""
+    probes = _probe_radii(x)
+    lo, hi = sorted((x, 1 - x))
+    assert lo in probes and hi in probes
+    for a, b in ((0, lo), (lo, hi), (hi, None)):
+        if a != b:
+            assert any(a < t and (b is None or t < b) for t in probes), (a, b)
+    assert verify_four_chain(x).all_pass
+
+
+UNIT = st.fractions(min_value=0, max_value=1, max_denominator=60).filter(lambda v: 0 < v < 1)
+RADII = st.fractions(min_value=0, max_value=3, max_denominator=60).filter(lambda v: v > 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_chain_is_its_definition_at_every_radius(data):
+    """Each atom is its window net's limit, the upper ball is the shrinking
+    ball's limit and int B_t[x], the lower one is B_t(x), and the two differ
+    only at t = x and t = 1 - x; ``leq`` is the pointwise order."""
+    x = data.draw(UNIT, label="x")
+    ts = [x, 1 - x, *data.draw(st.lists(st.one_of(st.sampled_from([x, 1 - x]), RADII),
+                                        min_size=1, max_size=6), label="t")]
+    chain = segment_example(x)
+    lower, left, right, upper = chain.functions()
+    for t in ts:
+        assert left(t) == iv_net_limit(AffineIntervalFamily.left_window(x), t)
+        assert right(t) == iv_net_limit(AffineIntervalFamily.right_window(x), t)
+        assert upper(t) == iv_net_limit(AffineIntervalFamily.shrinking_ball(x), t)
+        assert upper(t) == iv_interior(iv_closure(iv_ball(x, t)))
+        assert lower(t) == iv_ball(x, t)
+        if t not in (x, 1 - x):
+            assert upper(t) == lower(t)
+    for f, g in itertools.product(chain.functions(), repeat=2):
+        assert f.leq(g) == all(f(t).is_subset(g(t)) for t in ts)
+
+
+@pytest.mark.parametrize("x", [F(3, 10), F(1, 2), F(3, 4)], ids=str)
+def test_the_four_functions_are_the_end_choices(x):
+    """The points of int B_t[x] outside B_t(x) at the breakpoints are two;
+    taking or leaving each gives four functions, pairwise distinct, and
+    they are the chain's four."""
+    chain = segment_example(x)
+    breakpoints = sorted({x, 1 - x})
+
+    def with_points(t, points):
+        return IntervalSet.build([*chain.ball_lower(t).components,
+                                  *(Interval(p, True, p, True) for p in points)])
+
+    gaps = []
+    for t in breakpoints:
+        upper, lower = chain.ball_upper(t), chain.ball_lower(t)
+        ends = sorted({e for c in upper.components for e in (c.lo, c.hi)})
+        points = [p for p in ends if upper.contains(p) and not lower.contains(p)]
+        assert with_points(t, points) == upper
+        gaps += [(t, p) for p in points]
+    assert len(gaps) == 2
+    choices = [tuple(with_points(t, [p for (s, p), take in zip(gaps, mask) if take and s == t])
+                     for t in breakpoints)
+               for mask in itertools.product((False, True), repeat=len(gaps))]
+    assert len(set(choices)) == 4
+    assert set(choices) == {tuple(f(t) for t in breakpoints) for f in chain.functions()}
