@@ -19,8 +19,6 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from . import formats, interval1d, lattice, metric, segment
 
 EXIT_OK = 0
@@ -38,29 +36,13 @@ class OutputError(Exception):
     """Writing the report (to a file or to stdout) failed."""
 
 
-def jsonable(obj):
-    """Flatten Fractions, infinities and matrix tables (once per value) into
-    what ``json`` and ``csv`` write: csv reports, and the tests' reference."""
-    if isinstance(obj, metric._Table):
-        values = np.fromiter(map(jsonable, obj.values), dtype=object, count=len(obj.values))
-        return values[obj.codes].tolist()
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, float):
-        return "inf" if math.isinf(obj) else obj
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    return obj
-
-
 _quote = json.encoder.encode_basestring_ascii
 
 
 def encode_report(report) -> Iterator[str]:
-    """The parts of ``json.dumps(jsonable(report), indent=2, sort_keys=True)
-    + "\\n"``, byte for byte, without the copy and the pure-Python encoder.
+    """The parts of ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``
+    with Fractions, infinities and tables flattened as ``tests/oracles.py``
+    does, byte for byte, without the copy and the pure-Python encoder.
 
     The parts come as they are made, so the text is never held whole.  A
     scalar is one part, and so is each item's separator and key.  A matrix
@@ -73,8 +55,8 @@ def encode_report(report) -> Iterator[str]:
 
 
 def _token(v) -> str | None:
-    """The token of a scalar, as ``json.dumps(jsonable(v))`` writes it;
-    None for anything else."""
+    """The token of a scalar, as ``json.dumps`` writes it once flattened as
+    ``tests/oracles.py`` does; None for anything else."""
     t = type(v)
     if t is Fraction:  # digits, a sign and a slash: nothing to escape
         return '"' + str(v) + '"'
@@ -116,9 +98,8 @@ def _parts(v, indent: str) -> Iterator[str]:
     inner = indent + "  "
     if t is metric._Table:
         cell = inner + "  "
-        tokens = np.array(_cell_tokens(v.values, cell), dtype=object)
         head, sep = "[\n" + inner + "[\n" + cell, ",\n" + cell
-        for row in tokens[v.codes].tolist():
+        for row in v.rows(_cell_tokens(v.values, cell)):
             yield head + sep.join(row)
             head = "\n" + inner + "],\n" + inner + "[\n" + cell
         yield "\n" + inner + "]\n" + indent + "]"
@@ -155,7 +136,7 @@ def parse_grid_spec(spec: str) -> lattice.TimeGrid:
         raise ConfigError("grid spec must be min,max,count,law")
     lo, hi = _parse_rational(parts[0]), _parse_rational(parts[1])
     try:
-        count = int(parts[2])
+        count = formats._integer(parts[2])
     except ValueError:
         raise ConfigError(f"grid count must be an integer: {parts[2]!r}") from None
     return lattice.make_grid(lo, hi, count, parts[3].strip())
@@ -253,22 +234,20 @@ def _write(parts: Iterable[str], path: str | None) -> None:
 
 def emit(report: dict, args) -> None:
     """Write the report: JSON, or with ``--format csv`` one key/value row per
-    key (a command's table alone is written by ``_csv_table``)."""
+    key, ``json.dumps`` with Fractions as strings (tables: ``_csv_table``)."""
     if args.format != "csv":
         _write(encode_report(report), args.out)
     else:
         buf = io.StringIO()
-        csv.writer(buf).writerows([k, json.dumps(v)] for k, v in jsonable(report).items())
+        csv.writer(buf).writerows([k, json.dumps(v, default=str)] for k, v in report.items())
         _write((buf.getvalue(),), args.out)
 
 
 def _csv_table(table: metric._Table) -> str:
     """The text of ``csv.writer(...).writerows(table.tolist())`` for a table
     of ints, floats and Fractions, which ``csv`` writes unquoted as ``str``
-    does: each distinct value's field made once, and the rows joined from
-    the codes."""
-    rows = np.array(list(map(str, table.values)), dtype=object)[table.codes].tolist()
-    return "".join([",".join(row) + "\r\n" for row in rows])
+    does: each distinct value's field made once, and gathered by the codes."""
+    return "".join([",".join(row) + "\r\n" for row in table.rows(map(str, table.values))])
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     # None marks a flag not given (refused where the backend or net ignores it)
     space.add_argument("--backend", help="default: segment", choices=list(_BACKEND_FLAGS))
     space.add_argument("--input", help="input file for points, graph and matrix")
-    space.add_argument("--n", type=int, help="point count for --backend discrete")
-    space.add_argument("--samples", type=int, help="sample count for --backend segment")
+    integer = formats._integer  # int, with '_' refused as in every number token
+    space.add_argument("--n", type=integer, help="point count for --backend discrete")
+    space.add_argument("--samples", type=integer, help="sample count for --backend segment")
     space.add_argument("--length",
                        help="segment length as a rational, e.g. 3/2 (default: 1)")
     grid = argparse.ArgumentParser(add_help=False)
@@ -443,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     net.add_argument("--net", default="shrinking-ball",
                      choices=["shrinking-ball", "left-window", "right-window"])
     net.add_argument("--x", help="rational point of (0,1) for the window nets")
-    net.add_argument("--center", type=int, help="center index for the shrinking-ball net")
+    net.add_argument("--center", type=integer, help="center index for the shrinking-ball net")
 
     p = argparse.ArgumentParser(
         prog="wavemodel",

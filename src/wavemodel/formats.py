@@ -65,6 +65,13 @@ def _number(text: str, row: int, col: int):
     return value
 
 
+def _integer(text: str) -> int:
+    """An integer token, read by ``int`` with '_' refused as ``_number`` does."""
+    if "_" in text:
+        raise ValueError(text)
+    return int(text)
+
+
 def _parser():
     """``_number`` that parses each distinct token once: repeated tokens
     give the same object, which the space's ingest then converts once."""
@@ -153,7 +160,7 @@ def load_edges(path: str):
             if len(parts) != 3:
                 raise ParseError(f"expected 'i j weight', got {len(parts)} fields", r, 1)
             try:
-                i, j = int(parts[0]), int(parts[1])
+                i, j = _integer(parts[0]), _integer(parts[1])
             except ValueError:
                 raise ParseError("endpoint indices must be integers", r, 1) from None
             if i < 0 or j < 0:

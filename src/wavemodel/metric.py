@@ -234,10 +234,13 @@ class _Table:
         self.codes = codes
         self.values = tuple(values)
 
+    def rows(self, items) -> list:
+        """Nested lists of ``items``, one per distinct value, gathered by the
+        codes: each item object is shared by its codes."""
+        return np.fromiter(items, dtype=object, count=len(self.values))[self.codes].tolist()
+
     def tolist(self) -> list:
-        """Nested lists of the values, sharing one object per code."""
-        values = np.fromiter(self.values, dtype=object, count=len(self.values))
-        return values[self.codes].tolist()
+        return self.rows(self.values)
 
 
 def _values(a: np.ndarray, scale) -> list:
@@ -338,6 +341,14 @@ class FiniteMetricSpace:
         dist = tuple(map(tuple, _dist_table(self).tolist()))
         object.__setattr__(self, "dist", dist)
         return dist
+
+    def __hash__(self):
+        """Agrees with ``==``: equal ints, Fractions and floats hash alike."""
+        return hash((self.n, self.min_positive_distance(), self.diameter()))
+
+    def __repr__(self):
+        kind = "exact" if self.exact else "float"
+        return f"<FiniteMetricSpace: {self.n} points, {kind}, {self._m.dtype} kernel>"
 
     def _validate(self):
         """Raise on the first failure in the order of the scalar loops: the

@@ -333,6 +333,8 @@ def load_edges_by_row(path: str):
                 raise formats.ParseError(f"expected 'i j weight', got {len(parts)} fields",
                                          r, 1)
             try:
+                if "_" in parts[0] + parts[1]:  # as in a number token
+                    raise ValueError(line)
                 i, j = int(parts[0]), int(parts[1])
             except ValueError:
                 raise formats.ParseError("endpoint indices must be integers", r, 1) from None
@@ -344,6 +346,25 @@ def load_edges_by_row(path: str):
     if not edges:
         raise formats.ParseError("no edges found", 1, 1)
     return edges
+
+
+def jsonable(obj):
+    """Flatten Fractions (to their strings), infinities (to "inf") and
+    matrix tables (to nested lists, gathered value by value) into what
+    ``json`` writes: the reference of ``cli.encode_report`` and of the
+    key/value rows of ``cli.emit``."""
+    if isinstance(obj, metric._Table):
+        values = [jsonable(v) for v in obj.values]
+        return [[values[c] for c in row] for row in obj.codes.tolist()]
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, float):
+        return "inf" if math.isinf(obj) else obj
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    return obj
 
 
 def to_values(a, scale) -> list:

@@ -29,6 +29,8 @@ from wavemodel import (
     build_from_matrix,
     build_from_points,
     build_segment_sample,
+    default_grid,
+    wave_model,
 )
 from wavemodel import metric
 from wavemodel.cli import main
@@ -367,6 +369,35 @@ def test_spaces_survive_a_pickle_round_trip(name):
     assert copy == s  # compares dist: made on both sides where it was not
     again = pickle.loads(pickle.dumps(s))  # now with dist made
     assert again == s and again.dist == s.dist
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_hash_and_repr_leave_dist_unmade(name):
+    """``hash``, ``repr`` and the ``repr`` of a wave model read only the
+    kernel: a short text, and ``dist`` still unmade."""
+    s = BUILDERS[name]()
+    text = repr(s)
+    assert hash(s) == hash(BUILDERS[name]())
+    assert repr(wave_model(s, default_grid(s))).count(text) == 1
+    assert "dist" not in vars(s)
+    assert text == (f"<FiniteMetricSpace: {s.n} points, {'exact' if s.exact else 'float'}, "
+                    f"{s._m.dtype} kernel>")
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+    [[0, F(1, 2), 1], [F(1, 2), 0, F(1, 2)], [1, F(1, 2), 0]],
+    [[0]],
+])
+def test_spaces_with_equal_dist_hash_equal(rows):
+    """The same distances as ints (where they are), ``Fraction``s and
+    floats: equal spaces, one hash, made without ``dist``."""
+    spaces = [build_from_matrix([[kind(v) for v in row] for row in rows])
+              for kind in (lambda v: v, F, float)]
+    hashes = {hash(s) for s in spaces}
+    assert not any("dist" in vars(s) for s in spaces)
+    assert len(hashes) == 1
+    assert spaces[0] == spaces[1] == spaces[2]
 
 
 def test_a_space_without_dist_refuses_other_missing_attributes():

@@ -6,6 +6,10 @@ wave distance tau_Omega and its separation defect are not d and 0
 ends of every component, with steps h, has tau and defects within h of
 them, and tau never below tau_Omega.  So does every sample of a random
 rational union whose steps are at most h, one step per component.
+
+The snowflake delta = |x - y|^(1/2) on [0, 1] has no midpoints: its wave
+distance on the continuum is 2^(1/2) delta, a homothety, never the
+isometry, and the homothety factor of its samples falls towards sqrt 2.
 """
 
 import math
@@ -15,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavemodel import build_from_matrix, condition2_report, wave_distance_matrix
+from wavemodel import build_from_matrix, condition2_report, metric, wave_distance_matrix
 
 import oracles
 
@@ -82,3 +86,23 @@ def test_random_sampled_unions_are_within_their_step_of_the_continuum(union):
         for y, q in enumerate(pts):
             assert 0 <= tau[x][y] - oracles.line_tau(omega, p, q) <= h
             assert 0 <= defects[x][y] - oracles.line_defect(omega, p, q) <= h
+
+
+def test_snowflake_homothety_falls_towards_sqrt_2():
+    """delta = |x - y|^(1/2) on n = 2^k + 1 evenly spaced points of [0, 1],
+    k = 3..8, as float matrices: the fitted c stays above sqrt 2, falls as n
+    grows, and (c - sqrt 2)(n - 1) stays below 1.1 (0.85 at n = 9, 1.05 at
+    n = 257), so c - sqrt 2 shrinks like 1/n."""
+    fits = []
+    for k in range(3, 9):
+        n = 2 ** k + 1
+        space = build_from_matrix([[math.sqrt(abs(i - j) / (n - 1)) for j in range(n)]
+                                   for i in range(n)])
+        c = metric.isometry_fit(space)[1]
+        if k <= 4:  # the pair-by-pair reference, on the small samples
+            assert c == oracles.isometry_fit(space)[1]
+        fits.append((n, c))
+    cs = [c for _, c in fits]
+    assert all(c > math.sqrt(2) for c in cs)
+    assert cs == sorted(cs, reverse=True) and len(set(cs)) == len(cs)
+    assert all((c - math.sqrt(2)) * (n - 1) <= 1.1 for n, c in fits)

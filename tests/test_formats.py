@@ -348,3 +348,44 @@ def test_a_rational_flag_with_an_underscore_is_refused(tmp_path, capsys, argv):
     token = next(a for a in argv if "_" in a).split(",")[0]
     assert capsys.readouterr().err == f"configuration refused: not a rational number: {token!r}\n"
     assert not out.exists()
+
+
+# An integer token with '_' is refused by the same rule (``int`` reads '1_0'
+# on every Python): edge endpoints, the grid count and the integer flags
+
+@pytest.mark.parametrize("line", ["1 0_2 1", "0_1 2 1"])
+def test_an_edge_endpoint_with_an_underscore_is_refused(tmp_path, line):
+    """At the parent, '1 0_2 1' joined nodes 1 and 2."""
+    path = tmp_path / "edges.txt"
+    path.write_text(f"0 1 1\n{line}\n")
+    message = "row 2, col 1: endpoint indices must be integers"
+    for load in (load_edges, oracles.load_edges_by_row):
+        with pytest.raises(ParseError) as ei:
+            load(str(path))
+        assert str(ei.value) == message
+    assert validate_file("graph", path) == (2, f"ingestion error: {message}\n", None)
+
+
+def test_a_grid_count_with_an_underscore_is_refused(tmp_path, capsys):
+    """Exit 3, nothing written; at the parent '1_0' built 10 grid values."""
+    out = tmp_path / "out"
+    argv = ["tau", "--backend", "segment", "--samples", "3", "--grid", "1/100,2,1_0,linear"]
+    assert cli.main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("configuration refused: "
+                                       "grid count must be an integer: '1_0'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--backend", "discrete", "--n", "1_2"],
+    ["validate", "--backend", "segment", "--samples", "1_0"],
+    ["nucleus-demo", "--backend", "discrete", "--n", "3", "--center", "0_1"],
+], ids=["n", "samples", "center"])
+def test_an_integer_flag_with_an_underscore_is_refused(tmp_path, capsys, argv):
+    """argparse's refusal: exit 2, the flag named, nothing written."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as ei:
+        cli.main([*argv, "--out", str(out)])
+    assert ei.value.code == 2
+    assert f"argument {argv[-2]}: invalid" in capsys.readouterr().err
+    assert not out.exists()

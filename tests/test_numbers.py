@@ -412,5 +412,5 @@ def test_d_table_writes_each_entry_as_the_rule_reads_it(rows, want):
     a ``Decimal`` is read as one), all floats on a float space."""
     report = {"d": metric._dist_table(build_from_matrix(rows))}
     text = "".join(cli.encode_report(report))
-    assert text == json.dumps(cli.jsonable(report), indent=2, sort_keys=True) + "\n"
+    assert text == json.dumps(oracles.jsonable(report), indent=2, sort_keys=True) + "\n"
     assert json.loads(text) == {"d": want}

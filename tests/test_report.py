@@ -1,10 +1,12 @@
 """The JSON report writer against the standard-library encoder.
 
 ``cli.encode_report`` must give the bytes of
-``json.dumps(jsonable(report), indent=2, sort_keys=True) + "\\n"``, the
-encoder the CLI used before, which stays here as the reference.
+``json.dumps(oracles.jsonable(report), indent=2, sort_keys=True) + "\\n"``,
+the encoder the CLI used before, which stays here as the reference.
 """
 
+import csv
+import io
 import json
 import math
 import random
@@ -24,7 +26,7 @@ INF = math.inf
 
 
 def reference(report) -> str:
-    return json.dumps(cli.jsonable(report), indent=2, sort_keys=True) + "\n"
+    return json.dumps(oracles.jsonable(report), indent=2, sort_keys=True) + "\n"
 
 
 # values that compare equal across types, or that the reference rewrites
@@ -119,8 +121,8 @@ def test_tau_report_leaves_one_table_row_at_a_time(monkeypatch):
     assert "".join(parts) == reference(report)
     tables = [report[k].tolist() for k in ("tau", "d", "tau_brackets")]
     # a row at the indent of a top-level table's rows, after the last row's "],\n"
-    row = max(len("    " + json.dumps(cli.jsonable(r), indent=2).replace("\n", "\n    "))
-              for table in tables for r in table) + len(",\n")
+    row = max(len("    " + json.dumps(oracles.jsonable(r), indent=2)
+                  .replace("\n", "\n    ")) for table in tables for r in table) + len(",\n")
     assert len(parts) > 3 * 201
     assert max(map(len, parts)) <= row
 
@@ -171,3 +173,41 @@ def test_cli_reports_match_the_reference_encoder(tmp_path, monkeypatch, seed, co
     assert len(written) == len(reports) == len(backends)
     for text, report in zip(written, reports):
         assert text == reference(report)
+
+
+def csv_reference(report) -> str:
+    """The key/value rows of a ``--format csv`` report, each value by
+    ``json.dumps`` on the flattened report."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([k, json.dumps(v)] for k, v in oracles.jsonable(report).items())
+    return buf.getvalue()
+
+
+def test_csv_key_value_rows_match_the_reference(tmp_path, monkeypatch):
+    """``validate`` (valid on every backend, on one point, and refused) and
+    ``nucleus-demo`` (the shrinking ball on every backend and on a linear
+    grid, and both window nets) with ``--format csv``."""
+    written, reports = [], []
+    monkeypatch.setattr(cli, "_write", lambda parts, path: written.append("".join(parts)))
+    emit = cli.emit
+    monkeypatch.setattr(cli, "emit", lambda report, args: (
+        reports.append(report), emit(report, args)))
+    refused = tmp_path / "triangle.csv"
+    refused.write_text("0,1,3\n1,0,1\n3,1,0\n")
+    backends = _inputs(tmp_path, random.Random("csv"))
+    runs = [
+        *(["validate", *argv] for argv in backends),
+        ["validate", "--backend", "discrete", "--n", "1"],
+        ["validate", "--backend", "matrix", "--input", str(refused)],
+        *(["nucleus-demo", *argv, "--center", "1"] for argv in backends),
+        ["nucleus-demo", "--backend", "segment", "--samples", "5", "--center", "2",
+         "--grid", "1/100,2,10,linear"],
+        ["nucleus-demo", "--net", "left-window", "--x", "3/10"],
+        ["nucleus-demo", "--net", "right-window", "--x", "3/4"],
+    ]
+    codes = [cli.main([*argv, "--format", "csv"]) for argv in runs]
+    assert codes.count(1) == 1 and set(codes) == {0, 1}
+    assert len(written) == len(reports) == len(runs)
+    assert reports[len(backends) + 1]["valid"] is False
+    for text, report in zip(written, reports):
+        assert text == csv_reference(report)
