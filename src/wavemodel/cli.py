@@ -75,17 +75,12 @@ def _token(v) -> str | None:
 
 def _cell_tokens(values, cell: str) -> list:
     """The text of each table value at the indent ``cell``: finite floats and
-    ints in one ``repr`` pass, and a pair of scalars (a grid bracket) from
-    the tokens of its ends, each end object formatted once."""
+    ints in one ``repr`` pass, any other value (a bracket) as ``_parts`` does."""
     if {float, int}.issuperset(map(type, values)):
         tokens = list(map(repr, values))
         if "n" not in "".join(tokens):  # in "inf" and "nan", in no finite repr
             return tokens
-    ends = {id(e): e for x in values if type(x) is tuple for e in x}
-    ends = {k: _token(e) for k, e in ends.items()}
-    pairs = [[ends[id(e)] for e in x] if type(x) is tuple else () for x in values]
-    return [f"[\n{cell}  {p[0]},\n{cell}  {p[1]}\n{cell}]" if len(p) == 2 and None not in p
-            else _token(x) or "".join(_parts(x, cell)) for x, p in zip(values, pairs)]
+    return [_token(x) or "".join(_parts(x, cell)) for x in values]
 
 
 def _parts(v, indent: str) -> Iterator[str]:
@@ -122,10 +117,8 @@ def _parts(v, indent: str) -> Iterator[str]:
 
 
 def _parse_rational(text: str) -> Fraction:
-    try:
-        if "_" in text:  # refused on every Python, as formats._number refuses it
-            raise ValueError(text)
-        return Fraction(text)
+    try:  # '_' is refused as in every number token
+        return Fraction(formats._plain(text))
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"not a rational number: {text!r}") from None
 

@@ -45,14 +45,20 @@ def _text(path: str, sep: str | None):
         raise
 
 
+def _plain(text: str) -> str:
+    """``text``, unless it holds '_': the one rule for number tokens, refused
+    on every Python (``Fraction`` reads '1_0' from 3.11 on, ``int`` always)."""
+    if "_" in text:
+        raise ValueError(text)
+    return text
+
+
 def _number(text: str, row: int, col: int):
-    """Parse a finite number, preferring exact rationals ('3/10', '2') over floats;
-    '_' is refused on every Python (``Fraction`` reads '1_0' from 3.11 on)."""
+    """Parse a finite number, preferring exact rationals ('3/10', '2') over
+    floats; '_' is refused (``_plain``)."""
     text = text.strip()
     try:
-        if "_" in text:
-            raise ValueError(text)
-        if text.isascii() and text.replace("/", "", 1).isdigit():  # 'p' or 'p/q', no regex
+        if _plain(text).isascii() and text.replace("/", "", 1).isdigit():  # 'p' or 'p/q', no regex
             p, slash, q = text.partition("/")
             return Fraction(int(p), int(q)) if slash else Fraction(int(p))
         if "/" in text or ("." not in text and "e" not in text.lower()):
@@ -66,10 +72,8 @@ def _number(text: str, row: int, col: int):
 
 
 def _integer(text: str) -> int:
-    """An integer token, read by ``int`` with '_' refused as ``_number`` does."""
-    if "_" in text:
-        raise ValueError(text)
-    return int(text)
+    """An integer token, read by ``int`` with '_' refused (``_plain``)."""
+    return int(_plain(text))
 
 
 def _parser():
@@ -159,12 +163,15 @@ def load_edges(path: str):
                 continue
             if len(parts) != 3:
                 raise ParseError(f"expected 'i j weight', got {len(parts)} fields", r, 1)
+            c = 1  # the column of the endpoint read, and of its refusal
             try:
-                i, j = _integer(parts[0]), _integer(parts[1])
+                i = _integer(parts[0])
+                c = 2
+                j = _integer(parts[1])
             except ValueError:
-                raise ParseError("endpoint indices must be integers", r, 1) from None
+                raise ParseError("endpoint indices must be integers", r, c) from None
             if i < 0 or j < 0:
-                raise ParseError("indices must be nonnegative", r, 1)
+                raise ParseError("indices must be nonnegative", r, 1 + (i >= 0))
             edges.append((i, j, number(parts[2], r, 3)))
     if not edges:
         raise ParseError("no edges found", 1, 1)

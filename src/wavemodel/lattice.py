@@ -26,14 +26,13 @@ from .metric import (
     _Table,
     _as_float,
     _balls,
+    _bracket_table,
     _check_points,
-    _in_use,
     _max_defect,
     _neighborhoods,
     _tau_table,
     check_condition1,
     condition2_report,
-    first_meeting,
     isometry_fit,
 )
 # unused here: the bench tracer wraps lattice.open_ball and lattice.wave_distance_matrix
@@ -339,17 +338,7 @@ def wave_model(space: FiniteMetricSpace, grid: TimeGrid,
     warnings = tuple(f"nucleus of point {x} is {sorted(core)}, not a singleton"
                      for x, core in enumerate(atoms) if core != {x})
     max_dev, c = isometry_fit(space)
-    brackets = None
-    if include_brackets:
-        # the bracket (2 t_{k-1}, 2 t_k) of each index k of the first grid value
-        # where the balls meet, for the k in use; neighbours share their end,
-        # and the diagonal holds a code of its own, for (0, 0)
-        codes, used = _in_use(first_meeting(space, grid.values), len(grid) + 1)
-        ends = {*used, *(k - 1 for k in used)} - {-1, len(grid)}
-        doubled = {k: 2 * grid.values[k] for k in ends}
-        bounds = [(doubled.get(k - 1, 0), doubled.get(k, INFINITY)) for k in used]
-        codes.flat[::len(codes) + 1] = len(bounds)
-        brackets = _Table(codes, [*bounds, (0, 0)])
+    brackets = _bracket_table(space, grid.values) if include_brackets else None
     return WaveModelResult(
         space=space, atoms=atoms, tau_table=_tau_table(space),
         max_abs_tau_minus_d=max_dev, homothety_c=c, condition1=check_condition1(space),

@@ -287,6 +287,16 @@ def _dist_table(space: "FiniteMetricSpace") -> _Table:
     return _Table(ranks, _values(values, space._scale))
 
 
+def _bracket_table(space: "FiniteMetricSpace", radii: Sequence) -> _Table:
+    """The grid brackets: (2 r_{k-1}, 2 r_k) for each ``first_meeting`` index
+    k in use, with r_{-1} = 0 and r_m = ``INFINITY`` for m radii, and (0, 0),
+    a code of its own, on the diagonal."""
+    codes, used = _in_use(first_meeting(space, radii), len(radii) + 1)
+    ends = (0, *radii, INFINITY)
+    codes.flat[::len(codes) + 1] = len(used)
+    return _Table(codes, [*((2 * ends[k], 2 * ends[k + 1]) for k in used), (0, 0)])
+
+
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """n points with a symmetric, triangle-valid distance matrix.

@@ -332,14 +332,19 @@ def load_edges_by_row(path: str):
             if len(parts) != 3:
                 raise formats.ParseError(f"expected 'i j weight', got {len(parts)} fields",
                                          r, 1)
-            try:
-                if "_" in parts[0] + parts[1]:  # as in a number token
-                    raise ValueError(line)
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise formats.ParseError("endpoint indices must be integers", r, 1) from None
-            if i < 0 or j < 0:
-                raise formats.ParseError("indices must be nonnegative", r, 1)
+            # each refusal at the column of the first endpoint it names
+            ends = []
+            for c, text in enumerate(parts[:2], start=1):
+                try:
+                    if "_" in text:  # as in a number token
+                        raise ValueError(text)
+                    ends.append(int(text))
+                except ValueError:
+                    raise formats.ParseError("endpoint indices must be integers", r, c) from None
+            for c, k in enumerate(ends, start=1):
+                if k < 0:
+                    raise formats.ParseError("indices must be nonnegative", r, c)
+            i, j = ends
             if parts[2] not in parsed:
                 parsed[parts[2]] = number(parts[2], r, 3)
             edges.append((i, j, parsed[parts[2]]))

@@ -355,15 +355,35 @@ def test_a_rational_flag_with_an_underscore_is_refused(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("line", ["1 0_2 1", "0_1 2 1"])
 def test_an_edge_endpoint_with_an_underscore_is_refused(tmp_path, line):
-    """At the parent, '1 0_2 1' joined nodes 1 and 2."""
+    """'1 0_2 1' once joined nodes 1 and 2; the refusal names the column of
+    the endpoint with '_'."""
+    col = 1 + ("_" not in line.split()[0])
+    assert_edge_refused(tmp_path, line, f"row 2, col {col}: endpoint indices must be integers")
+
+
+def assert_edge_refused(tmp_path, line, message):
+    """Both edge loaders refuse ``line``, after a good one, with ``message``;
+    ``validate`` exits 2 with it."""
     path = tmp_path / "edges.txt"
     path.write_text(f"0 1 1\n{line}\n")
-    message = "row 2, col 1: endpoint indices must be integers"
     for load in (load_edges, oracles.load_edges_by_row):
         with pytest.raises(ParseError) as ei:
             load(str(path))
         assert str(ei.value) == message
     assert validate_file("graph", path) == (2, f"ingestion error: {message}\n", None)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("0 x 1", "row 2, col 2: endpoint indices must be integers"),
+    ("x -2 1", "row 2, col 1: endpoint indices must be integers"),
+    ("-1 x 1", "row 2, col 2: endpoint indices must be integers"),
+    ("1 -2 1", "row 2, col 2: indices must be nonnegative"),
+    ("-1 -2 1", "row 2, col 1: indices must be nonnegative"),
+])
+def test_an_edge_endpoint_refusal_names_its_column(tmp_path, line, message):
+    """Every endpoint refusal was at column 1: the column of the first
+    endpoint that is no integer, else of the first negative one."""
+    assert_edge_refused(tmp_path, line, message)
 
 
 def test_a_grid_count_with_an_underscore_is_refused(tmp_path, capsys):

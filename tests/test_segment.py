@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavemodel import IntervalError
+from wavemodel.cli import main
 from wavemodel.interval1d import (
     AffineIntervalFamily,
     Interval,
@@ -163,6 +164,17 @@ def test_verify_reports_a_failing_nucleus_certificate(monkeypatch):
     names = ("ball_lower", "atom_from_left", "atom_from_right", "ball_upper")
     assert [m for m in rep.failures if "nucleus" in m] == [
         f"nucleus certificate fails for {name} at t=3/20" for name in names]
+
+
+def test_verify_reports_a_violated_order(monkeypatch, tmp_path):
+    """With ``leq`` false everywhere, both one-sided atoms break the order,
+    one line each, and ``segment-demo`` exits 1."""
+    monkeypatch.setattr(PiecewiseBallFunction, "leq", lambda f, g: False)
+    rep = verify_four_chain(X)
+    assert rep.order_ok is False and not rep.all_pass
+    assert rep.failures == ("order violated around atom_from_left",
+                            "order violated around atom_from_right")
+    assert main(["segment-demo", "--x", str(X), "--out", str(tmp_path)]) == 1
 
 
 def test_verify_json_shape():
